@@ -8,7 +8,7 @@ Subpackage map:
 - ``dioph``      approximation solution scans, A/B covering sets, ubiquity
 - ``cantor``     nested interval hierarchies with outer-measure bookkeeping
 - ``billiard``   polygon geometry, cross-sections, beam tracing, escape sets
-- ``dimension``  box counting and Hausdorff-sum schedules
+- ``dimension``  box counting, slope fits and escape-set covers
 - ``experiments``/``cli``  reproducible experiment runners (``lab`` entry point)
 """
 
@@ -56,7 +56,6 @@ from .errors import (
     RationalAngle,
     RationalDetected,
     RationalRotation,
-    ReflectionBudgetExhausted,
     ScheduleNotFound,
 )
 from .experiments import (
@@ -93,7 +92,6 @@ __all__ = [
     "RationalAngle",
     "RationalDetected",
     "RationalRotation",
-    "ReflectionBudgetExhausted",
     "RunReport",
     "ScheduleNotFound",
     "SideClass",

@@ -34,11 +34,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
-from .circle import DEFAULT_PRECISION, detect_rational_angle, eval_number
+from .circle import detect_rational_angle, eval_number
 from .errors import (DegenerateDirection, NotGeneralizedParallelogram,
                      RationalAngle)
 from .fixedpoint import from_fixed, to_fixed
-from .intervals import IntervalUnion
+from .intervals import DEFAULT_PRECISION, IntervalUnion
 
 _LAUNCH = -1  # pseudo source-side index: beam resting on a cross-section
 
@@ -273,27 +273,21 @@ def polygon_from_vertices(vertices: Sequence[Sequence], alpha=None,
     return _finish_polygon(verts, a, bits)
 
 
-def build_polygon(spec) -> GeneralizedParallelogram:
-    """Construct a polygon from a declarative spec.
-
-    Accepts an already-built polygon (returned unchanged) or a mapping with
-    a ``type`` key: ``rhombus`` (alpha, side), ``parallelogram`` (alpha,
-    base, side) or ``polygon`` / ``vertices`` (vertices, optional alpha).
-    Numeric fields may be strings ("pi/3", "0.7") for exact parsing.
+def build_polygon(spec, precision_bits: int = DEFAULT_PRECISION,
+                  ) -> GeneralizedParallelogram:
+    """Construct a polygon from a configuration spec: a mapping whose
+    ``kind`` is ``rhombus`` (alpha, side) or ``parallelogram`` (alpha,
+    base, side).  Numeric fields may be strings ("pi/3", "0.7") for exact
+    parsing.
     """
-    if isinstance(spec, GeneralizedParallelogram):
-        return spec
     if not isinstance(spec, dict):
-        raise ValueError("polygon spec must be a mapping or a polygon")
-    kind = spec.get("type")
-    bits = int(spec.get("precision_bits", DEFAULT_PRECISION))
+        raise ValueError("polygon spec must be a mapping")
+    kind = spec.get("kind")
     if kind == "rhombus":
-        return rhombus(spec["alpha"], spec.get("side", 1), bits)
+        return rhombus(spec["alpha"], spec.get("side", 1), precision_bits)
     if kind == "parallelogram":
-        return parallelogram(spec["alpha"], spec["base"], spec["side"], bits)
-    if kind in ("polygon", "vertices", "explicit"):
-        return polygon_from_vertices(spec["vertices"], spec.get("alpha"), bits)
-    raise ValueError(f"unknown polygon type {kind!r}")
+        return parallelogram(spec["alpha"], spec["base"], spec["side"], precision_bits)
+    raise ValueError(f"unknown polygon kind {kind!r}")
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .circle import (CirclePoint, ContinuedFractionExpansion,
                      continued_fraction, eval_number, min_orbit_distance)
 from .errors import CapTooSmall, DepthUnreachable, EmptyLevel
 from .fixedpoint import floor_sum, from_fixed, to_fixed
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, _fmt, circle_pairs
 
 __all__ = [
     "CantorHierarchy",
@@ -81,11 +81,6 @@ def _count_arc(w: int, scale: int, m: int, res: int, p_lo: int, p_hi: int,
     a = w * m
     b0 = w * (m * p_lo + res) - (center - allow)
     return floor_sum(n, scale, a, b0) - floor_sum(n, scale, a, b0 - width)
-
-
-def _fmt(x, bits: int) -> str:
-    with mp.workprec(bits + 16):
-        return mp.nstr(mpf(x), int(bits * 0.30103) + 3, strip_zeros=True)
 
 
 @dataclass(frozen=True)
@@ -176,17 +171,9 @@ class CantorHierarchy:
             raise ValueError(f"level {k} is counted, not materialized")
         bits = self.precision_bits
         pairs = []
-        with mp.workprec(bits + 16):
-            h = from_fixed(lev.half_fp, bits)
-            for iv in lev.intervals:
-                c = from_fixed(iv.center_fp, bits)
-                lo, hi = c - h, c + h
-                if lo < 0:
-                    pairs.extend([(mpf(0), hi), (lo + 1, mpf(1))])
-                elif hi > 1:
-                    pairs.extend([(lo, mpf(1)), (mpf(0), hi - 1)])
-                else:
-                    pairs.append((lo, hi))
+        h = from_fixed(lev.half_fp, bits)
+        for iv in lev.intervals:
+            pairs.extend(circle_pairs(from_fixed(iv.center_fp, bits), h, bits))
         return IntervalUnion.make(pairs, bits)
 
     def nominal_length(self, k: int) -> mpf:

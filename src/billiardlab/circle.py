@@ -10,46 +10,72 @@ precision derived from its operands.
 
 from __future__ import annotations
 
-import math
+import ast
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 from mpmath import mp, mpf
 
 from .errors import DepthExceeded, RationalDetected
 from .fixedpoint import from_fixed, to_fixed
-
-DEFAULT_PRECISION = 256
+from .intervals import DEFAULT_PRECISION
 
 NumberLike = Union[int, float, str, Fraction, mpf]
 
-# Symbols allowed in textual number specs ("(sqrt(5)-1)/2", "pi/3", ...).
-_EVAL_NAMES = {
-    "pi": mp.pi,
-    "e": mp.e,
+# Names allowed in textual number specs ("(sqrt(5)-1)/2", "pi/3", ...).
+_EVAL_CONSTANTS = {"pi": mp.pi, "e": mp.e, "phi": mp.phi}
+_EVAL_FUNCTIONS = {
     "sqrt": mp.sqrt,
     "log": mp.log,
     "exp": mp.exp,
     "sin": mp.sin,
     "cos": mp.cos,
-    "phi": mp.phi,
+}
+_EVAL_OPERATORS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+    ast.UAdd: operator.pos,
+    ast.USub: operator.neg,
 }
 
 
-_LITERAL_RE = None  # compiled lazily to keep the import section tidy
+def _eval_node(node: ast.AST, source: str) -> mpf:
+    """Evaluate one node of a parsed number spec at the current precision."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        # Promote from the source digits: "1.4" is the decimal 1.4, not
+        # its 53-bit rounding.
+        return mpf(ast.get_source_segment(source, node))
+    if isinstance(node, ast.BinOp) and type(node.op) in _EVAL_OPERATORS:
+        return _EVAL_OPERATORS[type(node.op)](_eval_node(node.left, source),
+                                              _eval_node(node.right, source))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EVAL_OPERATORS:
+        return _EVAL_OPERATORS[type(node.op)](_eval_node(node.operand, source))
+    if isinstance(node, ast.Name) and node.id in _EVAL_CONSTANTS:
+        return mpf(_EVAL_CONSTANTS[node.id])
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _EVAL_FUNCTIONS and not node.keywords):
+        return _EVAL_FUNCTIONS[node.func.id](
+            *(_eval_node(arg, source) for arg in node.args))
+    raise ValueError(f"unsupported element {ast.get_source_segment(source, node)!r} "
+                     "in number spec")
 
 
 def eval_number(x: NumberLike, precision_bits: int = DEFAULT_PRECISION) -> mpf:
     """Evaluate a numeric spec at the requested binary precision.
 
     Strings may be plain rationals or decimals ("1/3", "0.7" — parsed
-    exactly, no float rounding) or expressions over pi, e, phi, sqrt(),
-    log(), exp(), sin(), cos(); numeric literals inside expressions are
-    promoted to working precision before any arithmetic, so "1.4/pi"
-    means the decimal 1.4, not its 53-bit rounding.
+    exactly, no float rounding) or expressions built from numeric
+    literals, + - * / **, unary + and -, parentheses, the constants pi, e,
+    phi and calls of sqrt(), log(), exp(), sin(), cos(); anything else
+    raises ValueError.  Numeric literals inside expressions are promoted
+    to working precision before any arithmetic, so "1.4/pi" means the
+    decimal 1.4, not its 53-bit rounding.
     """
-    global _LITERAL_RE
     with mp.workprec(precision_bits + 16):
         if isinstance(x, str):
             try:
@@ -58,17 +84,12 @@ def eval_number(x: NumberLike, precision_bits: int = DEFAULT_PRECISION) -> mpf:
                 exact = None
             if exact is not None:
                 return mpf(exact.numerator) / exact.denominator
-            allowed = set("0123456789.+-*/() _abcdefghijklmnopqrstuvwxyz")
-            if not set(x.lower()) <= allowed:
-                raise ValueError(f"unsupported characters in number spec {x!r}")
-            if _LITERAL_RE is None:
-                import re
-                _LITERAL_RE = re.compile(r"(?<![\w.])(\d+\.?\d*|\.\d+)(?![\w.])")
-            promoted = _LITERAL_RE.sub(r"mpf('\1')", x)
-            names = dict(_EVAL_NAMES)
-            names["mpf"] = mpf
-            value = eval(promoted, {"__builtins__": {}}, names)  # noqa: S307
-            return mpf(value)
+            source = x.strip()
+            try:
+                return _eval_node(ast.parse(source, mode="eval").body, source)
+            except (SyntaxError, RecursionError) as exc:
+                raise ValueError(f"malformed or too deeply nested number spec "
+                                 f"{x[:80]!r}") from exc
         if isinstance(x, Fraction):
             return mpf(x.numerator) / x.denominator
         return mpf(x)
@@ -234,26 +255,13 @@ def continued_fraction(omega: CirclePoint, max_depth: int = 64) -> ContinuedFrac
 def three_distance_gap(cf: ContinuedFractionExpansion, r: int) -> mpf:
     """Exact minimum of d(p1*omega, p2*omega) over n <= p1 < p2 <= 2n, n = q_r.
 
-    Computed by sorting the n+1 orbit points in fixed point, so the result
-    is exact for the stored value of omega (the representation error is
-    below 2n ulps, far under any gap of interest).
+    The differences p2 - p1 cover 1..n, so the minimum is
+    min_{1<=d<=n} ||d*omega||.  Since n = q_r < q_(r+1), best
+    approximation puts it at d = q_r, which min_orbit_distance returns.
+    The identity holds exactly for the stored fixed-point omega, whose
+    continued fraction shares the validated convergents.
     """
-    n = cf.denominator(r)
-    bits = cf.omega.precision_bits
-    scale = 1 << bits
-    w = to_fixed(cf.omega.value, bits)
-    points = sorted((p * w) % scale for p in range(n, 2 * n + 1))
-    best = scale  # max possible
-    for i in range(1, len(points)):
-        gap = points[i] - points[i - 1]
-        if gap < best:
-            best = gap
-    wrap = scale - points[-1] + points[0]
-    if wrap < best:
-        best = wrap
-    if best > scale // 2:
-        best = scale - best
-    return from_fixed(best, bits)
+    return min_orbit_distance(cf, cf.denominator(r))
 
 
 def angle_to_circle(d: Direction) -> Tuple[CirclePoint, CirclePoint]:
@@ -312,67 +320,6 @@ def detect_rational_angle(x: mpf, precision_bits: int,
         return Fraction(p_cur, q_cur) + int_part
     del cf
     return None
-
-
-def orbit_entry(omega: CirclePoint, start: mpf, lo: mpf, hi: mpf,
-                max_steps: int = 100000) -> int:
-    """A small j >= 0 with frac(start + j*omega) in (lo, hi).
-
-    Greedy descent along best-approximation steps (convergent jumps in
-    both rotation directions).  The returned entry time is small but not
-    necessarily minimal; raises DepthUnreachable if the interval is below
-    the precision floor or the walk stalls.
-    """
-    from .errors import DepthUnreachable
-
-    bits = omega.precision_bits
-    scale = 1 << bits
-    w = to_fixed(omega.value, bits)
-    x = to_fixed(mpf(start), bits) % scale
-    lo_i = to_fixed(mpf(lo), bits)
-    hi_i = to_fixed(mpf(hi), bits)
-    if not (0 <= lo_i < hi_i <= scale):
-        raise ValueError("target interval must satisfy 0 <= lo < hi <= 1")
-    if hi_i - lo_i < (1 << (bits // 2)):
-        raise DepthUnreachable("target interval below precision floor")
-
-    cf = continued_fraction(omega, max_depth=bits)
-    # signed displacement of each convergent jump: q*w mod scale, as a
-    # signed representative in (-scale/2, scale/2)
-    jumps: List[Tuple[int, int]] = []  # (q, signed displacement)
-    for _, q in cf.convergents:
-        disp = (q * w) % scale
-        if disp > scale // 2:
-            disp -= scale
-        if disp != 0:
-            jumps.append((q, disp))
-    jumps.sort(key=lambda t: -abs(t[1]))  # big steps first
-
-    j = 0
-    for _ in range(max_steps):
-        if lo_i < x < hi_i:
-            return j
-        # distance to move forward (increasing x, wrapping) to reach the
-        # middle of the target
-        mid = (lo_i + hi_i) // 2
-        delta = (mid - x) % scale
-        if delta > scale // 2:
-            delta -= scale
-        # largest jump not overshooting past the target midpoint
-        width = (hi_i - lo_i) // 2
-        moved = False
-        for q, disp in jumps:
-            if abs(disp) <= max(abs(delta), width) and disp * delta > 0:
-                x = (x + disp) % scale
-                j += q
-                moved = True
-                break
-        if not moved:
-            # take the smallest available jump to perturb and retry
-            q, disp = jumps[-1]
-            x = (x + disp) % scale
-            j += q
-    raise DepthUnreachable("orbit entry walk did not converge")
 
 
 def min_orbit_distance(cf: ContinuedFractionExpansion, n: int) -> mpf:

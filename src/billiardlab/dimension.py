@@ -1,14 +1,14 @@
 """Dimension estimation in one dimension: exact greedy box counts,
 least-squares slope fits over scale ladders, the average-length covering
-construction with its packing bound, and Hausdorff covering-sum schedules
-driven by billiard escape sets.
+construction with its packing bound, and Hausdorff covering sums of
+billiard escape sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
@@ -28,24 +28,6 @@ class CoverReport:
     s: float
     sum: mpf
     dim_estimate: Optional[mpf]
-
-    def csv_row(self) -> str:
-        de = "" if self.dim_estimate is None else mp.nstr(self.dim_estimate, 17)
-        return f"{mp.nstr(self.scale, 17)},{self.count},{self.s}," \
-               f"{mp.nstr(self.sum, 17)},{de}"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "scale": mp.nstr(self.scale, 17),
-            "count": self.count,
-            "s": self.s,
-            "sum": mp.nstr(self.sum, 17),
-            "dim_estimate": None if self.dim_estimate is None
-            else mp.nstr(self.dim_estimate, 17),
-        }
-
-
-CSV_HEADER = "scale,count,s,sum,dim_estimate"
 
 
 def box_count(cover_set: IntervalUnion, epsilon, s: float = 1.0) -> CoverReport:
@@ -196,16 +178,3 @@ def cover_escape_set(q, theta, s: float, N: int, reflection_cap: int,
             N=N, hs_sum=hs, count=count, piece_length=piece,
             gate_width=gate, escape_length=f_n.total_length,
             uncertain_length=report.uncertain.total_length)
-
-
-def hausdorff_sum_schedule(q, theta, s: float, n_schedule: Sequence[int],
-                           reflection_cap: int, variant: str = "down",
-                           ) -> List[Tuple[int, mpf]]:
-    """H^s covering sums of the escape sets F_N along an increasing
-    schedule of cutoffs N; decay along a well-chosen schedule is the
-    testable content, not an assumption."""
-    ns = list(n_schedule)
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("N schedule must be strictly increasing")
-    return [(n, cover_escape_set(q, theta, s, n, reflection_cap, variant).hs_sum)
-            for n in ns]

@@ -19,7 +19,7 @@ from mpmath import mp, mpf
 
 from .circle import CirclePoint, detect_rational_angle
 from .errors import CapTooSmall, OrbitPoint, RationalRotation
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, circle_pairs
 
 _PREFILTER_MARGIN = 1e-8
 _CHUNK = 1 << 20
@@ -179,23 +179,6 @@ def minkowski_solutions(t: CirclePoint, omega: CirclePoint, p_max: int, *,
     return out
 
 
-def _circle_pairs(center: mpf, halfwidth: mpf, bits: int) -> List[Tuple[mpf, mpf]]:
-    """(center - halfwidth, center + halfwidth) mod 1, split at 0."""
-    with mp.workprec(bits + 16):
-        c = center - mp.floor(center)
-        h = halfwidth
-        if h <= 0:
-            return []
-        if 2 * h >= 1:
-            return [(mpf(0), mpf(1))]
-        lo, hi = c - h, c + h
-        if lo < 0:
-            return [(mpf(0), hi), (lo + 1, mpf(1))]
-        if hi > 1:
-            return [(mpf(0), hi - 1), (lo, mpf(1))]
-        return [(lo, hi)]
-
-
 def _admissible_abs(j: int, m: int, l: int, sign: int, p_cap: int) -> range:
     """|p| values in [j*m, p_cap] with sign*|p| = l (mod m), as a range."""
     residue = l % m if sign > 0 else (-l) % m
@@ -232,7 +215,7 @@ def a_set_depth(omega: CirclePoint, mu: float, m: int, l: int, k: int,
                 for p_abs in _admissible_abs(j, m, l, sign, p_cap):
                     center = sign * p_abs * w
                     half = mpf(1) / (2 * mpf(p_abs) ** mu_m)
-                    pairs.extend(_circle_pairs(center, half, bits))
+                    pairs.extend(circle_pairs(center, half, bits))
                 layer = IntervalUnion.make(pairs, bits)
                 result = layer if result is None else result.intersect(layer)
     return result if result is not None else IntervalUnion.empty(bits)
@@ -264,7 +247,7 @@ def b_set_depth(t: CirclePoint, mu: float, m: int, l: int, k: int,
                     half = mpf(1) / (2 * mpf(p_abs) ** (mu_m + 1))
                     for i in range(p_abs):
                         center = (tv + i) / p
-                        pairs.extend(_circle_pairs(center, half, bits))
+                        pairs.extend(circle_pairs(center, half, bits))
                 layer = IntervalUnion.make(pairs, bits)
                 result = layer if result is None else result.intersect(layer)
     return result if result is not None else IntervalUnion.empty(bits)
@@ -310,7 +293,7 @@ def ubiquity_deficiency(omega: CirclePoint, m: int, l: int, N: int,
                 continue
             pairs: List[Tuple[mpf, mpf]] = []
             for i in range(q):
-                pairs.extend(_circle_pairs((w + i) / q, rho, bits))
+                pairs.extend(circle_pairs((w + i) / q, rho, bits))
             complement = complement.subtract(IntervalUnion.make(pairs, bits))
             if not complement:
                 return mpf(0)

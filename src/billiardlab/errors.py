@@ -33,10 +33,6 @@ class DegenerateDirection(BilliardLabError):
     """A ray direction is parallel to a polygon side within the guard."""
 
 
-class ReflectionBudgetExhausted(BilliardLabError):
-    """Tracing stopped early; partial results carry Active remnants."""
-
-
 class DepthUnreachable(BilliardLabError):
     """No validated convergent satisfies the selection conditions."""
 

@@ -24,8 +24,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from . import __version__
-from .billiard import (GeneralizedParallelogram, parallelogram,
-                       perpendicular_periodicity, rhombus)
+from .billiard import build_polygon, perpendicular_periodicity, rhombus
 from .cantor import (build_hierarchy, local_dimension_report,
                      select_sequence, separation_report)
 from .circle import (CirclePoint, Direction, angle_to_circle,
@@ -162,8 +161,7 @@ def _check_expr(name: str, value: Any) -> Any:
                           f"got {_type_name(value)}")
     try:
         eval_number(value, 64)
-    except (ValueError, TypeError, ZeroDivisionError,
-            SyntaxError, NameError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(f"{name} is not a valid numeric expression: {exc}")
     return value
 
@@ -419,13 +417,6 @@ def write_report(report: RunReport, out_dir: str) -> List[str]:
     return sorted(names)
 
 
-def _build_polygon(spec: Mapping[str, Any], bits: int) -> GeneralizedParallelogram:
-    if spec["kind"] == "rhombus":
-        return rhombus(spec["alpha"], side=spec["side"], precision_bits=bits)
-    return parallelogram(spec["alpha"], base=spec["base"], side=spec["side"],
-                         precision_bits=bits)
-
-
 def _collect_warnings(records, notes: List[str]) -> None:
     counts: Dict[str, int] = {}
     for rec in records:
@@ -494,7 +485,7 @@ def _cover_rows(side: str, q, theta, s: float, ns: Sequence[int],
 def run_thm1(cfg: ExperimentConfig) -> RunReport:
     """Escape-set Hausdorff sums along a two-sided Diophantine schedule."""
     bits = cfg.precision_bits
-    q = _build_polygon(cfg.polygon, bits)
+    q = build_polygon(cfg.polygon, bits)
     d = Direction.make(cfg.theta, cfg.polygon["alpha"], bits)
     violations: List[str] = []
     notes: List[str] = []
@@ -671,7 +662,7 @@ def construct_twosided_target(omega: CirclePoint, mu: float, steps: int,
 def run_thm2(cfg: ExperimentConfig) -> RunReport:
     """Escape covers for a constructed two-sided well-approximable direction."""
     bits = cfg.precision_bits
-    q = _build_polygon(cfg.polygon, bits)
+    q = build_polygon(cfg.polygon, bits)
     violations: List[str] = []
     notes: List[str] = []
     mu, eps = float(cfg.mu), float(cfg.eps)
@@ -915,7 +906,7 @@ def _perp_row(cap: int, res: Mapping[str, Any]) -> str:
 def run_perp(cfg: ExperimentConfig) -> RunReport:
     """Periodicity statistics of the perpendicular direction in a rhombus."""
     bits = cfg.precision_bits
-    q = _build_polygon(cfg.polygon, bits)
+    q = build_polygon(cfg.polygon, bits)
     violations: List[str] = []
     notes: List[str] = []
     with mp.workprec(bits + 16):

@@ -2,8 +2,9 @@
 
 The universal set representation: sorted, pairwise-disjoint open intervals
 with mpmath endpoints at a tagged precision.  Intervals may live on the
-unit circle (use :meth:`IntervalUnion.circle_interval`, which splits
-wrap-around intervals at 0) or on any real segment (cross-sections).
+unit circle (use :func:`circle_pairs` or
+:meth:`IntervalUnion.circle_interval`, which split wrap-around intervals
+at 0) or on any real segment (cross-sections).
 Normalization merges intervals that overlap or approach within
 2^(-precision_bits+8).
 
@@ -33,6 +34,29 @@ def _dps_for(bits: int) -> int:
 def _fmt(x: mpf, bits: int) -> str:
     with mp.workprec(bits + 16):
         return mp.nstr(mpf(x), _dps_for(bits), strip_zeros=True)
+
+
+def circle_pairs(center, halfwidth, bits: int) -> List[Pair]:
+    """(center - halfwidth, center + halfwidth) mod 1 as (lo, hi) pairs,
+    split at 0 if it wraps.
+
+    The floor is taken from the unrounded center and the half-width is
+    used as given: rounding either to working precision first would move
+    the low bits of endpoints whose center has a large integer part.
+    """
+    with mp.workprec(bits + 16):
+        c = center - mp.floor(center)
+        h = halfwidth
+        if h <= 0:
+            return []
+        if 2 * h >= 1:
+            return [(mpf(0), mpf(1))]
+        lo, hi = c - h, c + h
+        if lo < 0:
+            return [(mpf(0), hi), (lo + 1, mpf(1))]
+        if hi > 1:
+            return [(mpf(0), hi - 1), (lo, mpf(1))]
+        return [(lo, hi)]
 
 
 @dataclass(frozen=True)
@@ -74,20 +98,7 @@ class IntervalUnion:
                         precision_bits: int = DEFAULT_PRECISION) -> "IntervalUnion":
         """The open interval (center-halfwidth, center+halfwidth) mod 1,
         split at 0 if it wraps."""
-        with mp.workprec(precision_bits + 16):
-            c = mpf(center)
-            c = c - mp.floor(c)
-            h = mpf(halfwidth)
-            if h <= 0:
-                return cls.empty(precision_bits)
-            if 2 * h >= 1:
-                return cls.make([(mpf(0), mpf(1))], precision_bits)
-            lo, hi = c - h, c + h
-            if lo < 0:
-                return cls.make([(mpf(0), hi), (lo + 1, mpf(1))], precision_bits)
-            if hi > 1:
-                return cls.make([(mpf(0), hi - 1), (lo, mpf(1))], precision_bits)
-            return cls.make([(lo, hi)], precision_bits)
+        return cls.make(circle_pairs(center, halfwidth, precision_bits), precision_bits)
 
     # -- basic queries -------------------------------------------------
 

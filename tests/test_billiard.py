@@ -118,19 +118,18 @@ def test_l_shape_accepted_nonconvex():
 
 
 def test_build_polygon_dispatch():
-    q1 = B.build_polygon({"type": "rhombus", "alpha": "1.0", "side": 1})
+    q1 = B.build_polygon({"kind": "rhombus", "alpha": "1.0", "side": 1})
     assert len(q1.vertices) == 4
-    q2 = B.build_polygon({"type": "parallelogram", "alpha": "0.7",
+    q2 = B.build_polygon({"kind": "parallelogram", "alpha": "0.7",
                           "base": 2, "side": 1})
     assert len(q2.vertices) == 4
-    q3 = B.build_polygon({"type": "polygon",
-                          "vertices": [("0", "0"), ("1", "0"),
-                                       ("1+cos(1)", "sin(1)"),
-                                       ("cos(1)", "sin(1)")]})
+    q3 = B.polygon_from_vertices([("0", "0"), ("1", "0"),
+                                  ("1+cos(1)", "sin(1)"), ("cos(1)", "sin(1)")])
     assert abs(q3.alpha - 1) < mpf(2) ** -200
-    assert B.build_polygon(q1) is q1
     with pytest.raises(ValueError):
-        B.build_polygon({"type": "triangle"})
+        B.build_polygon({"kind": "triangle"})
+    with pytest.raises(ValueError):
+        B.build_polygon({"type": "rhombus", "alpha": "1.0", "side": 1})
     with pytest.raises(ValueError):
         B.build_polygon("rhombus")
 

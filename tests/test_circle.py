@@ -17,10 +17,12 @@ from billiardlab.circle import (
     circle_distance,
     continued_fraction,
     detect_rational_angle,
+    eval_number,
     min_orbit_distance,
     three_distance_gap,
 )
 from billiardlab.errors import DepthExceeded, RationalDetected
+from billiardlab.fixedpoint import from_fixed, to_fixed
 
 GOLDEN = "(sqrt(5)-1)/2"
 SILVER = "sqrt(2)-1"
@@ -53,6 +55,60 @@ def test_distance_is_a_metric(x, y, z):
     assert dab <= 0.5
     eps = mpf(2) ** -48
     assert circle_distance(a, c) <= dab + circle_distance(b, c) + eps
+
+
+# -- number specs ----------------------------------------------------------
+
+# Every expression form the README documents, with the same operations
+# spelled out directly in mpmath at eval_number's working precision.
+README_FORMS = [
+    ("0.3", lambda: mpf(3) / 10),
+    ("1/3", lambda: mpf(1) / 3),
+    ("pi*(sqrt(5)-1)/4", lambda: mp.pi * (mp.sqrt(5) - 1) / 4),
+    ("(sqrt(5)-1)/2", lambda: (mp.sqrt(5) - 1) / 2),
+    ("sqrt(2)-1", lambda: mp.sqrt(2) - 1),
+    ("pi/3", lambda: mp.pi / 3),
+    ("1.4/pi", lambda: mpf("1.4") / mp.pi),
+    ("-pi/7", lambda: -mpf(mp.pi) / 7),
+    ("2**0.5", lambda: mpf(2) ** mpf("0.5")),
+]
+
+
+@pytest.mark.parametrize("spec,direct", README_FORMS, ids=[s for s, _ in README_FORMS])
+@pytest.mark.parametrize("bits", [64, 256])
+def test_eval_number_readme_forms(spec, direct, bits):
+    with mp.workprec(bits + 16):
+        expected = direct()
+    assert eval_number(spec, bits) == expected
+
+
+@pytest.mark.parametrize("spec", [
+    "().__class__.__base__.__subclasses__().__len__()",  # attribute access
+    "(1).real",
+    "[1, 2][0]",                                          # subscript
+    "pi[0]",
+    "(lambda: 1)()",                                      # lambda
+    "lambda: 1",
+    "x + 1",                                              # unknown names
+    "__import__('os')",
+    "mpf(1)",                                             # no injected mpf
+    "mpf('0.3')",
+    "sqrt",                                               # function as a value
+    "pi(3)",                                              # constant as a call
+    "sqrt(x=2)",
+    "7 // 2",
+    "'0.3'",
+    "2 +",
+])
+def test_eval_number_rejects_everything_else(spec):
+    with pytest.raises(ValueError):
+        eval_number(spec, 64)
+
+
+def test_eval_number_rejects_deep_nesting():
+    for spec in ("-" * 5000 + "1", "1" + "+1" * 20000):
+        with pytest.raises(ValueError):
+            eval_number(spec, 64)
 
 
 # -- continued fractions ---------------------------------------------------
@@ -171,6 +227,35 @@ def test_gap_true_lower_bound_from_convergents():
         n = cf.denominator(r)
         gap = three_distance_gap(cf, r)
         assert gap > mpf(1) / (cf.denominator(r + 1) + n)
+
+
+def sorted_gap(cf, r: int) -> mpf:
+    """Reference: the [n, 2n] minimum gap, n = q_r, by sorting the n+1
+    fixed-point orbit points and taking the smallest neighbour gap."""
+    n = cf.denominator(r)
+    bits = cf.omega.precision_bits
+    scale = 1 << bits
+    w = to_fixed(cf.omega.value, bits)
+    points = sorted((p * w) % scale for p in range(n, 2 * n + 1))
+    best = min(b - a for a, b in zip(points, points[1:]))
+    best = min(best, scale - points[-1] + points[0])
+    if best > scale // 2:
+        best = scale - best
+    return from_fixed(best, bits)
+
+
+def test_gap_identity_exact_on_default_audit_rows():
+    # The rows of three_distance_audit at its defaults: both default omegas
+    # at 256 bits, every r < validated depth with q_r <= 10^5.
+    rows = 0
+    for spec in (GOLDEN, SILVER):
+        cf = continued_fraction(CirclePoint.make(spec, 256), max_depth=512)
+        for r in range(1, cf.validated_depth):
+            if cf.denominator(r) > 100000:
+                break
+            assert three_distance_gap(cf, r) == sorted_gap(cf, r), (spec, r)
+            rows += 1
+    assert rows == 37
 
 
 def test_gap_depth_guard():

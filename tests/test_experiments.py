@@ -472,6 +472,18 @@ def test_cli_configuration_errors_exit_one(tmp_path, argv_builder, capsys):
     assert "lab:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr", [
+    "().__class__.__base__",
+    "().__class__.__base__.__subclasses__().__len__()",
+])
+def test_cli_rejects_code_in_number_specs(tmp_path, expr, capsys):
+    cfg = cli_config(tmp_path, "thm1.json", {"out_dir": str(tmp_path / "out")})
+    assert lab_main(["thm1_cover", "--config", cfg,
+                     "--override", f"theta={expr}"]) == 1
+    assert "not a valid numeric expression" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_unparseable_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
