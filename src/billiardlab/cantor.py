@@ -25,7 +25,7 @@ from mpmath import mp, mpf
 from .circle import (CirclePoint, ContinuedFractionExpansion,
                      continued_fraction, eval_number, min_orbit_distance)
 from .errors import CapTooSmall, DepthUnreachable, EmptyLevel
-from .fixedpoint import floor_sum, from_fixed, to_fixed
+from .fixedpoint import count_arc, from_fixed, to_fixed
 from .intervals import IntervalUnion, _fmt, circle_pairs
 
 __all__ = [
@@ -63,24 +63,6 @@ def _lattice_range(n_signed: int, m: int, res: int) -> Tuple[int, int]:
     p_lo = -((res - j_lo) // m)   # ceil((j_lo - res) / m)
     p_hi = (j_hi - res) // m
     return p_lo, p_hi
-
-
-def _count_arc(w: int, scale: int, m: int, res: int, p_lo: int, p_hi: int,
-               center: int, allow: int) -> int:
-    """card{p in [p_lo, p_hi]: the representative ((m*p+res)*w) mod scale
-    lies within `allow` of `center` on the circle of circumference scale}.
-
-    Exact for the fixed-point rotation number w/scale, via two floor sums.
-    """
-    if allow < 0 or p_hi < p_lo:
-        return 0
-    n = p_hi - p_lo + 1
-    width = 2 * allow + 1
-    if width >= scale:
-        return n
-    a = w * m
-    b0 = w * (m * p_lo + res) - (center - allow)
-    return floor_sum(n, scale, a, b0) - floor_sum(n, scale, a, b0 - width)
 
 
 @dataclass(frozen=True)
@@ -295,12 +277,12 @@ class _Builder:
         len_lo = Fraction(2 * half, self.scale)
         len_hi = Fraction(2 * half + 2, self.scale)
         for iv in parent.intervals:
-            loose = _count_arc(self.w, self.scale, self.m, res, p_lo, p_hi,
-                               iv.center_fp, half + g)
+            loose = count_arc(self.w, self.scale, self.m, res, p_lo, p_hi,
+                              iv.center_fp, half + g)
             if Fraction(loose, q) > 2 * len_lo:
                 return False
-            strict = _count_arc(self.w, self.scale, self.m, res, p_lo, p_hi,
-                                iv.center_fp, half - g)
+            strict = count_arc(self.w, self.scale, self.m, res, p_lo, p_hi,
+                               iv.center_fp, half - g)
             if Fraction(strict, q) < len_hi / 2:
                 return False
         return True
@@ -350,10 +332,10 @@ class _Builder:
         masses: List[Fraction] = []
         ambiguous = 0
         for i, iv in enumerate(parent.intervals):
-            strict = _count_arc(self.w, self.scale, self.m, res, p_lo, p_hi,
-                                iv.center_fp, allow - g)
-            loose = _count_arc(self.w, self.scale, self.m, res, p_lo, p_hi,
-                               iv.center_fp, allow + g)
+            strict = count_arc(self.w, self.scale, self.m, res, p_lo, p_hi,
+                               iv.center_fp, allow - g)
+            loose = count_arc(self.w, self.scale, self.m, res, p_lo, p_hi,
+                              iv.center_fp, allow + g)
             if strict == 0:
                 raise EmptyLevel(
                     f"parent {i} at level {k} keeps no certified children")
@@ -644,8 +626,8 @@ def intermediate_interval_check(h: CantorHierarchy, lo, hi) -> dict:
     p_lo, p_hi = _lattice_range(lev.n_k, h.m, res)
     g = max(_GUARD_FLOOR, 2 * n_abs + 4)
     allow = half_fp - erosion_fp
-    r_strict = _count_arc(w, scale, h.m, res, p_lo, p_hi, center_fp, allow - g)
-    r_loose = _count_arc(w, scale, h.m, res, p_lo, p_hi, center_fp, allow + g)
+    r_strict = count_arc(w, scale, h.m, res, p_lo, p_hi, center_fp, allow - g)
+    r_loose = count_arc(w, scale, h.m, res, p_lo, p_hi, center_fp, allow + g)
     cf = continued_fraction(h.omega, max_depth=2048)
     with mp.workprec(bits + 16):
         orbit_min = min_orbit_distance(cf, n_abs)

@@ -1,28 +1,26 @@
-"""Inhomogeneous approximation machinery: solution scans for
+"""Inhomogeneous approximation machinery: exact solution enumeration for
 ||t + p*omega|| below power thresholds, finite-depth truncations of the
 A/B covering sets, and the ubiquity deficiency functional.
 
-Scans run in two stages: a chunked float64 prefilter (error well below
-1e-9 for p up to 10^6) with a 1e-8 safety margin, then exact mpmath
-verification of every candidate.  Results therefore do not depend on the
-chunking, and near-misses at the float64 scale cannot be lost.
+Solutions are enumerated in exact integer arithmetic at any p_max: floor
+sums count, block by block, the indices whose fixed-point orbit point lies
+close enough to 0 to be a solution of the real problem, blocks holding
+none are dropped, and every surviving index is verified with mpmath.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, List, Optional, Tuple
 
-import numpy as np
 from mpmath import mp, mpf
 
 from .circle import CirclePoint, detect_rational_angle
 from .errors import CapTooSmall, OrbitPoint, RationalRotation
+from .fixedpoint import count_arc, to_fixed
 from .intervals import IntervalUnion, circle_pairs
-
-_PREFILTER_MARGIN = 1e-8
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -67,24 +65,42 @@ def _progression(lo: int, hi: int, m: int, residue: int) -> Tuple[int, int]:
     return first, last
 
 
-def _scan(t64: float, w64: float, sign: int, lo: int, hi: int, m: int,
-          residue: int, thr64: Callable[[np.ndarray], np.ndarray],
-          chunk: int) -> Iterator[int]:
-    """Yield candidate |p| values (float64 prefilter, margin included)."""
-    first, last = _progression(lo, hi, m, residue)
+def _candidates(t: CirclePoint, omega: CirclePoint, sign: int, m: int,
+                residue: int, p_max: int,
+                thr_fp: Callable[[int], int]) -> Iterator[int]:
+    """Yield, increasing, every |p| <= p_max with |p| = residue (mod m) whose
+    fixed-point point (T + sign*|p|*W) mod 2^bits lies within
+    thr_fp(|p|) + |p| + 2 ulps of 0.
+
+    T and W are the floors of t and omega at the working precision, so the
+    real point t + p*omega lies less than |p| + 1 ulps from the fixed-point
+    one.  With thr_fp the threshold in ulps rounded down, every solution of
+    the real problem is therefore yielded, at any p_max; the last ulp
+    absorbs rounding in computing the threshold.  thr_fp never increases
+    with |p|, so the allowance thr_fp(first) + last + 2 covers a whole
+    block first..last: blocks where count_arc finds no point within it are
+    dropped, the others halved.
+    """
+    first, last = _progression(1, p_max, m, residue)
     if first > last:
         return
-    p0 = first
-    step = m * chunk
-    while p0 <= last:
-        p1 = min(p0 + step - m, last)
-        ps = np.arange(p0, p1 + 1, m, dtype=np.int64)
-        x = (t64 + sign * ps * w64) % 1.0
-        d = np.minimum(x, 1.0 - x)
-        mask = d < thr64(ps) + _PREFILTER_MARGIN
-        for p_abs in ps[mask]:
-            yield int(p_abs)
-        p0 = p1 + m
+    bits = min(t.precision_bits, omega.precision_bits)
+    scale = 1 << bits
+    w = sign * to_fixed(omega.value, bits) % scale
+    center = -to_fixed(t.value, bits) % scale
+    stack = [(0, (last - first) // m)]
+    while stack:
+        lo, hi = stack.pop()
+        p_lo, p_hi = first + m * lo, first + m * hi
+        allow = thr_fp(p_lo) + p_hi + 2
+        if count_arc(w, scale, m, first, lo, hi, center, allow) == 0:
+            continue
+        if lo == hi:
+            yield p_lo
+            continue
+        mid = (lo + hi) // 2
+        stack.append((mid + 1, hi))
+        stack.append((lo, mid))
 
 
 def _normalize_sign(sign) -> int:
@@ -96,8 +112,7 @@ def _normalize_sign(sign) -> int:
 
 
 def approx_solutions(t: CirclePoint, omega: CirclePoint, mu: float, m: int,
-                     l: int, p_max: int, sign, *, chunk: int = _CHUNK,
-                     ) -> List[ApproxSolution]:
+                     l: int, p_max: int, sign) -> List[ApproxSolution]:
     """All p of the requested sign with |p| <= p_max, p = l (mod m) and
     ||t + p*omega|| < |p|^(-mu), sorted by |p|.
 
@@ -112,30 +127,30 @@ def approx_solutions(t: CirclePoint, omega: CirclePoint, mu: float, m: int,
         raise ValueError("p_max must be at least m")
     s = _normalize_sign(sign)
     bits = min(t.precision_bits, omega.precision_bits)
-    t64, w64 = float(t.value), float(omega.value)
     # |p| must satisfy s*|p| = l (mod m)
     residue = l % m if s > 0 else (-l) % m
-    mu64 = float(mu)
-
-    def thr(ps: np.ndarray) -> np.ndarray:
-        return ps.astype(np.float64) ** (-mu64)
-
-    out: List[ApproxSolution] = []
     with mp.workprec(bits + 32):
         mu_m = mpf(mu)
-    for p_abs in _scan(t64, w64, s, 1, p_max, m, residue, thr, chunk):
+
+    @lru_cache(maxsize=None)
+    def thr(p_abs: int) -> mpf:
+        with mp.workprec(bits + 32):
+            return mpf(p_abs) ** (-mu_m)
+
+    out: List[ApproxSolution] = []
+    for p_abs in _candidates(t, omega, s, m, residue, p_max,
+                             lambda p_abs: to_fixed(thr(p_abs), bits)):
         p = s * p_abs
         d = _exact_distance(t.value, omega.value, p, bits)
-        with mp.workprec(bits + 32):
-            if d < mpf(p_abs) ** (-mu_m):
-                out.append(ApproxSolution(
-                    p=p, residue=p % m, distance=d,
-                    exponent=_exponent(d, p, bits)))
+        if d < thr(p_abs):
+            out.append(ApproxSolution(
+                p=p, residue=p % m, distance=d,
+                exponent=_exponent(d, p, bits)))
     return out
 
 
-def minkowski_solutions(t: CirclePoint, omega: CirclePoint, p_max: int, *,
-                        chunk: int = _CHUNK) -> List[ApproxSolution]:
+def minkowski_solutions(t: CirclePoint, omega: CirclePoint,
+                        p_max: int) -> List[ApproxSolution]:
     """All positive p <= p_max with ||t + p*omega|| < 1/(4p).
 
     Raises OrbitPoint if any |p| <= p_max (either sign) puts t + p*omega
@@ -148,18 +163,13 @@ def minkowski_solutions(t: CirclePoint, omega: CirclePoint, p_max: int, *,
     if detect_rational_angle(omega.value, omega.precision_bits) is not None:
         warnings.warn("rotation number is rational at working precision; "
                       "orbit distances are eventually periodic", RationalRotation)
-    t64, w64 = float(t.value), float(omega.value)
     floor_thr = mpf(2) ** (-(bits // 2))
-
-    def thr_mink(ps: np.ndarray) -> np.ndarray:
-        return 0.25 / ps.astype(np.float64)
-
-    def thr_orbit(ps: np.ndarray) -> np.ndarray:
-        return np.zeros(len(ps))  # margin alone catches precision-floor hits
+    floor_fp = 1 << (bits - bits // 2)
 
     orbit_hits: List[int] = []
     for s in (1, -1):
-        for p_abs in _scan(t64, w64, s, 1, p_max, 1, 0, thr_orbit, chunk):
+        for p_abs in _candidates(t, omega, s, 1, 0, p_max,
+                                 lambda p_abs: floor_fp):
             d = _exact_distance(t.value, omega.value, s * p_abs, bits)
             if d < floor_thr:
                 orbit_hits.append(s * p_abs)
@@ -169,7 +179,8 @@ def minkowski_solutions(t: CirclePoint, omega: CirclePoint, p_max: int, *,
                          "t lies on the rotation orbit at working precision")
 
     out: List[ApproxSolution] = []
-    for p_abs in _scan(t64, w64, 1, 1, p_max, 1, 0, thr_mink, chunk):
+    for p_abs in _candidates(t, omega, 1, 1, 0, p_max,
+                             lambda p_abs: (1 << bits) // (4 * p_abs)):
         d = _exact_distance(t.value, omega.value, p_abs, bits)
         with mp.workprec(bits + 32):
             if d < mpf(1) / (4 * p_abs):

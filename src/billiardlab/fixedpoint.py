@@ -39,11 +39,6 @@ def from_fixed(n: int, bits: int) -> mpf:
         return mpf(n) / (1 << bits)
 
 
-def frac_mul(j: int, w: int, bits: int) -> int:
-    """Fixed-point fractional part of j * (w / 2**bits), for signed j."""
-    return (j * w) % (1 << bits)
-
-
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
     """Exact sum_{i=0}^{n-1} floor((a*i + b) / m) for m > 0, any-sign a, b.
 
@@ -69,24 +64,23 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
         n, b, m, a = y_max // m, y_max % m, a, m
 
 
-def count_orbit_hits(w: int, bits: int, lo: int, hi: int, j_lo: int, j_hi: int) -> int:
-    """Count j in [j_lo, j_hi] with frac(j * w / 2**bits) in [lo, hi).
+def count_arc(w: int, scale: int, m: int, res: int, p_lo: int, p_hi: int,
+              center: int, allow: int) -> int:
+    """card{p in [p_lo, p_hi]: ((m*p + res) * w) mod scale lies within
+    `allow` of `center` on the circle of circumference scale}.
 
-    Exact for the fixed-point rotation number w / 2**bits.  Requires
-    0 <= lo <= hi <= 2**bits; j may range over any signed interval.
+    Exact for the fixed-point rotation number w/scale.  With
+    x = (m*p + res)*w, floor((x - center + allow) / scale) minus
+    floor((x - center - allow - 1) / scale) is 1 when the point lies in the
+    closed arc and 0 otherwise; each sum of floors is one floor_sum.  Any
+    signed p range and any residue are allowed.
     """
-    scale = 1 << bits
-    if not (0 <= lo <= hi <= scale):
-        raise ValueError("interval must satisfy 0 <= lo <= hi <= 2**bits")
-    if j_hi < j_lo:
+    if allow < 0 or p_hi < p_lo:
         return 0
-
-    # frac(j*w) in [lo, hi)  <=>  floor(j*w - lo) - floor(j*w - hi) == 1
-    # (taking the scaled integers; each floor difference is 0 or 1).
-    n = j_hi - j_lo + 1
-
-    def s(offset: int) -> int:
-        # sum over i = 0..n-1 of floor((w*(j_lo + i) - offset) / scale)
-        return floor_sum(n, scale, w, w * j_lo - offset)
-
-    return s(lo) - s(hi)
+    n = p_hi - p_lo + 1
+    width = 2 * allow + 1
+    if width >= scale:
+        return n
+    a = w * m
+    b0 = w * (m * p_lo + res) - (center - allow)
+    return floor_sum(n, scale, a, b0) - floor_sum(n, scale, a, b0 - width)

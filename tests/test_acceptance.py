@@ -23,6 +23,7 @@ from billiardlab.dimension import average_length_cover, box_count, dim_lb_estima
 from billiardlab.dioph import minkowski_solutions
 from billiardlab.experiments import (ExperimentConfig, run_experiment,
                                      write_report)
+from billiardlab.fixedpoint import from_fixed, to_fixed
 from billiardlab.intervals import IntervalUnion
 
 SEED = 20260818
@@ -77,19 +78,18 @@ def test_criterion_02_three_distance_floor():
     for expr in ("(sqrt(5)-1)/2", "sqrt(2)-1"):
         om = CirclePoint.make(expr, BITS)
         cf = continued_fraction(om, max_depth=512)
+        w, scale = to_fixed(om.value, BITS), 1 << BITS
         for r in range(1, cf.validated_depth):
             q_r = cf.denominator(r)
             if q_r > 100000:
                 break
             rows += 1
-            with mp.workprec(BITS + 16):
-                pts = sorted((p * om.value) % 1 for p in range(q_r, 2 * q_r + 1))
-                gap = min(b - a for a, b in zip(pts, pts[1:]))
-                wrap = 1 - pts[-1] + pts[0]
-                if wrap < gap:
-                    gap = wrap
-                if not gap >= mpf(1) / (q_r + 2):
-                    failures.append((expr, r, q_r, mp.nstr(gap, 8)))
+            # the orbit points as exact fixed-point integers, gap in ulps
+            pts = sorted((p * w) % scale for p in range(q_r, 2 * q_r + 1))
+            gap = min(b - a for a, b in zip(pts, pts[1:]))
+            gap = min(gap, scale - pts[-1] + pts[0])
+            if not gap * (q_r + 2) >= scale:
+                failures.append((expr, r, q_r, mp.nstr(from_fixed(gap, BITS), 8)))
     elapsed = time.time() - start
     ok = not failures and elapsed < 30.0
     assert _line(2, ok, f"{len(failures)}/{rows} rows below 1/(q_r+2) "

@@ -8,6 +8,8 @@ from mpmath import mp, mpf
 
 from billiardlab.circle import CirclePoint
 from billiardlab.dioph import (
+    _candidates,
+    _exact_distance,
     a_set_depth,
     approx_solutions,
     b_set_depth,
@@ -16,6 +18,7 @@ from billiardlab.dioph import (
     ubiquity_rho,
 )
 from billiardlab.errors import CapTooSmall, OrbitPoint, RationalRotation
+from billiardlab.fixedpoint import to_fixed
 
 GOLDEN = "(sqrt(5)-1)/2"
 
@@ -53,12 +56,51 @@ def test_approx_solutions_match_brute_force(mu, m, l, sign):
     assert [abs(s.p) for s in got] == sorted(abs(s.p) for s in got)
 
 
-def test_approx_solutions_chunk_independent():
-    t = CirclePoint.make("1/pi")
-    g = CirclePoint.make(GOLDEN)
-    a = approx_solutions(t, g, 1.5, 2, 0, 10**5, "+")
-    b = approx_solutions(t, g, 1.5, 2, 0, 10**5, "+", chunk=977)
-    assert [s.p for s in a] == [s.p for s in b]
+def test_planted_solution_near_1e9_is_found():
+    # ||t + p0*omega|| = 1/(8*p0) by construction.  Near p = 10^9 the float64
+    # error of p*omega (~3.5e-8) exceeds any fixed prefilter margin, so a
+    # float scan loses such solutions; the exact enumeration may not.
+    g = CirclePoint.make(GOLDEN, 256)
+    p0 = 987654324
+    with mp.workprec(256 + 64):
+        x = -p0 * g.value
+        t = CirclePoint(x - mp.floor(x) + mpf(1) / (8 * p0), 256)
+    m = 10007
+    got = approx_solutions(t, g, 1.0, m, p0 % m, 10**9, "+")
+    mink = minkowski_solutions(t, g, 10**9)
+    assert p0 in [s.p for s in got]
+    assert p0 in [s.p for s in mink]
+    for s in got + mink:
+        assert s.distance == _exact_distance(t.value, g.value, s.p, 256)
+    for s in got:
+        assert s.p % m == p0 % m and s.distance < mpf(s.p) ** -1
+    for s in mink:
+        assert s.distance < mpf(1) / (4 * s.p)
+
+
+@pytest.mark.parametrize("sign,m,residue", [(1, 1, 0), (-1, 3, 2), (1, 5, 0)])
+def test_candidates_are_exactly_the_fixed_point_allowance_hits(sign, m, residue):
+    # Coarse 20-bit points keep the allowance wide, so the bisection must
+    # return exactly the indices a direct fixed-point check finds.
+    bits = 20
+    scale = 1 << bits
+    t = CirclePoint.make("1/pi", bits)
+    g = CirclePoint.make(GOLDEN, bits)
+    T, W = to_fixed(t.value, bits), to_fixed(g.value, bits)
+
+    def thr_fp(p_abs):
+        return scale // (4 * p_abs)
+
+    expected = []
+    for p_abs in range(1, 3001):
+        if p_abs % m != residue:
+            continue
+        x = (T + sign * p_abs * W) % scale
+        if min(x, scale - x) <= thr_fp(p_abs) + p_abs + 2:
+            expected.append(p_abs)
+    got = list(_candidates(t, g, sign, m, residue, 3000, thr_fp))
+    assert got == expected
+    assert expected
 
 
 def test_approx_exact_hit_on_orbit():

@@ -1,19 +1,11 @@
 """Exact fixed-point helpers: conversion roundtrips and lattice-point
 counting against brute force."""
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from billiardlab.fixedpoint import (
-    count_orbit_hits,
-    floor_sum,
-    frac_mul,
-    from_fixed,
-    to_fixed,
-)
+from billiardlab.fixedpoint import count_arc, floor_sum, from_fixed, to_fixed
 
 
 def brute_floor_sum(n, m, a, b):
@@ -51,26 +43,41 @@ def test_floor_sum_large_arguments():
     assert total == total_split
 
 
-def test_frac_mul_matches_modular_product():
-    bits = 16
-    w = 40503  # ~0.618 in 16-bit fixed point
-    assert frac_mul(7, w, bits) == (7 * w) % (1 << bits)
+def brute_count_arc(w, scale, m, res, p_lo, p_hi, center, allow):
+    def dist(x):
+        return min((x - center) % scale, (center - x) % scale)
+    return sum(1 for p in range(p_lo, p_hi + 1)
+               if dist(((m * p + res) * w) % scale) <= allow)
 
 
-@given(st.integers(1, 2**16 - 1), st.integers(0, 40), st.integers(0, 60))
-@settings(max_examples=60)
-def test_count_orbit_hits_matches_brute_force(w, j_lo, extra):
-    bits = 16
-    scale = 1 << bits
-    j_hi = j_lo + extra
-    lo, hi = scale // 5, (3 * scale) // 4
-    expected = sum(1 for j in range(j_lo, j_hi + 1) if lo <= (j * w) % scale < hi)
-    assert count_orbit_hits(w, bits, lo, hi, j_lo, j_hi) == expected
+@given(st.integers(0, 2**12 - 1), st.integers(1, 7), st.integers(-20, 20),
+       st.integers(-60, 60), st.integers(-1, 60), st.integers(0, 2**12 - 1),
+       st.integers(0, 2**11 + 2))
+@settings(max_examples=300)
+def test_count_arc_matches_brute_force(w, m, res, p_lo, extra, center, allow):
+    # signed index ranges, any residue, arcs through 0 and arcs wider than
+    # the circle (2*allow + 1 >= scale) all come up
+    scale = 1 << 12
+    p_hi = p_lo + extra
+    assert (count_arc(w, scale, m, res, p_lo, p_hi, center, allow)
+            == brute_count_arc(w, scale, m, res, p_lo, p_hi, center, allow))
 
 
-def test_count_orbit_hits_empty_and_full_window():
-    bits = 12
-    scale = 1 << bits
-    n = count_orbit_hits(1234, bits, 0, scale, 0, 99)
-    assert n == 100
-    assert count_orbit_hits(1234, bits, 7, 7, 0, 99) == 0
+def test_count_arc_edge_cases():
+    scale = 1 << 12
+    w = 2531  # ~0.618 in 12-bit fixed point
+    # arcs wrapping through 0, from either side, with m > 1 and res != 0
+    for center, allow in ((0, 40), (scale - 3, 40), (5, 100)):
+        for m, res, p_lo, p_hi in ((1, 0, -99, 99), (3, 2, -50, 20), (4, -1, 0, 70)):
+            args = (w, scale, m, res, p_lo, p_hi, center, allow)
+            assert count_arc(*args) == brute_count_arc(*args)
+    # the whole circle: 2*allow + 1 >= scale counts every index
+    assert count_arc(w, scale, 2, 1, -10, 89, 77, scale // 2) == 100
+    # one ulp short of that leaves out only the antipode of the centre
+    antipode = (77 + scale // 2) % scale
+    hit = next(p for p in range(scale) if (p * w) % scale == antipode)
+    assert count_arc(w, scale, 1, 0, hit - 50, hit + 49, 77, scale // 2 - 1) == 99
+    # an empty range, a negative allowance and a single point
+    assert count_arc(w, scale, 1, 0, 5, 4, 0, scale) == 0
+    assert count_arc(w, scale, 1, 0, 0, 99, 0, -1) == 0
+    assert count_arc(w, scale, 1, 0, 0, 99, (7 * w) % scale, 0) >= 1
