@@ -214,16 +214,7 @@ def _finish_polygon(verts, alpha, bits) -> GeneralizedParallelogram:
 def rhombus(alpha, side=1, precision_bits: int = DEFAULT_PRECISION,
             ) -> GeneralizedParallelogram:
     """Rhombus with angle alpha at the origin and the given side length."""
-    bits = precision_bits
-    with mp.workprec(bits + 64):
-        a = eval_number(alpha, bits + 48)
-        s = eval_number(side, bits + 48)
-        if s <= 0:
-            raise ValueError("side length must be positive")
-        zero = mpf(0)
-        c, sn = s * mp.cos(a), s * mp.sin(a)
-        verts = ((zero, zero), (s, zero), (s + c, sn), (c, sn))
-    return _finish_polygon(verts, a, bits)
+    return parallelogram(alpha, side, side, precision_bits)
 
 
 def parallelogram(alpha, base, side, precision_bits: int = DEFAULT_PRECISION,
@@ -396,9 +387,9 @@ _TABLE_CACHE_LIMIT = 60000
 class _Tracer:
     """Beam-transit engine for one polygon and one base direction."""
 
-    def __init__(self, q: GeneralizedParallelogram, theta, bits: Optional[int] = None):
+    def __init__(self, q: GeneralizedParallelogram, theta):
         self.q = q
-        self.P = q.precision_bits if bits is None else bits
+        self.P = q.precision_bits
         self.guard = 1 << (self.P // 2)  # ints; c-width 2^-(P//2)
         with mp.workprec(self.P + 64):
             self.theta = eval_number(theta, self.P + 48) % (2 * mp.pi)
@@ -433,33 +424,14 @@ class _Tracer:
     # -- geometry -----------------------------------------------------
 
     def _cast_from_point(self, px, py, dx, dy, skip_side: int):
-        """First boundary hit of the ray from (px, py): (side, t, hx, hy)."""
-        verts = self.q.vertices
-        m = len(verts)
-        best = None
-        for s2 in range(m):
-            if s2 == skip_side:
-                continue
-            cx, cy = verts[s2]
-            dx2, dy2 = verts[(s2 + 1) % m]
-            ex, ey = dx2 - cx, dy2 - cy
-            den = dx * ey - dy * ex
-            if den == 0:
-                continue
-            rx, ry = cx - px, cy - py
-            t = (rx * ey - ex * ry) / den
-            if t <= 0:
-                continue
-            u = (dy * rx - dx * ry) / den
-            if u < 0 or u > 1:
-                continue
-            if best is None or t < best[1]:
-                best = (s2, t, px + t * dx, py + t * dy)
-        if best is None:
-            raise DegenerateDirection(
-                "ray from the boundary found no forward intersection; "
-                "direction is parallel to a side within precision")
-        return best
+        """First boundary hit of the ray from (px, py) on a side other than
+        ``skip_side``: (t, side, hx, hy)."""
+        for hit in self._stab_all(px, py, dx, dy):
+            if hit[1] != skip_side:
+                return hit
+        raise DegenerateDirection(
+            "ray from the boundary found no forward intersection; "
+            "direction is parallel to a side within precision")
 
     def _stab_all(self, px, py, dx, dy):
         """All boundary hits of the full forward ray, sorted by distance."""
@@ -538,7 +510,7 @@ class _Tracer:
                     chords = len(hits) // 2
                     _, target, hx, hy = hits[1]
                     return target, chords, hx, hy
-                target, _, hx, hy = self._cast_from_point(px, py, dx, dy, side)
+                _, target, hx, hy = self._cast_from_point(px, py, dx, dy, side)
                 return target, 1, hx, hy
 
             breaks = sorted({p for p in proj_i if dom_lo < p < dom_hi})
@@ -547,44 +519,32 @@ class _Tracer:
             for lo_i, hi_i in zip(edges, edges[1:]):
                 if hi_i <= lo_i:
                     continue
-                target, chords, _, _ = outcome((lo_i + hi_i) // 2)
-                raw.append((lo_i, hi_i, target, chords))
+                raw.append((lo_i, hi_i) + outcome((lo_i + hi_i) // 2))
 
             tbl = _Table()
             tbl.dom_lo, tbl.dom_hi = dom_lo, dom_hi
             if side == _LAUNCH:
-                tbl.raw_cells = [(lo, hi, ch) for lo, hi, _, ch in raw]
-                tbl.max_chords = max((ch for *_, ch in raw), default=1)
+                tbl.raw_cells = [(lo, hi, ch) for lo, hi, _, ch, _, _ in raw]
+                tbl.max_chords = max((ch for _, _, _, ch, _, _ in raw), default=1)
                 tbl.width_exact = max(proj) - min(proj)
 
             # Coalesce cells sharing a target: the transit map is
             # continuous across a vertex shadow that does not change the
             # side being hit, so only target changes are real singularities.
-            runs: List[List] = []  # [lo, hi, target, best_lo, best_hi]
-            for lo_i, hi_i, target, _ in raw:
+            # The reflection offset is constant on the whole run; each run
+            # keeps the hit at the midpoint of its widest raw cell, which is
+            # bounded away from every vertex shadow.
+            runs: List[List] = []  # [lo, hi, target, best_width, hx, hy]
+            for lo_i, hi_i, target, _, hx, hy in raw:
                 if runs and runs[-1][2] == target:
                     runs[-1][1] = hi_i
-                    if hi_i - lo_i > runs[-1][4] - runs[-1][3]:
-                        runs[-1][3], runs[-1][4] = lo_i, hi_i
+                    if hi_i - lo_i > runs[-1][3]:
+                        runs[-1][3:] = [hi_i - lo_i, hx, hy]
                 else:
-                    runs.append([lo_i, hi_i, target, lo_i, hi_i])
+                    runs.append([lo_i, hi_i, target, hi_i - lo_i, hx, hy])
 
             G = self.guard
-            for idx, (lo_i, hi_i, target, cell_lo, cell_hi) in enumerate(runs):
-                # the reflection offset is constant on the whole run;
-                # measure it at the midpoint of the run's widest raw cell,
-                # which is bounded away from every vertex shadow
-                c_mid = (cell_lo + cell_hi) // 2
-                px, py = source_point(c_mid)
-                if side == _LAUNCH:
-                    hits = self._stab_all(px, py, dx, dy)
-                    _, t_side, hx, hy = hits[1]
-                else:
-                    t_side, _, hx, hy = self._cast_from_point(px, py, dx, dy, side)
-                if t_side != target:
-                    raise DegenerateDirection(
-                        "transit cell classification is unstable at the "
-                        "working precision")
+            for idx, (lo_i, hi_i, target, _, hx, hy) in enumerate(runs):
                 cls = self.classes_int[target]
                 phi2 = self._reflected(phi, cls)
                 n2x, n2y = -mp.sin(phi2), mp.cos(phi2)
@@ -968,8 +928,7 @@ def escape_set(q: GeneralizedParallelogram, theta, N: int,
 
 
 def perpendicular_periodicity(q: GeneralizedParallelogram, samples: int,
-                              reflection_cap: int, *,
-                              retrace_samples: int = 5) -> dict:
+                              reflection_cap: int) -> dict:
     """Fraction of equispaced rays perpendicular to a rhombus diagonal
     whose traces come back parallel to themselves (hence periodic after
     folding the rhombus onto its quarter triangle).
@@ -1007,7 +966,7 @@ def perpendicular_periodicity(q: GeneralizedParallelogram, samples: int,
         status, c, n, refl, disp = tracer.trace_point(
             c0, reflection_cap=reflection_cap)
         counts[status] += 1
-        if status == "returned" and len(first_returns) < retrace_samples:
+        if status == "returned" and len(first_returns) < 5:
             first_returns.append((c, refl, disp))
 
     retrace_returned = 0

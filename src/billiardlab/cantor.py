@@ -421,13 +421,25 @@ class _Builder:
             k=k, n_k=n_signed, half_fp=half, count=total,
             intervals=tuple(children), ambiguous=ambiguous)
 
+    def hierarchy(self) -> CantorHierarchy:
+        """The levels built so far, as a hierarchy."""
+        return CantorHierarchy(
+            omega=self.omega, mu=self.mu, m=self.m,
+            sequence=tuple(lev.n_k for lev in self.levels),
+            levels=tuple(self.levels),
+            residue_schedule=tuple((_schedule_residue(lev.k, self.m),
+                                    _schedule_sign(lev.k, self.m))
+                                   for lev in self.levels),
+            precision_bits=self.bits)
+
 
 def select_sequence(cf: ContinuedFractionExpansion, mu, m: int, depth: int,
                     growth_margin: float = DEFAULT_GROWTH_MARGIN, *,
                     scan_cap: int = DEFAULT_SCAN_CAP,
                     materialize_cap: int = DEFAULT_MATERIALIZE_CAP,
-                    ) -> List[int]:
-    """Choose the sparse signed denominator sequence n_1..n_depth.
+                    ) -> CantorHierarchy:
+    """Choose the sparse signed denominator sequence n_1..n_depth and
+    return the hierarchy built along it (``.sequence`` is the choice).
 
     At each step k the sign follows the 2m-periodic schedule (positive on
     the first m steps of each cycle) and the magnitude is the least
@@ -446,12 +458,11 @@ def select_sequence(cf: ContinuedFractionExpansion, mu, m: int, depth: int,
     if cf.validated_depth < 1:
         raise ValueError("continued fraction has no validated convergents")
     builder = _Builder(cf.omega, mu, m, scan_cap, materialize_cap)
-    sequence: List[int] = []
     log_product = 0.0
     r_next = 1
     for k in range(1, depth + 1):
         sign = _schedule_sign(k, m)
-        last_abs = abs(sequence[-1]) if sequence else 0
+        last_abs = abs(builder.levels[-1].n_k) if builder.levels else 0
         chosen = None
         for r in range(r_next, cf.validated_depth + 1):
             q = cf.denominator(r)
@@ -476,9 +487,8 @@ def select_sequence(cf: ContinuedFractionExpansion, mu, m: int, depth: int,
                 f"no validated convergent denominator satisfies the selection "
                 f"conditions at step {k} (validated depth "
                 f"{cf.validated_depth}, margin {growth_margin})")
-        sequence.append(chosen)
         log_product += math.log(abs(chosen))
-    return sequence
+    return builder.hierarchy()
 
 
 def build_hierarchy(omega: CirclePoint, mu, m: int,
@@ -515,19 +525,13 @@ def build_hierarchy(omega: CirclePoint, mu, m: int,
             raise ValueError(
                 f"|n_k| = {abs(n)} is not a validated convergent denominator")
     builder = _Builder(omega, mu, m, scan_cap, materialize_cap)
-    depth = len(seq)
     for k, n in enumerate(seq, 1):
         if not builder.disjoint_ok(cf, abs(n)):
             raise ValueError(
                 f"lattice centers at level {k} are not certifiably separated "
                 "by a full interval width")
-        builder.extend(n, k, final=(k == depth))
-    schedule = tuple((_schedule_residue(k, m), _schedule_sign(k, m))
-                     for k in range(1, depth + 1))
-    return CantorHierarchy(
-        omega=omega, mu=builder.mu, m=m, sequence=seq,
-        levels=tuple(builder.levels), residue_schedule=schedule,
-        precision_bits=omega.precision_bits)
+        builder.extend(n, k, final=(k == len(seq)))
+    return builder.hierarchy()
 
 
 def local_dimension_report(h: CantorHierarchy) -> List[Tuple[int, mpf]]:

@@ -275,9 +275,9 @@ def angle_to_circle(d: Direction) -> Tuple[CirclePoint, CirclePoint]:
     return CirclePoint(t, bits), CirclePoint(om, bits)
 
 
-def detect_rational_angle(x: mpf, precision_bits: int,
-                          max_denominator: int = 1 << 24) -> Union[Fraction, None]:
-    """Return p/q if x is rational with small denominator at working precision.
+def detect_rational_angle(x: mpf, precision_bits: int) -> Union[Fraction, None]:
+    """Return p/q if x is rational with denominator at most 2^24 at working
+    precision.
 
     Used to recognize rational multiples of pi (alpha/pi, omega, ...): runs
     the validated continued fraction and reports the last convergent before
@@ -300,7 +300,8 @@ def detect_rational_angle(x: mpf, precision_bits: int,
         w = to_fixed(frac_part, bits)
         if w == 0:
             return Fraction(int_part, 1)
-        cut = max(1 << (bits // 4), 2 * max_denominator)
+        max_den = 1 << 24
+        cut = max(1 << (bits // 4), 2 * max_den)
         quotients = []
         a, b = scale, w
         while b > 0:
@@ -315,7 +316,7 @@ def detect_rational_angle(x: mpf, precision_bits: int,
             q_prev, q_cur = q_cur, q * q_cur + q_prev
         if q_cur == 1 and p_cur == 0:
             return None
-        if q_cur > max_denominator:
+        if q_cur > max_den:
             return None
         return Fraction(p_cur, q_cur) + int_part
     del cf

@@ -12,6 +12,7 @@ from typing import Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
+from .billiard import escape_set
 from .errors import InsufficientScales
 from .fixedpoint import mpf_to_fraction
 from .intervals import IntervalUnion
@@ -136,45 +137,46 @@ def average_length_cover(lengths: Sequence, budget_length) -> AverageCoverReport
 
 @dataclass(frozen=True)
 class EscapeCoverRecord:
-    """One Hausdorff covering-sum record for an escape set F_N."""
+    """The average-length cover of one escape set F_N.  The cover is
+    geometry and does not depend on the exponent; :meth:`hs_sum` gives its
+    H^s covering sum for any s."""
 
     N: int
-    hs_sum: mpf
     count: int
     piece_length: mpf
     gate_width: mpf
     escape_length: mpf
-    uncertain_length: mpf
+    uncertain: IntervalUnion
+
+    @property
+    def uncertain_length(self) -> mpf:
+        return self.uncertain.total_length
+
+    def hs_sum(self, s: float) -> mpf:
+        """count * piece_length^s, plus every unresolved (vertex-uncertain)
+        source interval at its own length, keeping the result an honest
+        upper bound for what was resolved."""
+        if not (0 < s <= 1):
+            raise ValueError("s must lie in (0, 1]")
+        with mp.workprec(self.uncertain.precision_bits + 16):
+            unc = mpf(0)
+            for lo, hi in self.uncertain:
+                unc += (hi - lo) ** mpf(s)
+            return self.count * self.piece_length ** mpf(s) + unc
 
 
-def cover_escape_set(q, theta, s: float, N: int, reflection_cap: int,
+def cover_escape_set(q, theta, N: int, reflection_cap: int,
                      variant: str = "down") -> EscapeCoverRecord:
-    """Compute F_N, cover it with average-exiting-length pieces of the
-    gate width, and report the H^s covering sum.  Unresolved
-    (vertex-uncertain) source intervals are added to the sum at their own
-    lengths, keeping the result an honest upper bound for what was
-    resolved."""
-    from .billiard import escape_set  # deferred: avoids an import cycle
-
-    if not (0 < s <= 1):
-        raise ValueError("s must lie in (0, 1]")
+    """Compute F_N and cover it with average-exiting-length pieces of the
+    gate width."""
     f_n, report = escape_set(q, theta, N, reflection_cap, variant=variant)
-    bits = f_n.precision_bits
     gate = report.gate_width
     lengths = [hi - lo for lo, hi in f_n]
-    with mp.workprec(bits + 16):
-        if lengths:
+    count, piece = 0, mpf(0)
+    if lengths:
+        with mp.workprec(f_n.precision_bits + 16):
             cover = average_length_cover(lengths, max(gate, sum(lengths)))
-            hs = cover.count * cover.piece_length ** mpf(s)
-            count = cover.count
-            piece = cover.piece_length
-        else:
-            hs, count, piece = mpf(0), 0, mpf(0)
-        unc = mpf(0)
-        for lo, hi in report.uncertain:
-            unc += (hi - lo) ** mpf(s)
-        hs = hs + unc
-        return EscapeCoverRecord(
-            N=N, hs_sum=hs, count=count, piece_length=piece,
-            gate_width=gate, escape_length=f_n.total_length,
-            uncertain_length=report.uncertain.total_length)
+        count, piece = cover.count, cover.piece_length
+    return EscapeCoverRecord(
+        N=N, count=count, piece_length=piece, gate_width=gate,
+        escape_length=f_n.total_length, uncertain=report.uncertain)

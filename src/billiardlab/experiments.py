@@ -25,12 +25,11 @@ from mpmath import mp, mpf
 
 from . import __version__
 from .billiard import build_polygon, perpendicular_periodicity, rhombus
-from .cantor import (build_hierarchy, local_dimension_report,
-                     select_sequence, separation_report)
+from .cantor import local_dimension_report, select_sequence, separation_report
 from .circle import (CirclePoint, Direction, angle_to_circle,
                      continued_fraction, detect_rational_angle, eval_number,
                      three_distance_gap)
-from .dimension import average_length_cover, cover_escape_set
+from .dimension import EscapeCoverRecord, average_length_cover, cover_escape_set
 from .dioph import approx_solutions, minkowski_solutions, ubiquity_deficiency, ubiquity_rho
 from .errors import ConfigError, ScheduleNotFound
 from .fixedpoint import to_fixed
@@ -469,17 +468,10 @@ _COVER_HEADER = ("side,n,count,piece_length,gate_width,escape_length,"
                  "uncertain_length,hs_sum")
 
 
-def _cover_rows(side: str, q, theta, s: float, ns: Sequence[int],
-                cap: int) -> Tuple[List[str], List[mpf]]:
-    variant = "down" if side.startswith("down") else "up"
-    rows, sums = [], []
-    for n in ns:
-        rec = cover_escape_set(q, theta, s, n, cap, variant=variant)
-        rows.append(",".join([side, str(n), str(rec.count), _fmt(rec.piece_length),
-                              _fmt(rec.gate_width), _fmt(rec.escape_length),
-                              _fmt(rec.uncertain_length), _fmt(rec.hs_sum)]))
-        sums.append(rec.hs_sum)
-    return rows, sums
+def _cover_row(label: str, rec: EscapeCoverRecord, hs_sum: mpf) -> str:
+    return ",".join([label, str(rec.N), str(rec.count), _fmt(rec.piece_length),
+                     _fmt(rec.gate_width), _fmt(rec.escape_length),
+                     _fmt(rec.uncertain_length), _fmt(hs_sum)])
 
 
 def run_thm1(cfg: ExperimentConfig) -> RunReport:
@@ -514,8 +506,10 @@ def run_thm1(cfg: ExperimentConfig) -> RunReport:
             notes.append(f"{side}: {exc}")
             sides[side] = entry
             continue
-        side_rows, sums = _cover_rows(side, q, d.theta, s, ns, cfg.reflection_cap)
-        rows.extend(side_rows)
+        recs = [cover_escape_set(q, d.theta, n, cfg.reflection_cap, variant=side)
+                for n in ns]
+        sums = [rec.hs_sum(s) for rec in recs]
+        rows.extend(_cover_row(side, rec, hs) for rec, hs in zip(recs, sums))
         entry["schedule_found"] = True
         entry["schedule"] = ns
         entry["hs_sums"] = [_fmt(v) for v in sums]
@@ -545,14 +539,10 @@ def run_thm1(cfg: ExperimentConfig) -> RunReport:
             certified_empty = False
             residual = None
             for n in ctl_ns:
-                rec = cover_escape_set(q_ctl, d_ctl.theta, s, n,
+                rec = cover_escape_set(q_ctl, d_ctl.theta, n,
                                        cfg.reflection_cap, variant="up")
-                ctl_rows.append(",".join(["control_up", str(n), str(rec.count),
-                                          _fmt(rec.piece_length), _fmt(rec.gate_width),
-                                          _fmt(rec.escape_length),
-                                          _fmt(rec.uncertain_length),
-                                          _fmt(rec.hs_sum)]))
-                ctl_sums.append(rec.hs_sum)
+                ctl_sums.append(rec.hs_sum(s))
+                ctl_rows.append(_cover_row("control_up", rec, ctl_sums[-1]))
                 # The certified escape cover is empty once no pieces and no
                 # escape length remain; the H^s sum then carries only the
                 # 2-ulp guard shards around singular vertex rays, which the
@@ -583,8 +573,8 @@ def run_thm1(cfg: ExperimentConfig) -> RunReport:
 # two-sided well-approximable targets
 # --------------------------------------------------------------------------
 
-def construct_twosided_target(omega: CirclePoint, mu: float, steps: int,
-                              *, cf_depth: int = 2048) -> Dict[str, Any]:
+def construct_twosided_target(omega: CirclePoint, mu: float,
+                              steps: int) -> Dict[str, Any]:
     """Build t whose orbit satisfies ||t + sign*p*omega|| < p^-mu alternately.
 
     Witnesses alternate (sign=-1, p odd) and (sign=+1, p even), starting
@@ -602,7 +592,7 @@ def construct_twosided_target(omega: CirclePoint, mu: float, steps: int,
     bits = omega.precision_bits
     scale = 1 << bits
     w = to_fixed(omega.value, bits)
-    cf = continued_fraction(omega, max_depth=cf_depth)
+    cf = continued_fraction(omega, max_depth=2048)
     with mp.workprec(bits + 64):
         mu_m = mpf(mu)
         p = 3
@@ -713,12 +703,13 @@ def run_thm2(cfg: ExperimentConfig) -> RunReport:
             notes.append(f"{side}: no witness level within n_cap={cfg.n_cap}")
             schedules[side] = entry
             continue
-        side_rows, sums = _cover_rows(side, q, d.theta, s_main, ns,
-                                      cfg.reflection_cap)
-        cover_rows.extend(side_rows)
-        low_rows, low_sums = _cover_rows(side + "_low_s", q, d.theta, s_low, ns,
-                                         cfg.reflection_cap)
-        cover_rows.extend(low_rows)
+        recs = [cover_escape_set(q, d.theta, n, cfg.reflection_cap, variant=side)
+                for n in ns]
+        sums = [rec.hs_sum(s_main) for rec in recs]
+        low_sums = [rec.hs_sum(s_low) for rec in recs]
+        cover_rows.extend(_cover_row(side, rec, hs) for rec, hs in zip(recs, sums))
+        cover_rows.extend(_cover_row(side + "_low_s", rec, hs)
+                          for rec, hs in zip(recs, low_sums))
         entry["hs_sums"] = [_fmt(v) for v in sums]
         entry["hs_sums_low_s"] = [_fmt(v) for v in low_sums]
         if len(sums) >= 2:
@@ -759,10 +750,8 @@ def run_cantor(cfg: ExperimentConfig) -> RunReport:
     om = CirclePoint.make(cfg.omega, bits)
     cf = continued_fraction(om, max_depth=2048)
     mu, m = float(cfg.mu), cfg.m
-    seq = select_sequence(cf, mu, m, cfg.depth, cfg.growth_margin,
-                          scan_cap=cfg.scan_cap,
-                          materialize_cap=cfg.materialize_cap)
-    h = build_hierarchy(om, mu, m, seq, scan_cap=cfg.scan_cap,
+    h = select_sequence(cf, mu, m, cfg.depth, cfg.growth_margin,
+                        scan_cap=cfg.scan_cap,
                         materialize_cap=cfg.materialize_cap)
     dims = local_dimension_report(h)
     floor = (float(cfg.ratio_floor) if cfg.ratio_floor is not None
@@ -774,12 +763,15 @@ def run_cantor(cfg: ExperimentConfig) -> RunReport:
     for k in range(1, h.depth + 1):
         if h.level(k).mass_total() != Fraction(1):
             violations.append(f"level {k} masses do not sum to 1 exactly")
+    unions = [h.level_union(k) if h.level(k).materialized else None
+              for k in range(1, h.depth + 1)]
     for k in range(1, h.depth):
-        if not (h.level(k).materialized and h.level(k + 1).materialized):
+        outer, inner = unions[k - 1], unions[k]
+        if outer is None or inner is None:
             notes.append(f"nesting of level {k + 1} in level {k} verified "
                          "during construction (counted level)")
             continue
-        if not h.level_union(k + 1).is_subset_of(h.level_union(k)):
+        if not inner.is_subset_of(outer):
             violations.append(f"level {k + 1} union escapes level {k}")
     with mp.workprec(bits + 64):
         scale = mpf(1 << bits)
@@ -808,7 +800,7 @@ def run_cantor(cfg: ExperimentConfig) -> RunReport:
                                   _fmt(row["companion_bound"], 15),
                                   str(row["companion_ok"])]))
     data = {"omega": _fmt_full(om.value, bits), "mu": _fmt(mu), "m": m,
-            "sequence": seq, "ratio_floor": _fmt(floor),
+            "sequence": list(h.sequence), "ratio_floor": _fmt(floor),
             "local_dimensions": [[k, _fmt(r, 12)] for k, r in dims],
             "hierarchy": h.to_json_obj()}
     tables = {

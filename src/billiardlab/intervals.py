@@ -171,12 +171,12 @@ class IntervalUnion:
         whole = IntervalUnion.make([(lo, hi)], self.precision_bits)
         return whole.subtract(self)
 
-    def is_subset_of(self, other: "IntervalUnion", slack=None) -> bool:
+    def is_subset_of(self, other: "IntervalUnion") -> bool:
         """True if every interval here lies inside one interval of other,
-        up to the merge tolerance (or an explicit slack)."""
+        up to the merge tolerance."""
         bits = min(self.precision_bits, other.precision_bits)
         with mp.workprec(bits + 16):
-            tol = mpf(2) ** (-bits + 8) if slack is None else mpf(slack)
+            tol = mpf(2) ** (-bits + 8)
             los = [lo for lo, _ in other.intervals]
             for lo, hi in self.intervals:
                 i = bisect_right(los, lo + tol) - 1

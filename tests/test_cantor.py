@@ -112,9 +112,9 @@ def _naive_chain(omega_cp, mu, m, depth, margin):
 def _assert_matches_oracle(omega_cp, mu, m, depth, margin):
     oracle_seq, oracle_levels = _naive_chain(omega_cp, mu, m, depth, margin)
     cf = continued_fraction(omega_cp, max_depth=256)
-    seq = select_sequence(cf, mu, m, depth, margin)
-    assert seq == oracle_seq
-    h = build_hierarchy(omega_cp, mu, m, seq)
+    h = select_sequence(cf, mu, m, depth, margin)
+    assert list(h.sequence) == oracle_seq
+    assert h.levels == build_hierarchy(omega_cp, mu, m, h.sequence).levels
     bits = omega_cp.precision_bits
     with mp.workprec(bits + 32):
         tol = mpf(2) ** (-bits + 48)
@@ -151,12 +151,12 @@ def test_matches_oracle_silver_fractional_exponent():
 def test_select_small_margin_forces_sparse_jump(golden_cf):
     # log 2 <= 0.1 log q forces q >= 1023.6; the next convergent
     # denominator past that is 1597.
-    assert select_sequence(golden_cf, 2, 1, 3, 0.1) == [1, -2, 1597]
+    assert select_sequence(golden_cf, 2, 1, 3, 0.1).sequence == (1, -2, 1597)
 
 
 def test_selected_sequences_satisfy_growth_margin(golden_cf):
     for margin in (0.1, 0.5):
-        seq = select_sequence(golden_cf, 2, 1, 3, margin)
+        seq = select_sequence(golden_cf, 2, 1, 3, margin).sequence
         log_prod = 0.0
         for k, n in enumerate(seq, 1):
             if k > 1:
@@ -165,7 +165,7 @@ def test_selected_sequences_satisfy_growth_margin(golden_cf):
 
 
 def test_selected_magnitudes_are_increasing_convergents(golden_cf):
-    seq = select_sequence(golden_cf, 2, 1, 4, 0.5)
+    seq = select_sequence(golden_cf, 2, 1, 4, 0.5).sequence
     denoms = {q for _, q in golden_cf.convergents}
     assert all(abs(n) in denoms for n in seq)
     assert all(abs(b) > abs(a) for a, b in zip(seq, seq[1:]))
@@ -453,10 +453,11 @@ def test_box_dimension_consistency(golden_h3):
 def test_deep_golden_hierarchy_dimension_floor():
     om = golden(512)
     cf = continued_fraction(om, max_depth=2048)
-    seq = select_sequence(cf, 2, 1, 4, 0.1)
-    assert seq[:3] == [1, -2, 1597]
+    h = select_sequence(cf, 2, 1, 4, 0.1)
+    seq = h.sequence
+    assert seq[:3] == (1, -2, 1597)
     assert abs(seq[3]) > 10 ** 34
-    h = build_hierarchy(om, 2, 1, seq)
+    assert h.levels == build_hierarchy(om, 2, 1, seq).levels
     assert h.depth == 4
     assert [lev.materialized for lev in h.levels] == [True, True, True, False]
     assert all(lev.ambiguous == 0 for lev in h.levels)

@@ -9,6 +9,7 @@ from mpmath import mp, mpf
 
 from billiardlab.dimension import (
     AverageCoverReport,
+    EscapeCoverRecord,
     average_length_cover,
     box_count,
     dim_lb_estimate,
@@ -181,3 +182,24 @@ def test_tail_sums_of_escape_exponent_converge():
         for start, tail in zip((10, 100, 1000, 10000), tails):
             bound = mpf(start) ** (1 - mu * s) / (mu * s - 1)
             assert tail < bound
+
+
+def _cover_record(uncertain_pairs):
+    return EscapeCoverRecord(
+        N=1, count=3, piece_length=mpf("0.25"), gate_width=mpf(1),
+        escape_length=mpf("0.5"),
+        uncertain=IntervalUnion.make(uncertain_pairs, 256))
+
+
+def test_escape_cover_hs_sum_adds_uncertain_lengths():
+    rec = _cover_record([(0, 0.125)])
+    assert rec.hs_sum(1) == mpf("0.875")
+    with mp.workprec(272):
+        assert rec.hs_sum(0.5) == 3 * mpf("0.5") + mp.sqrt(mpf("0.125"))
+    assert _cover_record([]).hs_sum(0.5) == mpf("1.5")
+
+
+@pytest.mark.parametrize("s", [0.0, -0.5, 1.5, 2.0])
+def test_escape_cover_hs_sum_rejects_exponent_outside_unit_interval(s):
+    with pytest.raises(ValueError):
+        _cover_record([]).hs_sum(s)

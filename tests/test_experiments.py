@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf
 
+from billiardlab import billiard, dimension
 from billiardlab.circle import CirclePoint, angle_to_circle, Direction
 from billiardlab.cli import main as lab_main
 from billiardlab.errors import ConfigError, ScheduleNotFound
@@ -314,6 +315,24 @@ def test_thm2_default_passes():
     # with one usable level per side the decay claim stays unassessed
     assert rep.data["schedules"]["down"]["decay_strict"] is None
     assert any("decay not assessable" in n for n in rep.notes)
+
+
+def test_thm2_traces_each_escape_set_once(monkeypatch):
+    # F_N is geometry: both exponents of the cover table share one trace
+    traced = []
+    real = billiard.escape_set
+
+    def counting(q, theta, N, reflection_cap, variant="down"):
+        traced.append((N, variant))
+        return real(q, theta, N, reflection_cap, variant=variant)
+
+    monkeypatch.setattr(billiard, "escape_set", counting)
+    monkeypatch.setattr(dimension, "escape_set", counting, raising=False)
+    rep = run_experiment(make_cfg("thm2_cover"))
+    assert rep.passed
+    assert sorted(traced) == [(2, "down"), (25, "up")]
+    rows = rows_of(rep, "covers")
+    assert [r["side"] for r in rows] == ["down", "down_low_s", "up", "up_low_s"]
 
 
 def test_cantor_small_passes(cantor_small):
