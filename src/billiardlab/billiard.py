@@ -44,7 +44,9 @@ _LAUNCH = -1  # pseudo source-side index: beam resting on a cross-section
 
 # Internal beam-state tuples: (side, lo, hi, eps, n, sgn, disp, refl, hist)
 # with lo/hi/disp fixed-point ints, c_now = sgn * c_source + disp, and hist
-# a cons list ((entry, parent) chains) or None.
+# a cons list ((entry, parent) chains) or None.  Beams in flight, finished
+# beams and vertex slivers all use this layout; the list holding a state
+# gives its status.
 
 
 class SideClass(Enum):
@@ -383,6 +385,10 @@ class _Table:
 
 _TABLE_CACHE_LIMIT = 60000
 
+_BEAM_STATUS = {"returned": BeamStatus.RETURNED, "escaped": BeamStatus.ESCAPED,
+                "active": BeamStatus.ACTIVE,
+                "uncertain": BeamStatus.VERTEX_UNCERTAIN}
+
 
 class _Tracer:
     """Beam-transit engine for one polygon and one base direction."""
@@ -406,19 +412,15 @@ class _Tracer:
         with mp.workprec(self.P + 64):
             return (eps * self.theta + 2 * n * self.alpha) % self.two_pi
 
-    def _key(self, eps: int, n: int, side: int) -> Tuple[int, int, int]:
-        if self.b_mod is not None:
-            n = n % self.b_mod
-        return (eps, n, side)
-
     def _table(self, eps: int, n: int, side: int) -> _Table:
-        key = self._key(eps, n, side)
+        if self.b_mod is not None:
+            n %= self.b_mod
+        key = (eps, n, side)
         tbl = self.tables.get(key)
         if tbl is None:
             if len(self.tables) > _TABLE_CACHE_LIMIT:
                 self.tables.clear()
-            tbl = self._build_table(key[0], key[1], side)
-            self.tables[key] = tbl
+            tbl = self.tables[key] = self._build_table(eps, n, side)
         return tbl
 
     # -- geometry -----------------------------------------------------
@@ -570,9 +572,10 @@ class _Tracer:
         """One reflection: split a beam over the transit cells of its
         current (direction, source side) table.
 
-        Returns (children, slivers); slivers are (lo, hi, state) pieces of
-        the parent that fell into vertex guards (or drifted off-domain)
-        and stop here.  Children + slivers partition the parent exactly.
+        Returns (children, slivers); slivers are the pieces of the parent
+        that fell into vertex guards (or drifted off-domain) and stop here,
+        as states carrying the parent's metadata.  Children + slivers
+        partition the parent exactly.
         """
         side, lo, hi, eps, n, sgn, disp, refl, hist = st
         tbl = self._table(eps, n, side)
@@ -580,7 +583,7 @@ class _Tracer:
         children = []
         slivers = []
         if not los:
-            return children, [(lo, hi, st)]
+            return children, [st]
         pos = lo
         i = bisect_right(los, lo) - 1
         if i < 0:
@@ -591,7 +594,7 @@ class _Tracer:
             a = max(pos, los[i])
             b = min(hi, his[i])
             if a > pos:
-                slivers.append((pos, a, st))
+                slivers.append((side, pos, a, eps, n, sgn, disp, refl, hist))
             if b > a:
                 delta = tbl.deltas[i]
                 n2 = -n if tbl.classes[i] == 0 else 1 - n
@@ -600,7 +603,7 @@ class _Tracer:
             pos = b
             i += 1
         if pos < hi:
-            slivers.append((pos, hi, st))
+            slivers.append((side, pos, hi, eps, n, sgn, disp, refl, hist))
         return children, slivers
 
     def _is_return(self, n: int) -> bool:
@@ -620,28 +623,21 @@ class _Tracer:
                 "polygon in a single chord for this direction; the polygon "
                 "is non-convex in the transversal sense here")
 
-    def launch_state(self, lo: int, hi: int, level: int = 0):
-        return (_LAUNCH, lo, hi, 1, level, 1, 0, 0, None)
-
     def trace_states(self, states, *, n_cap: Optional[int],
                      reflection_cap: int, record_history: bool = False):
         """Drive beam states to terminal statuses.
 
-        Returns (out, max_refl) where out maps status name ->
-        list of finalized internal records (status, side, lo, hi, eps, n,
-        sgn, disp, refl, hist).
+        Returns (out, max_refl) where out maps each status name to the
+        list of states that finished with it; vertex slivers are listed
+        under "uncertain".
         """
         out = {"returned": [], "escaped": [], "active": [], "uncertain": []}
+        returned, escaped, active = out["returned"], out["escaped"], out["active"]
         stack = list(states)
         max_refl = 0
         while stack:
-            st = stack.pop()
-            children, slivers = self._advance(st)
-            for lo_s, hi_s, parent in slivers:
-                _, _, _, eps, n, sgn, disp, refl, hist = parent
-                out["uncertain"].append(
-                    ("uncertain", parent[0], lo_s, hi_s, eps, n, sgn, disp,
-                     refl, hist))
+            children, slivers = self._advance(stack.pop())
+            out["uncertain"].extend(slivers)
             for ch in children:
                 side, lo, hi, eps, n, sgn, disp, refl, hist = ch
                 if refl & 1:
@@ -653,43 +649,43 @@ class _Tracer:
                     hist = ((refl, side, n, lo, hi), hist)
                     ch = (side, lo, hi, eps, n, sgn, disp, refl, hist)
                 if self._is_return(n):
-                    out["returned"].append(("returned",) + ch)
+                    returned.append(ch)
                 elif n_cap is not None and abs(n) > n_cap:
-                    out["escaped"].append(("escaped",) + ch)
+                    escaped.append(ch)
                 elif refl >= reflection_cap:
-                    out["active"].append(("active",) + ch)
+                    active.append(ch)
                 else:
                     stack.append(ch)
         return out, max_refl
 
-    def partition_states(self):
-        """Launch the whole base section through one pair of reflections.
+    def partition_states(self, level: int = 0):
+        """Launch the whole level-``level`` section through one pair of
+        reflections.
 
         Returns ((u_states, r_states, d_states), slivers) with the states
-        classified by the level they reach (+1, 0, -1) after two
-        reflections.  Raises if any stabbing line crosses several chords.
+        classified by the level they reach (level + 1, level, level - 1)
+        after two reflections.  Raises if any stabbing line crosses
+        several chords.
         """
-        self.require_single_chord()
-        lo, hi = self.launch_span()
+        self.require_single_chord(level)
+        tbl = self._table(1, level, _LAUNCH)
+        out, _ = self.trace_states(
+            [(_LAUNCH, tbl.dom_lo, tbl.dom_hi, 1, level, 1, 0, 0, None)],
+            n_cap=None, reflection_cap=2)
         buckets = {1: [], 0: [], -1: []}
-        slivers = []
-        first, sl0 = self._advance(self.launch_state(lo, hi))
-        slivers.extend(sl0)
-        for st in first:
-            second, sl1 = self._advance(st)
-            slivers.extend(sl1)
-            for ch in second:
-                buckets[ch[4]].append(ch)
-        return (buckets[1], buckets[0], buckets[-1]), slivers
+        for st in out["returned"] + out["active"]:
+            buckets[st[4] - level].append(st)
+        return (buckets[1], buckets[0], buckets[-1]), out["uncertain"]
 
     # -- point tracing (fast path) --------------------------------------
 
     def trace_point(self, c0: int, *, reflection_cap: int,
-                    n_cap: Optional[int] = None, level: int = 0,
                     side_log: Optional[List[Tuple[int, int]]] = None):
-        """Trace a single ray; returns (status, c, n, refl, disp)."""
+        """Trace a single ray from the base section until it returns to a
+        level-0 direction, runs out of reflection budget (status "active")
+        or lands in a vertex guard; returns (status, c, n, refl, disp)."""
         side = _LAUNCH
-        eps, n = 1, level
+        eps, n = 1, 0
         c = c0
         refl = 0
         disp = 0
@@ -713,34 +709,29 @@ class _Tracer:
             if not (refl & 1):
                 if n == 0 or (b is not None and n % b == 0):
                     return ("returned", c, n, refl, disp)
-                if n_cap is not None and abs(n) > n_cap:
-                    return ("escaped", c, n, refl, disp)
                 if refl >= reflection_cap:
                     return ("active", c, n, refl, disp)
 
     # -- finalization ----------------------------------------------------
 
-    def source_pair(self, rec) -> Tuple[int, int]:
-        _, _, lo, hi, _, _, sgn, disp, _, _ = rec
+    def source_pair(self, st) -> Tuple[int, int]:
+        _, lo, hi, _, _, sgn, disp, _, _ = st
         if sgn == 1:
             return lo - disp, hi - disp
         return disp - hi, disp - lo
 
-    def source_union(self, recs) -> IntervalUnion:
+    def source_union(self, states) -> IntervalUnion:
         P = self.P
         pairs = []
-        for rec in recs:
-            s_lo, s_hi = self.source_pair(rec)
+        for st in states:
+            s_lo, s_hi = self.source_pair(st)
             pairs.append((from_fixed(s_lo, P), from_fixed(s_hi, P)))
         return IntervalUnion.make(pairs, P)
 
-    def to_beam(self, rec) -> Beam:
-        status_map = {"returned": BeamStatus.RETURNED,
-                      "escaped": BeamStatus.ESCAPED,
-                      "active": BeamStatus.ACTIVE,
-                      "uncertain": BeamStatus.VERTEX_UNCERTAIN}
-        status, _, lo, hi, _, n, _, _, refl, hist = rec
-        s_lo, s_hi = self.source_pair(rec)
+    def to_beam(self, status: str, st) -> Beam:
+        """Public beam for a state listed under ``status`` by trace_states."""
+        _, lo, hi, eps, n, _, _, refl, hist = st
+        s_lo, s_hi = self.source_pair(st)
         P = self.P
         entries = []
         node = hist
@@ -749,10 +740,10 @@ class _Tracer:
             r, side, lev, l_i, h_i = entry
             entries.append((r, side, lev, from_fixed(l_i, P), from_fixed(h_i, P)))
         entries.reverse()
+        # eps is 1 on every section; a sliver may stop between reflections
         return Beam(lo=from_fixed(lo, P), hi=from_fixed(hi, P), level=n,
-                    direction=self._phi(1, n) if status != "uncertain"
-                    else self._phi(rec[4], n),
-                    reflections=refl, status=status_map[status],
+                    direction=self._phi(eps, n), reflections=refl,
+                    status=_BEAM_STATUS[status],
                     source_lo=from_fixed(s_lo, P), source_hi=from_fixed(s_hi, P),
                     history=tuple(entries) if entries else None)
 
@@ -794,9 +785,8 @@ def partition_udr(q: GeneralizedParallelogram, theta,
     """
     tracer = _Tracer(q, theta)
     (u_states, r_states, d_states), _ = tracer.partition_states()
-    return (tracer.source_union(("", *st) for st in u_states),
-            tracer.source_union(("", *st) for st in r_states),
-            tracer.source_union(("", *st) for st in d_states))
+    return (tracer.source_union(u_states), tracer.source_union(r_states),
+            tracer.source_union(d_states))
 
 
 def trace_beam(q: GeneralizedParallelogram, beam: Beam, n_cap: int,
@@ -827,9 +817,8 @@ def trace_beam(q: GeneralizedParallelogram, beam: Beam, n_cap: int,
     out, _ = tracer.trace_states([state], n_cap=n_cap,
                                  reflection_cap=reflection_cap,
                                  record_history=record_history)
-    children = []
-    for key in ("returned", "escaped", "active", "uncertain"):
-        children.extend(tracer.to_beam(rec) for rec in out[key])
+    children = [tracer.to_beam(status, st)
+                for status, states in out.items() for st in states]
     children.sort(key=lambda b: (b.source_lo, b.source_hi))
     return children
 
@@ -852,7 +841,6 @@ class EscapeReport:
     variant: str
     j_N: int
     gate_width: mpf
-    gate_direction: mpf
     cohort_width: mpf
     u_width: mpf
     r_width: mpf
@@ -888,35 +876,28 @@ def escape_set(q: GeneralizedParallelogram, theta, N: int,
     out, max_refl = tracer.trace_states(
         cohort, n_cap=N, reflection_cap=reflection_cap)
 
-    sliver_recs = [("uncertain", p[0], lo, hi, p[3], p[4], p[5], p[6],
-                    p[7], p[8]) for lo, hi, p in part_slivers]
-    sliver_recs.extend(out["uncertain"])
-
     f_n = tracer.source_union(out["escaped"])
     returned = tracer.source_union(out["returned"])
     active = tracer.source_union(out["active"])
-    slivers = tracer.source_union(sliver_recs)
+    slivers = tracer.source_union(part_slivers + out["uncertain"])
     uncertain = slivers.union(active)
 
-    u_union = tracer.source_union(("", *st) for st in u_states)
-    r_union = tracer.source_union(("", *st) for st in r_states)
-    d_union = tracer.source_union(("", *st) for st in d_states)
+    u_union = tracer.source_union(u_states)
+    r_union = tracer.source_union(r_states)
+    d_union = tracer.source_union(d_states)
     cohort_union = d_union if variant == "down" else u_union
     f_n_upper = cohort_union.subtract(returned)
 
-    with mp.workprec(tracer.P + 48):
-        sign = -1 if variant == "down" else 1
-        gate_dir = (tracer.theta + sign * 2 * N * q.alpha) % (2 * mp.pi)
-    gate_tracer = _Tracer(q, gate_dir)
-    (g_u, _, g_d), _ = gate_tracer.partition_states()
-    gate_states = g_d if variant == "down" else g_u
-    gate_width = gate_tracer.source_union(
-        ("", *st) for st in gate_states).total_length
+    # the gate: the departing part of the level -+N section, split by the
+    # same tracer (and tables) the cohort was traced with
+    (g_u, _, g_d), _ = tracer.partition_states(-N if variant == "down" else N)
+    gate_width = tracer.source_union(
+        g_d if variant == "down" else g_u).total_length
 
     report = EscapeReport(
         N=N, variant=variant,
         j_N=len(out["returned"]) + len(out["escaped"]) + len(out["active"]),
-        gate_width=gate_width, gate_direction=gate_dir,
+        gate_width=gate_width,
         cohort_width=cohort_union.total_length,
         u_width=u_union.total_length, r_width=r_union.total_length,
         d_width=d_union.total_length,

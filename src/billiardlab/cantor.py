@@ -213,7 +213,7 @@ class _Builder:
         self.scale = 1 << bits
         self.w = to_fixed(omega.value, bits)
         with mp.workprec(bits + 16):
-            self.mu = eval_number(mu, bits) if isinstance(mu, str) else mpf(mu)
+            self.mu = eval_number(mu, bits)
             if not self.mu > 1:
                 raise ValueError("mu must exceed 1")
         if m < 1:
@@ -604,8 +604,8 @@ def intermediate_interval_check(h: CantorHierarchy, lo, hi) -> dict:
     bits = h.precision_bits
     scale = 1 << bits
     with mp.workprec(bits + 16):
-        lo_m = eval_number(lo, bits) if isinstance(lo, str) else mpf(lo)
-        hi_m = eval_number(hi, bits) if isinstance(hi, str) else mpf(hi)
+        lo_m = eval_number(lo, bits)
+        hi_m = eval_number(hi, bits)
         length = hi_m - lo_m
         if not (0 < length < 1):
             raise ValueError("interval length must lie in (0, 1)")

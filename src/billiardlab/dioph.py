@@ -151,7 +151,8 @@ def approx_solutions(t: CirclePoint, omega: CirclePoint, mu: float, m: int,
 
 def minkowski_solutions(t: CirclePoint, omega: CirclePoint,
                         p_max: int) -> List[ApproxSolution]:
-    """All positive p <= p_max with ||t + p*omega|| < 1/(4p).
+    """All p with 1 <= |p| <= p_max and ||t + p*omega|| < 1/(4|p|):
+    positive p first, then negative p, each sorted by |p|.
 
     Raises OrbitPoint if any |p| <= p_max (either sign) puts t + p*omega
     within 2^(-precision_bits/2) of 0: t is then indistinguishable from an
@@ -179,14 +180,16 @@ def minkowski_solutions(t: CirclePoint, omega: CirclePoint,
                          "t lies on the rotation orbit at working precision")
 
     out: List[ApproxSolution] = []
-    for p_abs in _candidates(t, omega, 1, 1, 0, p_max,
-                             lambda p_abs: (1 << bits) // (4 * p_abs)):
-        d = _exact_distance(t.value, omega.value, p_abs, bits)
-        with mp.workprec(bits + 32):
-            if d < mpf(1) / (4 * p_abs):
-                out.append(ApproxSolution(
-                    p=p_abs, residue=0, distance=d,
-                    exponent=_exponent(d, p_abs, bits)))
+    for s in (1, -1):
+        for p_abs in _candidates(t, omega, s, 1, 0, p_max,
+                                 lambda p_abs: (1 << bits) // (4 * p_abs)):
+            p = s * p_abs
+            d = _exact_distance(t.value, omega.value, p, bits)
+            with mp.workprec(bits + 32):
+                if d < mpf(1) / (4 * p_abs):
+                    out.append(ApproxSolution(
+                        p=p, residue=0, distance=d,
+                        exponent=_exponent(d, p, bits)))
     return out
 
 

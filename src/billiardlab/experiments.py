@@ -278,6 +278,15 @@ class ExperimentConfig:
             _check_float("eps", opts["eps"], 0.0, 1.0)
         if "s" in opts and opts["s"] is not None:
             _check_float("s", opts["s"], 0.0, 1.0)
+        # the Hausdorff-sum exponent the run derives must lie in (0, 1]
+        if name == "thm1_cover" and opts["s"] is None and 0.5 + float(opts["eps"]) > 1:
+            raise ConfigError(f"s = 0.5 + eps must be <= 1 when s is null, "
+                              f"got eps={opts['eps']}")
+        if name == "thm2_cover":
+            s_main = 1.0 / (float(opts["mu"]) + 1.0) + float(opts["eps"])
+            if s_main > 1:
+                raise ConfigError(f"cover exponent 1/(mu+1) + eps must be <= 1, "
+                                  f"got {s_main:g}")
         if "schedule_shrink" in opts:
             _check_float("schedule_shrink", opts["schedule_shrink"], 0.0, 1.0,
                          open_ends=False)
@@ -862,16 +871,12 @@ def run_minkowski(cfg: ExperimentConfig) -> RunReport:
             ov = float(rng.random())
             t = CirclePoint.make(tv, bits)
             om = CirclePoint.make(ov, bits)
-            with mp.workprec(bits + 8):
-                t_neg = CirclePoint(mp.frac(-t.value), bits)
-            # Integer solutions of ||t + p*omega|| < 1/(4|p|): the positive-p
-            # scan applied to t covers p > 0 and applied to -t covers p < 0.
-            pos = minkowski_solutions(t, om, cfg.p_max)
-            neg = minkowski_solutions(t_neg, om, cfg.p_max)
-            count = len(pos) + len(neg)
+            sols = minkowski_solutions(t, om, cfg.p_max)
+            count = len(sols)
+            pos = sum(1 for s in sols if s.p > 0)
             counts.append(count)
             rows.append(",".join([str(i), repr(tv), repr(ov), str(count),
-                                  str(len(pos)), str(len(neg))]))
+                                  str(pos), str(count - pos)]))
             if count < cfg.min_solutions:
                 violations.append(f"pair {i}: only {count} integer solutions "
                                   f"with |p| <= {cfg.p_max}")

@@ -583,6 +583,50 @@ def test_escape_set_input_validation():
         B.escape_set(q, "0.3", 1, 1000, variant="sideways")
 
 
+def test_escape_set_builds_one_tracer(monkeypatch):
+    built = []
+
+    class CountingTracer(_Tracer):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(B, "_Tracer", CountingTracer)
+    for variant in ("down", "up"):
+        built.clear()
+        B.escape_set(unit_rhombus(), "0.3", 3, 100000, variant=variant)
+        assert len(built) == 1
+
+
+def _two_tracer_gate_width(q, theta, N, variant):
+    """Reference gate: a second tracer launched at the gate direction,
+    rounded at P+48 bits, split at its own level 0."""
+    tracer = _Tracer(q, theta)
+    with mp.workprec(tracer.P + 48):
+        sign = -1 if variant == "down" else 1
+        gate_dir = (tracer.theta + sign * 2 * N * q.alpha) % (2 * mp.pi)
+    gate = _Tracer(q, gate_dir)
+    (g_u, _, g_d), _ = gate.partition_states()
+    return gate.source_union(g_d if variant == "down" else g_u).total_length
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("alpha", ["pi*(sqrt(5)-1)/4", "1.0", "pi/4"])
+def test_escape_gate_matches_two_tracer_reference(alpha, bits):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        q = B.rhombus(alpha, 1, precision_bits=bits)
+    ulp = mpf(2) ** -bits
+    for theta in ("0.3", "1.2", "5.9"):
+        for n in (1, 2, 7, 25):
+            for variant in ("down", "up"):
+                f_n, rep = B.escape_set(q, theta, n, 2000, variant=variant)
+                ref = _two_tracer_gate_width(q, theta, n, variant)
+                with mp.workprec(bits + 64):
+                    assert abs(rep.gate_width - ref) <= ulp
+                assert f_n.total_length <= rep.gate_width
+
+
 def test_escape_set_measure_preserved_between_source_and_image():
     q = unit_rhombus()
     tracer = _Tracer(q, "0.9")
@@ -590,7 +634,7 @@ def test_escape_set_measure_preserved_between_source_and_image():
     out, _ = tracer.trace_states(d, n_cap=4, reflection_cap=100000)
     with mp.workprec(320):
         for rec in out["returned"] + out["escaped"]:
-            _, _, lo, hi, _, _, _, _, _, _ = rec
+            _, lo, hi, _, _, _, _, _, _ = rec
             s_lo, s_hi = tracer.source_pair(rec)
             assert hi - lo == s_hi - s_lo  # exact isometry, image vs source
 

@@ -75,7 +75,7 @@ def test_planted_solution_near_1e9_is_found():
     for s in got:
         assert s.p % m == p0 % m and s.distance < mpf(s.p) ** -1
     for s in mink:
-        assert s.distance < mpf(1) / (4 * s.p)
+        assert s.distance < mpf(1) / (4 * abs(s.p))
 
 
 @pytest.mark.parametrize("sign,m,residue", [(1, 1, 0), (-1, 3, 2), (1, 5, 0)])
@@ -139,8 +139,26 @@ def test_minkowski_nonempty_at_scan_scale():
     sols = minkowski_solutions(t, g, 10**6)
     assert len(sols) >= 1
     for s in sols:
-        assert s.p > 0
-        assert s.distance < mpf(1) / (4 * s.p)
+        assert 1 <= abs(s.p) <= 10**6
+        assert s.distance < mpf(1) / (4 * abs(s.p))
+
+
+@pytest.mark.parametrize("t_spec", ["1/pi", "sqrt(3)-1", "0.123456789"])
+def test_minkowski_matches_brute_force_both_signs(t_spec):
+    t = CirclePoint.make(t_spec)
+    g = CirclePoint.make(GOLDEN)
+    got = minkowski_solutions(t, g, 2000)
+    expected = []
+    with mp.workprec(320):
+        for p in list(range(1, 2001)) + list(range(-1, -2001, -1)):
+            x = t.value + p * g.value
+            x = x - mp.floor(x)
+            if min(x, 1 - x) < mpf(1) / (4 * abs(p)):
+                expected.append(p)
+    assert [s.p for s in got] == expected
+    assert any(p < 0 for p in expected) and any(p > 0 for p in expected)
+    for s in got:
+        assert s.distance == _exact_distance(t.value, g.value, s.p, 256)
 
 
 def test_minkowski_orbit_point_raises():

@@ -100,6 +100,8 @@ def test_declared_experiment_must_match():
     ("perp_orbits", {"polygon": {"kind": "parallelogram", "alpha": "1.0",
                                  "base": 2, "side": 1}}),
     ("minkowski_scan", {"pairs": "many"}),
+    ("thm2_cover", {"mu": 1.0, "eps": 0.6}),  # needs 1/(mu+1) + eps <= 1
+    ("thm1_cover", {"eps": 0.6}),           # s = null needs 0.5 + eps <= 1
 ])
 def test_invalid_values_rejected(experiment, options):
     with pytest.raises(ConfigError):
