@@ -677,41 +677,6 @@ class _Tracer:
             buckets[st[4] - level].append(st)
         return (buckets[1], buckets[0], buckets[-1]), out["uncertain"]
 
-    # -- point tracing (fast path) --------------------------------------
-
-    def trace_point(self, c0: int, *, reflection_cap: int,
-                    side_log: Optional[List[Tuple[int, int]]] = None):
-        """Trace a single ray from the base section until it returns to a
-        level-0 direction, runs out of reflection budget (status "active")
-        or lands in a vertex guard; returns (status, c, n, refl, disp)."""
-        side = _LAUNCH
-        eps, n = 1, 0
-        c = c0
-        refl = 0
-        disp = 0
-        b = self.b_mod
-        while True:
-            tbl = self._table(eps, n, side)
-            los = tbl.los
-            i = bisect_right(los, c) - 1
-            if i < 0 or c >= tbl.his[i]:
-                return ("uncertain", c, n, refl, disp)
-            delta = tbl.deltas[i]
-            side = tbl.targets[i]
-            cls = tbl.classes[i]
-            c = delta - c
-            eps = -eps
-            n = -n if cls == 0 else 1 - n
-            disp = delta - disp
-            refl += 1
-            if side_log is not None:
-                side_log.append((side, n))
-            if not (refl & 1):
-                if n == 0 or (b is not None and n % b == 0):
-                    return ("returned", c, n, refl, disp)
-                if refl >= reflection_cap:
-                    return ("active", c, n, refl, disp)
-
     # -- finalization ----------------------------------------------------
 
     def source_pair(self, st) -> Tuple[int, int]:
@@ -940,12 +905,21 @@ def perpendicular_periodicity(q: GeneralizedParallelogram, samples: int,
     dom_lo, dom_hi = tracer.launch_span()
     span = dom_hi - dom_lo
 
+    def trace_ray(c0: int):
+        # A one-ulp beam never splits, since cell bounds are integers: it
+        # finishes as exactly one state, whose lo is the ray's position
+        # after an even number of reflections.
+        out, _ = tracer.trace_states(
+            [(_LAUNCH, c0, c0 + 1, 1, 0, 1, 0, 0, None)],
+            n_cap=None, reflection_cap=reflection_cap)
+        status, (st,) = next((k, v) for k, v in out.items() if v)
+        return status, st[1], st[7], st[6]
+
     counts = {"returned": 0, "uncertain": 0, "active": 0}
     first_returns = []
     for j in range(samples):
         c0 = dom_lo + ((2 * j + 1) * span) // (2 * samples)
-        status, c, n, refl, disp = tracer.trace_point(
-            c0, reflection_cap=reflection_cap)
+        status, c, refl, disp = trace_ray(c0)
         counts[status] += 1
         if status == "returned" and len(first_returns) < 5:
             first_returns.append((c, refl, disp))
@@ -953,8 +927,7 @@ def perpendicular_periodicity(q: GeneralizedParallelogram, samples: int,
     retrace_returned = 0
     retrace_exact = 0
     for c_ret, refl1, disp1 in first_returns:
-        status2, _, _, refl2, disp2 = tracer.trace_point(
-            c_ret, reflection_cap=reflection_cap)
+        status2, _, refl2, disp2 = trace_ray(c_ret)
         if status2 == "returned":
             retrace_returned += 1
             if refl2 == refl1 and disp2 == disp1:

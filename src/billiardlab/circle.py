@@ -72,27 +72,36 @@ def eval_number(x: NumberLike, precision_bits: int = DEFAULT_PRECISION) -> mpf:
     exactly, no float rounding) or expressions built from numeric
     literals, + - * / **, unary + and -, parentheses, the constants pi, e,
     phi and calls of sqrt(), log(), exp(), sin(), cos(); anything else
-    raises ValueError.  Numeric literals inside expressions are promoted
-    to working precision before any arithmetic, so "1.4/pi" means the
-    decimal 1.4, not its 53-bit rounding.
+    raises ValueError, as does a value that is not a finite real
+    ("sqrt(-2)", "log(0)", NaN).  Numeric literals inside expressions are
+    promoted to working precision before any arithmetic, so "1.4/pi"
+    means the decimal 1.4, not its 53-bit rounding.
     """
     with mp.workprec(precision_bits + 16):
-        if isinstance(x, str):
-            try:
-                exact = Fraction(x.strip())
-            except (ValueError, ZeroDivisionError):
-                exact = None
-            if exact is not None:
-                return mpf(exact.numerator) / exact.denominator
-            source = x.strip()
-            try:
-                return _eval_node(ast.parse(source, mode="eval").body, source)
-            except (SyntaxError, RecursionError) as exc:
-                raise ValueError(f"malformed or too deeply nested number spec "
-                                 f"{x[:80]!r}") from exc
-        if isinstance(x, Fraction):
-            return mpf(x.numerator) / x.denominator
-        return mpf(x)
+        value = _eval_spec(x)
+    if not isinstance(value, mpf) or not mp.isfinite(value):
+        raise ValueError(f"number spec {str(x)[:80]!r} is not a finite real")
+    return value
+
+
+def _eval_spec(x: NumberLike):
+    """eval_number before its finite-real check, at the current precision."""
+    if isinstance(x, str):
+        try:
+            exact = Fraction(x.strip())
+        except (ValueError, ZeroDivisionError):
+            exact = None
+        if exact is not None:
+            return mpf(exact.numerator) / exact.denominator
+        source = x.strip()
+        try:
+            return _eval_node(ast.parse(source, mode="eval").body, source)
+        except (SyntaxError, RecursionError) as exc:
+            raise ValueError(f"malformed or too deeply nested number spec "
+                             f"{x[:80]!r}") from exc
+    if isinstance(x, Fraction):
+        return mpf(x.numerator) / x.denominator
+    return mpf(x)
 
 
 @dataclass(frozen=True)
@@ -325,19 +334,21 @@ def detect_rational_angle(x: mpf, precision_bits: int) -> Union[Fraction, None]:
 
 def min_orbit_distance(cf: ContinuedFractionExpansion, n: int) -> mpf:
     """Exact min over 1 <= d <= n of ||d*omega||: equals ||q_r*omega|| for
-    the largest validated convergent denominator q_r <= n."""
+    the largest validated convergent denominator q_r <= n, or q_0 = 1.
+
+    For n < q_1 = a_1 the q_0 term is exact: if a_1 >= 2 then omega <= 1/2
+    and d*omega <= 1 - omega for every d < a_1.  This holds exactly for the
+    fixed-point omega too, whose first quotient is the validated a_1.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     bits = cf.omega.precision_bits
     scale = 1 << bits
     w = to_fixed(cf.omega.value, bits)
-    best = None
+    best = min(w, scale - w)
     for _, q in cf.convergents:
         if q > n:
             break
         d = (q * w) % scale
-        d = min(d, scale - d)
-        if best is None or d < best:
-            best = d
-    if best is None:
-        # n below the first denominator: brute force
-        best = min(min((d * w) % scale, scale - (d * w) % scale) for d in range(1, n + 1))
+        best = min(best, d, scale - d)
     return from_fixed(best, bits)

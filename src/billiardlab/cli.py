@@ -63,7 +63,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (BilliardLabError, ValueError) as exc:
         print(f"lab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    files = write_report(report, config.out_dir)
+    try:
+        files = write_report(report, config.out_dir)
+    except OSError as exc:
+        print(f"lab: cannot write report: {exc}", file=sys.stderr)
+        return 1
     print(f"experiment: {report.experiment}")
     for note in report.notes:
         print(f"note: {note}")

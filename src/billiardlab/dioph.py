@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from mpmath import mp, mpf
 
@@ -167,39 +167,57 @@ def minkowski_solutions(t: CirclePoint, omega: CirclePoint,
     floor_thr = mpf(2) ** (-(bits // 2))
     floor_fp = 1 << (bits - bits // 2)
 
+    # One candidate stream per sign covers both tests: the allowance is the
+    # larger of the orbit floor and the Minkowski threshold, and never
+    # increases with |p|.
     orbit_hits: List[int] = []
-    for s in (1, -1):
-        for p_abs in _candidates(t, omega, s, 1, 0, p_max,
-                                 lambda p_abs: floor_fp):
-            d = _exact_distance(t.value, omega.value, s * p_abs, bits)
-            if d < floor_thr:
-                orbit_hits.append(s * p_abs)
-    if orbit_hits:
-        nearest = min(orbit_hits, key=abs)
-        raise OrbitPoint(f"t + {nearest}*omega is within 2^-{bits // 2} of 0: "
-                         "t lies on the rotation orbit at working precision")
-
     out: List[ApproxSolution] = []
     for s in (1, -1):
-        for p_abs in _candidates(t, omega, s, 1, 0, p_max,
-                                 lambda p_abs: (1 << bits) // (4 * p_abs)):
+        for p_abs in _candidates(
+                t, omega, s, 1, 0, p_max,
+                lambda p_abs: max(floor_fp, (1 << bits) // (4 * p_abs))):
             p = s * p_abs
             d = _exact_distance(t.value, omega.value, p, bits)
+            if d < floor_thr:
+                orbit_hits.append(p)
+                continue
             with mp.workprec(bits + 32):
                 if d < mpf(1) / (4 * p_abs):
                     out.append(ApproxSolution(
                         p=p, residue=0, distance=d,
                         exponent=_exponent(d, p, bits)))
+    if orbit_hits:
+        nearest = min(orbit_hits, key=abs)
+        raise OrbitPoint(f"t + {nearest}*omega is within 2^-{bits // 2} of 0: "
+                         "t lies on the rotation orbit at working precision")
     return out
 
 
-def _admissible_abs(j: int, m: int, l: int, sign: int, p_cap: int) -> range:
-    """|p| values in [j*m, p_cap] with sign*|p| = l (mod m), as a range."""
-    residue = l % m if sign > 0 else (-l) % m
-    first, last = _progression(j * m, p_cap, m, residue)
-    if first > last:
-        return range(0)
-    return range(first, last + 1, m)
+def _layered(mu: float, m: int, l: int, k: int, p_cap: int, bits: int,
+             arcs: Callable[[int, int, mpf], Iterable[Tuple[mpf, mpf]]],
+             ) -> IntervalUnion:
+    """The layer intersection of a_set_depth and b_set_depth, with the
+    arcs of each admissible p given by arcs(sign, |p|, mu) at working
+    precision bits + 32."""
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    if not (0 <= l < m) or k < 1:
+        raise ValueError("need 0 <= l < m and k >= 1")
+    if p_cap < k * m:
+        raise CapTooSmall(f"p_cap={p_cap} below k*m={k * m}")
+    result: Optional[IntervalUnion] = None
+    with mp.workprec(bits + 32):
+        mu_m = mpf(mu)
+        for j in range(1, k + 1):
+            for sign in (1, -1):
+                # |p| in [j*m, p_cap] with sign*|p| = l (mod m)
+                first, last = _progression(j * m, p_cap, m, l * sign % m)
+                pairs: List[Tuple[mpf, mpf]] = []
+                for p_abs in range(first, last + 1, m):
+                    pairs.extend(arcs(sign, p_abs, mu_m))
+                layer = IntervalUnion.make(pairs, bits)
+                result = layer if result is None else result.intersect(layer)
+    return result
 
 
 def a_set_depth(omega: CirclePoint, mu: float, m: int, l: int, k: int,
@@ -212,27 +230,13 @@ def a_set_depth(omega: CirclePoint, mu: float, m: int, l: int, k: int,
 
     The full (infinite-cap) set has finite total length only for mu > 1;
     the finite truncation is well defined for any positive mu."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if not (0 <= l < m) or k < 1:
-        raise ValueError("need 0 <= l < m and k >= 1")
-    if p_cap < k * m:
-        raise CapTooSmall(f"p_cap={p_cap} below k*m={k * m}")
     bits = omega.precision_bits
-    result: Optional[IntervalUnion] = None
-    with mp.workprec(bits + 32):
-        w = mpf(omega.value)
-        mu_m = mpf(mu)
-        for j in range(1, k + 1):
-            for sign in (1, -1):
-                pairs: List[Tuple[mpf, mpf]] = []
-                for p_abs in _admissible_abs(j, m, l, sign, p_cap):
-                    center = sign * p_abs * w
-                    half = mpf(1) / (2 * mpf(p_abs) ** mu_m)
-                    pairs.extend(circle_pairs(center, half, bits))
-                layer = IntervalUnion.make(pairs, bits)
-                result = layer if result is None else result.intersect(layer)
-    return result if result is not None else IntervalUnion.empty(bits)
+
+    def arcs(sign: int, p_abs: int, mu_m: mpf):
+        return circle_pairs(sign * p_abs * omega.value,
+                            mpf(1) / (2 * mpf(p_abs) ** mu_m), bits)
+
+    return _layered(mu, m, l, k, p_cap, bits, arcs)
 
 
 def b_set_depth(t: CirclePoint, mu: float, m: int, l: int, k: int,
@@ -242,29 +246,14 @@ def b_set_depth(t: CirclePoint, mu: float, m: int, l: int, k: int,
     centered at (t+i)/p for i = 0..|p|-1 with radius 1/(2|p|^(mu+1));
     layers intersected.  As with a_set_depth, any positive mu is accepted
     for the finite truncation."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if not (0 <= l < m) or k < 1:
-        raise ValueError("need 0 <= l < m and k >= 1")
-    if p_cap < k * m:
-        raise CapTooSmall(f"p_cap={p_cap} below k*m={k * m}")
     bits = t.precision_bits
-    result: Optional[IntervalUnion] = None
-    with mp.workprec(bits + 32):
-        tv = mpf(t.value)
-        mu_m = mpf(mu)
-        for j in range(1, k + 1):
-            for sign in (1, -1):
-                pairs: List[Tuple[mpf, mpf]] = []
-                for p_abs in _admissible_abs(j, m, l, sign, p_cap):
-                    p = sign * p_abs
-                    half = mpf(1) / (2 * mpf(p_abs) ** (mu_m + 1))
-                    for i in range(p_abs):
-                        center = (tv + i) / p
-                        pairs.extend(circle_pairs(center, half, bits))
-                layer = IntervalUnion.make(pairs, bits)
-                result = layer if result is None else result.intersect(layer)
-    return result if result is not None else IntervalUnion.empty(bits)
+
+    def arcs(sign: int, p_abs: int, mu_m: mpf):
+        half = mpf(1) / (2 * mpf(p_abs) ** (mu_m + 1))
+        for i in range(p_abs):
+            yield from circle_pairs((t.value + i) / (sign * p_abs), half, bits)
+
+    return _layered(mu, m, l, k, p_cap, bits, arcs)
 
 
 def ubiquity_rho(m: int, l: int, N: int, K: float, eps: float,

@@ -458,8 +458,6 @@ def _deltadio_schedule(t: CirclePoint, omega: CirclePoint, delta: float,
         n = abs(sol.p)
         if n <= p_min:
             continue
-        if ns and n <= ns[-1]:
-            continue
         if best is not None and not sol.distance <= shrink * best:
             continue
         ns.append(n)
@@ -481,6 +479,34 @@ def _cover_row(label: str, rec: EscapeCoverRecord, hs_sum: mpf) -> str:
     return ",".join([label, str(rec.N), str(rec.count), _fmt(rec.piece_length),
                      _fmt(rec.gate_width), _fmt(rec.escape_length),
                      _fmt(rec.uncertain_length), _fmt(hs_sum)])
+
+
+def _cover_schedule(entry: Dict[str, Any], q, theta, side: str, ns: List[int],
+                    reflection_cap: int, exponents: List[Tuple[str, float]],
+                    rows: List[str], notes: List[str], violations: List[str],
+                    scope: str = "") -> None:
+    """Cover F_N for each n in ns on one side.  For each (suffix, s) in
+    exponents, add the H^s rows labelled side+suffix and
+    entry["hs_sums" + suffix]; the strict-decay verdict reads the sums at
+    the first exponent."""
+    recs = [cover_escape_set(q, theta, n, reflection_cap, variant=side)
+            for n in ns]
+    all_sums = [[rec.hs_sum(s) for rec in recs] for _, s in exponents]
+    for (suffix, _), sums in zip(exponents, all_sums):
+        rows.extend(_cover_row(side + suffix, rec, hs)
+                    for rec, hs in zip(recs, sums))
+        entry["hs_sums" + suffix] = [_fmt(v) for v in sums]
+    sums = all_sums[0]
+    if len(sums) >= 2:
+        decay = all(b < a for a, b in zip(sums, sums[1:]))
+        entry["decay_strict"] = decay
+        if not decay:
+            violations.append(f"{side}: H^s sums do not strictly decrease "
+                              f"along schedule {ns}")
+    else:
+        entry["decay_strict"] = None
+        notes.append(f"{side}: schedule has {len(ns)} step(s){scope}; decay "
+                     "not assessable")
 
 
 def run_thm1(cfg: ExperimentConfig) -> RunReport:
@@ -515,53 +541,37 @@ def run_thm1(cfg: ExperimentConfig) -> RunReport:
             notes.append(f"{side}: {exc}")
             sides[side] = entry
             continue
-        recs = [cover_escape_set(q, d.theta, n, cfg.reflection_cap, variant=side)
-                for n in ns]
-        sums = [rec.hs_sum(s) for rec in recs]
-        rows.extend(_cover_row(side, rec, hs) for rec, hs in zip(recs, sums))
         entry["schedule_found"] = True
         entry["schedule"] = ns
-        entry["hs_sums"] = [_fmt(v) for v in sums]
-        if len(sums) >= 2:
-            decay = all(b < a for a, b in zip(sums, sums[1:]))
-            entry["decay_strict"] = decay
-            if not decay:
-                violations.append(f"{side}: H^s sums do not strictly decrease "
-                                  f"along schedule {ns}")
-        else:
-            entry["decay_strict"] = None
-            notes.append(f"{side}: schedule has {len(ns)} step(s); decay "
-                         "not assessable")
+        _cover_schedule(entry, q, d.theta, side, ns, cfg.reflection_cap,
+                        [("", s)], rows, notes, violations)
         sides[side] = entry
     control: Dict[str, Any] = {}
     if cfg.control_alpha is not None:
         q_ctl = rhombus(cfg.control_alpha, side=cfg.polygon["side"],
                         precision_bits=bits)
         d_ctl = Direction.make(cfg.theta, cfg.control_alpha, bits)
-        with warnings.catch_warnings(record=True) as records:
-            warnings.simplefilter("always")
-            n, ctl_ns = 1, []
-            while n <= cfg.control_max_n:
-                ctl_ns.append(n)
-                n *= 2
-            ctl_rows, ctl_sums = [], []
-            certified_empty = False
-            residual = None
-            for n in ctl_ns:
-                rec = cover_escape_set(q_ctl, d_ctl.theta, n,
-                                       cfg.reflection_cap, variant="up")
-                ctl_sums.append(rec.hs_sum(s))
-                ctl_rows.append(_cover_row("control_up", rec, ctl_sums[-1]))
-                # The certified escape cover is empty once no pieces and no
-                # escape length remain; the H^s sum then carries only the
-                # 2-ulp guard shards around singular vertex rays, which the
-                # exact engine keeps as explicit uncertainty instead of
-                # rounding to zero.
-                if rec.count == 0 and rec.escape_length == 0:
-                    certified_empty = True
-                    residual = rec.uncertain_length
-                    break
-        _collect_warnings(records, notes)
+        n, ctl_ns = 1, []
+        while n <= cfg.control_max_n:
+            ctl_ns.append(n)
+            n *= 2
+        ctl_rows, ctl_sums = [], []
+        certified_empty = False
+        residual = None
+        for n in ctl_ns:
+            rec = cover_escape_set(q_ctl, d_ctl.theta, n,
+                                   cfg.reflection_cap, variant="up")
+            ctl_sums.append(rec.hs_sum(s))
+            ctl_rows.append(_cover_row("control_up", rec, ctl_sums[-1]))
+            # The certified escape cover is empty once no pieces and no
+            # escape length remain; the H^s sum then carries only the
+            # 2-ulp guard shards around singular vertex rays, which the
+            # exact engine keeps as explicit uncertainty instead of
+            # rounding to zero.
+            if rec.count == 0 and rec.escape_length == 0:
+                certified_empty = True
+                residual = rec.uncertain_length
+                break
         rows.extend(ctl_rows)
         control = {"alpha": cfg.control_alpha, "schedule": ctl_ns[:len(ctl_sums)],
                    "hs_sums": [_fmt(v) for v in ctl_sums],
@@ -712,25 +722,9 @@ def run_thm2(cfg: ExperimentConfig) -> RunReport:
             notes.append(f"{side}: no witness level within n_cap={cfg.n_cap}")
             schedules[side] = entry
             continue
-        recs = [cover_escape_set(q, d.theta, n, cfg.reflection_cap, variant=side)
-                for n in ns]
-        sums = [rec.hs_sum(s_main) for rec in recs]
-        low_sums = [rec.hs_sum(s_low) for rec in recs]
-        cover_rows.extend(_cover_row(side, rec, hs) for rec, hs in zip(recs, sums))
-        cover_rows.extend(_cover_row(side + "_low_s", rec, hs)
-                          for rec, hs in zip(recs, low_sums))
-        entry["hs_sums"] = [_fmt(v) for v in sums]
-        entry["hs_sums_low_s"] = [_fmt(v) for v in low_sums]
-        if len(sums) >= 2:
-            decay = all(b < a for a, b in zip(sums, sums[1:]))
-            entry["decay_strict"] = decay
-            if not decay:
-                violations.append(f"{side}: H^s sums do not strictly decrease "
-                                  f"along schedule {ns}")
-        else:
-            entry["decay_strict"] = None
-            notes.append(f"{side}: schedule has {len(ns)} step(s) within "
-                         f"n_cap={cfg.n_cap}; decay not assessable")
+        _cover_schedule(entry, q, d.theta, side, ns, cfg.reflection_cap,
+                        [("", s_main), ("_low_s", s_low)], cover_rows, notes,
+                        violations, scope=f" within n_cap={cfg.n_cap}")
         schedules[side] = entry
     data = {"mu": _fmt(mu), "eps": _fmt(eps), "s": _fmt(s_main),
             "s_low": _fmt(s_low), "theta": _fmt_full(d.theta, bits),

@@ -495,9 +495,18 @@ def test_side_sequences_match_float_geometry(alpha, theta):
     span = hi - lo
     for j in (17, 101, 313, 449, 700, 901):
         c0 = lo + (j * span) // 997
-        log = []
-        tracer.trace_point(c0, reflection_cap=60, side_log=log)
-        engine_sides = [s for s, _ in log][:40]
+        # a one-ulp ray never splits; read the target side of every
+        # reflection, odd ones included, until it returns
+        st = (_LAUNCH, c0, c0 + 1, 1, 0, 1, 0, 0, None)
+        engine_sides = []
+        while len(engine_sides) < 40:
+            children, _ = tracer._advance(st)
+            if not children:
+                break
+            (st,) = children
+            engine_sides.append(st[0])
+            if not st[7] & 1 and tracer._is_return(st[4]):
+                break
         oracle_sides = _float_trace(
             verts_f, float(mpf(tracer.theta)),
             float(from_fixed(c0, q.precision_bits)), len(engine_sides))

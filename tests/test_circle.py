@@ -12,6 +12,7 @@ from mpmath import mp, mpf
 
 from billiardlab.circle import (
     CirclePoint,
+    ContinuedFractionExpansion,
     Direction,
     angle_to_circle,
     circle_distance,
@@ -99,6 +100,10 @@ def test_eval_number_readme_forms(spec, direct, bits):
     "7 // 2",
     "'0.3'",
     "2 +",
+    "sqrt(-2)",                                           # not a finite real
+    "log(-1)",
+    "(-8)**(1/3)",
+    "log(0)",
 ])
 def test_eval_number_rejects_everything_else(spec):
     with pytest.raises(ValueError):
@@ -256,6 +261,38 @@ def test_gap_identity_exact_on_default_audit_rows():
             assert three_distance_gap(cf, r) == sorted_gap(cf, r), (spec, r)
             rows += 1
     assert rows == 37
+
+
+def _first_terms(spec, bits):
+    """Expansion of spec at bits, or, where continued_fraction finds spec
+    rational at working precision (0.1), the fixed-point value's own first
+    quotient scale // w."""
+    point = CirclePoint.make(spec, bits)
+    try:
+        return continued_fraction(point, max_depth=4)
+    except RationalDetected:
+        a1 = (1 << bits) // to_fixed(point.value, bits)
+        return ContinuedFractionExpansion(point, [a1], [(1, a1)], 1)
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("spec", ["0.1", "sqrt(2)/20", "1/pi"])
+def test_min_orbit_distance_matches_brute_force(spec, bits):
+    # below q_1 = a_1 the minimum is ||omega|| itself (the q_0 = 1 term)
+    cf = _first_terms(spec, bits)
+    scale = 1 << bits
+    w = to_fixed(cf.omega.value, bits)
+    best = scale
+    for n in range(1, cf.denominator(1) + 6):
+        d = (n * w) % scale
+        best = min(best, d, scale - d)
+        assert min_orbit_distance(cf, n) == from_fixed(best, bits), n
+
+
+def test_min_orbit_distance_needs_positive_n():
+    cf = continued_fraction(CirclePoint.make(GOLDEN), max_depth=5)
+    with pytest.raises(ValueError):
+        min_orbit_distance(cf, 0)
 
 
 def test_gap_depth_guard():

@@ -182,6 +182,17 @@ def test_minkowski_orbit_test_sees_negative_p():
         minkowski_solutions(t, g, 100)
 
 
+def test_minkowski_orbit_point_beyond_quarter_threshold():
+    # At p0 = 2^31 + 1 the orbit floor 2^-32 exceeds 1/(4*p0): the orbit
+    # test must not be limited to the Minkowski allowance.
+    g = CirclePoint.make(GOLDEN, 64)
+    p0 = 2 ** 31 + 1
+    with mp.workprec(160):
+        t = CirclePoint(-p0 * g.value, 64)
+    with pytest.raises(OrbitPoint):
+        minkowski_solutions(t, g, p0)
+
+
 # -- covering sets -----------------------------------------------------------
 
 

@@ -306,6 +306,39 @@ def test_thm1_silent_when_delta_below_eps():
     assert not any("decay is not guaranteed" in note for note in rep.notes)
 
 
+def test_thm1_without_schedule_reports_each_side():
+    # below 2^(1/(1-delta)) the defining inequality is vacuous: no schedule
+    rep = run_experiment(make_cfg("thm1_cover", delta=0.05, p_max=2,
+                                  control_alpha=None))
+    assert rep.tables["covers"][1] == []
+    for side in ("up", "down"):
+        entry = rep.data["sides"][side]
+        assert entry["schedule_found"] is False
+        assert "enlarge p_max" in entry["note"]
+        assert f"{side}: {entry['note']}" in rep.notes
+
+
+def test_thm1_single_step_schedule_leaves_decay_unassessed():
+    rep = run_experiment(make_cfg("thm1_cover", delta=0.05, p_max=512,
+                                  schedule_steps=1, reflection_cap=20000,
+                                  control_alpha=None))
+    assert rep.passed
+    for side in ("up", "down"):
+        entry = rep.data["sides"][side]
+        assert len(entry["schedule"]) == len(entry["hs_sums"]) == 1
+        assert entry["decay_strict"] is None
+        assert (f"{side}: schedule has 1 step(s); decay not assessable"
+                in rep.notes)
+
+
+def test_thm2_no_witness_level_within_n_cap():
+    rep = run_experiment(make_cfg("thm2_cover", n_cap=1))
+    assert rep.tables["covers"][1] == []
+    for side in ("down", "up"):
+        assert rep.data["schedules"][side] == {"schedule": []}
+        assert f"{side}: no witness level within n_cap=1" in rep.notes
+
+
 def test_thm2_default_passes():
     rep = run_experiment(make_cfg("thm2_cover", reflection_cap=5000))
     assert rep.passed and not rep.violations
@@ -496,6 +529,8 @@ def test_cli_configuration_errors_exit_one(tmp_path, argv_builder, capsys):
 @pytest.mark.parametrize("expr", [
     "().__class__.__base__",
     "().__class__.__base__.__subclasses__().__len__()",
+    "sqrt(-2)",                    # complex
+    "NaN",                         # JSON NaN
 ])
 def test_cli_rejects_code_in_number_specs(tmp_path, expr, capsys):
     cfg = cli_config(tmp_path, "thm1.json", {"out_dir": str(tmp_path / "out")})
@@ -503,6 +538,16 @@ def test_cli_rejects_code_in_number_specs(tmp_path, expr, capsys):
                      "--override", f"theta={expr}"]) == 1
     assert "not a valid numeric expression" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_report_write_error_exits_one(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = cli_config(tmp_path, "cantor.json", {
+        "experiment": "cantor_dim", "precision_bits": 192, "depth": 3,
+        "ratio_floor": 0.3, "out_dir": str(blocker / "out")})
+    assert lab_main(["cantor_dim", "--config", cfg]) == 1
+    assert "lab: cannot write report:" in capsys.readouterr().err
 
 
 def test_cli_rejects_unparseable_json(tmp_path, capsys):
