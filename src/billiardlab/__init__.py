@@ -25,6 +25,7 @@ from .billiard import (
     build_polygon,
     cross_section,
     escape_set,
+    escape_sets,
     parallelogram,
     partition_udr,
     perpendicular_periodicity,
@@ -42,6 +43,7 @@ from .cantor import (
     select_sequence,
     separation_report,
 )
+from .dimension import cover_escape_sets
 from .errors import (
     BilliardLabError,
     CapTooSmall,
@@ -100,8 +102,10 @@ __all__ = [
     "build_hierarchy",
     "build_polygon",
     "construct_twosided_target",
+    "cover_escape_sets",
     "cross_section",
     "escape_set",
+    "escape_sets",
     "intermediate_interval_check",
     "local_dimension_report",
     "parallelogram",

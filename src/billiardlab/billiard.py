@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
@@ -332,11 +332,6 @@ class Beam:
     source_lo: Optional[mpf] = None
     source_hi: Optional[mpf] = None
     history: Optional[Tuple[Tuple[int, int, int, mpf, mpf], ...]] = None
-
-    @property
-    def length(self) -> mpf:
-        with mp.workprec(max(mp.prec, 2 * DEFAULT_PRECISION)):
-            return self.hi - self.lo
 
 
 def beam_on_section(q: GeneralizedParallelogram, theta, lo, hi,
@@ -820,57 +815,81 @@ class EscapeReport:
     max_reflections: int
 
 
-def escape_set(q: GeneralizedParallelogram, theta, N: int,
-               reflection_cap: int, variant: str = "down",
-               ) -> Tuple[IntervalUnion, EscapeReport]:
-    """Source set F_N of rays that reach level -(N+1) (variant "down",
+def escape_sets(q: GeneralizedParallelogram, theta, ns: Sequence[int],
+                reflection_cap: int, variant: str = "down",
+                ) -> Iterator[Tuple[IntervalUnion, EscapeReport]]:
+    """Yield (F_N, report) for each N of the strictly increasing ``ns``:
+    the source set F_N of rays that reach level -(N+1) (variant "down",
     tracing the level-decreasing cohort) or +(N+1) (variant "up") before
     first returning to level 0.
 
     Every escaping child passes through the departing gate of the level
     -+N section, and traced orbits are pairwise disjoint until they
     return, so total_length(F_N) never exceeds the gate width.
+
+    One tracer serves the whole schedule, and the cohort is traced once:
+    a trace capped at a smaller N is a pruned subtree of the trace capped
+    at a larger one, so each cutoff resumes from the states that escaped
+    past the previous one.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("ns must be a non-empty, strictly increasing list "
+                         "of N >= 1")
     if variant not in ("down", "up"):
         raise ValueError("variant must be 'down' or 'up'")
     tracer = _Tracer(q, theta)
     (u_states, r_states, d_states), part_slivers = tracer.partition_states()
-    cohort = d_states if variant == "down" else u_states
-    out, max_refl = tracer.trace_states(
-        cohort, n_cap=N, reflection_cap=reflection_cap)
-
-    f_n = tracer.source_union(out["escaped"])
-    returned = tracer.source_union(out["returned"])
-    active = tracer.source_union(out["active"])
-    slivers = tracer.source_union(part_slivers + out["uncertain"])
-    uncertain = slivers.union(active)
-
     u_union = tracer.source_union(u_states)
     r_union = tracer.source_union(r_states)
     d_union = tracer.source_union(d_states)
+    stack = d_states if variant == "down" else u_states
     cohort_union = d_union if variant == "down" else u_union
-    f_n_upper = cohort_union.subtract(returned)
 
-    # the gate: the departing part of the level -+N section, split by the
-    # same tracer (and tables) the cohort was traced with
-    (g_u, _, g_d), _ = tracer.partition_states(-N if variant == "down" else N)
-    gate_width = tracer.source_union(
-        g_d if variant == "down" else g_u).total_length
+    returned, active, slivers = [], [], list(part_slivers)
+    max_refl = 0
+    for N in ns:
+        out, refl = tracer.trace_states(stack, n_cap=N,
+                                        reflection_cap=reflection_cap)
+        returned += out["returned"]
+        active += out["active"]
+        slivers += out["uncertain"]
+        max_refl = max(max_refl, refl)
 
-    report = EscapeReport(
-        N=N, variant=variant,
-        j_N=len(out["returned"]) + len(out["escaped"]) + len(out["active"]),
-        gate_width=gate_width,
-        cohort_width=cohort_union.total_length,
-        u_width=u_union.total_length, r_width=r_union.total_length,
-        d_width=d_union.total_length,
-        returned=returned, f_n_upper=f_n_upper, slivers=slivers,
-        active=active, uncertain=uncertain,
-        budget_exhausted=bool(out["active"]),
-        reflection_cap=reflection_cap, max_reflections=max_refl)
-    return f_n, report
+        f_n = tracer.source_union(out["escaped"])
+        returned_u = tracer.source_union(returned)
+        active_u = tracer.source_union(active)
+        slivers_u = tracer.source_union(slivers)
+        # the gate: the departing part of the level -+N section, split by
+        # the same tracer (and tables) the cohort was traced with
+        (g_u, _, g_d), _ = tracer.partition_states(-N if variant == "down" else N)
+        gate_width = tracer.source_union(
+            g_d if variant == "down" else g_u).total_length
+        yield f_n, EscapeReport(
+            N=N, variant=variant,
+            j_N=len(returned) + len(out["escaped"]) + len(active),
+            gate_width=gate_width,
+            cohort_width=cohort_union.total_length,
+            u_width=u_union.total_length, r_width=r_union.total_length,
+            d_width=d_union.total_length,
+            returned=returned_u, f_n_upper=cohort_union.subtract(returned_u),
+            slivers=slivers_u, active=active_u,
+            uncertain=slivers_u.union(active_u),
+            budget_exhausted=bool(active),
+            reflection_cap=reflection_cap, max_reflections=max_refl)
+
+        # An escaped state sits at level -+(N+1), inside every later cap,
+        # where a single deeper trace would have gone on from it: to the
+        # stack, or, once its budget is spent, straight to active.
+        stack = []
+        for st in out["escaped"]:
+            (active if st[7] >= reflection_cap else stack).append(st)
+
+
+def escape_set(q: GeneralizedParallelogram, theta, N: int,
+               reflection_cap: int, variant: str = "down",
+               ) -> Tuple[IntervalUnion, EscapeReport]:
+    """F_N and its report for a single N; see :func:`escape_sets`."""
+    return next(escape_sets(q, theta, [N], reflection_cap, variant))
 
 
 def perpendicular_periodicity(q: GeneralizedParallelogram, samples: int,

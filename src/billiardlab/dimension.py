@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
-from .billiard import escape_set
+from .billiard import escape_sets
 from .errors import InsufficientScales
 from .fixedpoint import mpf_to_fraction
 from .intervals import IntervalUnion
@@ -165,18 +165,18 @@ class EscapeCoverRecord:
             return self.count * self.piece_length ** mpf(s) + unc
 
 
-def cover_escape_set(q, theta, N: int, reflection_cap: int,
-                     variant: str = "down") -> EscapeCoverRecord:
-    """Compute F_N and cover it with average-exiting-length pieces of the
-    gate width."""
-    f_n, report = escape_set(q, theta, N, reflection_cap, variant=variant)
-    gate = report.gate_width
-    lengths = [hi - lo for lo, hi in f_n]
-    count, piece = 0, mpf(0)
-    if lengths:
-        with mp.workprec(f_n.precision_bits + 16):
-            cover = average_length_cover(lengths, max(gate, sum(lengths)))
-        count, piece = cover.count, cover.piece_length
-    return EscapeCoverRecord(
-        N=N, count=count, piece_length=piece, gate_width=gate,
-        escape_length=f_n.total_length, uncertain=report.uncertain)
+def cover_escape_sets(q, theta, ns: Sequence[int], reflection_cap: int,
+                      variant: str = "down") -> Iterator[EscapeCoverRecord]:
+    """For each N of the strictly increasing ``ns``, compute F_N and cover
+    it with average-exiting-length pieces of the gate width."""
+    for f_n, report in escape_sets(q, theta, ns, reflection_cap, variant):
+        gate = report.gate_width
+        lengths = [hi - lo for lo, hi in f_n]
+        count, piece = 0, mpf(0)
+        if lengths:
+            with mp.workprec(f_n.precision_bits + 16):
+                cover = average_length_cover(lengths, max(gate, sum(lengths)))
+            count, piece = cover.count, cover.piece_length
+        yield EscapeCoverRecord(
+            N=report.N, count=count, piece_length=piece, gate_width=gate,
+            escape_length=f_n.total_length, uncertain=report.uncertain)

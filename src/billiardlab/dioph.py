@@ -74,12 +74,12 @@ def _candidates(t: CirclePoint, omega: CirclePoint, sign: int, m: int,
 
     T and W are the floors of t and omega at the working precision, so the
     real point t + p*omega lies less than |p| + 1 ulps from the fixed-point
-    one.  With thr_fp the threshold in ulps rounded down, every solution of
-    the real problem is therefore yielded, at any p_max; the last ulp
-    absorbs rounding in computing the threshold.  thr_fp never increases
-    with |p|, so the allowance thr_fp(first) + last + 2 covers a whole
-    block first..last: blocks where count_arc finds no point within it are
-    dropped, the others halved.
+    one.  With thr_fp at least the threshold in ulps rounded down, every
+    solution of the real problem is therefore yielded, at any p_max; the
+    last ulp absorbs rounding in computing the threshold.  thr_fp never
+    increases with |p|, so the allowance thr_fp(first) + last + 2 covers a
+    whole block first..last: blocks where count_arc finds no point within
+    it are dropped, the others halved.
     """
     first, last = _progression(1, p_max, m, residue)
     if first > last:
@@ -101,6 +101,34 @@ def _candidates(t: CirclePoint, omega: CirclePoint, sign: int, m: int,
         mid = (lo + hi) // 2
         stack.append((mid + 1, hi))
         stack.append((lo, mid))
+
+
+def _power_allowance(mu: mpf, bits: int) -> Callable[[int], int]:
+    """thr_fp for the threshold |p|^-mu: an integer at least
+    floor(|p|^-mu * 2^bits), computed at 64 bits instead of ``bits``.
+
+    |p| is first cut to its leading 32 bits (which only raises the power),
+    and the power of that key is rounded up by 2^10 ulps of a 64-bit
+    mantissa, far more than the few ulps mpmath's power can be off by
+    while the threshold exceeds 2^-100000 (a smaller one is below one ulp
+    at any usable precision).  Distinct keys differ by a factor of at
+    least 1 + 2^-32, which moves the power by more than that slack for any
+    mu >= 2^-19, so the allowance never increases with |p|.
+    """
+
+    @lru_cache(maxsize=None)
+    def power_up(key: int) -> int:
+        with mp.workprec(64):
+            _, man, exp, bc = (mpf(key) ** (-mu))._mpf_
+        man, exp = (man << (64 - bc)) + (1 << 10), exp - (64 - bc)
+        e = exp + bits
+        return man << e if e >= 0 else -(-man >> -e)
+
+    def allowance(p_abs: int) -> int:
+        cut = max(0, p_abs.bit_length() - 32)
+        return power_up(p_abs >> cut << cut)
+
+    return allowance
 
 
 def _normalize_sign(sign) -> int:
@@ -132,17 +160,14 @@ def approx_solutions(t: CirclePoint, omega: CirclePoint, mu: float, m: int,
     with mp.workprec(bits + 32):
         mu_m = mpf(mu)
 
-    @lru_cache(maxsize=None)
-    def thr(p_abs: int) -> mpf:
-        with mp.workprec(bits + 32):
-            return mpf(p_abs) ** (-mu_m)
-
     out: List[ApproxSolution] = []
     for p_abs in _candidates(t, omega, s, m, residue, p_max,
-                             lambda p_abs: to_fixed(thr(p_abs), bits)):
+                             _power_allowance(mu_m, bits)):
         p = s * p_abs
         d = _exact_distance(t.value, omega.value, p, bits)
-        if d < thr(p_abs):
+        with mp.workprec(bits + 32):
+            hit = d < mpf(p_abs) ** (-mu_m)
+        if hit:
             out.append(ApproxSolution(
                 p=p, residue=p % m, distance=d,
                 exponent=_exponent(d, p, bits)))

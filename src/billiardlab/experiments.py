@@ -29,7 +29,7 @@ from .cantor import local_dimension_report, select_sequence, separation_report
 from .circle import (CirclePoint, Direction, angle_to_circle,
                      continued_fraction, detect_rational_angle, eval_number,
                      three_distance_gap)
-from .dimension import EscapeCoverRecord, average_length_cover, cover_escape_set
+from .dimension import EscapeCoverRecord, average_length_cover, cover_escape_sets
 from .dioph import approx_solutions, minkowski_solutions, ubiquity_deficiency, ubiquity_rho
 from .errors import ConfigError, ScheduleNotFound
 from .fixedpoint import to_fixed
@@ -489,8 +489,7 @@ def _cover_schedule(entry: Dict[str, Any], q, theta, side: str, ns: List[int],
     exponents, add the H^s rows labelled side+suffix and
     entry["hs_sums" + suffix]; the strict-decay verdict reads the sums at
     the first exponent."""
-    recs = [cover_escape_set(q, theta, n, reflection_cap, variant=side)
-            for n in ns]
+    recs = list(cover_escape_sets(q, theta, ns, reflection_cap, variant=side))
     all_sums = [[rec.hs_sum(s) for rec in recs] for _, s in exponents]
     for (suffix, _), sums in zip(exponents, all_sums):
         rows.extend(_cover_row(side + suffix, rec, hs)
@@ -558,9 +557,8 @@ def run_thm1(cfg: ExperimentConfig) -> RunReport:
         ctl_rows, ctl_sums = [], []
         certified_empty = False
         residual = None
-        for n in ctl_ns:
-            rec = cover_escape_set(q_ctl, d_ctl.theta, n,
-                                   cfg.reflection_cap, variant="up")
+        for rec in cover_escape_sets(q_ctl, d_ctl.theta, ctl_ns,
+                                     cfg.reflection_cap, variant="up"):
             ctl_sums.append(rec.hs_sum(s))
             ctl_rows.append(_cover_row("control_up", rec, ctl_sums[-1]))
             # The certified escape cover is empty once no pieces and no

@@ -607,6 +607,48 @@ def test_escape_set_builds_one_tracer(monkeypatch):
         assert len(built) == 1
 
 
+def _fresh_trace(q, theta, N, cap, variant):
+    """Reference for one N: a new tracer traces the whole cohort to n_cap=N."""
+    tracer = _Tracer(q, theta)
+    (u, _, d), part_slivers = tracer.partition_states()
+    out, max_refl = tracer.trace_states(d if variant == "down" else u,
+                                        n_cap=N, reflection_cap=cap)
+    uncertain = tracer.source_union(part_slivers + out["uncertain"]).union(
+        tracer.source_union(out["active"]))
+    return {"f_n": tracer.source_union(out["escaped"]),
+            "returned": tracer.source_union(out["returned"]),
+            "uncertain": uncertain,
+            "j_N": sum(len(out[k]) for k in ("returned", "escaped", "active")),
+            "max_reflections": max_refl,
+            "budget_exhausted": bool(out["active"])}
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_escape_sets_match_independent_traces(bits):
+    # caps 4 and 6 put escaped states exactly at refl == cap, where the
+    # resumed trace must stop them on the budget, as a deeper trace would
+    q = B.rhombus("pi*(sqrt(5)-1)/4", 1, precision_bits=bits)
+    ns = [1, 2, 3, 7]
+    for theta in ("0.3", "1.2", "5.9"):
+        for variant in ("down", "up"):
+            for cap in (4, 6, 10, 50, 1000):
+                got = list(B.escape_sets(q, theta, ns, cap, variant))
+                assert [rep.N for _, rep in got] == ns
+                for n, (f_n, rep) in zip(ns, got):
+                    ref = _fresh_trace(q, theta, n, cap, variant)
+                    assert {"f_n": f_n, "returned": rep.returned,
+                            "uncertain": rep.uncertain, "j_N": rep.j_N,
+                            "max_reflections": rep.max_reflections,
+                            "budget_exhausted": rep.budget_exhausted} == ref, \
+                        (theta, variant, cap, n)
+
+
+@pytest.mark.parametrize("ns", [[], [0, 2], [2, 2], [3, 1]])
+def test_escape_sets_reject_bad_schedules(ns):
+    with pytest.raises(ValueError):
+        list(B.escape_sets(unit_rhombus(), "0.3", ns, 1000))
+
+
 def _two_tracer_gate_width(q, theta, N, variant):
     """Reference gate: a second tracer launched at the gate direction,
     rounded at P+48 bits, split at its own level 0."""

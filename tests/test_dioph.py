@@ -10,6 +10,7 @@ from billiardlab.circle import CirclePoint
 from billiardlab.dioph import (
     _candidates,
     _exact_distance,
+    _power_allowance,
     a_set_depth,
     approx_solutions,
     b_set_depth,
@@ -101,6 +102,28 @@ def test_candidates_are_exactly_the_fixed_point_allowance_hits(sign, m, residue)
     got = list(_candidates(t, g, sign, m, residue, 3000, thr_fp))
     assert got == expected
     assert expected
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("mu", [0.9, 2.0, 1 / 3])
+def test_power_allowance_bounds_full_precision_threshold(mu, bits):
+    # The 64-bit pruning allowance must cover the threshold in ulps as the
+    # full-precision power rounds it, and never grow with |p|.
+    allowance = _power_allowance(mpf(mu), bits)
+    ps = set(range(1, 3000))
+    for k in range(12, 30):
+        ps.update((2 ** k - 1, 2 ** k, 2 ** k + 1, 3 ** (k * 2 // 3) + k))
+    for j in range(1, 10 ** 9, 7_654_321):
+        ps.update(range(j, j + 3))
+    ps.add(10 ** 9)
+    prev = None
+    for p_abs in sorted(ps):
+        with mp.workprec(bits + 32):
+            old = to_fixed(mpf(p_abs) ** (-mpf(mu)), bits)
+        new = allowance(p_abs)
+        assert new >= old, p_abs
+        assert prev is None or new <= prev, p_abs
+        prev = new
 
 
 def test_approx_exact_hit_on_orbit():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf
 
-from billiardlab import billiard, dimension
+from billiardlab import billiard
 from billiardlab.circle import CirclePoint, angle_to_circle, Direction
 from billiardlab.cli import main as lab_main
 from billiardlab.errors import ConfigError, ScheduleNotFound
@@ -352,22 +352,37 @@ def test_thm2_default_passes():
     assert any("decay not assessable" in n for n in rep.notes)
 
 
+def _count_tracers(monkeypatch):
+    built = []
+
+    class CountingTracer(billiard._Tracer):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(billiard, "_Tracer", CountingTracer)
+    return built
+
+
 def test_thm2_traces_each_escape_set_once(monkeypatch):
-    # F_N is geometry: both exponents of the cover table share one trace
-    traced = []
-    real = billiard.escape_set
-
-    def counting(q, theta, N, reflection_cap, variant="down"):
-        traced.append((N, variant))
-        return real(q, theta, N, reflection_cap, variant=variant)
-
-    monkeypatch.setattr(billiard, "escape_set", counting)
-    monkeypatch.setattr(dimension, "escape_set", counting, raising=False)
+    # F_N is geometry: both exponents of the cover table share one trace,
+    # one tracer per side
+    built = _count_tracers(monkeypatch)
     rep = run_experiment(make_cfg("thm2_cover"))
     assert rep.passed
-    assert sorted(traced) == [(2, "down"), (25, "up")]
+    assert len(built) == 2
     rows = rows_of(rep, "covers")
     assert [r["side"] for r in rows] == ["down", "down_low_s", "up", "up_low_s"]
+
+
+def test_thm1_traces_each_schedule_once(monkeypatch):
+    # one resumed trace per schedule: the up and down sides and the
+    # rational-angle control each build a single tracer
+    built = _count_tracers(monkeypatch)
+    with pytest.warns(UserWarning):
+        rep = run_experiment(make_cfg("thm1_cover"))
+    assert rep.passed
+    assert len(built) == 3
 
 
 def test_cantor_small_passes(cantor_small):
