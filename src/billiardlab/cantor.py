@@ -81,9 +81,10 @@ class HierarchyLevel:
     """Level k of a hierarchy.
 
     A materialized level stores its intervals sorted by center; a counted
-    level (too large to enumerate) stores exact per-parent child counts
-    and the mass carried by each child of that parent, aligned with the
-    previous level's interval tuple.  ``ambiguous`` counts candidate
+    level (too large to scan or to store) stores exact per-parent child
+    counts and the mass carried by each child of that parent, aligned with
+    the previous level's interval tuple (level 1's one parent is the whole
+    circle).  ``ambiguous`` counts candidate
     children discarded because their containment could not be certified
     at the guard band.
     """
@@ -183,9 +184,11 @@ class CantorHierarchy:
                      "mass": str(iv.mass)}
                     for iv in lev.intervals]
             else:
-                parents = self.levels[i - 1].intervals
+                # level 1's one parent is the whole circle, which has no center
+                parents = self.levels[i - 1].intervals if i else (None,)
                 entry["per_parent"] = [
-                    {"parent_center": _fmt(from_fixed(p.center_fp, bits), bits),
+                    {"parent_center": None if p is None
+                     else _fmt(from_fixed(p.center_fp, bits), bits),
                      "child_count": c,
                      "child_mass": str(w)}
                     for p, c, w in zip(parents, lev.child_counts, lev.child_mass)]
@@ -290,10 +293,11 @@ class _Builder:
     # -- level extension ----------------------------------------------
 
     def extend(self, n_signed: int, k: int, *, final: bool) -> None:
-        """Append level k for n_k = n_signed, materialized when it fits the
-        caps, counted (exact per-parent floor-sum counts) when it is the
-        final level and does not.  Raises EmptyLevel if some parent would
-        keep no certified child; the builder is unchanged on any raise."""
+        """Append level k for n_k = n_signed: exact per-parent child counts
+        by floor sums first, then one lattice scan if the level fits both
+        caps, else the counts if it is final, else CapTooSmall.  Raises
+        EmptyLevel if some parent would keep no certified child; the
+        builder is unchanged on any raise."""
         q = abs(n_signed)
         self._check_resolution(k, q)
         half = self.half_fp(q)
@@ -305,121 +309,73 @@ class _Builder:
         parent = self.levels[-1] if self.levels else None
         if parent is not None and parent.intervals is None:
             raise CapTooSmall("cannot extend below a counted level")
+        if n_pts > self.scan_cap and not final:
+            raise CapTooSmall(
+                f"level {k} needs {n_pts} lattice points, above "
+                f"scan_cap={self.scan_cap}, and deeper levels require a "
+                "materialized parent")
 
-        if n_pts > self.scan_cap:
-            if not final:
-                raise CapTooSmall(
-                    f"level {k} needs {n_pts} lattice points, above "
-                    f"scan_cap={self.scan_cap}, and deeper levels require a "
-                    "materialized parent")
-            self.levels.append(self._counted_level(
-                n_signed, k, half, g, res, p_lo, p_hi, parent))
-            return
+        if parent is None:
+            # level 1 has one parent, the whole circle, which keeps every point
+            centers, masses, counts = [0], [Fraction(1)], [n_pts]
+            allow, ambiguous = self.scale, 0
+        else:
+            centers = [iv.center_fp for iv in parent.intervals]
+            masses = [iv.mass for iv in parent.intervals]
+            allow = parent.half_fp - half - g
+            counts, ambiguous = [], 0
+            for i, c in enumerate(centers):
+                strict = count_arc(self.w, self.scale, self.m, res, p_lo, p_hi,
+                                   c, allow)
+                if strict == 0:
+                    raise EmptyLevel(
+                        f"parent {i} at level {k} keeps no certified children")
+                counts.append(strict)
+                # the loose arcs of distinct parents are disjoint, so each
+                # uncertain candidate is tallied once
+                ambiguous += count_arc(self.w, self.scale, self.m, res, p_lo,
+                                       p_hi, c, allow + 2 * g) - strict
+        masses = [mass / n for mass, n in zip(masses, counts)]
+        total = sum(counts)
 
-        level = self._enumerated_level(
-            n_signed, k, half, g, res, p_lo, p_hi, parent, final)
+        if n_pts <= self.scan_cap and total <= self.materialize_cap:
+            intervals = self._scan(res, p_lo, p_hi, centers, allow, masses)
+            level = HierarchyLevel(
+                k=k, n_k=n_signed, half_fp=half, count=len(intervals),
+                intervals=intervals, ambiguous=ambiguous)
+        elif final:
+            level = HierarchyLevel(
+                k=k, n_k=n_signed, half_fp=half, count=total, intervals=None,
+                child_counts=tuple(counts), child_mass=tuple(masses),
+                ambiguous=ambiguous)
+        else:
+            raise CapTooSmall(
+                f"level {k} retains {total} intervals, above "
+                f"materialize_cap={self.materialize_cap}, and deeper "
+                "levels require a materialized parent")
         self.levels.append(level)
 
-    def _counted_level(self, n_signed, k, half, g, res, p_lo, p_hi,
-                       parent) -> HierarchyLevel:
-        if parent is None:
-            n_pts = p_hi - p_lo + 1
-            return HierarchyLevel(
-                k=k, n_k=n_signed, half_fp=half, count=n_pts, intervals=None,
-                child_counts=(n_pts,), child_mass=(Fraction(1, n_pts),))
-        allow = parent.half_fp - half
-        counts: List[int] = []
-        masses: List[Fraction] = []
-        ambiguous = 0
-        for i, iv in enumerate(parent.intervals):
-            strict = count_arc(self.w, self.scale, self.m, res, p_lo, p_hi,
-                               iv.center_fp, allow - g)
-            loose = count_arc(self.w, self.scale, self.m, res, p_lo, p_hi,
-                              iv.center_fp, allow + g)
-            if strict == 0:
-                raise EmptyLevel(
-                    f"parent {i} at level {k} keeps no certified children")
-            counts.append(strict)
-            masses.append(iv.mass / strict)
-            ambiguous += loose - strict
-        return HierarchyLevel(
-            k=k, n_k=n_signed, half_fp=half, count=sum(counts), intervals=None,
-            child_counts=tuple(counts), child_mass=tuple(masses),
-            ambiguous=ambiguous)
-
-    def _enumerated_level(self, n_signed, k, half, g, res, p_lo, p_hi,
-                          parent, final: bool) -> HierarchyLevel:
-        scale = self.scale
-        step = (self.m * self.w) % scale
-        c = (self.w * (self.m * p_lo + res)) % scale
-
-        if parent is None:
-            children = []
-            mass = Fraction(1, p_hi - p_lo + 1)
-            for p in range(p_lo, p_hi + 1):
-                children.append(LevelInterval(
-                    j=self.m * p + res, center_fp=c, mass=mass, parent=0))
-                c = (c + step) % scale
-            children.sort(key=lambda iv: iv.center_fp)
-            return HierarchyLevel(
-                k=k, n_k=n_signed, half_fp=half, count=len(children),
-                intervals=tuple(children))
-
-        centers = [iv.center_fp for iv in parent.intervals]
+    def _scan(self, res, p_lo, p_hi, centers, allow, masses):
+        """One pass over the lattice: each point within `allow` of one of
+        the (sorted) parent centers becomes an interval carrying that
+        parent's per-child mass.  Returned sorted by center."""
+        scale, m = self.scale, self.m
+        step = (m * self.w) % scale
+        c = (self.w * (m * p_lo + res)) % scale
         n_parents = len(centers)
-        allow = parent.half_fp - half
-        strict_allow = allow - g
-        loose_allow = allow + g
-        per_parent: List[List[Tuple[int, int]]] = [[] for _ in range(n_parents)]
-        ambiguous = 0
+        children = []
         for p in range(p_lo, p_hi + 1):
             i = bisect_right(centers, c)
-            cands = ((i - 1) % n_parents,) if n_parents == 1 else \
-                ((i - 1) % n_parents, i % n_parents)
-            hit = -1
-            near = False
-            for cand in cands:
+            for cand in ((i - 1) % n_parents, i % n_parents):
                 d = (c - centers[cand]) % scale
-                d = min(d, scale - d)
-                if d <= strict_allow:
-                    hit = cand
+                if min(d, scale - d) <= allow:
+                    children.append(LevelInterval(
+                        j=m * p + res, center_fp=c, mass=masses[cand],
+                        parent=cand))
                     break
-                if d <= loose_allow:
-                    near = True
-            if hit >= 0:
-                per_parent[hit].append((c, self.m * p + res))
-            elif near:
-                ambiguous += 1
             c = (c + step) % scale
-
-        counts = [len(lst) for lst in per_parent]
-        for i, n_children in enumerate(counts):
-            if n_children == 0:
-                raise EmptyLevel(
-                    f"parent {i} at level {k} keeps no certified children")
-        total = sum(counts)
-        if total > self.materialize_cap:
-            if not final:
-                raise CapTooSmall(
-                    f"level {k} retains {total} intervals, above "
-                    f"materialize_cap={self.materialize_cap}, and deeper "
-                    "levels require a materialized parent")
-            masses = tuple(parent.intervals[i].mass / counts[i]
-                           for i in range(n_parents))
-            return HierarchyLevel(
-                k=k, n_k=n_signed, half_fp=half, count=total, intervals=None,
-                child_counts=tuple(counts), child_mass=masses,
-                ambiguous=ambiguous)
-        children = []
-        for i, lst in enumerate(per_parent):
-            mass = parent.intervals[i].mass / counts[i]
-            for c_fp, j in lst:
-                children.append(LevelInterval(
-                    j=j, center_fp=c_fp, mass=mass, parent=i))
         children.sort(key=lambda iv: iv.center_fp)
-        return HierarchyLevel(
-            k=k, n_k=n_signed, half_fp=half, count=total,
-            intervals=tuple(children), ambiguous=ambiguous)
+        return tuple(children)
 
     def hierarchy(self) -> CantorHierarchy:
         """The levels built so far, as a hierarchy."""
@@ -498,10 +454,11 @@ def build_hierarchy(omega: CirclePoint, mu, m: int,
                     ) -> CantorHierarchy:
     """Materialize the mass-carrying hierarchy for a selected sequence.
 
-    Levels are stored with their intervals while they fit the caps; the
-    deepest level may instead carry exact per-parent child counts and
-    masses computed by floor sums (an intermediate level that does not
-    fit raises CapTooSmall, since its children would need the geometry).
+    A level, level 1 included, is stored with its intervals when it fits
+    both caps; the deepest level may instead carry exact per-parent child
+    counts and masses computed by floor sums (an intermediate level that
+    does not fit raises CapTooSmall, since its children would need the
+    geometry).
     Masses split each parent's mass uniformly among its retained
     children, so they sum to exactly 1 at every level.
     """

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -154,14 +155,21 @@ def _check_float(name: str, value: Any, lo: float, hi: float,
     return v
 
 
-def _check_expr(name: str, value: Any) -> Any:
+def _check_expr(name: str, value: Any, lo: Optional[str] = None,
+                hi: Optional[str] = None) -> Any:
+    """A number or symbolic string that evaluates at 64 bits, strictly
+    inside (lo, hi) where those bounds (number specs) are given."""
     if not isinstance(value, (str, int, float)) or isinstance(value, bool):
         raise ConfigError(f"{name} must be a number or a symbolic string, "
                           f"got {_type_name(value)}")
     try:
-        eval_number(value, 64)
+        v = eval_number(value, 64)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(f"{name} is not a valid numeric expression: {exc}")
+    if ((lo is not None and not v > eval_number(lo, 64))
+            or (hi is not None and not v < eval_number(hi, 64))):
+        raise ConfigError(f"{name} must lie in ({lo or '-inf'}, "
+                          f"{hi or 'inf'}), got {value}")
     return value
 
 
@@ -174,10 +182,10 @@ def _check_polygon(spec: Any) -> Dict[str, Any]:
     kind = spec.get("kind", "rhombus")
     if kind not in ("rhombus", "parallelogram"):
         raise ConfigError(f"polygon kind must be rhombus or parallelogram, got {kind!r}")
-    out = {"kind": kind, "alpha": _check_expr("polygon.alpha", spec.get("alpha", _DEFAULT_POLYGON["alpha"])),
-           "side": _check_expr("polygon.side", spec.get("side", 1))}
+    out = {"kind": kind, "alpha": _check_expr("polygon.alpha", spec.get("alpha", _DEFAULT_POLYGON["alpha"]), "0", "pi/2"),
+           "side": _check_expr("polygon.side", spec.get("side", 1), "0")}
     if kind == "parallelogram":
-        out["base"] = _check_expr("polygon.base", spec.get("base", 1))
+        out["base"] = _check_expr("polygon.base", spec.get("base", 1), "0")
     elif "base" in spec:
         raise ConfigError("polygon.base only applies to parallelograms")
     return out
@@ -258,6 +266,8 @@ class ExperimentConfig:
             mu = opts["mu"]
             if isinstance(mu, bool) or not isinstance(mu, (int, float)):
                 raise ConfigError(f"mu must be a number, got {_type_name(mu)}")
+            if not math.isfinite(mu):
+                raise ConfigError(f"mu must be finite, got {mu}")
             if name == "thm2_cover" and not mu >= 1:
                 raise ConfigError(f"mu must be >= 1, got {mu}")
             if name == "cantor_dim" and not mu > 1:
@@ -320,7 +330,7 @@ class ExperimentConfig:
         if "cap_doubling" in opts and not isinstance(opts["cap_doubling"], bool):
             raise ConfigError("cap_doubling must be a boolean")
         if "control_alpha" in opts and opts["control_alpha"] is not None:
-            _check_expr("control_alpha", opts["control_alpha"])
+            _check_expr("control_alpha", opts["control_alpha"], "0", "pi/2")
         if name == "perp_orbits" and opts["polygon"]["kind"] != "rhombus":
             raise ConfigError("perp_orbits requires a rhombus polygon")
 

@@ -144,6 +144,14 @@ def test_matches_oracle_silver_fractional_exponent():
     assert h.sequence == (2, -5, 70)
 
 
+def test_matches_oracle_skips_empty_level():
+    # At step 2 the candidate -4 passes the density check but leaves a
+    # level-1 parent without a certified child, so selection moves on.
+    om = CirclePoint.make("sqrt(3)-1", BITS)
+    h = _assert_matches_oracle(om, 2, 1, 3, 0.6)
+    assert h.sequence == (1, -11, 571)
+
+
 # ---------------------------------------------------------------------------
 # selection
 # ---------------------------------------------------------------------------
@@ -356,8 +364,28 @@ def test_materialize_cap_collapses_to_counts():
 
 
 def test_intermediate_level_beyond_caps_is_refused():
-    with pytest.raises(CapTooSmall):
+    with pytest.raises(CapTooSmall, match="level 3 needs"):
         build_hierarchy(golden(), 2, 1, [1, -2, 13, -987], scan_cap=5)
+    # 200 certified children at level 3 fit the scan but not the store
+    with pytest.raises(CapTooSmall, match="level 3 retains 200"):
+        build_hierarchy(golden(), 2, 1, [1, -2, 1597, -121393],
+                        materialize_cap=100)
+
+
+@pytest.mark.parametrize("caps", [{"scan_cap": 5}, {"materialize_cap": 5}])
+def test_root_level_obeys_both_caps(caps):
+    # Level 1 of [13] has 14 lattice points, above either cap: as the final
+    # level it is counted, its one parent being the whole circle, and below
+    # it no level can be built.
+    h = build_hierarchy(golden(), 2, 1, [13], **caps)
+    root = h.levels[0]
+    assert not root.materialized and root.count == 14
+    assert root.child_counts == (14,) == h.children_per_parent(1)
+    assert root.child_mass == (Fraction(1, 14),)
+    assert h.to_json_obj()["levels"][0]["per_parent"] == [
+        {"parent_center": None, "child_count": 14, "child_mass": "1/14"}]
+    with pytest.raises(CapTooSmall):
+        build_hierarchy(golden(), 2, 1, [13, -987], **caps)
 
 
 # ---------------------------------------------------------------------------

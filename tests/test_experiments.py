@@ -102,6 +102,16 @@ def test_declared_experiment_must_match():
     ("minkowski_scan", {"pairs": "many"}),
     ("thm2_cover", {"mu": 1.0, "eps": 0.6}),  # needs 1/(mu+1) + eps <= 1
     ("thm1_cover", {"eps": 0.6}),           # s = null needs 0.5 + eps <= 1
+    ("thm1_cover", {"control_alpha": 2}),   # needs 0 < alpha < pi/2
+    ("thm1_cover", {"control_alpha": "pi/2"}),
+    ("thm1_cover", {"polygon": {"kind": "rhombus", "alpha": "-1"}}),
+    ("thm1_cover", {"polygon": {"kind": "rhombus", "alpha": "pi/2"}}),
+    ("thm1_cover", {"polygon": {"kind": "rhombus", "alpha": "1.0",
+                                "side": 0}}),
+    ("thm2_cover", {"polygon": {"kind": "parallelogram", "alpha": "1.0",
+                                "base": "-1/2", "side": 1}}),
+    ("cantor_dim", {"mu": float("inf")}),   # JSON reads Infinity
+    ("thm2_cover", {"mu": float("inf")}),
 ])
 def test_invalid_values_rejected(experiment, options):
     with pytest.raises(ConfigError):
