@@ -42,11 +42,12 @@ from .intervals import DEFAULT_PRECISION, IntervalUnion
 
 _LAUNCH = -1  # pseudo source-side index: beam resting on a cross-section
 
-# Internal beam-state tuples: (side, lo, hi, eps, n, sgn, disp, refl, hist)
-# with lo/hi/disp fixed-point ints, c_now = sgn * c_source + disp, and hist
-# a cons list ((entry, parent) chains) or None.  Beams in flight, finished
-# beams and vertex slivers all use this layout; the list holding a state
-# gives its status.
+# Internal beam-state tuples: (side, lo, hi, n, disp, refl) with lo/hi/disp
+# fixed-point ints.  Every launch rests on a section with an even ``refl``
+# and each reflection flips the orientation, so with s = (-1)**refl the
+# beam travels in direction s*theta + 2*n*alpha and c_now = s*c_source +
+# disp.  Beams in flight, finished beams and vertex slivers all use this
+# layout; the list holding a state gives its status.
 
 
 class SideClass(Enum):
@@ -318,9 +319,7 @@ class Beam:
     ``source_lo``/``source_hi`` bound its exact preimage on the base
     section where the beam was launched.  ``direction`` equals
     theta + 2*level*alpha (mod 2*pi) whenever the status is not
-    VERTEX_UNCERTAIN.  ``history``, when recorded, lists
-    (reflections, side, level, lo, hi) snapshots taken each time the beam
-    lands on a section.
+    VERTEX_UNCERTAIN.
     """
 
     lo: mpf
@@ -331,7 +330,6 @@ class Beam:
     status: BeamStatus
     source_lo: Optional[mpf] = None
     source_hi: Optional[mpf] = None
-    history: Optional[Tuple[Tuple[int, int, int, mpf, mpf], ...]] = None
 
 
 def beam_on_section(q: GeneralizedParallelogram, theta, lo, hi,
@@ -403,19 +401,21 @@ class _Tracer:
 
     # -- directions ---------------------------------------------------
 
-    def _phi(self, eps: int, n: int) -> mpf:
+    def _phi(self, odd: int, n: int) -> mpf:
+        """Direction after a reflection count of parity ``odd``."""
         with mp.workprec(self.P + 64):
-            return (eps * self.theta + 2 * n * self.alpha) % self.two_pi
+            theta = -self.theta if odd else self.theta
+            return (theta + 2 * n * self.alpha) % self.two_pi
 
-    def _table(self, eps: int, n: int, side: int) -> _Table:
+    def _table(self, odd: int, n: int, side: int) -> _Table:
         if self.b_mod is not None:
             n %= self.b_mod
-        key = (eps, n, side)
+        key = (odd, n, side)
         tbl = self.tables.get(key)
         if tbl is None:
             if len(self.tables) > _TABLE_CACHE_LIMIT:
                 self.tables.clear()
-            tbl = self.tables[key] = self._build_table(eps, n, side)
+            tbl = self.tables[key] = self._build_table(odd, n, side)
         return tbl
 
     # -- geometry -----------------------------------------------------
@@ -458,13 +458,13 @@ class _Tracer:
             return (-phi) % self.two_pi
         return (2 * self.alpha - phi) % self.two_pi
 
-    def _build_table(self, eps: int, n: int, side: int) -> _Table:
+    def _build_table(self, odd: int, n: int, side: int) -> _Table:
         P = self.P
         q = self.q
         verts = q.vertices
         m = len(verts)
         with mp.workprec(P + 64):
-            phi = self._phi(eps, n)
+            phi = self._phi(odd, n)
             gtol = mpf(2) ** (-(P // 2))
             if abs(mp.sin(phi)) < gtol or abs(mp.sin(phi - self.alpha)) < gtol:
                 raise DegenerateDirection(
@@ -572,8 +572,8 @@ class _Tracer:
         as states carrying the parent's metadata.  Children + slivers
         partition the parent exactly.
         """
-        side, lo, hi, eps, n, sgn, disp, refl, hist = st
-        tbl = self._table(eps, n, side)
+        side, lo, hi, n, disp, refl = st
+        tbl = self._table(refl & 1, n, side)
         los, his = tbl.los, tbl.his
         children = []
         slivers = []
@@ -589,16 +589,16 @@ class _Tracer:
             a = max(pos, los[i])
             b = min(hi, his[i])
             if a > pos:
-                slivers.append((side, pos, a, eps, n, sgn, disp, refl, hist))
+                slivers.append((side, pos, a, n, disp, refl))
             if b > a:
                 delta = tbl.deltas[i]
                 n2 = -n if tbl.classes[i] == 0 else 1 - n
-                children.append((tbl.targets[i], delta - b, delta - a,
-                                 -eps, n2, -sgn, delta - disp, refl + 1, hist))
+                children.append((tbl.targets[i], delta - b, delta - a, n2,
+                                 delta - disp, refl + 1))
             pos = b
             i += 1
         if pos < hi:
-            slivers.append((side, pos, hi, eps, n, sgn, disp, refl, hist))
+            slivers.append((side, pos, hi, n, disp, refl))
         return children, slivers
 
     def _is_return(self, n: int) -> bool:
@@ -607,11 +607,11 @@ class _Tracer:
         return self.b_mod is not None and n % self.b_mod == 0
 
     def launch_span(self) -> Tuple[int, int]:
-        tbl = self._table(1, 0, _LAUNCH)
+        tbl = self._table(0, 0, _LAUNCH)
         return tbl.dom_lo, tbl.dom_hi
 
     def require_single_chord(self, level: int = 0):
-        tbl = self._table(1, level, _LAUNCH)
+        tbl = self._table(0, level, _LAUNCH)
         if tbl.max_chords > 1:
             raise ValueError(
                 "dynamic operations need every stabbing line to cross the "
@@ -619,7 +619,7 @@ class _Tracer:
                 "is non-convex in the transversal sense here")
 
     def trace_states(self, states, *, n_cap: Optional[int],
-                     reflection_cap: int, record_history: bool = False):
+                     reflection_cap: int):
         """Drive beam states to terminal statuses.
 
         Returns (out, max_refl) where out maps each status name to the
@@ -634,15 +634,12 @@ class _Tracer:
             children, slivers = self._advance(stack.pop())
             out["uncertain"].extend(slivers)
             for ch in children:
-                side, lo, hi, eps, n, sgn, disp, refl, hist = ch
+                _, _, _, n, _, refl = ch
                 if refl & 1:
                     stack.append(ch)
                     continue
                 if refl > max_refl:
                     max_refl = refl
-                if record_history:
-                    hist = ((refl, side, n, lo, hi), hist)
-                    ch = (side, lo, hi, eps, n, sgn, disp, refl, hist)
                 if self._is_return(n):
                     returned.append(ch)
                 elif n_cap is not None and abs(n) > n_cap:
@@ -663,22 +660,22 @@ class _Tracer:
         several chords.
         """
         self.require_single_chord(level)
-        tbl = self._table(1, level, _LAUNCH)
+        tbl = self._table(0, level, _LAUNCH)
         out, _ = self.trace_states(
-            [(_LAUNCH, tbl.dom_lo, tbl.dom_hi, 1, level, 1, 0, 0, None)],
+            [(_LAUNCH, tbl.dom_lo, tbl.dom_hi, level, 0, 0)],
             n_cap=None, reflection_cap=2)
         buckets = {1: [], 0: [], -1: []}
         for st in out["returned"] + out["active"]:
-            buckets[st[4] - level].append(st)
+            buckets[st[3] - level].append(st)
         return (buckets[1], buckets[0], buckets[-1]), out["uncertain"]
 
     # -- finalization ----------------------------------------------------
 
     def source_pair(self, st) -> Tuple[int, int]:
-        _, lo, hi, _, _, sgn, disp, _, _ = st
-        if sgn == 1:
-            return lo - disp, hi - disp
-        return disp - hi, disp - lo
+        _, lo, hi, _, disp, refl = st
+        if refl & 1:
+            return disp - hi, disp - lo
+        return lo - disp, hi - disp
 
     def source_union(self, states) -> IntervalUnion:
         P = self.P
@@ -690,22 +687,14 @@ class _Tracer:
 
     def to_beam(self, status: str, st) -> Beam:
         """Public beam for a state listed under ``status`` by trace_states."""
-        _, lo, hi, eps, n, _, _, refl, hist = st
+        _, lo, hi, n, _, refl = st
         s_lo, s_hi = self.source_pair(st)
         P = self.P
-        entries = []
-        node = hist
-        while node is not None:
-            entry, node = node
-            r, side, lev, l_i, h_i = entry
-            entries.append((r, side, lev, from_fixed(l_i, P), from_fixed(h_i, P)))
-        entries.reverse()
-        # eps is 1 on every section; a sliver may stop between reflections
+        # refl is even on every section; a sliver may stop between reflections
         return Beam(lo=from_fixed(lo, P), hi=from_fixed(hi, P), level=n,
-                    direction=self._phi(eps, n), reflections=refl,
+                    direction=self._phi(refl & 1, n), reflections=refl,
                     status=_BEAM_STATUS[status],
-                    source_lo=from_fixed(s_lo, P), source_hi=from_fixed(s_hi, P),
-                    history=tuple(entries) if entries else None)
+                    source_lo=from_fixed(s_lo, P), source_hi=from_fixed(s_hi, P))
 
 
 # --------------------------------------------------------------------------
@@ -720,7 +709,7 @@ def cross_section(q: GeneralizedParallelogram, theta) -> CrossSection:
     when theta is parallel to a side class within the precision guard.
     """
     tracer = _Tracer(q, theta)
-    tbl = tracer._table(1, 0, _LAUNCH)
+    tbl = tracer._table(0, 0, _LAUNCH)
     P = tracer.P
     with mp.workprec(P + 16):
         pieces = tuple((from_fixed(lo, P), from_fixed(hi, P), ch)
@@ -750,8 +739,7 @@ def partition_udr(q: GeneralizedParallelogram, theta,
 
 
 def trace_beam(q: GeneralizedParallelogram, beam: Beam, n_cap: int,
-               reflection_cap: int, *, record_history: bool = False,
-               ) -> List[Beam]:
+               reflection_cap: int) -> List[Beam]:
     """Propagate a beam through reflection pairs until every child
     returns to level 0, escapes past level +-(n_cap+1), runs out of
     reflection budget (status ACTIVE), or lands in a vertex guard.
@@ -772,11 +760,9 @@ def trace_beam(q: GeneralizedParallelogram, beam: Beam, n_cap: int,
     tracer = _Tracer(q, theta)
     tracer.require_single_chord(beam.level)
     lo_i, hi_i = to_fixed(beam.lo, bits), to_fixed(beam.hi, bits)
-    state = (_LAUNCH, lo_i, hi_i, 1, beam.level, 1, 0, beam.reflections,
-             None)
+    state = (_LAUNCH, lo_i, hi_i, beam.level, 0, beam.reflections)
     out, _ = tracer.trace_states([state], n_cap=n_cap,
-                                 reflection_cap=reflection_cap,
-                                 record_history=record_history)
+                                 reflection_cap=reflection_cap)
     children = [tracer.to_beam(status, st)
                 for status, states in out.items() for st in states]
     children.sort(key=lambda b: (b.source_lo, b.source_hi))
@@ -798,7 +784,6 @@ class EscapeReport:
     """
 
     N: int
-    variant: str
     j_N: int
     gate_width: mpf
     cohort_width: mpf
@@ -807,11 +792,9 @@ class EscapeReport:
     d_width: mpf
     returned: IntervalUnion
     f_n_upper: IntervalUnion
-    slivers: IntervalUnion
     active: IntervalUnion
     uncertain: IntervalUnion
     budget_exhausted: bool
-    reflection_cap: int
     max_reflections: int
 
 
@@ -858,31 +841,28 @@ def escape_sets(q: GeneralizedParallelogram, theta, ns: Sequence[int],
         f_n = tracer.source_union(out["escaped"])
         returned_u = tracer.source_union(returned)
         active_u = tracer.source_union(active)
-        slivers_u = tracer.source_union(slivers)
         # the gate: the departing part of the level -+N section, split by
         # the same tracer (and tables) the cohort was traced with
         (g_u, _, g_d), _ = tracer.partition_states(-N if variant == "down" else N)
         gate_width = tracer.source_union(
             g_d if variant == "down" else g_u).total_length
         yield f_n, EscapeReport(
-            N=N, variant=variant,
-            j_N=len(returned) + len(out["escaped"]) + len(active),
+            N=N, j_N=len(returned) + len(out["escaped"]) + len(active),
             gate_width=gate_width,
             cohort_width=cohort_union.total_length,
             u_width=u_union.total_length, r_width=r_union.total_length,
             d_width=d_union.total_length,
             returned=returned_u, f_n_upper=cohort_union.subtract(returned_u),
-            slivers=slivers_u, active=active_u,
-            uncertain=slivers_u.union(active_u),
-            budget_exhausted=bool(active),
-            reflection_cap=reflection_cap, max_reflections=max_refl)
+            active=active_u,
+            uncertain=tracer.source_union(slivers).union(active_u),
+            budget_exhausted=bool(active), max_reflections=max_refl)
 
         # An escaped state sits at level -+(N+1), inside every later cap,
         # where a single deeper trace would have gone on from it: to the
         # stack, or, once its budget is spent, straight to active.
         stack = []
         for st in out["escaped"]:
-            (active if st[7] >= reflection_cap else stack).append(st)
+            (active if st[5] >= reflection_cap else stack).append(st)
 
 
 def escape_set(q: GeneralizedParallelogram, theta, N: int,
@@ -929,10 +909,10 @@ def perpendicular_periodicity(q: GeneralizedParallelogram, samples: int,
         # finishes as exactly one state, whose lo is the ray's position
         # after an even number of reflections.
         out, _ = tracer.trace_states(
-            [(_LAUNCH, c0, c0 + 1, 1, 0, 1, 0, 0, None)],
+            [(_LAUNCH, c0, c0 + 1, 0, 0, 0)],
             n_cap=None, reflection_cap=reflection_cap)
         status, (st,) = next((k, v) for k, v in out.items() if v)
-        return status, st[1], st[7], st[6]
+        return status, st[1], st[5], st[4]
 
     counts = {"returned": 0, "uncertain": 0, "active": 0}
     first_returns = []

@@ -58,9 +58,9 @@ def _eval_node(node: ast.AST, source: str) -> mpf:
     if isinstance(node, ast.Name) and node.id in _EVAL_CONSTANTS:
         return mpf(_EVAL_CONSTANTS[node.id])
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in _EVAL_FUNCTIONS and not node.keywords):
-        return _EVAL_FUNCTIONS[node.func.id](
-            *(_eval_node(arg, source) for arg in node.args))
+            and node.func.id in _EVAL_FUNCTIONS and len(node.args) == 1
+            and not node.keywords):
+        return _EVAL_FUNCTIONS[node.func.id](_eval_node(node.args[0], source))
     raise ValueError(f"unsupported element {ast.get_source_segment(source, node)!r} "
                      "in number spec")
 
@@ -71,11 +71,12 @@ def eval_number(x: NumberLike, precision_bits: int = DEFAULT_PRECISION) -> mpf:
     Strings may be plain rationals or decimals ("1/3", "0.7" — parsed
     exactly, no float rounding) or expressions built from numeric
     literals, + - * / **, unary + and -, parentheses, the constants pi, e,
-    phi and calls of sqrt(), log(), exp(), sin(), cos(); anything else
-    raises ValueError, as does a value that is not a finite real
-    ("sqrt(-2)", "log(0)", NaN).  Numeric literals inside expressions are
-    promoted to working precision before any arithmetic, so "1.4/pi"
-    means the decimal 1.4, not its 53-bit rounding.
+    phi and one-argument calls of sqrt(), log(), exp(), sin(), cos();
+    anything else raises ValueError, as does a division by zero ("1/0",
+    "0**-1") or a value that is not a finite real ("sqrt(-2)", "log(0)",
+    NaN).  Numeric literals inside expressions are promoted to working
+    precision before any arithmetic, so "1.4/pi" means the decimal 1.4,
+    not its 53-bit rounding.
     """
     with mp.workprec(precision_bits + 16):
         value = _eval_spec(x)
@@ -99,6 +100,8 @@ def _eval_spec(x: NumberLike):
         except (SyntaxError, RecursionError) as exc:
             raise ValueError(f"malformed or too deeply nested number spec "
                              f"{x[:80]!r}") from exc
+        except ZeroDivisionError as exc:
+            raise ValueError(f"number spec {x[:80]!r} divides by zero") from exc
     if isinstance(x, Fraction):
         return mpf(x.numerator) / x.denominator
     return mpf(x)

@@ -144,13 +144,11 @@ def _check_int(name: str, value: Any, lo: int = 1, hi: Optional[int] = None) -> 
     return value
 
 
-def _check_float(name: str, value: Any, lo: float, hi: float,
-                 *, open_ends: bool = True) -> float:
+def _check_float(name: str, value: Any, lo: float, hi: float) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {_type_name(value)}")
     v = float(value)
-    inside = lo < v < hi if open_ends else lo <= v <= hi
-    if not inside:
+    if not lo < v < hi:
         raise ConfigError(f"{name} must lie in ({lo}, {hi}), got {value}")
     return v
 
@@ -164,7 +162,7 @@ def _check_expr(name: str, value: Any, lo: Optional[str] = None,
                           f"got {_type_name(value)}")
     try:
         v = eval_number(value, 64)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{name} is not a valid numeric expression: {exc}")
     if ((lo is not None and not v > eval_number(lo, 64))
             or (hi is not None and not v < eval_number(hi, 64))):
@@ -298,10 +296,11 @@ class ExperimentConfig:
                 raise ConfigError(f"cover exponent 1/(mu+1) + eps must be <= 1, "
                                   f"got {s_main:g}")
         if "schedule_shrink" in opts:
-            _check_float("schedule_shrink", opts["schedule_shrink"], 0.0, 1.0,
-                         open_ends=False)
-            if opts["schedule_shrink"] <= 0:
-                raise ConfigError("schedule_shrink must be positive")
+            shrink = opts["schedule_shrink"]
+            if (isinstance(shrink, bool) or not isinstance(shrink, (int, float))
+                    or not 0 < shrink <= 1):
+                raise ConfigError(f"schedule_shrink must be a number in (0, 1], "
+                                  f"got {shrink!r}")
         if "ratio_floor" in opts and opts["ratio_floor"] is not None:
             _check_float("ratio_floor", opts["ratio_floor"], 0.0, 1.0)
         if "threshold" in opts:
@@ -371,12 +370,15 @@ class RunReport:
     """Outcome of one experiment run, ready for serialization."""
 
     experiment: str
-    passed: bool
     violations: List[str]
     notes: List[str]
     tables: Dict[str, Tuple[str, List[str]]]
     data: Dict[str, Any]
     config: ExperimentConfig = field(repr=False)
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
 def _fmt(x, digits: int = 20) -> str:
@@ -592,7 +594,7 @@ def run_thm1(cfg: ExperimentConfig) -> RunReport:
     data = {"s": _fmt(s), "delta": _fmt(delta), "eps": _fmt(eps),
             "theta": _fmt_full(d.theta, bits), "omega": _fmt_full(om.value, bits),
             "sides": sides, "control": control}
-    return RunReport("thm1_cover", not violations, violations, notes,
+    return RunReport("thm1_cover", violations, notes,
                      {"covers": (_COVER_HEADER, rows)}, data, cfg)
 
 
@@ -745,8 +747,7 @@ def run_thm2(cfg: ExperimentConfig) -> RunReport:
                       wit_rows),
         "covers": (_COVER_HEADER, cover_rows),
     }
-    return RunReport("thm2_cover", not violations, violations, notes,
-                     tables, data, cfg)
+    return RunReport("thm2_cover", violations, notes, tables, data, cfg)
 
 
 # --------------------------------------------------------------------------
@@ -819,8 +820,7 @@ def run_cantor(cfg: ExperimentConfig) -> RunReport:
         "separation": ("level,n_k,orbit_min,measured_min,claimed_bound,"
                        "claimed_ok,companion_bound,companion_ok", sep_rows),
     }
-    return RunReport("cantor_dim", not violations, violations, notes,
-                     tables, data, cfg)
+    return RunReport("cantor_dim", violations, notes, tables, data, cfg)
 
 
 # --------------------------------------------------------------------------
@@ -854,7 +854,7 @@ def run_ubiquity(cfg: ExperimentConfig) -> RunReport:
             "coverage_constant": _fmt(K), "eps": _fmt(eps),
             "n_values": list(cfg.n_values),
             "deficiencies": [_fmt(v, 15) for v in deficiencies]}
-    return RunReport("ubiquity", not violations, violations, notes,
+    return RunReport("ubiquity", violations, notes,
                      {"deficiency": ("n,rho,deficiency", rows)}, data, cfg)
 
 
@@ -887,7 +887,7 @@ def run_minkowski(cfg: ExperimentConfig) -> RunReport:
             "min_solutions_required": cfg.min_solutions,
             "min_count": min(counts) if counts else 0,
             "max_count": max(counts) if counts else 0}
-    return RunReport("minkowski_scan", not violations, violations, notes,
+    return RunReport("minkowski_scan", violations, notes,
                      {"pairs": ("index,t,omega,count,positive_p,negative_p",
                                 rows)},
                      data, cfg)
@@ -945,7 +945,7 @@ def run_perp(cfg: ExperimentConfig) -> RunReport:
     header = ("reflection_cap,samples,returned,vertex_uncertain,"
               "budget_exhausted,periodic_fraction,undecided_fraction,"
               "retrace_checked,retrace_returned,retrace_exact")
-    return RunReport("perp_orbits", not violations, violations, notes,
+    return RunReport("perp_orbits", violations, notes,
                      {"periodicity": (header, rows)}, data, cfg)
 
 
@@ -1021,7 +1021,7 @@ def run_audits(cfg: ExperimentConfig) -> RunReport:
                            "claimed_ok,true_bound,true_ok", gap_rows),
         "packing": ("index,j,count,bound_3j,ok", example_rows),
     }
-    return RunReport("three_distance_audit", not violations, violations, notes,
+    return RunReport("three_distance_audit", violations, notes,
                      tables, data, cfg)
 
 

@@ -323,7 +323,7 @@ def test_trace_beam_isometry_per_child():
             assert (k.hi - k.lo) == (k.source_hi - k.source_lo)
 
 
-def test_trace_beam_bounce_back_history_stays_level_zero():
+def test_trace_beam_bounce_back_returns_after_one_pair():
     # at theta = 2.2 the middle of the section bounces between the two
     # side classes' same-class pairs and returns immediately
     q = unit_rhombus()
@@ -333,11 +333,10 @@ def test_trace_beam_bounce_back_history_stays_level_zero():
     with mp.workprec(300):
         pad = (hi - lo) / 1000
         beam = B.beam_on_section(q, "2.2", lo + pad, hi - pad)
-    kids = B.trace_beam(q, beam, 2, 1000, record_history=True)
+    kids = B.trace_beam(q, beam, 2, 1000)
     assert all(k.status is BeamStatus.RETURNED for k in kids)
     assert all(k.reflections == 2 for k in kids)
-    for k in kids:
-        assert all(level == 0 for _, _, level, _, _ in k.history)
+    assert all(k.level == 0 for k in kids)
 
 
 def test_trace_beam_splits_across_vertex_shadow():
@@ -374,20 +373,20 @@ def test_trace_beam_same_time_fragments_disjoint():
     q = unit_rhombus()
     cs = B.cross_section(q, "0.9")
     (lo, hi), = cs.segments.intervals
-    kids = B.trace_beam(q, B.beam_on_section(q, "0.9", lo, hi), 3, 60,
-                        record_history=True)
+    beam = B.beam_on_section(q, "0.9", lo, hi)
     # rays at the same reflection count and level share one section line,
-    # so their fragments' intervals must be disjoint
-    snapshots = {}
-    for k in kids:
-        for refl, _, level, slo, shi in (k.history or ()):
-            snapshots.setdefault((refl, level), set()).add((slo, shi))
+    # so the fragments landing there at the cap must be disjoint
     checked = 0
-    for group in snapshots.values():
-        group = sorted(group)
-        for (a_lo, a_hi), (b_lo, b_hi) in zip(group, group[1:]):
-            assert a_hi <= b_lo  # identical ancestors dedupe; others disjoint
-            checked += 1
+    for cap in range(2, 61, 2):
+        landed = {}
+        for k in B.trace_beam(q, beam, 3, cap):
+            if k.reflections == cap:
+                landed.setdefault(k.level, []).append((k.lo, k.hi))
+        for group in landed.values():
+            group.sort()
+            for (a_lo, a_hi), (b_lo, b_hi) in zip(group, group[1:]):
+                assert a_hi <= b_lo
+                checked += 1
     assert checked > 0
 
 
@@ -497,7 +496,7 @@ def test_side_sequences_match_float_geometry(alpha, theta):
         c0 = lo + (j * span) // 997
         # a one-ulp ray never splits; read the target side of every
         # reflection, odd ones included, until it returns
-        st = (_LAUNCH, c0, c0 + 1, 1, 0, 1, 0, 0, None)
+        st = (_LAUNCH, c0, c0 + 1, 0, 0, 0)
         engine_sides = []
         while len(engine_sides) < 40:
             children, _ = tracer._advance(st)
@@ -505,7 +504,7 @@ def test_side_sequences_match_float_geometry(alpha, theta):
                 break
             (st,) = children
             engine_sides.append(st[0])
-            if not st[7] & 1 and tracer._is_return(st[4]):
+            if not st[5] & 1 and tracer._is_return(st[3]):
                 break
         oracle_sides = _float_trace(
             verts_f, float(mpf(tracer.theta)),
@@ -643,6 +642,26 @@ def test_escape_sets_match_independent_traces(bits):
                         (theta, variant, cap, n)
 
 
+def test_escape_sets_survive_table_cache_eviction(monkeypatch):
+    # a tiny cache limit clears the tables again and again mid-trace;
+    # rebuilt tables must give the same escape sets and reports
+    q = B.rhombus("pi*(sqrt(5)-1)/4", 1, precision_bits=128)
+    builds = []
+    build_table = _Tracer._build_table
+
+    def counting_build(self, *key):
+        builds.append(key)
+        return build_table(self, *key)
+
+    monkeypatch.setattr(_Tracer, "_build_table", counting_build)
+    want = list(B.escape_sets(q, "0.3", [1, 2, 3], 1000))
+    unpatched_builds = len(builds)
+    builds.clear()
+    monkeypatch.setattr(B, "_TABLE_CACHE_LIMIT", 2)
+    assert list(B.escape_sets(q, "0.3", [1, 2, 3], 1000)) == want
+    assert len(builds) > unpatched_builds
+
+
 @pytest.mark.parametrize("ns", [[], [0, 2], [2, 2], [3, 1]])
 def test_escape_sets_reject_bad_schedules(ns):
     with pytest.raises(ValueError):
@@ -685,7 +704,7 @@ def test_escape_set_measure_preserved_between_source_and_image():
     out, _ = tracer.trace_states(d, n_cap=4, reflection_cap=100000)
     with mp.workprec(320):
         for rec in out["returned"] + out["escaped"]:
-            _, lo, hi, _, _, _, _, _, _ = rec
+            _, lo, hi, _, _, _ = rec
             s_lo, s_hi = tracer.source_pair(rec)
             assert hi - lo == s_hi - s_lo  # exact isometry, image vs source
 

@@ -104,6 +104,10 @@ def test_eval_number_readme_forms(spec, direct, bits):
     "log(-1)",
     "(-8)**(1/3)",
     "log(0)",
+    "1/0",                                                # division by zero
+    "0**-1",
+    "sqrt(1,2)",                                          # wrong arity
+    "sqrt()",
 ])
 def test_eval_number_rejects_everything_else(spec):
     with pytest.raises(ValueError):

@@ -118,6 +118,13 @@ def test_invalid_values_rejected(experiment, options):
         make_cfg(experiment, **options)
 
 
+@pytest.mark.parametrize("shrink", [0, 1.5])
+def test_schedule_shrink_bound_is_half_open(shrink):
+    with pytest.raises(ConfigError, match=r"must be a number in \(0, 1\]"):
+        make_cfg("thm1_cover", schedule_shrink=shrink)
+    assert make_cfg("thm1_cover", schedule_shrink=1.0).schedule_shrink == 1.0
+
+
 def test_to_json_obj_round_trips_and_copies():
     cfg = make_cfg("ubiquity", n_values=[10, 20, 40])
     obj = cfg.to_json_obj()
