@@ -26,7 +26,7 @@ from .circle import (CirclePoint, ContinuedFractionExpansion,
                      continued_fraction, eval_number, min_orbit_distance)
 from .errors import CapTooSmall, DepthUnreachable, EmptyLevel
 from .fixedpoint import count_arc, from_fixed, to_fixed
-from .intervals import IntervalUnion, _fmt, circle_pairs
+from .intervals import IntervalUnion, _dps_for, circle_pairs, fmt
 
 __all__ = [
     "CantorHierarchy",
@@ -167,20 +167,21 @@ class CantorHierarchy:
 
     def to_json_obj(self) -> dict:
         bits = self.precision_bits
+        digits = _dps_for(bits)
         levels = []
         for i, lev in enumerate(self.levels):
             entry = {
                 "k": lev.k,
                 "n_k": lev.n_k,
                 "count": lev.count,
-                "length": _fmt(self.nominal_length(lev.k), bits),
+                "length": fmt(self.nominal_length(lev.k), digits),
                 "ambiguous_discarded": lev.ambiguous,
             }
             if lev.intervals is not None:
                 h = from_fixed(lev.half_fp, bits)
                 entry["intervals"] = [
-                    {"center": _fmt(from_fixed(iv.center_fp, bits), bits),
-                     "half_width": _fmt(h, bits),
+                    {"center": fmt(from_fixed(iv.center_fp, bits), digits),
+                     "half_width": fmt(h, digits),
                      "mass": str(iv.mass)}
                     for iv in lev.intervals]
             else:
@@ -188,14 +189,14 @@ class CantorHierarchy:
                 parents = self.levels[i - 1].intervals if i else (None,)
                 entry["per_parent"] = [
                     {"parent_center": None if p is None
-                     else _fmt(from_fixed(p.center_fp, bits), bits),
+                     else fmt(from_fixed(p.center_fp, bits), digits),
                      "child_count": c,
                      "child_mass": str(w)}
                     for p, c, w in zip(parents, lev.child_counts, lev.child_mass)]
             levels.append(entry)
         return {
-            "omega": _fmt(self.omega.value, bits),
-            "mu": _fmt(self.mu, bits),
+            "omega": fmt(self.omega.value, digits),
+            "mu": fmt(self.mu, digits),
             "m": self.m,
             "precision_bits": bits,
             "sequence": list(self.sequence),

@@ -44,15 +44,29 @@ _EVAL_OPERATORS = {
 }
 
 
+#: Every literal and intermediate value of a number spec, and every value
+#: eval_number returns, has mp.mag(x) <= _MAX_MAG, that is |x| < 2^1024.
+#: Without the bound a short spec such as "sin(1e1000000)" needs millions
+#: of bits of pi and runs far longer than a config check may.
+_MAX_MAG = 1024
+
+
+def _bounded(value, spec: str):
+    if mp.mag(value) > _MAX_MAG:
+        raise ValueError(f"number spec {spec[:80]!r} has a value of magnitude "
+                         f"2**{_MAX_MAG} or more")
+    return value
+
+
 def _eval_node(node: ast.AST, source: str) -> mpf:
     """Evaluate one node of a parsed number spec at the current precision."""
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         # Promote from the source digits: "1.4" is the decimal 1.4, not
         # its 53-bit rounding.
-        return mpf(ast.get_source_segment(source, node))
+        return _bounded(mpf(ast.get_source_segment(source, node)), source)
     if isinstance(node, ast.BinOp) and type(node.op) in _EVAL_OPERATORS:
-        return _EVAL_OPERATORS[type(node.op)](_eval_node(node.left, source),
-                                              _eval_node(node.right, source))
+        return _bounded(_EVAL_OPERATORS[type(node.op)](
+            _eval_node(node.left, source), _eval_node(node.right, source)), source)
     if isinstance(node, ast.UnaryOp) and type(node.op) in _EVAL_OPERATORS:
         return _EVAL_OPERATORS[type(node.op)](_eval_node(node.operand, source))
     if isinstance(node, ast.Name) and node.id in _EVAL_CONSTANTS:
@@ -60,7 +74,8 @@ def _eval_node(node: ast.AST, source: str) -> mpf:
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in _EVAL_FUNCTIONS and len(node.args) == 1
             and not node.keywords):
-        return _EVAL_FUNCTIONS[node.func.id](_eval_node(node.args[0], source))
+        return _bounded(_EVAL_FUNCTIONS[node.func.id](
+            _eval_node(node.args[0], source)), source)
     raise ValueError(f"unsupported element {ast.get_source_segment(source, node)!r} "
                      "in number spec")
 
@@ -68,32 +83,26 @@ def _eval_node(node: ast.AST, source: str) -> mpf:
 def eval_number(x: NumberLike, precision_bits: int = DEFAULT_PRECISION) -> mpf:
     """Evaluate a numeric spec at the requested binary precision.
 
-    Strings may be plain rationals or decimals ("1/3", "0.7" — parsed
-    exactly, no float rounding) or expressions built from numeric
-    literals, + - * / **, unary + and -, parentheses, the constants pi, e,
-    phi and one-argument calls of sqrt(), log(), exp(), sin(), cos();
-    anything else raises ValueError, as does a division by zero ("1/0",
-    "0**-1") or a value that is not a finite real ("sqrt(-2)", "log(0)",
-    NaN).  Numeric literals inside expressions are promoted to working
-    precision before any arithmetic, so "1.4/pi" means the decimal 1.4,
-    not its 53-bit rounding.
+    Strings are expressions built from numeric literals, + - * / **, unary
+    + and -, parentheses, the constants pi, e, phi and one-argument calls
+    of sqrt(), log(), exp(), sin(), cos(); anything else raises
+    ValueError, as does a division by zero ("1/0", "0**-1"), a literal or
+    intermediate value of magnitude 2^1024 or more ("2**1025",
+    "exp(1e100000)"), or a value that is not a finite real ("sqrt(-2)",
+    "log(0)", NaN).  Numeric literals are promoted from their digits to
+    working precision before any arithmetic, so "0.3" and "1.4/pi" mean
+    the decimals 0.3 and 1.4, not their 53-bit roundings.
     """
     with mp.workprec(precision_bits + 16):
         value = _eval_spec(x)
     if not isinstance(value, mpf) or not mp.isfinite(value):
         raise ValueError(f"number spec {str(x)[:80]!r} is not a finite real")
-    return value
+    return _bounded(value, str(x))
 
 
 def _eval_spec(x: NumberLike):
     """eval_number before its finite-real check, at the current precision."""
     if isinstance(x, str):
-        try:
-            exact = Fraction(x.strip())
-        except (ValueError, ZeroDivisionError):
-            exact = None
-        if exact is not None:
-            return mpf(exact.numerator) / exact.denominator
         source = x.strip()
         try:
             return _eval_node(ast.parse(source, mode="eval").body, source)

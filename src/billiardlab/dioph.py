@@ -144,11 +144,13 @@ def approx_solutions(t: CirclePoint, omega: CirclePoint, mu: float, m: int,
     """All p of the requested sign with |p| <= p_max, p = l (mod m) and
     ||t + p*omega|| < |p|^(-mu), sorted by |p|.
 
-    The threshold exponent mu may be any positive real (the covering-set
-    constructions use mu > 1; the billiard schedules use mu < 1).
+    The threshold exponent mu may be any real >= 2^-19, the range over
+    which the scan's allowance provably never increases with |p| (the
+    covering-set constructions use mu > 1; the billiard schedules use
+    mu < 1).
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not mu >= 2 ** -19:
+        raise ValueError(f"mu must be >= 2^-19, got {mu}")
     if not (0 <= l < m):
         raise ValueError("need 0 <= l < m")
     if p_max < m:

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 import os
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from mpmath import mp, mpf
@@ -34,6 +33,7 @@ from .dimension import EscapeCoverRecord, average_length_cover, cover_escape_set
 from .dioph import approx_solutions, minkowski_solutions, ubiquity_deficiency, ubiquity_rho
 from .errors import ConfigError, ScheduleNotFound
 from .fixedpoint import to_fixed
+from .intervals import _dps_for, fmt
 
 __all__ = [
     "EXPERIMENTS",
@@ -50,143 +50,209 @@ __all__ = [
 # configuration
 # --------------------------------------------------------------------------
 
-_DEFAULT_POLYGON = {"kind": "rhombus", "alpha": "pi*(sqrt(5)-1)/4", "side": 1}
+# A check takes an option's name and its merged value, raises ConfigError
+# unless the value is acceptable, and returns the value to store.
+Check = Callable[[str, Any], Any]
+_INF = float("inf")
 
-#: Per-experiment option names and default values.  A configuration may
-#: only set keys listed for its experiment (plus the common keys); unknown
-#: keys are rejected so typos cannot silently fall back to defaults.
-_SCHEMA: Dict[str, Dict[str, Any]] = {
+
+def _integer(lo: int, hi: float = _INF) -> Check:
+    bound = f">= {lo}" if hi == _INF else f"in [{lo}, {hi}]"
+
+    def check(name: str, value: Any) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+            raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
+        return value
+    return check
+
+
+def _real(lo: float, hi: float, ends: str = "()") -> Check:
+    """A JSON number strictly inside (lo, hi); ``ends`` "(]" or "[)" closes
+    one end.  An infinite bound is never reached, so the value is finite."""
+    interval = f"{ends[0]}{lo}, {hi}{ends[1]}"
+
+    def check(name: str, value: Any) -> Any:
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not (lo <= value if ends[0] == "[" else lo < value)
+                or not (value <= hi if ends[1] == "]" else value < hi)):
+            raise ConfigError(f"{name} must be a number in {interval}, got {value!r}")
+        return value
+    return check
+
+
+def _expr(lo: Optional[str] = None, hi: Optional[str] = None) -> Check:
+    """A number or symbolic string that evaluates at 64 bits, strictly
+    inside (lo, hi) where those bounds (number specs) are given."""
+    def check(name: str, value: Any) -> Any:
+        if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be a number or a symbolic string, "
+                              f"got {type(value).__name__}")
+        try:
+            v = eval_number(value, 64)
+        except ValueError as exc:
+            raise ConfigError(f"{name} is not a valid numeric expression: {exc}")
+        if ((lo is not None and not v > eval_number(lo, 64))
+                or (hi is not None and not v < eval_number(hi, 64))):
+            raise ConfigError(f"{name} must lie in ({lo or '-inf'}, "
+                              f"{hi or 'inf'}), got {value}")
+        return value
+    return check
+
+
+def _optional(inner: Check) -> Check:
+    return lambda name, value: None if value is None else inner(name, value)
+
+
+def _boolean(name: str, value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be a boolean, got {value!r}")
+    return value
+
+
+def _path(name: str, value: Any) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{name} must be a non-empty path string")
+    return value
+
+
+def _list(item: Check, increasing: bool = False) -> Check:
+    def check(name: str, value: Any) -> List[Any]:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a non-empty list")
+        out = [item(f"{name}[{i}]", v) for i, v in enumerate(value)]
+        if increasing and any(b <= a for a, b in zip(out, out[1:])):
+            raise ConfigError(f"{name} must be strictly increasing")
+        return out
+    return check
+
+
+_GOLDEN_ALPHA = "pi*(sqrt(5)-1)/4"
+_ANGLE = _expr("0", "pi/2")
+_POSITIVE = _expr("0")
+
+
+def _polygon(*kinds: str) -> Check:
+    """A polygon spec of one of ``kinds``, returned normalized: kind
+    defaults to "rhombus", alpha to the golden angle, side and base to 1."""
+    def check(name: str, spec: Any) -> Dict[str, Any]:
+        if not isinstance(spec, Mapping):
+            raise ConfigError(f"{name} must be an object with kind/alpha/side[/base]")
+        kind = spec.get("kind", "rhombus")
+        if kind not in kinds:
+            raise ConfigError(f"{name}.kind must be {' or '.join(kinds)}, got {kind!r}")
+        lengths = ["side", "base"] if kind == "parallelogram" else ["side"]
+        unknown = set(spec) - {"kind", "alpha", *lengths}
+        if unknown:
+            raise ConfigError(f"unknown {name} keys for a {kind}: {sorted(unknown)}")
+        out = {"kind": kind,
+               "alpha": _ANGLE(f"{name}.alpha", spec.get("alpha", _GOLDEN_ALPHA))}
+        for key in lengths:
+            out[key] = _POSITIVE(f"{name}.{key}", spec.get(key, 1))
+        return out
+    return check
+
+
+_BITS = _integer(64, 8192)
+_COUNT = _integer(1)
+_UNIT = _real(0, 1)
+_TABLE = _polygon("rhombus", "parallelogram")
+_GOLDEN_RHOMBUS = {"kind": "rhombus", "alpha": _GOLDEN_ALPHA, "side": 1}
+
+#: Per-experiment options as ``key: (default, check)``.  A configuration
+#: may only set keys listed for its experiment (plus the common keys);
+#: unknown keys are rejected so typos cannot silently fall back to defaults.
+_COMMON: Dict[str, Tuple[Any, Check]] = {
+    "seed": (20260818, _integer(0)),
+    "out_dir": ("lab_out", _path),
+}
+_SCHEMA: Dict[str, Dict[str, Tuple[Any, Check]]] = {
     "thm1_cover": {
-        "precision_bits": 256,
-        "polygon": dict(_DEFAULT_POLYGON),
-        "theta": "0.3",
-        "delta": 0.1,
-        "eps": 0.1,
-        "s": None,
-        "p_max": 4096,
-        "schedule_steps": 3,
-        "schedule_shrink": 0.5,
-        "reflection_cap": 100000,
-        "control_alpha": "pi/3",
-        "control_max_n": 64,
+        "precision_bits": (256, _BITS),
+        "polygon": (_GOLDEN_RHOMBUS, _TABLE),
+        "theta": ("0.3", _expr()),
+        # approx_solutions takes the schedule exponent 1 - delta >= 2^-19
+        "delta": (0.1, _real(0, 1 - 2 ** -19, "(]")),
+        "eps": (0.1, _UNIT),
+        "s": (None, _optional(_UNIT)),
+        "p_max": (4096, _COUNT),
+        "schedule_steps": (3, _COUNT),
+        "schedule_shrink": (0.5, _real(0, 1, "(]")),
+        "reflection_cap": (100000, _COUNT),
+        "control_alpha": ("pi/3", _optional(_ANGLE)),
+        "control_max_n": (64, _COUNT),
     },
     "thm2_cover": {
-        "precision_bits": 512,
-        "polygon": dict(_DEFAULT_POLYGON),
-        "mu": 2.0,
-        "eps": 0.1,
-        "construct_steps": 6,
-        "p_max": 4096,
-        "n_cap": 100,
-        "reflection_cap": 20000,
+        "precision_bits": (512, _BITS),
+        "polygon": (_GOLDEN_RHOMBUS, _TABLE),
+        "mu": (2.0, _real(1, _INF, "[)")),
+        "eps": (0.1, _UNIT),
+        "construct_steps": (6, _COUNT),
+        "p_max": (4096, _COUNT),
+        "n_cap": (100, _COUNT),
+        "reflection_cap": (20000, _COUNT),
     },
     "cantor_dim": {
-        "precision_bits": 512,
-        "omega": "(sqrt(5)-1)/2",
-        "mu": 2.0,
-        "m": 1,
-        "depth": 4,
-        "growth_margin": 0.1,
-        "scan_cap": 1 << 21,
-        "materialize_cap": 1 << 19,
-        "ratio_floor": None,
+        "precision_bits": (512, _BITS),
+        "omega": ("(sqrt(5)-1)/2", _expr()),
+        "mu": (2.0, _real(1, _INF)),
+        "m": (1, _COUNT),
+        "depth": (4, _integer(2)),
+        "growth_margin": (0.1, _UNIT),
+        "scan_cap": (1 << 21, _COUNT),
+        "materialize_cap": (1 << 19, _COUNT),
+        "ratio_floor": (None, _optional(_UNIT)),
     },
     "ubiquity": {
-        "precision_bits": 256,
-        "omega": "sqrt(2)-1",
-        "m": 2,
-        "l": 1,
-        "coverage_constant": 1.0,
-        "eps": 0.05,
-        "n_values": [100, 1000, 10000],
-        "threshold": 0.05,
+        "precision_bits": (256, _BITS),
+        "omega": ("sqrt(2)-1", _expr()),
+        "m": (2, _COUNT),
+        "l": (1, _integer(0)),
+        "coverage_constant": (1.0, _real(0, 10 ** 9)),
+        "eps": (0.05, _UNIT),
+        "n_values": ([100, 1000, 10000], _list(_COUNT, increasing=True)),
+        "threshold": (0.05, _UNIT),
     },
     "minkowski_scan": {
-        "precision_bits": 256,
-        "pairs": 100,
-        "p_max": 1000000,
-        "min_solutions": 5,
+        "precision_bits": (256, _BITS),
+        "pairs": (100, _COUNT),
+        "p_max": (1000000, _COUNT),
+        "min_solutions": (5, _COUNT),
     },
     "perp_orbits": {
-        "precision_bits": 256,
-        "polygon": {"kind": "rhombus", "alpha": "pi/4", "side": 1},
-        "samples": 2000,
-        "reflection_cap": 100000,
-        "singular_allowance": 10,
-        "undecided_threshold": 0.05,
-        "cap_doubling": False,
+        "precision_bits": (256, _BITS),
+        "polygon": ({"kind": "rhombus", "alpha": "pi/4", "side": 1},
+                    _polygon("rhombus")),
+        "samples": (2000, _COUNT),
+        "reflection_cap": (100000, _COUNT),
+        "singular_allowance": (10, _integer(0)),
+        "undecided_threshold": (0.05, _UNIT),
+        "cap_doubling": (False, _boolean),
     },
     "three_distance_audit": {
-        "precision_bits": 256,
-        "omegas": ["(sqrt(5)-1)/2", "sqrt(2)-1"],
-        "q_max": 100000,
-        "e1_trials": 10000,
-        "e1_j_max": 1000,
-        "e1_check_sample": 50,
+        "precision_bits": (256, _BITS),
+        "omegas": (["(sqrt(5)-1)/2", "sqrt(2)-1"], _list(_expr())),
+        "q_max": (100000, _COUNT),
+        "e1_trials": (10000, _COUNT),
+        "e1_j_max": (1000, _COUNT),
+        "e1_check_sample": (50, _integer(0)),
     },
 }
 
-_COMMON_DEFAULTS: Dict[str, Any] = {"seed": 20260818, "out_dir": "lab_out"}
 
-_POLYGON_KEYS = {"kind", "alpha", "side", "base"}
-
-
-def _type_name(value: Any) -> str:
-    return type(value).__name__
-
-
-def _check_int(name: str, value: Any, lo: int = 1, hi: Optional[int] = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {_type_name(value)}")
-    if value < lo or (hi is not None and value > hi):
-        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ConfigError(f"{name} must be {bound}, got {value}")
-    return value
-
-
-def _check_float(name: str, value: Any, lo: float, hi: float) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {_type_name(value)}")
-    v = float(value)
-    if not lo < v < hi:
-        raise ConfigError(f"{name} must lie in ({lo}, {hi}), got {value}")
-    return v
-
-
-def _check_expr(name: str, value: Any, lo: Optional[str] = None,
-                hi: Optional[str] = None) -> Any:
-    """A number or symbolic string that evaluates at 64 bits, strictly
-    inside (lo, hi) where those bounds (number specs) are given."""
-    if not isinstance(value, (str, int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be a number or a symbolic string, "
-                          f"got {_type_name(value)}")
-    try:
-        v = eval_number(value, 64)
-    except ValueError as exc:
-        raise ConfigError(f"{name} is not a valid numeric expression: {exc}")
-    if ((lo is not None and not v > eval_number(lo, 64))
-            or (hi is not None and not v < eval_number(hi, 64))):
-        raise ConfigError(f"{name} must lie in ({lo or '-inf'}, "
-                          f"{hi or 'inf'}), got {value}")
-    return value
-
-
-def _check_polygon(spec: Any) -> Dict[str, Any]:
-    if not isinstance(spec, Mapping):
-        raise ConfigError("polygon must be an object with kind/alpha/side[/base]")
-    unknown = set(spec) - _POLYGON_KEYS
-    if unknown:
-        raise ConfigError(f"unknown polygon keys: {sorted(unknown)}")
-    kind = spec.get("kind", "rhombus")
-    if kind not in ("rhombus", "parallelogram"):
-        raise ConfigError(f"polygon kind must be rhombus or parallelogram, got {kind!r}")
-    out = {"kind": kind, "alpha": _check_expr("polygon.alpha", spec.get("alpha", _DEFAULT_POLYGON["alpha"]), "0", "pi/2"),
-           "side": _check_expr("polygon.side", spec.get("side", 1), "0")}
-    if kind == "parallelogram":
-        out["base"] = _check_expr("polygon.base", spec.get("base", 1), "0")
-    elif "base" in spec:
-        raise ConfigError("polygon.base only applies to parallelograms")
-    return out
+def _check_across(opts: Mapping[str, Any]) -> None:
+    """The rules that tie one option to another."""
+    name = opts["experiment"]
+    # the Hausdorff-sum exponent the run derives must lie in (0, 1]
+    if name == "thm1_cover" and opts["s"] is None and 0.5 + opts["eps"] > 1:
+        raise ConfigError(f"s = 0.5 + eps must be <= 1 when s is null, "
+                          f"got eps={opts['eps']}")
+    if name == "thm2_cover":
+        s_main = 1 / (opts["mu"] + 1) + opts["eps"]
+        if s_main > 1:
+            raise ConfigError(f"cover exponent 1/(mu+1) + eps must be <= 1, "
+                              f"got {s_main:g}")
+    if name == "ubiquity" and opts["l"] >= opts["m"]:
+        raise ConfigError(f"residue l={opts['l']} must be < m={opts['m']}")
 
 
 class ExperimentConfig:
@@ -194,7 +260,7 @@ class ExperimentConfig:
 
     Options are exposed as attributes (``config.p_max``); the schema is the
     union of the common keys (experiment, seed, out_dir) and the experiment's
-    entry in the module-level defaults table.
+    entry in the module-level option table.
     """
 
     def __init__(self, options: Dict[str, Any]):
@@ -205,9 +271,6 @@ class ExperimentConfig:
             return self._options[name]
         except KeyError:
             raise AttributeError(name) from None
-
-    def get(self, name: str, default: Any = None) -> Any:
-        return self._options.get(name, default)
 
     def to_json_obj(self) -> Dict[str, Any]:
         return copy.deepcopy(self._options)
@@ -227,111 +290,15 @@ class ExperimentConfig:
         if declared is not None and declared != name:
             raise ConfigError(f"config declares experiment {declared!r} but "
                               f"{name!r} was requested")
-        merged: Dict[str, Any] = {"experiment": name}
-        merged.update(copy.deepcopy(_COMMON_DEFAULTS))
-        merged.update(copy.deepcopy(_SCHEMA[name]))
-        allowed = set(merged)
-        unknown = set(obj) - allowed
+        table = {**_COMMON, **_SCHEMA[name]}
+        unknown = set(obj) - set(table) - {"experiment"}
         if unknown:
             raise ConfigError(f"unknown option(s) for {name}: {sorted(unknown)}")
-        for key, value in obj.items():
-            if key == "experiment":
-                continue
-            merged[key] = copy.deepcopy(value)
-        cls._validate(merged)
-        return cls(merged)
-
-    @staticmethod
-    def _validate(opts: Dict[str, Any]) -> None:
-        name = opts["experiment"]
-        _check_int("seed", opts["seed"], lo=0)
-        _check_int("precision_bits", opts["precision_bits"], lo=64, hi=8192)
-        if not isinstance(opts["out_dir"], str) or not opts["out_dir"]:
-            raise ConfigError("out_dir must be a non-empty path string")
-        if "polygon" in opts:
-            opts["polygon"] = _check_polygon(opts["polygon"])
-        if "theta" in opts:
-            _check_expr("theta", opts["theta"])
-        if "omega" in opts:
-            _check_expr("omega", opts["omega"])
-        if "omegas" in opts:
-            seq = opts["omegas"]
-            if not isinstance(seq, list) or not seq:
-                raise ConfigError("omegas must be a non-empty list")
-            for i, om in enumerate(seq):
-                _check_expr(f"omegas[{i}]", om)
-        if "mu" in opts:
-            mu = opts["mu"]
-            if isinstance(mu, bool) or not isinstance(mu, (int, float)):
-                raise ConfigError(f"mu must be a number, got {_type_name(mu)}")
-            if not math.isfinite(mu):
-                raise ConfigError(f"mu must be finite, got {mu}")
-            if name == "thm2_cover" and not mu >= 1:
-                raise ConfigError(f"mu must be >= 1, got {mu}")
-            if name == "cantor_dim" and not mu > 1:
-                raise ConfigError(f"mu must be > 1, got {mu}")
-        if "m" in opts:
-            _check_int("m", opts["m"], lo=1)
-        if "l" in opts:
-            _check_int("l", opts["l"], lo=0)
-            if opts["l"] >= opts["m"]:
-                raise ConfigError(f"residue l={opts['l']} must be < m={opts['m']}")
-        if "depth" in opts:
-            _check_int("depth", opts["depth"], lo=2)
-        if "growth_margin" in opts:
-            _check_float("growth_margin", opts["growth_margin"], 0.0, 1.0)
-        if "delta" in opts:
-            _check_float("delta", opts["delta"], 0.0, 1.0)
-        if "eps" in opts:
-            _check_float("eps", opts["eps"], 0.0, 1.0)
-        if "s" in opts and opts["s"] is not None:
-            _check_float("s", opts["s"], 0.0, 1.0)
-        # the Hausdorff-sum exponent the run derives must lie in (0, 1]
-        if name == "thm1_cover" and opts["s"] is None and 0.5 + float(opts["eps"]) > 1:
-            raise ConfigError(f"s = 0.5 + eps must be <= 1 when s is null, "
-                              f"got eps={opts['eps']}")
-        if name == "thm2_cover":
-            s_main = 1.0 / (float(opts["mu"]) + 1.0) + float(opts["eps"])
-            if s_main > 1:
-                raise ConfigError(f"cover exponent 1/(mu+1) + eps must be <= 1, "
-                                  f"got {s_main:g}")
-        if "schedule_shrink" in opts:
-            shrink = opts["schedule_shrink"]
-            if (isinstance(shrink, bool) or not isinstance(shrink, (int, float))
-                    or not 0 < shrink <= 1):
-                raise ConfigError(f"schedule_shrink must be a number in (0, 1], "
-                                  f"got {shrink!r}")
-        if "ratio_floor" in opts and opts["ratio_floor"] is not None:
-            _check_float("ratio_floor", opts["ratio_floor"], 0.0, 1.0)
-        if "threshold" in opts:
-            _check_float("threshold", opts["threshold"], 0.0, 1.0)
-        if "undecided_threshold" in opts:
-            _check_float("undecided_threshold", opts["undecided_threshold"], 0.0, 1.0)
-        if "coverage_constant" in opts:
-            _check_float("coverage_constant", opts["coverage_constant"], 0.0, 1e9)
-        for key in ("p_max", "schedule_steps", "reflection_cap", "control_max_n",
-                    "construct_steps", "n_cap", "scan_cap", "materialize_cap",
-                    "samples", "pairs", "min_solutions", "q_max", "e1_trials",
-                    "e1_j_max"):
-            if key in opts:
-                _check_int(key, opts[key], lo=1)
-        for key in ("singular_allowance", "e1_check_sample"):
-            if key in opts:
-                _check_int(key, opts[key], lo=0)
-        if "n_values" in opts:
-            seq = opts["n_values"]
-            if not isinstance(seq, list) or not seq:
-                raise ConfigError("n_values must be a non-empty list of integers")
-            for i, n in enumerate(seq):
-                _check_int(f"n_values[{i}]", n, lo=1)
-            if any(b <= a for a, b in zip(seq, seq[1:])):
-                raise ConfigError("n_values must be strictly increasing")
-        if "cap_doubling" in opts and not isinstance(opts["cap_doubling"], bool):
-            raise ConfigError("cap_doubling must be a boolean")
-        if "control_alpha" in opts and opts["control_alpha"] is not None:
-            _check_expr("control_alpha", opts["control_alpha"], "0", "pi/2")
-        if name == "perp_orbits" and opts["polygon"]["kind"] != "rhombus":
-            raise ConfigError("perp_orbits requires a rhombus polygon")
+        opts: Dict[str, Any] = {"experiment": name}
+        for key, (default, check) in table.items():
+            opts[key] = check(key, obj.get(key, default))
+        _check_across(opts)
+        return cls(opts)
 
 
 def apply_overrides(obj: Dict[str, Any], overrides: Sequence[str]) -> Dict[str, Any]:
@@ -379,18 +346,6 @@ class RunReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-
-def _fmt(x, digits: int = 20) -> str:
-    """Deterministic decimal rendering of an mpf/number for reports."""
-    with mp.workprec(max(digits * 4, 64)):
-        return mp.nstr(mpf(x), digits, strip_zeros=True)
-
-
-def _fmt_full(x, bits: int) -> str:
-    digits = int(bits * 0.3010299956639812) + 2
-    with mp.workprec(bits + 16):
-        return mp.nstr(mpf(x), digits, strip_zeros=True)
 
 
 def write_report(report: RunReport, out_dir: str) -> List[str]:
@@ -456,19 +411,18 @@ def _deltadio_schedule(t: CirclePoint, omega: CirclePoint, delta: float,
     """Indices N with ||t + sign*N*omega|| < N^-(1-delta), distance-sparsified.
 
     The inequality is vacuous while N^-(1-delta) >= 1/2 (no circle distance
-    exceeds 1/2), so indices up to 2^(1/(1-delta)) are skipped outright.
+    exceeds 1/2), so indices with N^(1-delta) <= 2 are skipped outright.
     Past that, the schedule keeps the greedy subsequence along which the
     distance shrinks by at least ``shrink`` per kept step, which singles
     out genuine approximation events while every entry remains a solution
     of the defining inequality.
     """
     sols = approx_solutions(t, omega, 1.0 - delta, 1, 0, p_max, sign)
-    p_min = 2.0 ** (1.0 / (1.0 - delta))
     ns: List[int] = []
     best = None
     for sol in sols:
         n = abs(sol.p)
-        if n <= p_min:
+        if n ** (1.0 - delta) <= 2:
             continue
         if best is not None and not sol.distance <= shrink * best:
             continue
@@ -488,9 +442,9 @@ _COVER_HEADER = ("side,n,count,piece_length,gate_width,escape_length,"
 
 
 def _cover_row(label: str, rec: EscapeCoverRecord, hs_sum: mpf) -> str:
-    return ",".join([label, str(rec.N), str(rec.count), _fmt(rec.piece_length),
-                     _fmt(rec.gate_width), _fmt(rec.escape_length),
-                     _fmt(rec.uncertain_length), _fmt(hs_sum)])
+    return ",".join([label, str(rec.N), str(rec.count), fmt(rec.piece_length),
+                     fmt(rec.gate_width), fmt(rec.escape_length),
+                     fmt(rec.uncertain_length), fmt(hs_sum)])
 
 
 def _cover_schedule(entry: Dict[str, Any], q, theta, side: str, ns: List[int],
@@ -506,7 +460,7 @@ def _cover_schedule(entry: Dict[str, Any], q, theta, side: str, ns: List[int],
     for (suffix, _), sums in zip(exponents, all_sums):
         rows.extend(_cover_row(side + suffix, rec, hs)
                     for rec, hs in zip(recs, sums))
-        entry["hs_sums" + suffix] = [_fmt(v) for v in sums]
+        entry["hs_sums" + suffix] = [fmt(v) for v in sums]
     sums = all_sums[0]
     if len(sums) >= 2:
         decay = all(b < a for a, b in zip(sums, sums[1:]))
@@ -523,6 +477,7 @@ def _cover_schedule(entry: Dict[str, Any], q, theta, side: str, ns: List[int],
 def run_thm1(cfg: ExperimentConfig) -> RunReport:
     """Escape-set Hausdorff sums along a two-sided Diophantine schedule."""
     bits = cfg.precision_bits
+    full = _dps_for(bits) - 1  # digits of a full-precision field
     q = build_polygon(cfg.polygon, bits)
     d = Direction.make(cfg.theta, cfg.polygon["alpha"], bits)
     violations: List[str] = []
@@ -541,7 +496,7 @@ def run_thm1(cfg: ExperimentConfig) -> RunReport:
     rows: List[str] = []
     sides: Dict[str, Any] = {}
     for side, target, sign in side_specs:
-        entry: Dict[str, Any] = {"sign": sign, "target": _fmt(target.value, 30)}
+        entry: Dict[str, Any] = {"sign": sign, "target": fmt(target.value, 30)}
         try:
             ns = _deltadio_schedule(target, om, delta, cfg.p_max, sign,
                                     cfg.schedule_steps,
@@ -584,15 +539,15 @@ def run_thm1(cfg: ExperimentConfig) -> RunReport:
                 break
         rows.extend(ctl_rows)
         control = {"alpha": cfg.control_alpha, "schedule": ctl_ns[:len(ctl_sums)],
-                   "hs_sums": [_fmt(v) for v in ctl_sums],
+                   "hs_sums": [fmt(v) for v in ctl_sums],
                    "certified_empty": certified_empty,
-                   "residual_uncertain": _fmt(residual) if residual is not None
+                   "residual_uncertain": fmt(residual) if residual is not None
                    else None}
         if not certified_empty:
             violations.append("control: escape cover never certified empty "
                               "on the rational-angle fixture")
-    data = {"s": _fmt(s), "delta": _fmt(delta), "eps": _fmt(eps),
-            "theta": _fmt_full(d.theta, bits), "omega": _fmt_full(om.value, bits),
+    data = {"s": fmt(s), "delta": fmt(delta), "eps": fmt(eps),
+            "theta": fmt(d.theta, full), "omega": fmt(om.value, full),
             "sides": sides, "control": control}
     return RunReport("thm1_cover", violations, notes,
                      {"covers": (_COVER_HEADER, rows)}, data, cfg)
@@ -681,6 +636,7 @@ def construct_twosided_target(omega: CirclePoint, mu: float,
 def run_thm2(cfg: ExperimentConfig) -> RunReport:
     """Escape covers for a constructed two-sided well-approximable direction."""
     bits = cfg.precision_bits
+    full = _dps_for(bits) - 1  # digits of a full-precision field
     q = build_polygon(cfg.polygon, bits)
     violations: List[str] = []
     notes: List[str] = []
@@ -698,8 +654,8 @@ def run_thm2(cfg: ExperimentConfig) -> RunReport:
         side = "up" if row["parity"] == 0 else "down"
         wit_rows.append(",".join([str(row["p"]), str(row["sign"]),
                                   str(row["parity"]), side,
-                                  _fmt(row["distance"], 25),
-                                  _fmt(row["normalized"], 10),
+                                  fmt(row["distance"], 25),
+                                  fmt(row["normalized"], 10),
                                   str(row["certified"])]))
         (evens if row["parity"] == 0 else odds).append(row)
     if not built["all_certified"]:
@@ -736,10 +692,10 @@ def run_thm2(cfg: ExperimentConfig) -> RunReport:
                         [("", s_main), ("_low_s", s_low)], cover_rows, notes,
                         violations, scope=f" within n_cap={cfg.n_cap}")
         schedules[side] = entry
-    data = {"mu": _fmt(mu), "eps": _fmt(eps), "s": _fmt(s_main),
-            "s_low": _fmt(s_low), "theta": _fmt_full(d.theta, bits),
-            "t": _fmt_full(t.value, bits),
-            "omega_alpha": _fmt_full(om_alpha.value, bits),
+    data = {"mu": fmt(mu), "eps": fmt(eps), "s": fmt(s_main),
+            "s_low": fmt(s_low), "theta": fmt(d.theta, full),
+            "t": fmt(t.value, full),
+            "omega_alpha": fmt(om_alpha.value, full),
             "witness_counts": {"even": len(evens), "odd": len(odds)},
             "refound": refound, "schedules": schedules}
     tables = {
@@ -757,6 +713,7 @@ def run_thm2(cfg: ExperimentConfig) -> RunReport:
 def run_cantor(cfg: ExperimentConfig) -> RunReport:
     """Build a nested mass hierarchy and audit its local dimension ladder."""
     bits = cfg.precision_bits
+    full = _dps_for(bits) - 1  # digits of a full-precision field
     violations: List[str] = []
     notes: List[str] = []
     om = CirclePoint.make(cfg.omega, bits)
@@ -770,7 +727,7 @@ def run_cantor(cfg: ExperimentConfig) -> RunReport:
              else 1.0 / mu - 0.1)
     deepest = dims[-1][1]
     if not deepest >= floor:
-        violations.append(f"deepest local dimension ratio {_fmt(deepest, 10)} "
+        violations.append(f"deepest local dimension ratio {fmt(deepest, 10)} "
                           f"fell below the floor {floor:g}")
     for k in range(1, h.depth + 1):
         if h.level(k).mass_total() != Fraction(1):
@@ -793,27 +750,27 @@ def run_cantor(cfg: ExperimentConfig) -> RunReport:
             gap = nominal - 2 * lvl.half_fp
             if not (0 <= gap <= 2):
                 violations.append(f"level {k} interval length is off the "
-                                  f"(2|n|)^-mu law by {_fmt(gap, 8)} ulps")
+                                  f"(2|n|)^-mu law by {fmt(gap, 8)} ulps")
     level_rows = []
     for k in range(1, h.depth + 1):
         lvl = h.level(k)
         level_rows.append(",".join([str(k), str(lvl.n_k), str(lvl.count),
                                     str(lvl.half_fp),
                                     str(lvl.max_mass()),
-                                    _fmt(dims[k - 1][1], 12)]))
+                                    fmt(dims[k - 1][1], 12)]))
     sep_rows = []
     for row in separation_report(h):
         sep_rows.append(",".join([str(row["level"]), str(row["n_k"]),
-                                  _fmt(row["orbit_min_distance"], 15),
-                                  _fmt(row["measured_min_distance"], 15)
+                                  fmt(row["orbit_min_distance"], 15),
+                                  fmt(row["measured_min_distance"], 15)
                                   if row["measured_min_distance"] is not None else "",
-                                  _fmt(row["claimed_bound"], 15),
+                                  fmt(row["claimed_bound"], 15),
                                   str(row["claimed_ok"]),
-                                  _fmt(row["companion_bound"], 15),
+                                  fmt(row["companion_bound"], 15),
                                   str(row["companion_ok"])]))
-    data = {"omega": _fmt_full(om.value, bits), "mu": _fmt(mu), "m": m,
-            "sequence": list(h.sequence), "ratio_floor": _fmt(floor),
-            "local_dimensions": [[k, _fmt(r, 12)] for k, r in dims],
+    data = {"omega": fmt(om.value, full), "mu": fmt(mu), "m": m,
+            "sequence": list(h.sequence), "ratio_floor": fmt(floor),
+            "local_dimensions": [[k, fmt(r, 12)] for k, r in dims],
             "hierarchy": h.to_json_obj()}
     tables = {
         "levels": ("k,n_k,count,half_width_ulps,max_mass,local_dim", level_rows),
@@ -830,6 +787,7 @@ def run_cantor(cfg: ExperimentConfig) -> RunReport:
 def run_ubiquity(cfg: ExperimentConfig) -> RunReport:
     """Coverage deficiency of shrinking arcs along a residue class."""
     bits = cfg.precision_bits
+    full = _dps_for(bits) - 1  # digits of a full-precision field
     om = CirclePoint.make(cfg.omega, bits)
     m, l = cfg.m, cfg.l
     K, eps = float(cfg.coverage_constant), float(cfg.eps)
@@ -841,19 +799,19 @@ def run_ubiquity(cfg: ExperimentConfig) -> RunReport:
         rho = ubiquity_rho(m, l, n, K, eps, bits=bits)
         defi = ubiquity_deficiency(om, m, l, n, K, eps)
         deficiencies.append(defi)
-        rows.append(",".join([str(n), _fmt(rho, 15), _fmt(defi, 15)]))
+        rows.append(",".join([str(n), fmt(rho, 15), fmt(defi, 15)]))
     for a, b in zip(deficiencies, deficiencies[1:]):
         if b > a:
             violations.append("coverage deficiency increased along the N ladder")
             break
     threshold = float(cfg.threshold)
     if not deficiencies[-1] < threshold:
-        violations.append(f"final deficiency {_fmt(deficiencies[-1], 10)} is "
+        violations.append(f"final deficiency {fmt(deficiencies[-1], 10)} is "
                           f"not below {threshold:g}")
-    data = {"omega": _fmt_full(om.value, bits), "m": m, "l": l,
-            "coverage_constant": _fmt(K), "eps": _fmt(eps),
+    data = {"omega": fmt(om.value, full), "m": m, "l": l,
+            "coverage_constant": fmt(K), "eps": fmt(eps),
             "n_values": list(cfg.n_values),
-            "deficiencies": [_fmt(v, 15) for v in deficiencies]}
+            "deficiencies": [fmt(v, 15) for v in deficiencies]}
     return RunReport("ubiquity", violations, notes,
                      {"deficiency": ("n,rho,deficiency", rows)}, data, cfg)
 
@@ -896,8 +854,8 @@ def run_minkowski(cfg: ExperimentConfig) -> RunReport:
 def _perp_row(cap: int, res: Mapping[str, Any]) -> str:
     return ",".join([str(cap), str(res["samples"]), str(res["returned"]),
                      str(res["vertex_uncertain"]), str(res["budget_exhausted"]),
-                     _fmt(res["periodic_fraction"], 12),
-                     _fmt(res["undecided_fraction"], 12),
+                     fmt(res["periodic_fraction"], 12),
+                     fmt(res["undecided_fraction"], 12),
                      str(res["retrace_checked"]), str(res["retrace_returned"]),
                      str(res["retrace_exact"])])
 
@@ -905,6 +863,7 @@ def _perp_row(cap: int, res: Mapping[str, Any]) -> str:
 def run_perp(cfg: ExperimentConfig) -> RunReport:
     """Periodicity statistics of the perpendicular direction in a rhombus."""
     bits = cfg.precision_bits
+    full = _dps_for(bits) - 1  # digits of a full-precision field
     q = build_polygon(cfg.polygon, bits)
     violations: List[str] = []
     notes: List[str] = []
@@ -913,14 +872,14 @@ def run_perp(cfg: ExperimentConfig) -> RunReport:
     rational = detect_rational_angle(om_val, bits)
     res = perpendicular_periodicity(q, cfg.samples, cfg.reflection_cap)
     rows = [_perp_row(cfg.reflection_cap, res)]
-    results = {"base": {k: (_fmt(v, 15) if isinstance(v, mpf) else v)
+    results = {"base": {k: (fmt(v, 15) if isinstance(v, mpf) else v)
                         for k, v in res.items()}}
     if rational is not None:
         mode = "rational"
         floor = Fraction(cfg.samples - cfg.singular_allowance, cfg.samples)
         if not res["periodic_fraction"] >= mpf(floor.numerator) / floor.denominator:
             violations.append(
-                f"periodic fraction {_fmt(res['periodic_fraction'], 10)} below "
+                f"periodic fraction {fmt(res['periodic_fraction'], 10)} below "
                 f"1 - {cfg.singular_allowance}/{cfg.samples}")
         notes.append(f"rotation number is rational ({rational}); expecting "
                      "periodicity off a singular set")
@@ -929,19 +888,19 @@ def run_perp(cfg: ExperimentConfig) -> RunReport:
         thr = float(cfg.undecided_threshold)
         if not res["undecided_fraction"] <= thr:
             violations.append(f"undecided fraction "
-                              f"{_fmt(res['undecided_fraction'], 10)} exceeds "
+                              f"{fmt(res['undecided_fraction'], 10)} exceeds "
                               f"{thr:g}")
     if cfg.cap_doubling:
         res2 = perpendicular_periodicity(q, cfg.samples, 2 * cfg.reflection_cap)
         rows.append(_perp_row(2 * cfg.reflection_cap, res2))
-        results["doubled_cap"] = {k: (_fmt(v, 15) if isinstance(v, mpf) else v)
+        results["doubled_cap"] = {k: (fmt(v, 15) if isinstance(v, mpf) else v)
                                   for k, v in res2.items()}
         if res2["undecided_fraction"] > res["undecided_fraction"]:
             violations.append("undecided fraction increased when the "
                               "reflection budget doubled")
     data = {"mode": mode,
             "rotation_number": str(rational) if rational is not None else None,
-            "alpha": _fmt_full(q.alpha, bits), "results": results}
+            "alpha": fmt(q.alpha, full), "results": results}
     header = ("reflection_cap,samples,returned,vertex_uncertain,"
               "budget_exhausted,periodic_fraction,undecided_fraction,"
               "retrace_checked,retrace_returned,retrace_exact")
@@ -971,13 +930,13 @@ def run_audits(cfg: ExperimentConfig) -> RunReport:
             claimed_ok = bool(gap >= claimed)
             true_ok = bool(gap >= true_bound)
             gap_rows.append(",".join([json.dumps(expr), str(r), str(q_r),
-                                      str(q_next), _fmt(gap, 15),
-                                      _fmt(claimed, 15), str(claimed_ok),
-                                      _fmt(true_bound, 15), str(true_ok)]))
+                                      str(q_next), fmt(gap, 15),
+                                      fmt(claimed, 15), str(claimed_ok),
+                                      fmt(true_bound, 15), str(true_ok)]))
             if not claimed_ok:
                 claimed_violations += 1
                 violations.append(f"omega={expr}, r={r}: min gap "
-                                  f"{_fmt(gap, 10)} < 1/(q_r+2)")
+                                  f"{fmt(gap, 10)} < 1/(q_r+2)")
             if not true_ok:
                 violations.append(f"omega={expr}, r={r}: min gap below "
                                   "1/(q_(r+1)+q_r)")

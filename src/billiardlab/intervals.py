@@ -31,9 +31,13 @@ def _dps_for(bits: int) -> int:
     return int(bits * 0.30103) + 3
 
 
-def _fmt(x: mpf, bits: int) -> str:
-    with mp.workprec(bits + 16):
-        return mp.nstr(mpf(x), _dps_for(bits), strip_zeros=True)
+def fmt(x, digits: int = 20) -> str:
+    """The one decimal rendering of a number in reports and exchange files:
+    ``digits`` significant digits, trailing zeros stripped, rounded at
+    max(4*digits, 64) bits; ``_dps_for(bits)`` digits keep a value at
+    ``bits`` faithful."""
+    with mp.workprec(max(4 * digits, 64)):
+        return mp.nstr(mpf(x), digits, strip_zeros=True)
 
 
 def circle_pairs(center, halfwidth, bits: int) -> List[Pair]:
@@ -190,8 +194,8 @@ class IntervalUnion:
     # -- serialization ---------------------------------------------------
 
     def to_text(self) -> str:
-        lines = [f"{_fmt(lo, self.precision_bits)} {_fmt(hi, self.precision_bits)}"
-                 for lo, hi in self.intervals]
+        digits = _dps_for(self.precision_bits)
+        lines = [f"{fmt(lo, digits)} {fmt(hi, digits)}" for lo, hi in self.intervals]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
@@ -207,11 +211,12 @@ class IntervalUnion:
         return cls.make(pairs, precision_bits)
 
     def to_json_obj(self) -> dict:
+        digits = _dps_for(self.precision_bits)
         return {
             "precision_bits": self.precision_bits,
             "count": len(self.intervals),
-            "total_length": _fmt(self.total_length, self.precision_bits),
-            "intervals": [[_fmt(lo, self.precision_bits), _fmt(hi, self.precision_bits)]
+            "total_length": fmt(self.total_length, digits),
+            "intervals": [[fmt(lo, digits), fmt(hi, digits)]
                           for lo, hi in self.intervals],
         }
 

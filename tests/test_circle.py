@@ -108,6 +108,11 @@ def test_eval_number_readme_forms(spec, direct, bits):
     "0**-1",
     "sqrt(1,2)",                                          # wrong arity
     "sqrt()",
+    "exp(1e100000)",                                      # magnitude >= 2^1024
+    "sin(1e100000)",
+    "10**10**10",
+    "2**1025",
+    "1e100000000",
 ])
 def test_eval_number_rejects_everything_else(spec):
     with pytest.raises(ValueError):

@@ -148,6 +148,8 @@ def test_approx_solutions_validation():
     t, g = CirclePoint.make("1/pi"), CirclePoint.make(GOLDEN)
     with pytest.raises(ValueError):
         approx_solutions(t, g, 0.0, 1, 0, 100, "+")
+    with pytest.raises(ValueError):  # below the allowance's monotone range
+        approx_solutions(t, g, 2 ** -20, 1, 0, 100, "+")
     with pytest.raises(ValueError):
         approx_solutions(t, g, 2.0, 2, 2, 100, "+")
     with pytest.raises(ValueError):

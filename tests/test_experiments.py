@@ -14,7 +14,7 @@ from billiardlab.circle import CirclePoint, angle_to_circle, Direction
 from billiardlab.cli import main as lab_main
 from billiardlab.errors import ConfigError, ScheduleNotFound
 from billiardlab.experiments import (EXPERIMENTS, ExperimentConfig, RunReport,
-                                     _deltadio_schedule, apply_overrides,
+                                     _SCHEMA, _deltadio_schedule, apply_overrides,
                                      construct_twosided_target, run_experiment,
                                      write_report)
 
@@ -66,7 +66,7 @@ def test_every_experiment_has_a_schema():
     for name in EXPERIMENTS:
         cfg = make_cfg(name)
         assert cfg.experiment == name
-        assert cfg.get("seed") == SEED
+        assert cfg.seed == SEED
 
 
 def test_unknown_key_rejected():
@@ -112,6 +112,7 @@ def test_declared_experiment_must_match():
                                 "base": "-1/2", "side": 1}}),
     ("cantor_dim", {"mu": float("inf")}),   # JSON reads Infinity
     ("thm2_cover", {"mu": float("inf")}),
+    ("thm1_cover", {"delta": 1 - 2 ** -20}),  # needs 1 - delta >= 2^-19
 ])
 def test_invalid_values_rejected(experiment, options):
     with pytest.raises(ConfigError):
@@ -123,6 +124,25 @@ def test_schedule_shrink_bound_is_half_open(shrink):
     with pytest.raises(ConfigError, match=r"must be a number in \(0, 1\]"):
         make_cfg("thm1_cover", schedule_shrink=shrink)
     assert make_cfg("thm1_cover", schedule_shrink=1.0).schedule_shrink == 1.0
+
+
+@pytest.mark.parametrize("experiment,polygon,normalized", [
+    ("thm1_cover", {"kind": "parallelogram", "alpha": "1.0", "side": 2},
+     {"kind": "parallelogram", "alpha": "1.0", "side": 2, "base": 1}),
+    ("perp_orbits", {"alpha": "pi/6"},
+     {"kind": "rhombus", "alpha": "pi/6", "side": 1}),
+])
+def test_polygon_normalization_fills_defaults(experiment, polygon, normalized):
+    cfg = make_cfg(experiment, polygon=polygon)
+    assert cfg.to_json_obj()["polygon"] == normalized
+
+
+def test_readme_documents_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for name, table in _SCHEMA.items():
+        section = readme.split(f"### `{name}`", 1)[1].split("\n##", 1)[0]
+        missing = [key for key in table if f"`{key}`" not in section]
+        assert not missing, f"README section {name} omits {missing}"
 
 
 def test_to_json_obj_round_trips_and_copies():
@@ -276,6 +296,14 @@ def test_schedule_not_found_when_cap_too_small():
     t_up, _, om = schedule_inputs()
     with pytest.raises(ScheduleNotFound):
         _deltadio_schedule(t_up, om, 0.1, 2, +1, 3)
+
+
+def test_schedule_not_found_when_delta_near_one():
+    # Every |p| <= 4096 has |p|^0.0005 <= 2, so the bound is vacuous at
+    # every level (and 2^(1/(1-delta)) would overflow a float).
+    t_up, _, om = schedule_inputs()
+    with pytest.raises(ScheduleNotFound):
+        _deltadio_schedule(t_up, om, 0.9995, 4096, +1, 3)
 
 
 # ---------------------------------------------------------------------------
