@@ -17,6 +17,13 @@ transit tables; a guard zone of width 2^-(precision_bits//2) around every
 genuine vertex shadow is excluded from tracing and reported separately,
 keeping all reported lengths conservative.
 
+Beams step from section to section: a pair table per (level, source side)
+composes two transit tables, so one lookup carries a beam through both
+reflections of a pair as a translation.  Its cells are the first table's
+cells refined by the preimages of the second table's cells; a piece that
+falls into a guard of the first reflection or of the second stops there
+as a vertex sliver.
+
 Dynamic operations (partitioning, beam tracing, escape sets) require each
 stabbing line to cross the polygon in a single chord for the directions
 involved; polygon construction and cross-sections handle the general
@@ -43,11 +50,13 @@ from .intervals import DEFAULT_PRECISION, IntervalUnion
 _LAUNCH = -1  # pseudo source-side index: beam resting on a cross-section
 
 # Internal beam-state tuples: (side, lo, hi, n, disp, refl) with lo/hi/disp
-# fixed-point ints.  Every launch rests on a section with an even ``refl``
-# and each reflection flips the orientation, so with s = (-1)**refl the
-# beam travels in direction s*theta + 2*n*alpha and c_now = s*c_source +
-# disp.  Beams in flight, finished beams and vertex slivers all use this
-# layout; the list holding a state gives its status.
+# fixed-point ints.  Each reflection flips the orientation, so with
+# s = (-1)**refl the beam travels in direction s*theta + 2*n*alpha and
+# c_now = s*c_source + disp.  Traced states rest on a section (even refl);
+# so do finished beams and slivers cut by a first-reflection guard, while a
+# sliver cut by a second-reflection guard stops between the two reflections
+# of its pair, with odd refl and the metadata of the middle reflection.
+# The list holding a state gives its status.
 
 
 class SideClass(Enum):
@@ -397,7 +406,8 @@ class _Tracer:
         self.b_mod = q.return_modulus
         self.classes_int = tuple(0 if c is SideClass.BASE else 1
                                  for c in q.side_classes)
-        self.tables: Dict[Tuple[int, int, int], _Table] = {}
+        # transit tables under (odd, n, side), pair tables under (n, side)
+        self.tables: Dict[tuple, object] = {}
 
     # -- directions ---------------------------------------------------
 
@@ -410,13 +420,17 @@ class _Tracer:
     def _table(self, odd: int, n: int, side: int) -> _Table:
         if self.b_mod is not None:
             n %= self.b_mod
-        key = (odd, n, side)
-        tbl = self.tables.get(key)
+        tbl = self.tables.get((odd, n, side))
         if tbl is None:
-            if len(self.tables) > _TABLE_CACHE_LIMIT:
-                self.tables.clear()
-            tbl = self.tables[key] = self._build_table(odd, n, side)
+            tbl = self._store((odd, n, side), self._build_table(odd, n, side))
         return tbl
+
+    def _store(self, key, table):
+        """Cache a transit or pair table; both kinds share one bound."""
+        if len(self.tables) > _TABLE_CACHE_LIMIT:
+            self.tables.clear()
+        self.tables[key] = table
+        return table
 
     # -- geometry -----------------------------------------------------
 
@@ -577,8 +591,6 @@ class _Tracer:
         los, his = tbl.los, tbl.his
         children = []
         slivers = []
-        if not los:
-            return children, [st]
         pos = lo
         i = bisect_right(los, lo) - 1
         if i < 0:
@@ -601,10 +613,31 @@ class _Tracer:
             slivers.append((side, pos, hi, n, disp, refl))
         return children, slivers
 
-    def _is_return(self, n: int) -> bool:
-        if n == 0:
-            return True
-        return self.b_mod is not None and n % self.b_mod == 0
+    def _build_pair(self, n: int, side: int):
+        """Pair table for section states at level ``n`` (reduced modulo
+        b_mod) resting on ``side``: (los, his, cells), sorted, disjoint.
+
+        Built by two single reflections of the whole domain state.  A
+        cell (t, d, k, False) maps its piece [a, b] of the section to the
+        section state (t, a+d, b+d, n+k, disp+d, refl+2); a cell
+        (t, d, k, True) is a second-reflection guard, whose piece stops as
+        the sliver (t, d-b, d-a, k-n, d-disp, refl+1).  The cells tile
+        each first-reflection cell, so the gaps between them are the
+        first-reflection guards.
+        """
+        tbl = self._table(0, n, side)
+        pieces = []
+        for mid in self._advance((side, tbl.dom_lo, tbl.dom_hi, n, 0, 0))[0]:
+            t1, _, _, n1, d1, _ = mid
+            children, slivers = self._advance(mid)
+            for t2, lo, hi, n2, d, _ in children:
+                pieces.append((lo - d, hi - d, (t2, d, n2 - n, False)))
+            # the middle level is c1 - n for the class c1 of side t1
+            for _, lo, hi, _, _, _ in slivers:
+                pieces.append((d1 - hi, d1 - lo, (t1, d1, n1 + n, True)))
+        pieces.sort(key=lambda p: p[0])
+        return ([p[0] for p in pieces], [p[1] for p in pieces],
+                [p[2] for p in pieces])
 
     def launch_span(self) -> Tuple[int, int]:
         tbl = self._table(0, 0, _LAUNCH)
@@ -620,34 +653,71 @@ class _Tracer:
 
     def trace_states(self, states, *, n_cap: Optional[int],
                      reflection_cap: int):
-        """Drive beam states to terminal statuses.
+        """Drive section states (even refl) to terminal statuses, one pair
+        table lookup per two reflections.
 
-        Returns (out, max_refl) where out maps each status name to the
-        list of states that finished with it; vertex slivers are listed
-        under "uncertain".
+        Each input state takes at least one step.  A child section state
+        returns at a level that is a multiple of b_mod (0 if irrational),
+        escapes past ``n_cap``, stops ACTIVE once ``refl >=
+        reflection_cap``, or steps on.  Returns (out, max_refl) where out
+        maps each status name to the list of states that finished with
+        it; vertex slivers are listed under "uncertain".
         """
-        out = {"returned": [], "escaped": [], "active": [], "uncertain": []}
-        returned, escaped, active = out["returned"], out["escaped"], out["active"]
         stack = list(states)
+        if any(st[5] & 1 for st in stack):
+            raise ValueError("trace_states steps section states, whose "
+                             "reflection count is even")
+        out = {"returned": [], "escaped": [], "active": [], "uncertain": []}
+        returned, escaped, active, uncertain = out.values()
+        tables, b_mod = self.tables, self.b_mod
         max_refl = 0
         while stack:
-            children, slivers = self._advance(stack.pop())
-            out["uncertain"].extend(slivers)
-            for ch in children:
-                _, _, _, n, _, refl = ch
-                if refl & 1:
-                    stack.append(ch)
-                    continue
-                if refl > max_refl:
-                    max_refl = refl
-                if self._is_return(n):
-                    returned.append(ch)
-                elif n_cap is not None and abs(n) > n_cap:
-                    escaped.append(ch)
-                elif refl >= reflection_cap:
-                    active.append(ch)
+            side, lo, hi, n, disp, refl = stack.pop()
+            key = (n if b_mod is None else n % b_mod, side)
+            pair = tables.get(key)
+            if pair is None:
+                pair = self._store(key, self._build_pair(*key))
+            los, his, cells = pair
+            refl2 = refl + 2
+            # cells are disjoint and sorted, so each one met below meets
+            # [pos, hi] in a piece [a, b] with a < b
+            i = bisect_right(los, lo) - 1
+            if i < 0:
+                i = 0
+            elif his[i] <= lo:
+                i += 1
+            pos = lo
+            while i < len(los) and pos < hi:
+                a = los[i]
+                if a >= hi:
+                    break
+                if a > pos:
+                    uncertain.append((side, pos, a, n, disp, refl))
                 else:
-                    stack.append(ch)
+                    a = pos
+                b = his[i]
+                if b > hi:
+                    b = hi
+                t, d, k, mid = cells[i]
+                if mid:
+                    uncertain.append((t, d - b, d - a, k - n, d - disp, refl + 1))
+                else:
+                    n2 = n + k
+                    child = (t, a + d, b + d, n2, disp + d, refl2)
+                    if refl2 > max_refl:
+                        max_refl = refl2
+                    if n2 == 0 or (b_mod is not None and n2 % b_mod == 0):
+                        returned.append(child)
+                    elif n_cap is not None and abs(n2) > n_cap:
+                        escaped.append(child)
+                    elif refl2 >= reflection_cap:
+                        active.append(child)
+                    else:
+                        stack.append(child)
+                pos = b
+                i += 1
+            if pos < hi:
+                uncertain.append((side, pos, hi, n, disp, refl))
         return out, max_refl
 
     def partition_states(self, level: int = 0):

@@ -126,18 +126,18 @@ def _list(item: Check, increasing: bool = False) -> Check:
     return check
 
 
-_GOLDEN_ALPHA = "pi*(sqrt(5)-1)/4"
 _ANGLE = _expr("0", "pi/2")
 _POSITIVE = _expr("0")
 
 
-def _polygon(*kinds: str) -> Check:
-    """A polygon spec of one of ``kinds``, returned normalized: kind
-    defaults to "rhombus", alpha to the golden angle, side and base to 1."""
+def _polygon(default: Dict[str, Any], *kinds: str) -> Tuple[Dict[str, Any], Check]:
+    """The ``polygon`` row: ``default`` and a check that accepts a spec of
+    one of ``kinds`` and returns it normalized, each missing field taken
+    from ``default`` (side and base 1 where it has none)."""
     def check(name: str, spec: Any) -> Dict[str, Any]:
         if not isinstance(spec, Mapping):
             raise ConfigError(f"{name} must be an object with kind/alpha/side[/base]")
-        kind = spec.get("kind", "rhombus")
+        kind = spec.get("kind", default["kind"])
         if kind not in kinds:
             raise ConfigError(f"{name}.kind must be {' or '.join(kinds)}, got {kind!r}")
         lengths = ["side", "base"] if kind == "parallelogram" else ["side"]
@@ -145,18 +145,17 @@ def _polygon(*kinds: str) -> Check:
         if unknown:
             raise ConfigError(f"unknown {name} keys for a {kind}: {sorted(unknown)}")
         out = {"kind": kind,
-               "alpha": _ANGLE(f"{name}.alpha", spec.get("alpha", _GOLDEN_ALPHA))}
+               "alpha": _ANGLE(f"{name}.alpha", spec.get("alpha", default["alpha"]))}
         for key in lengths:
-            out[key] = _POSITIVE(f"{name}.{key}", spec.get(key, 1))
+            out[key] = _POSITIVE(f"{name}.{key}", spec.get(key, default.get(key, 1)))
         return out
-    return check
+    return default, check
 
 
 _BITS = _integer(64, 8192)
 _COUNT = _integer(1)
 _UNIT = _real(0, 1)
-_TABLE = _polygon("rhombus", "parallelogram")
-_GOLDEN_RHOMBUS = {"kind": "rhombus", "alpha": _GOLDEN_ALPHA, "side": 1}
+_GOLDEN_RHOMBUS = {"kind": "rhombus", "alpha": "pi*(sqrt(5)-1)/4", "side": 1}
 
 #: Per-experiment options as ``key: (default, check)``.  A configuration
 #: may only set keys listed for its experiment (plus the common keys);
@@ -168,7 +167,7 @@ _COMMON: Dict[str, Tuple[Any, Check]] = {
 _SCHEMA: Dict[str, Dict[str, Tuple[Any, Check]]] = {
     "thm1_cover": {
         "precision_bits": (256, _BITS),
-        "polygon": (_GOLDEN_RHOMBUS, _TABLE),
+        "polygon": _polygon(_GOLDEN_RHOMBUS, "rhombus", "parallelogram"),
         "theta": ("0.3", _expr()),
         # approx_solutions takes the schedule exponent 1 - delta >= 2^-19
         "delta": (0.1, _real(0, 1 - 2 ** -19, "(]")),
@@ -183,7 +182,7 @@ _SCHEMA: Dict[str, Dict[str, Tuple[Any, Check]]] = {
     },
     "thm2_cover": {
         "precision_bits": (512, _BITS),
-        "polygon": (_GOLDEN_RHOMBUS, _TABLE),
+        "polygon": _polygon(_GOLDEN_RHOMBUS, "rhombus", "parallelogram"),
         "mu": (2.0, _real(1, _INF, "[)")),
         "eps": (0.1, _UNIT),
         "construct_steps": (6, _COUNT),
@@ -220,8 +219,8 @@ _SCHEMA: Dict[str, Dict[str, Tuple[Any, Check]]] = {
     },
     "perp_orbits": {
         "precision_bits": (256, _BITS),
-        "polygon": ({"kind": "rhombus", "alpha": "pi/4", "side": 1},
-                    _polygon("rhombus")),
+        "polygon": _polygon({"kind": "rhombus", "alpha": "pi/4", "side": 1},
+                            "rhombus"),
         "samples": (2000, _COUNT),
         "reflection_cap": (100000, _COUNT),
         "singular_allowance": (10, _integer(0)),

@@ -504,12 +504,72 @@ def test_side_sequences_match_float_geometry(alpha, theta):
                 break
             (st,) = children
             engine_sides.append(st[0])
-            if not st[5] & 1 and tracer._is_return(st[3]):
+            n, b_mod = st[3], tracer.b_mod
+            if not st[5] & 1 and (n == 0 or b_mod and n % b_mod == 0):
                 break
         oracle_sides = _float_trace(
             verts_f, float(mpf(tracer.theta)),
             float(from_fixed(c0, q.precision_bits)), len(engine_sides))
         assert engine_sides == oracle_sides
+
+
+def _reflection_by_reflection(tracer, states, n_cap, reflection_cap):
+    """Reference stepper: one ``_advance`` per reflection, odd children
+    back on the stack, each section child classified on arrival."""
+    out = {"returned": [], "escaped": [], "active": [], "uncertain": []}
+    stack = list(states)
+    max_refl = 0
+    while stack:
+        children, slivers = tracer._advance(stack.pop())
+        out["uncertain"] += slivers
+        for ch in children:
+            n, refl = ch[3], ch[5]
+            if refl & 1:
+                stack.append(ch)
+                continue
+            max_refl = max(max_refl, refl)
+            if n == 0 or tracer.b_mod and n % tracer.b_mod == 0:
+                out["returned"].append(ch)
+            elif n_cap is not None and abs(n) > n_cap:
+                out["escaped"].append(ch)
+            elif refl >= reflection_cap:
+                out["active"].append(ch)
+            else:
+                stack.append(ch)
+    return out, max_refl
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("shape", [("rhombus", "pi*(sqrt(5)-1)/4"),
+                                   ("rhombus", "pi/3"),
+                                   ("parallelogram", "1.0", 2, 1)])
+def test_pair_stepper_matches_reflection_by_reflection(shape, bits):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        q = getattr(B, shape[0])(*shape[1:], precision_bits=bits)
+    for theta in ("0.3", "1.2", "5.9"):
+        tracer = _Tracer(q, theta)
+        for level in (0, 2, -2):
+            span = tracer._table(0, level, _LAUNCH)
+            launch = [(_LAUNCH, span.dom_lo, span.dom_hi, level, 0, 0)]
+            for n_cap in (None, 1, 3):
+                for cap in (1, 2, 3, 7, 1000):
+                    got, got_refl = tracer.trace_states(
+                        launch, n_cap=n_cap, reflection_cap=cap)
+                    want, want_refl = _reflection_by_reflection(
+                        tracer, launch, n_cap, cap)
+                    assert got_refl == want_refl
+                    assert {k: sorted(v) for k, v in got.items()} == \
+                        {k: sorted(v) for k, v in want.items()}, \
+                        (theta, level, n_cap, cap)
+
+
+def test_trace_states_rejects_odd_states():
+    tracer = _Tracer(unit_rhombus(), "0.3")
+    lo, hi = tracer.launch_span()
+    with pytest.raises(ValueError):
+        tracer.trace_states([(_LAUNCH, lo, hi, 0, 0, 1)], n_cap=None,
+                            reflection_cap=10)
 
 
 # --------------------------------------------------------------------------
@@ -643,23 +703,30 @@ def test_escape_sets_match_independent_traces(bits):
 
 
 def test_escape_sets_survive_table_cache_eviction(monkeypatch):
-    # a tiny cache limit clears the tables again and again mid-trace;
-    # rebuilt tables must give the same escape sets and reports
+    # a tiny cache limit clears the transit and pair tables together again
+    # and again mid-trace; rebuilt tables must give the same escape sets
+    # and reports
     q = B.rhombus("pi*(sqrt(5)-1)/4", 1, precision_bits=128)
-    builds = []
-    build_table = _Tracer._build_table
+    builds = {"_build_table": [], "_build_pair": []}
 
-    def counting_build(self, *key):
-        builds.append(key)
-        return build_table(self, *key)
+    def counting(name):
+        build = getattr(_Tracer, name)
 
-    monkeypatch.setattr(_Tracer, "_build_table", counting_build)
+        def counting_build(self, *key):
+            builds[name].append(key)
+            return build(self, *key)
+        return counting_build
+
+    for name in builds:
+        monkeypatch.setattr(_Tracer, name, counting(name))
     want = list(B.escape_sets(q, "0.3", [1, 2, 3], 1000))
-    unpatched_builds = len(builds)
-    builds.clear()
+    unpatched = {name: len(log) for name, log in builds.items()}
+    for log in builds.values():
+        log.clear()
     monkeypatch.setattr(B, "_TABLE_CACHE_LIMIT", 2)
     assert list(B.escape_sets(q, "0.3", [1, 2, 3], 1000)) == want
-    assert len(builds) > unpatched_builds
+    for name, log in builds.items():
+        assert len(log) > unpatched[name] > 0, name
 
 
 @pytest.mark.parametrize("ns", [[], [0, 2], [2, 2], [3, 1]])

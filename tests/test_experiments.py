@@ -137,6 +137,17 @@ def test_polygon_normalization_fills_defaults(experiment, polygon, normalized):
     assert cfg.to_json_obj()["polygon"] == normalized
 
 
+def test_polygon_override_keeps_the_row_default_angle():
+    # perp_orbits defaults to the rational pi/4 rhombus; changing only the
+    # side must not switch the run to the golden angle
+    obj = apply_overrides({}, ["polygon.side=2"])
+    cfg = ExperimentConfig.from_json_obj(obj, "perp_orbits")
+    assert cfg.polygon == {"kind": "rhombus", "alpha": "pi/4", "side": 2}
+    cfg = ExperimentConfig.from_json_obj(obj, "thm1_cover")
+    assert cfg.polygon == {"kind": "rhombus", "alpha": "pi*(sqrt(5)-1)/4",
+                           "side": 2}
+
+
 def test_readme_documents_every_option():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     for name, table in _SCHEMA.items():
