@@ -22,7 +22,8 @@ composes two transit tables, so one lookup carries a beam through both
 reflections of a pair as a translation.  Its cells are the first table's
 cells refined by the preimages of the second table's cells; a piece that
 falls into a guard of the first reflection or of the second stops there
-as a vertex sliver.
+as a vertex sliver.  A degenerate middle direction raises only for a beam
+that reaches it, as it would one reflection at a time.
 
 Dynamic operations (partitioning, beam tracing, escape sets) require each
 stabbing line to cross the polygon in a single chord for the directions
@@ -392,6 +393,40 @@ _BEAM_STATUS = {"returned": BeamStatus.RETURNED, "escaped": BeamStatus.ESCAPED,
                 "uncertain": BeamStatus.VERTEX_UNCERTAIN}
 
 
+def _split(los, his, lo, hi):
+    """Tile [lo, hi] by sorted, disjoint cells [los[i], his[i]]: the list of
+    pieces (i, a, b) in order, with i = -1 for a piece between cells.
+
+    The one interval walk behind both table lookups, the single
+    reflection (``_Tracer._advance``) and the pair step
+    (``_Tracer.trace_states``).
+    """
+    pieces = []
+    i = bisect_right(los, lo) - 1
+    if i < 0:
+        i = 0
+    elif his[i] <= lo:
+        i += 1
+    pos = lo
+    while i < len(los) and pos < hi:
+        a = los[i]
+        if a >= hi:
+            break
+        if a > pos:
+            pieces.append((-1, pos, a))
+        else:
+            a = pos
+        b = his[i]
+        if b > hi:
+            b = hi
+        pieces.append((i, a, b))
+        pos = b
+        i += 1
+    if pos < hi:
+        pieces.append((-1, pos, hi))
+    return pieces
+
+
 class _Tracer:
     """Beam-transit engine for one polygon and one base direction."""
 
@@ -588,29 +623,16 @@ class _Tracer:
         """
         side, lo, hi, n, disp, refl = st
         tbl = self._table(refl & 1, n, side)
-        los, his = tbl.los, tbl.his
         children = []
         slivers = []
-        pos = lo
-        i = bisect_right(los, lo) - 1
-        if i < 0:
-            i = 0
-        elif his[i] <= lo:
-            i += 1
-        while i < len(los) and los[i] < hi and pos < hi:
-            a = max(pos, los[i])
-            b = min(hi, his[i])
-            if a > pos:
-                slivers.append((side, pos, a, n, disp, refl))
-            if b > a:
+        for i, a, b in _split(tbl.los, tbl.his, lo, hi):
+            if i < 0:
+                slivers.append((side, a, b, n, disp, refl))
+            else:
                 delta = tbl.deltas[i]
                 n2 = -n if tbl.classes[i] == 0 else 1 - n
                 children.append((tbl.targets[i], delta - b, delta - a, n2,
                                  delta - disp, refl + 1))
-            pos = b
-            i += 1
-        if pos < hi:
-            slivers.append((side, pos, hi, n, disp, refl))
         return children, slivers
 
     def _build_pair(self, n: int, side: int):
@@ -621,20 +643,28 @@ class _Tracer:
         cell (t, d, k, False) maps its piece [a, b] of the section to the
         section state (t, a+d, b+d, n+k, disp+d, refl+2); a cell
         (t, d, k, True) is a second-reflection guard, whose piece stops as
-        the sliver (t, d-b, d-a, k-n, d-disp, refl+1).  The cells tile
-        each first-reflection cell, so the gaps between them are the
+        the sliver (t, d-b, d-a, k-n, d-disp, refl+1).  A cell
+        (t, d, k, exc) covers a whole first-reflection cell whose middle
+        transit table raised DegenerateDirection ``exc``; a piece that
+        reaches it raises, as stepping one reflection at a time would,
+        and pieces that do not reach it step on.  The cells tile each
+        first-reflection cell, so the gaps between them are the
         first-reflection guards.
         """
         tbl = self._table(0, n, side)
         pieces = []
         for mid in self._advance((side, tbl.dom_lo, tbl.dom_hi, n, 0, 0))[0]:
-            t1, _, _, n1, d1, _ = mid
-            children, slivers = self._advance(mid)
+            t1, lo1, hi1, n1, d1, _ = mid
+            c1 = n1 + n  # the middle level is c1 - n, c1 the class of t1
+            try:
+                children, slivers = self._advance(mid)
+            except DegenerateDirection as exc:
+                pieces.append((d1 - hi1, d1 - lo1, (t1, d1, c1, exc)))
+                continue
             for t2, lo, hi, n2, d, _ in children:
                 pieces.append((lo - d, hi - d, (t2, d, n2 - n, False)))
-            # the middle level is c1 - n for the class c1 of side t1
             for _, lo, hi, _, _, _ in slivers:
-                pieces.append((d1 - hi, d1 - lo, (t1, d1, n1 + n, True)))
+                pieces.append((d1 - hi, d1 - lo, (t1, d1, c1, True)))
         pieces.sort(key=lambda p: p[0])
         return ([p[0] for p in pieces], [p[1] for p in pieces],
                 [p[2] for p in pieces])
@@ -679,45 +709,28 @@ class _Tracer:
                 pair = self._store(key, self._build_pair(*key))
             los, his, cells = pair
             refl2 = refl + 2
-            # cells are disjoint and sorted, so each one met below meets
-            # [pos, hi] in a piece [a, b] with a < b
-            i = bisect_right(los, lo) - 1
-            if i < 0:
-                i = 0
-            elif his[i] <= lo:
-                i += 1
-            pos = lo
-            while i < len(los) and pos < hi:
-                a = los[i]
-                if a >= hi:
-                    break
-                if a > pos:
-                    uncertain.append((side, pos, a, n, disp, refl))
-                else:
-                    a = pos
-                b = his[i]
-                if b > hi:
-                    b = hi
+            for i, a, b in _split(los, his, lo, hi):
+                if i < 0:
+                    uncertain.append((side, a, b, n, disp, refl))
+                    continue
                 t, d, k, mid = cells[i]
                 if mid:
+                    if mid is not True:
+                        raise DegenerateDirection(*mid.args)
                     uncertain.append((t, d - b, d - a, k - n, d - disp, refl + 1))
+                    continue
+                n2 = n + k
+                child = (t, a + d, b + d, n2, disp + d, refl2)
+                if refl2 > max_refl:
+                    max_refl = refl2
+                if n2 == 0 or (b_mod is not None and n2 % b_mod == 0):
+                    returned.append(child)
+                elif n_cap is not None and abs(n2) > n_cap:
+                    escaped.append(child)
+                elif refl2 >= reflection_cap:
+                    active.append(child)
                 else:
-                    n2 = n + k
-                    child = (t, a + d, b + d, n2, disp + d, refl2)
-                    if refl2 > max_refl:
-                        max_refl = refl2
-                    if n2 == 0 or (b_mod is not None and n2 % b_mod == 0):
-                        returned.append(child)
-                    elif n_cap is not None and abs(n2) > n_cap:
-                        escaped.append(child)
-                    elif refl2 >= reflection_cap:
-                        active.append(child)
-                    else:
-                        stack.append(child)
-                pos = b
-                i += 1
-            if pos < hi:
-                uncertain.append((side, pos, hi, n, disp, refl))
+                    stack.append(child)
         return out, max_refl
 
     def partition_states(self, level: int = 0):

@@ -564,6 +564,44 @@ def test_pair_stepper_matches_reflection_by_reflection(shape, bits):
                         (theta, level, n_cap, cap)
 
 
+def test_degenerate_middle_table_raises_only_for_beams_that_reach_it():
+    # A pair table reflects its whole domain twice, so it builds middle
+    # tables that a given beam may never use.  Make one of them degenerate:
+    # a beam through another first-reflection cell must trace as before,
+    # and only a beam that reaches the degenerate one raises.  One pair
+    # step (cap 2) keeps each beam on the middle table of its own cell.
+    q = unit_rhombus()
+    clean = _Tracer(q, "0.3")
+    first = clean._table(0, 0, _LAUNCH)
+    poison = (1, first.classes[0], first.targets[0])
+    other = next(i for i in range(len(first.los))
+                 if (1, first.classes[i], first.targets[i]) != poison)
+
+    def poisoned():
+        tracer = _Tracer(q, "0.3")
+        build = tracer._build_table
+
+        def build_table(odd, n, side):
+            if (odd, n, side) == poison:
+                raise DegenerateDirection("poisoned middle table")
+            return build(odd, n, side)
+        tracer._build_table = build_table
+        return tracer
+
+    def beam(i):
+        mid = (first.los[i] + first.his[i]) // 2
+        return [(_LAUNCH, mid, mid + (1 << 20), 0, 0, 0)]
+
+    want = clean.trace_states(beam(other), n_cap=None, reflection_cap=2)
+    assert poisoned().trace_states(beam(other), n_cap=None,
+                                   reflection_cap=2) == want
+    assert _reflection_by_reflection(poisoned(), beam(other), None, 2) == want
+    with pytest.raises(DegenerateDirection, match="poisoned"):
+        poisoned().trace_states(beam(0), n_cap=None, reflection_cap=2)
+    with pytest.raises(DegenerateDirection, match="poisoned"):
+        _reflection_by_reflection(poisoned(), beam(0), None, 2)
+
+
 def test_trace_states_rejects_odd_states():
     tracer = _Tracer(unit_rhombus(), "0.3")
     lo, hi = tracer.launch_span()

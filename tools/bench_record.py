@@ -1,14 +1,17 @@
 """Record one point of the benchmark trajectory.
 
-    python3 tools/bench_record.py LABEL [--seconds S]
+    python3 tools/bench_record.py LABEL
 
 Runs ``bench/run.py --trace 0`` once for each workload that
-``BENCHMARK.json`` declares, one after another, from the root of this
-checkout, and writes ``BENCH_<LABEL>.json`` there.  Per workload the file
-holds the result line of ``bench/run.py`` (``correct``, ``attempted``,
-``failed`` and the median of each end-to-end metric), the quartiles of
-those metrics and the environment from the run's record; beside them, the
-commit (``git describe --always --dirty``) and the Python version.
+``BENCHMARK.json`` declares, one after another and for that file's
+``run_seconds`` each, from the root of this checkout, and writes
+``BENCH_<LABEL>.json`` there.  Per workload the file holds the result line
+of ``bench/run.py`` (``correct``, ``attempted``, ``failed`` and the median
+of each end-to-end metric), the quartiles of those metrics and the
+environment from the run's record; beside them, the commit (``git
+describe --always --dirty``) and the Python version.  It refuses to run
+on a tree with uncommitted changes to tracked files, so the commit it
+records is the code it measured.
 """
 
 from __future__ import annotations
@@ -26,17 +29,21 @@ ROOT = Path(__file__).resolve().parent.parent
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label")
-    parser.add_argument("--seconds", type=float, default=25)
     args = parser.parse_args()
-    names = [w["name"] for w in
-             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     commit = subprocess.run(["git", "describe", "--always", "--dirty"],
-                            cwd=ROOT, capture_output=True, text=True).stdout
+                            cwd=ROOT, capture_output=True,
+                            text=True).stdout.strip()
+    if not commit or commit.endswith("-dirty"):
+        parser.error(f"commit the tree first (git describe: {commit!r}); "
+                     f"a record must name the code it measured")
     workloads = {}
     for name in names:
         proc = subprocess.run(
             [sys.executable, "bench/run.py", "--workload", name, "--trace", "0",
-             "--seconds", str(args.seconds)],
+             "--seconds", str(seconds)],
             cwd=ROOT, capture_output=True, text=True)
         if proc.returncode:
             sys.stderr.write(proc.stdout + proc.stderr)
@@ -47,8 +54,8 @@ def main() -> int:
         workloads[name] = dict(result, end_to_end=record["end_to_end"],
                                env=record["env"])
         print(f"{name}: {json.dumps(result)}")
-    out = {"label": args.label, "commit": commit.strip() or None,
-           "python": platform.python_version(), "seconds": args.seconds,
+    out = {"label": args.label, "commit": commit,
+           "python": platform.python_version(), "seconds": seconds,
            "workloads": workloads}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
