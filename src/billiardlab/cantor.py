@@ -5,17 +5,17 @@ denominators: level k keeps the intervals of half-width (2|n_k|)^(-mu)/2
 centered on lattice orbit points (m*p + k)*omega that are completely
 contained in a level-(k-1) interval, and splits each parent's mass
 uniformly among its retained children.  All counting and containment is
-done in exact fixed-point integer arithmetic (floor sums), so level
-counts and masses are exact even when a level is far too large to
-enumerate; representative drift is absorbed by per-level guard bands and
-any interval whose containment is ambiguous at the guard is discarded,
-keeping every reported quantity a certified lower-bound object.
+done in exact fixed-point integer arithmetic (floor sums count, orbit-hit
+walks enumerate), so level counts and masses are exact even when a level
+is far too large to enumerate; representative drift is absorbed by
+per-level guard bands and any interval whose containment is ambiguous at
+the guard is discarded, keeping every reported quantity a certified
+lower-bound object.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -25,7 +25,7 @@ from mpmath import mp, mpf
 from .circle import (CirclePoint, ContinuedFractionExpansion,
                      continued_fraction, eval_number, min_orbit_distance)
 from .errors import CapTooSmall, DepthUnreachable, EmptyLevel
-from .fixedpoint import count_arc, from_fixed, to_fixed
+from .fixedpoint import arc_hits, count_arc, from_fixed, to_fixed
 from .intervals import IntervalUnion, _dps_for, circle_pairs, fmt
 
 __all__ = [
@@ -295,9 +295,9 @@ class _Builder:
 
     def extend(self, n_signed: int, k: int, *, final: bool) -> None:
         """Append level k for n_k = n_signed: exact per-parent child counts
-        by floor sums first, then one lattice scan if the level fits both
-        caps, else the counts if it is final, else CapTooSmall.  Raises
-        EmptyLevel if some parent would keep no certified child; the
+        by floor sums first, then the parent arcs' orbit hits if the level
+        fits both caps, else the counts if it is final, else CapTooSmall.
+        Raises EmptyLevel if some parent would keep no certified child; the
         builder is unchanged on any raise."""
         q = abs(n_signed)
         self._check_resolution(k, q)
@@ -357,24 +357,18 @@ class _Builder:
         self.levels.append(level)
 
     def _scan(self, res, p_lo, p_hi, centers, allow, masses):
-        """One pass over the lattice: each point within `allow` of one of
-        the (sorted) parent centers becomes an interval carrying that
-        parent's per-child mass.  Returned sorted by center."""
-        scale, m = self.scale, self.m
-        step = (m * self.w) % scale
-        c = (self.w * (m * p_lo + res)) % scale
-        n_parents = len(centers)
+        """The lattice points within `allow` of a parent center, found by
+        walking each parent arc's orbit hits; each becomes an interval
+        carrying that parent's per-child mass.  The parent arcs are
+        disjoint, so no point has two parents.  Returned sorted by
+        center."""
+        scale, m, w = self.scale, self.m, self.w
         children = []
-        for p in range(p_lo, p_hi + 1):
-            i = bisect_right(centers, c)
-            for cand in ((i - 1) % n_parents, i % n_parents):
-                d = (c - centers[cand]) % scale
-                if min(d, scale - d) <= allow:
-                    children.append(LevelInterval(
-                        j=m * p + res, center_fp=c, mass=masses[cand],
-                        parent=cand))
-                    break
-            c = (c + step) % scale
+        for i, c in enumerate(centers):
+            for p in arc_hits(w, scale, m, res, p_lo, p_hi, c, allow):
+                j = m * p + res
+                children.append(LevelInterval(
+                    j=j, center_fp=j * w % scale, mass=masses[i], parent=i))
         children.sort(key=lambda iv: iv.center_fp)
         return tuple(children)
 

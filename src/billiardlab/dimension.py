@@ -6,6 +6,7 @@ billiard escape sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Tuple
@@ -112,22 +113,29 @@ class AverageCoverReport:
 def average_length_cover(lengths: Sequence, budget_length) -> AverageCoverReport:
     """Cover intervals of lengths a_1..a_j by pieces of length budget/j.
 
-    count = sum_k (floor(a_k * j / sum(a)) + 1), evaluated in exact
-    rational arithmetic so floor ties cannot flip with rounding; the
-    packing bound asserts count <= 3j.  Each interval k fits inside its
-    floor(a_k*j/sum)+1 pieces because budget >= sum(a)."""
+    count = sum_k (floor(a_k * j / sum(a)) + 1), evaluated on integer
+    numerators over one common denominator so floor ties cannot flip with
+    rounding; ints and Fractions are taken as exact, anything else through
+    its exact mpf value.  The packing bound asserts count <= 3j.  Each
+    interval k fits inside its floor(a_k*j/sum)+1 pieces because
+    budget >= sum(a)."""
     j = len(lengths)
     if j == 0:
         return AverageCoverReport(0, True, mpf(0), ())
-    fracs = [a if isinstance(a, Fraction) else mpf_to_fraction(a) for a in lengths]
-    if any(a <= 0 for a in fracs):
+
+    def exact(x):
+        return x if isinstance(x, (int, Fraction)) else mpf_to_fraction(x)
+
+    fracs = [exact(a) for a in lengths]
+    den = math.lcm(*(a.denominator for a in fracs))
+    nums = [a.numerator * (den // a.denominator) for a in fracs]
+    if any(n <= 0 for n in nums):
         raise ValueError("interval lengths must be positive")
-    total = sum(fracs)
-    budget = budget_length if isinstance(budget_length, Fraction) \
-        else mpf_to_fraction(budget_length)
-    if budget < total:
+    total = sum(nums)
+    budget = exact(budget_length)
+    if budget * den < total:
         raise ValueError("budget_length must be at least the total length")
-    per = tuple(int(a * j / total) + 1 for a in fracs)
+    per = tuple(n * j // total + 1 for n in nums)
     count = sum(per)
     with mp.workprec(96):
         piece = mpf(budget.numerator) / budget.denominator / j

@@ -2,10 +2,12 @@
 ||t + p*omega|| below power thresholds, finite-depth truncations of the
 A/B covering sets, and the ubiquity deficiency functional.
 
-Solutions are enumerated in exact integer arithmetic at any p_max: floor
-sums count, block by block, the indices whose fixed-point orbit point lies
-close enough to 0 to be a solution of the real problem, blocks holding
-none are dropped, and every surviving index is verified with mpmath.
+Solutions are enumerated in exact integer arithmetic at any p_max: in each
+block of indices of one bit length, the hitting-time kernel first_hit
+walks from one index whose fixed-point orbit point lies within the block's
+allowance of 0 to the next, each hit is kept if it is close enough to be a
+solution of the real problem, and every kept index is verified with
+mpmath.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from mpmath import mp, mpf
 
 from .circle import CirclePoint, detect_rational_angle
 from .errors import CapTooSmall, OrbitPoint, RationalRotation
-from .fixedpoint import count_arc, to_fixed
+from .fixedpoint import arc_hits, to_fixed
 from .intervals import IntervalUnion, circle_pairs
 
 
@@ -77,30 +79,27 @@ def _candidates(t: CirclePoint, omega: CirclePoint, sign: int, m: int,
     one.  With thr_fp at least the threshold in ulps rounded down, every
     solution of the real problem is therefore yielded, at any p_max; the
     last ulp absorbs rounding in computing the threshold.  thr_fp never
-    increases with |p|, so the allowance thr_fp(first) + last + 2 covers a
-    whole block first..last: blocks where count_arc finds no point within
-    it are dropped, the others halved.
+    increases with |p|, so the allowance thr_fp(first) + last + 2 covers
+    every index of a block first..last of one bit length: the block's
+    orbit hits within it are walked with first_hit, and each is kept if
+    its own allowance holds.
     """
-    first, last = _progression(1, p_max, m, residue)
-    if first > last:
-        return
     bits = min(t.precision_bits, omega.precision_bits)
     scale = 1 << bits
     w = sign * to_fixed(omega.value, bits) % scale
     center = -to_fixed(t.value, bits) % scale
-    stack = [(0, (last - first) // m)]
-    while stack:
-        lo, hi = stack.pop()
-        p_lo, p_hi = first + m * lo, first + m * hi
-        allow = thr_fp(p_lo) + p_hi + 2
-        if count_arc(w, scale, m, first, lo, hi, center, allow) == 0:
+    for k in range(p_max.bit_length()):
+        first, last = _progression(1 << k, min(2 << k, p_max + 1) - 1,
+                                   m, residue)
+        if first > last:
             continue
-        if lo == hi:
-            yield p_lo
-            continue
-        mid = (lo + hi) // 2
-        stack.append((mid + 1, hi))
-        stack.append((lo, mid))
+        allow = thr_fp(first) + last + 2
+        for i in arc_hits(w, scale, m, residue, (first - residue) // m,
+                          (last - residue) // m, center, allow):
+            p_abs = m * i + residue
+            x = (p_abs * w - center) % scale
+            if min(x, scale - x) <= thr_fp(p_abs) + p_abs + 2:
+                yield p_abs
 
 
 def _power_allowance(mu: mpf, bits: int) -> Callable[[int], int]:

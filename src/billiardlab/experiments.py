@@ -953,8 +953,7 @@ def run_audits(cfg: ExperimentConfig) -> RunReport:
         if not ok:
             packing_violations += 1
         if i < cfg.e1_check_sample:
-            rep = average_length_cover([Fraction(int(a)) for a in lens],
-                                       Fraction(total))
+            rep = average_length_cover([int(a) for a in lens], total)
             cross_checked += 1
             if rep.count != count or rep.bound_3n_ok != ok:
                 cross_failures += 1

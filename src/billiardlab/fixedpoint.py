@@ -10,6 +10,7 @@ original real inputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator, Optional
 
 from mpmath import mp, mpf
 
@@ -84,3 +85,62 @@ def count_arc(w: int, scale: int, m: int, res: int, p_lo: int, p_hi: int,
     a = w * m
     b0 = w * (m * p_lo + res) - (center - allow)
     return floor_sum(n, scale, a, b0) - floor_sum(n, scale, a, b0 - width)
+
+
+def first_hit(a: int, b: int, m: int, L: int, R: int) -> Optional[int]:
+    """Least x >= 0 with (a*x + b) mod m in the circular arc [L, R] (from L
+    up to R, through 0 when L > R mod m), or None if no x qualifies; any
+    signs, m > 0.
+
+    After the x = 0 test this is the least x with a*x mod m in [lo, hi],
+    0 < lo <= hi < m.  Reflecting (a, lo, hi) to (m - a, m - hi, m - lo)
+    keeps a <= m/2.  If no multiple of a lies in [lo, hi], the answer is
+    ceil((lo + m*y)/a) for the least y >= 0 with (-m*y) mod a in
+    [lo mod a, hi mod a]: the same problem on (-m mod a, a), so the
+    modulus at least halves at each level (Slater's return times, by
+    Euclid's steps).  The levels are kept in a list rather than on the
+    call stack, since a modulus of n bits can need n of them.
+    """
+    assert m > 0
+    a, L = a % m, L % m
+    width = (R - L) % m
+    start = (b - L) % m
+    if start <= width:
+        return 0
+    lo, hi = m - start, m - start + width
+    levels = []
+    while True:
+        if a == 0:
+            return None
+        if 2 * a > m:
+            a, lo, hi = m - a, m - hi, m - lo
+        x = -(-lo // a)
+        if a * x <= hi:
+            break
+        levels.append((lo, m, a))
+        a, m, lo, hi = -m % a, a, lo % a, hi % a
+    for lo, m, a in reversed(levels):
+        x = -(-(lo + m * x) // a)
+    return x
+
+
+def arc_hits(w: int, scale: int, m: int, res: int, p_lo: int, p_hi: int,
+             center: int, allow: int) -> Iterator[int]:
+    """Yield, increasing, every p that count_arc counts with the same
+    arguments: one first_hit per hit, plus one for the miss that ends the
+    walk; every index when the arc is the whole circle."""
+    if allow < 0:
+        return
+    if 2 * allow + 1 >= scale:
+        yield from range(p_lo, p_hi + 1)
+        return
+    a = w * m
+    p = p_lo
+    while p <= p_hi:
+        x = first_hit(a, w * (m * p + res), scale, center - allow,
+                      center + allow)
+        if x is None or p + x > p_hi:
+            return
+        p += x
+        yield p
+        p += 1

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from billiardlab.cantor import (build_hierarchy, intermediate_interval_check,
+from billiardlab.cantor import (DEFAULT_MATERIALIZE_CAP, DEFAULT_SCAN_CAP,
+                                LevelInterval, _Builder, build_hierarchy,
+                                intermediate_interval_check,
                                 local_dimension_report, select_sequence,
                                 separation_report)
 from billiardlab.circle import CirclePoint, continued_fraction
@@ -351,6 +353,37 @@ def test_counted_final_level_matches_enumerated():
         masses[iv.parent] = iv.mass
     assert tuple(masses[i] for i in sorted(masses)) == last_c.child_mass
     _check_invariants(h_cnt)
+
+
+def test_scan_walks_exactly_the_points_a_full_scan_keeps():
+    # level 3 of [1, -3, 4181]: 4182 lattice points under three parents;
+    # the hit walk must give the tuple a point-by-point scan gives
+    b = _Builder(golden(), 2, 1, DEFAULT_SCAN_CAP, DEFAULT_MATERIALIZE_CAP)
+    b.extend(1, 1, final=False)
+    b.extend(-3, 2, final=False)
+    res, p_lo, p_hi = b._lattice(4181, 3)
+    parent = b.levels[-1]
+    centers = [iv.center_fp for iv in parent.intervals]
+    masses = [Fraction(1, i + 2) for i in range(len(centers))]
+    allow = parent.half_fp - b.half_fp(4181) - b.guard(4181)
+    got = b._scan(res, p_lo, p_hi, centers, allow, masses)
+
+    scale = b.scale
+    expected = []
+    for p in range(p_lo, p_hi + 1):
+        j = p + res
+        c = j * b.w % scale
+        owners = [i for i, pc in enumerate(centers)
+                  if min((c - pc) % scale, (pc - c) % scale) <= allow]
+        assert len(owners) <= 1
+        if owners:
+            expected.append(LevelInterval(j=j, center_fp=c,
+                                          mass=masses[owners[0]],
+                                          parent=owners[0]))
+    expected.sort(key=lambda iv: iv.center_fp)
+    assert p_hi - p_lo + 1 == 4182 and len(centers) == 3
+    assert got == tuple(expected)
+    assert len({iv.parent for iv in got}) == 3
 
 
 def test_materialize_cap_collapses_to_counts():

@@ -79,11 +79,20 @@ def test_planted_solution_near_1e9_is_found():
         assert s.distance < mpf(1) / (4 * abs(s.p))
 
 
-@pytest.mark.parametrize("sign,m,residue", [(1, 1, 0), (-1, 3, 2), (1, 5, 0)])
-def test_candidates_are_exactly_the_fixed_point_allowance_hits(sign, m, residue):
-    # Coarse 20-bit points keep the allowance wide, so the bisection must
-    # return exactly the indices a direct fixed-point check finds.
-    bits = 20
+@pytest.mark.parametrize("bits,p_max,sign,m,residue", [
+    pytest.param(20, 3000, 1, 1, 0, id="1-1-0"),
+    pytest.param(20, 3000, -1, 3, 2, id="-1-3-2"),
+    pytest.param(20, 3000, 1, 5, 0, id="1-5-0"),
+    # 8 bits: from |p| = 64 on a block's allowance covers the whole circle,
+    # while an index's own allowance does so only from |p| = 126
+    pytest.param(8, 300, 1, 1, 0, id="whole-circle-blocks"),
+    # fifteen bit-length blocks, the first ones holding no index at all
+    pytest.param(24, 20000, -1, 7, 4, id="many-blocks-m7"),
+])
+def test_candidates_are_exactly_the_fixed_point_allowance_hits(
+        bits, p_max, sign, m, residue):
+    # Coarse points keep the allowance wide, so the hit walk must return
+    # exactly the indices a direct fixed-point check finds.
     scale = 1 << bits
     t = CirclePoint.make("1/pi", bits)
     g = CirclePoint.make(GOLDEN, bits)
@@ -92,16 +101,15 @@ def test_candidates_are_exactly_the_fixed_point_allowance_hits(sign, m, residue)
     def thr_fp(p_abs):
         return scale // (4 * p_abs)
 
+    indices = [p for p in range(1, p_max + 1) if p % m == residue]
     expected = []
-    for p_abs in range(1, 3001):
-        if p_abs % m != residue:
-            continue
+    for p_abs in indices:
         x = (T + sign * p_abs * W) % scale
         if min(x, scale - x) <= thr_fp(p_abs) + p_abs + 2:
             expected.append(p_abs)
-    got = list(_candidates(t, g, sign, m, residue, 3000, thr_fp))
+    got = list(_candidates(t, g, sign, m, residue, p_max, thr_fp))
     assert got == expected
-    assert expected
+    assert 0 < len(expected) < len(indices)
 
 
 @pytest.mark.parametrize("bits", [64, 256])

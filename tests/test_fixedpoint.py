@@ -1,11 +1,12 @@
 """Exact fixed-point helpers: conversion roundtrips and lattice-point
 counting against brute force."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from billiardlab.fixedpoint import count_arc, floor_sum, from_fixed, to_fixed
+from billiardlab.fixedpoint import (arc_hits, count_arc, first_hit, floor_sum,
+                                   from_fixed, to_fixed)
 
 
 def brute_floor_sum(n, m, a, b):
@@ -81,3 +82,66 @@ def test_count_arc_edge_cases():
     assert count_arc(w, scale, 1, 0, 5, 4, 0, scale) == 0
     assert count_arc(w, scale, 1, 0, 0, 99, 0, -1) == 0
     assert count_arc(w, scale, 1, 0, 0, 99, (7 * w) % scale, 0) >= 1
+
+
+def brute_first_hit(a, b, m, L, R):
+    # the orbit of x -> (a*x + b) mod m repeats within m steps
+    L, R = L % m, R % m
+    for x in range(m):
+        v = (a * x + b) % m
+        if (L <= v <= R) if L <= R else (v >= L or v <= R):
+            return x
+    return None
+
+
+@given(st.integers(1, 300), st.integers(-10**4, 10**4),
+       st.integers(-10**4, 10**4), st.integers(-400, 400),
+       st.integers(-400, 400))
+@settings(max_examples=2000)
+@example(m=257, a=100, b=-3, L=-5, R=-5)
+@example(m=100, a=-37, b=5, L=90, R=10)
+def test_first_hit_matches_brute_force(m, a, b, L, R):
+    # signed a and b, and arcs given by any signed ends: L > R (mod m)
+    # wraps through 0, L == R is one point
+    assert first_hit(a, b, m, L, R) == brute_first_hit(a, b, m, L, R)
+
+
+@given(st.integers(1, 300), st.integers(-5, 5), st.integers(-10**4, 10**4),
+       st.integers(-400, 400), st.integers(-400, 400))
+@example(m=7, k=2, b=3, L=4, R=6)
+@example(m=7, k=-3, b=-1, L=5, R=1)
+def test_first_hit_zero_step(m, k, b, L, R):
+    # a = 0 (mod m): the orbit is the single point b, so the answer is 0
+    # when the arc holds b and None when it does not
+    a = k * m
+    inside = (b - L) % m <= (R - L) % m
+    assert first_hit(a, b, m, L, R) == (0 if inside else None)
+    assert first_hit(a, b, m, L, R) == brute_first_hit(a, b, m, L, R)
+
+
+def test_first_hit_8192_bit_narrow_arc_is_iterative():
+    # the Euclid chain of a golden step on a 8192-bit circle runs to
+    # thousands of levels, past any recursion limit; the hit it finds is
+    # confirmed by exact counting
+    bits = 8192
+    scale = 1 << bits
+    with mp.workprec(bits + 64):
+        w = to_fixed((mp.sqrt(5) - 1) / 2, bits) | 1
+    center, allow = scale // 3, 2
+    x = first_hit(w, 0, scale, center - allow, center + allow)
+    assert x is not None and x > 1 << (bits - 8)
+    assert count_arc(w, scale, 1, 0, x, x, center, allow) == 1
+    assert count_arc(w, scale, 1, 0, 0, x - 1, center, allow) == 0
+
+
+@given(st.integers(0, 2**10 - 1), st.integers(1, 5), st.integers(-9, 9),
+       st.integers(-40, 40), st.integers(-1, 80), st.integers(0, 2**10 - 1),
+       st.integers(-1, 2**9 + 1))
+@settings(max_examples=300)
+def test_arc_hits_are_the_indices_count_arc_counts(w, m, res, p_lo, extra,
+                                                   center, allow):
+    scale = 1 << 10
+    p_hi = p_lo + extra
+    hits = list(arc_hits(w, scale, m, res, p_lo, p_hi, center, allow))
+    assert hits == [p for p in range(p_lo, p_hi + 1)
+                    if count_arc(w, scale, m, res, p, p, center, allow)]

@@ -9,7 +9,10 @@ Runs ``bench/run.py --trace 0`` once for each workload that
 of ``bench/run.py`` (``correct``, ``attempted``, ``failed`` and the median
 of each end-to-end metric), the quartiles of those metrics and the
 environment from the run's record; beside them, the commit (``git
-describe --always --dirty``) and the Python version.  It refuses to run
+describe --always --dirty``) and the Python version.  ``lab_defaults``
+maps each ``lab`` experiment to the wall seconds of one run at its default
+config, in a fresh process (interpreter start and import included) whose
+working directory is a new temporary directory.  It refuses to run
 on a tree with uncommitted changes to tracked files, so the commit it
 records is the code it measured.
 """
@@ -19,11 +22,41 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def lab_default_seconds() -> dict:
+    """Wall seconds of one default-config ``lab`` run per experiment.
+
+    An exit status of 2 (a run that reports a violated invariant, as
+    three_distance_audit does by design) still counts as a completed run.
+    """
+    sys.path.insert(0, str(ROOT / "src"))
+    from billiardlab.experiments import EXPERIMENTS
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    seconds = {}
+    for name in sorted(EXPERIMENTS):
+        with tempfile.TemporaryDirectory() as tmp:
+            Path(tmp, "config.json").write_text("{}")
+            start = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-m", "billiardlab.cli", name,
+                 "--config", "config.json"],
+                cwd=tmp, env=env, capture_output=True, text=True)
+            seconds[name] = time.perf_counter() - start
+        if proc.returncode not in (0, 2):
+            raise RuntimeError(f"lab {name} exited {proc.returncode}:\n"
+                               f"{proc.stdout}{proc.stderr}")
+        print(f"lab {name}: {seconds[name]:.3f} s")
+    return seconds
 
 
 def main() -> int:
@@ -56,7 +89,7 @@ def main() -> int:
         print(f"{name}: {json.dumps(result)}")
     out = {"label": args.label, "commit": commit,
            "python": platform.python_version(), "seconds": seconds,
-           "workloads": workloads}
+           "workloads": workloads, "lab_defaults": lab_default_seconds()}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path.name}")
