@@ -9,6 +9,7 @@ Subpackage map:
 - ``cantor``     nested interval hierarchies with outer-measure bookkeeping
 - ``billiard``   polygon geometry, cross-sections, beam tracing, escape sets
 - ``dimension``  box counting, slope fits and escape-set covers
+- ``rng``        the seeded generator of the experiments (numpy-free)
 - ``experiments``/``cli``  reproducible experiment runners (``lab`` entry point)
 """
 

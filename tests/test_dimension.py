@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from billiardlab.dimension import (
@@ -158,6 +160,17 @@ def test_average_cover_packing_bound_random(seed):
         r = average_length_cover(lengths, budget)
         assert r.bound_3n_ok
         assert r.count <= 2 * j  # the floor-sum argument gives 2j outright
+
+
+@given(st.lists(st.integers(1, 2**64), min_size=1, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_packing_count_identity(lens):
+    # Each floor is at most a_k*j/sum(a), so the count is at most 2j < 3j:
+    # the packing audit needs to draw only the trials its report shows.
+    j, total = len(lens), sum(lens)
+    count = sum(a * j // total for a in lens) + j
+    assert count <= 2 * j
+    assert average_length_cover(lens, total).count == count
 
 
 def test_average_cover_empty():

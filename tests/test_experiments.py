@@ -126,6 +126,15 @@ def test_schedule_shrink_bound_is_half_open(shrink):
     assert make_cfg("thm1_cover", schedule_shrink=1.0).schedule_shrink == 1.0
 
 
+def test_e1_j_max_bounded_by_the_32_bit_draw():
+    # From 2**32 on numpy leaves the 32-bit Lemire path that rng.Generator
+    # reproduces, so such a value must be refused rather than drawn.
+    with pytest.raises(ConfigError, match="e1_j_max"):
+        make_cfg("three_distance_audit", e1_j_max=1 << 32)
+    assert make_cfg("three_distance_audit",
+                    e1_j_max=(1 << 32) - 1).e1_j_max == (1 << 32) - 1
+
+
 @pytest.mark.parametrize("experiment,polygon,normalized", [
     ("thm1_cover", {"kind": "parallelogram", "alpha": "1.0", "side": 2},
      {"kind": "parallelogram", "alpha": "1.0", "side": 2, "base": 1}),

@@ -1,8 +1,12 @@
 """Package-level guards: the public exports exist, no library module
-hands a string to ``eval`` or ``exec``, and none sets the global mpmath
-precision (reports must not depend on the ambient context)."""
+hands a string to ``eval`` or ``exec``, none sets the global mpmath
+precision (reports must not depend on the ambient context), and the
+``lab`` runtime does not load numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import billiardlab
@@ -36,3 +40,15 @@ def test_no_module_assigns_global_precision():
                  and isinstance(node.ctx, ast.Store)
                  and node.attr in ("prec", "dps")]
     assert not offenders
+
+
+def test_lab_runtime_does_not_import_numpy():
+    # numpy is a test dependency only; the experiments draw from billiardlab.rng.
+    src = str(Path(billiardlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = ("import sys, billiardlab.experiments, billiardlab.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
