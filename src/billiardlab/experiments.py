@@ -232,7 +232,7 @@ _SCHEMA: Dict[str, Dict[str, Tuple[Any, Check]]] = {
         "omegas": (["(sqrt(5)-1)/2", "sqrt(2)-1"], _list(_expr())),
         "q_max": (100000, _COUNT),
         "e1_trials": (10000, _COUNT),
-        # numpy's 32-bit Lemire draw, which rng.Generator reproduces
+        # j is drawn on numpy's 32-bit path, the one rng.Generator reproduces
         "e1_j_max": (1000, _integer(1, (1 << 32) - 1)),
         "e1_check_sample": (50, _integer(0)),
     },

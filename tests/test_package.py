@@ -45,8 +45,7 @@ def test_no_module_assigns_global_precision():
 def test_lab_runtime_does_not_import_numpy():
     # numpy is a test dependency only; the experiments draw from billiardlab.rng.
     src = str(Path(billiardlab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, billiardlab.experiments, billiardlab.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
