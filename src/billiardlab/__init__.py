@@ -4,7 +4,8 @@ the inhomogeneous Diophantine machinery behind their escaping-orbit sets.
 Subpackage map:
 
 - ``circle``     unit-circle arithmetic, validated continued fractions
-- ``intervals``  disjoint open-interval unions (the universal set type)
+- ``intervals``  disjoint open-interval unions on an integer grid (the
+                 universal set type, with exact set algebra)
 - ``dioph``      approximation solution scans, A/B covering sets, ubiquity
 - ``cantor``     nested interval hierarchies with outer-measure bookkeeping
 - ``billiard``   polygon geometry, cross-sections, beam tracing, escape sets

@@ -303,7 +303,8 @@ def build_polygon(spec, precision_bits: int = DEFAULT_PRECISION,
 class CrossSection:
     """Arc-length view of the rays with a fixed direction crossing a polygon.
 
-    ``segments`` is the stabbed span on the perpendicular axis;
+    ``segments`` is the stabbed span on the perpendicular axis, on the
+    2^-precision_bits grid;
     ``pieces`` lists (lo, hi, chords) cells where ``chords`` counts how
     many disjoint chords a stabbing line at that offset crosses; ``width``
     is the total ray measure (chord-multiplicity weighted), which equals
@@ -761,12 +762,7 @@ class _Tracer:
         return lo - disp, hi - disp
 
     def source_union(self, states) -> IntervalUnion:
-        P = self.P
-        pairs = []
-        for st in states:
-            s_lo, s_hi = self.source_pair(st)
-            pairs.append((from_fixed(s_lo, P), from_fixed(s_hi, P)))
-        return IntervalUnion.make(pairs, P)
+        return IntervalUnion.make(map(self.source_pair, states), self.P)
 
     def to_beam(self, status: str, st) -> Beam:
         """Public beam for a state listed under ``status`` by trace_states."""
@@ -797,8 +793,7 @@ def cross_section(q: GeneralizedParallelogram, theta) -> CrossSection:
     with mp.workprec(P + 16):
         pieces = tuple((from_fixed(lo, P), from_fixed(hi, P), ch)
                        for lo, hi, ch in tbl.raw_cells)
-        segments = IntervalUnion.make(
-            [(from_fixed(tbl.dom_lo, P), from_fixed(tbl.dom_hi, P))], P)
+        segments = IntervalUnion.make([(tbl.dom_lo, tbl.dom_hi)], P)
         if tbl.max_chords == 1:
             width = tbl.width_exact
         else:

@@ -154,9 +154,8 @@ class CantorHierarchy:
             raise ValueError(f"level {k} is counted, not materialized")
         bits = self.precision_bits
         pairs = []
-        h = from_fixed(lev.half_fp, bits)
         for iv in lev.intervals:
-            pairs.extend(circle_pairs(from_fixed(iv.center_fp, bits), h, bits))
+            pairs.extend(circle_pairs(iv.center_fp, lev.half_fp, bits))
         return IntervalUnion.make(pairs, bits)
 
     def nominal_length(self, k: int) -> mpf:

@@ -15,7 +15,7 @@ from mpmath import mp, mpf
 
 from .billiard import escape_sets
 from .errors import InsufficientScales
-from .fixedpoint import mpf_to_fraction
+from .fixedpoint import from_fixed, mpf_to_fraction
 from .intervals import IntervalUnion
 
 
@@ -46,6 +46,7 @@ def box_count(cover_set: IntervalUnion, epsilon, s: float = 1.0) -> CoverReport:
         count = 0
         cursor = None
         for lo, hi in cover_set:
+            lo, hi = from_fixed(lo, bits), from_fixed(hi, bits)
             if cursor is None or cursor < lo:
                 cursor = lo
             while cursor < hi:
@@ -166,10 +167,11 @@ class EscapeCoverRecord:
         upper bound for what was resolved."""
         if not (0 < s <= 1):
             raise ValueError("s must lie in (0, 1]")
-        with mp.workprec(self.uncertain.precision_bits + 16):
+        bits = self.uncertain.precision_bits
+        with mp.workprec(bits + 16):
             unc = mpf(0)
             for lo, hi in self.uncertain:
-                unc += (hi - lo) ** mpf(s)
+                unc += from_fixed(hi - lo, bits) ** mpf(s)
             return self.count * self.piece_length ** mpf(s) + unc
 
 
@@ -179,7 +181,10 @@ def cover_escape_sets(q, theta, ns: Sequence[int], reflection_cap: int,
     it with average-exiting-length pieces of the gate width."""
     for f_n, report in escape_sets(q, theta, ns, reflection_cap, variant):
         gate = report.gate_width
-        lengths = [hi - lo for lo, hi in f_n]
+        # mpf() rounds each exact length to the ambient 53 bits, which the
+        # report digests still depend on (ROADMAP item 4).
+        lengths = [mpf(from_fixed(hi - lo, f_n.precision_bits))
+                   for lo, hi in f_n]
         count, piece = 0, mpf(0)
         if lengths:
             with mp.workprec(f_n.precision_bits + 16):

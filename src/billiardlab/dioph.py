@@ -220,11 +220,13 @@ def minkowski_solutions(t: CirclePoint, omega: CirclePoint,
 
 
 def _layered(mu: float, m: int, l: int, k: int, p_cap: int, bits: int,
-             arcs: Callable[[int, int, mpf], Iterable[Tuple[mpf, mpf]]],
+             arcs: Callable[[int, int, mpf], Iterable[Tuple[int, int]]],
              ) -> IntervalUnion:
     """The layer intersection of a_set_depth and b_set_depth, with the
-    arcs of each admissible p given by arcs(sign, |p|, mu) at working
-    precision bits + 32."""
+    arcs of each admissible p given as grid pairs by arcs(sign, |p|, mu)
+    at working precision bits + 32.  Each arc is rounded outward (the
+    floor of its center, the floor of its half-width plus 2 ulps), so it
+    contains its real arc."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     if not (0 <= l < m) or k < 1:
@@ -238,7 +240,7 @@ def _layered(mu: float, m: int, l: int, k: int, p_cap: int, bits: int,
             for sign in (1, -1):
                 # |p| in [j*m, p_cap] with sign*|p| = l (mod m)
                 first, last = _progression(j * m, p_cap, m, l * sign % m)
-                pairs: List[Tuple[mpf, mpf]] = []
+                pairs: List[Tuple[int, int]] = []
                 for p_abs in range(first, last + 1, m):
                     pairs.extend(arcs(sign, p_abs, mu_m))
                 layer = IntervalUnion.make(pairs, bits)
@@ -259,8 +261,9 @@ def a_set_depth(omega: CirclePoint, mu: float, m: int, l: int, k: int,
     bits = omega.precision_bits
 
     def arcs(sign: int, p_abs: int, mu_m: mpf):
-        return circle_pairs(sign * p_abs * omega.value,
-                            mpf(1) / (2 * mpf(p_abs) ** mu_m), bits)
+        half = to_fixed(mpf(1) / (2 * mpf(p_abs) ** mu_m), bits) + 2
+        return circle_pairs(to_fixed(sign * p_abs * omega.value, bits),
+                            half, bits)
 
     return _layered(mu, m, l, k, p_cap, bits, arcs)
 
@@ -275,9 +278,10 @@ def b_set_depth(t: CirclePoint, mu: float, m: int, l: int, k: int,
     bits = t.precision_bits
 
     def arcs(sign: int, p_abs: int, mu_m: mpf):
-        half = mpf(1) / (2 * mpf(p_abs) ** (mu_m + 1))
+        half = to_fixed(mpf(1) / (2 * mpf(p_abs) ** (mu_m + 1)), bits) + 2
         for i in range(p_abs):
-            yield from circle_pairs((t.value + i) / (sign * p_abs), half, bits)
+            yield from circle_pairs(
+                to_fixed((t.value + i) / (sign * p_abs), bits), half, bits)
 
     return _layered(mu, m, l, k, p_cap, bits, arcs)
 
@@ -305,7 +309,9 @@ def ubiquity_deficiency(omega: CirclePoint, m: int, l: int, N: int,
     (consecutive centers differ by exactly 1/q), so a single family covers
     the circle as soon as 2*rho*q >= 1; that shortcut is exact and makes
     large-N calls cheap.  Otherwise families are subtracted largest-q
-    first with an early exit once nothing remains."""
+    first with an early exit once nothing remains.  Each arc is rounded
+    inward (the floors of its center and of rho, less 1 ulp), so it lies
+    inside its real arc and the deficiency is an upper bound."""
     if N < 1 or K <= 0 or eps <= 0:
         raise ValueError("need N >= 1, K > 0, eps > 0")
     bits = omega.precision_bits
@@ -315,14 +321,16 @@ def ubiquity_deficiency(omega: CirclePoint, m: int, l: int, N: int,
         if q_top >= 1 and 2 * rho * q_top >= 1:
             return mpf(0)
         w = mpf(omega.value)
-        complement = IntervalUnion.make([(mpf(0), mpf(1))], bits)
+        half = to_fixed(rho, bits) - 1
+        complement = IntervalUnion.make([(0, 1 << bits)], bits)
         for k in range(N, 0, -1):
             q = k * m + l
             if q < 1:
                 continue
-            pairs: List[Tuple[mpf, mpf]] = []
+            pairs: List[Tuple[int, int]] = []
             for i in range(q):
-                pairs.extend(circle_pairs((w + i) / q, rho, bits))
+                pairs.extend(
+                    circle_pairs(to_fixed((w + i) / q, bits), half, bits))
             complement = complement.subtract(IntervalUnion.make(pairs, bits))
             if not complement:
                 return mpf(0)

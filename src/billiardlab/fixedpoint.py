@@ -13,11 +13,13 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 
 def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of a finite mpf (every mpf is dyadic)."""
-    v = mpf(x)
+    """Exact rational value of a finite mpf (every mpf is dyadic); an mpf
+    is read as it is, not rounded to the working precision first."""
+    v = x if isinstance(x, mpf) else mpf(x)
     sign, man, exp, _ = v._mpf_
     man = int(man)
     if man == 0 and exp != 0:
@@ -35,9 +37,9 @@ def to_fixed(x, bits: int) -> int:
 
 
 def from_fixed(n: int, bits: int) -> mpf:
-    """Exact mpf value n / 2**bits (the integer fits the mantissa)."""
-    with mp.workprec(max(bits + 8, n.bit_length() + 8)):
-        return mpf(n) / (1 << bits)
+    """Exact mpf value n / 2**bits, built from its mantissa and exponent
+    without rounding."""
+    return mp.make_mpf(from_man_exp(n, -bits))
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:

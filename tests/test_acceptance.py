@@ -54,7 +54,8 @@ def test_criterion_01_cantor_box_dimension():
                 nxt.append((lo, lo + w))
                 nxt.append((hi - w, hi))
             pairs = nxt
-        u = IntervalUnion.make(pairs, BITS)
+        u = IntervalUnion.make([(to_fixed(lo, BITS), to_fixed(hi, BITS))
+                                for lo, hi in pairs], BITS)
         scale_sets = [(mpf(3) ** -k / 2, u) for k in range(4, 13)]
     fit = dim_lb_estimate(scale_sets)
     with mp.workprec(BITS + 16):
@@ -154,10 +155,11 @@ def test_criterion_05_beam_width_conservation():
     widths = {BeamStatus.RETURNED: mpf(0), BeamStatus.ESCAPED: mpf(0)}
     uncertain = mpf(0)
     with mp.workprec(BITS + 16):
-        total = sum((hi - lo for u in parts for lo, hi in u.intervals), mpf(0))
+        total = sum((u.total_length for u in parts), mpf(0))
         for u in parts:
-            for lo, hi in u.intervals:
-                beam = beam_on_section(q, theta, lo, hi)
+            for lo, hi in u:
+                beam = beam_on_section(q, theta, from_fixed(lo, BITS),
+                                       from_fixed(hi, BITS))
                 for kid in trace_beam(q, beam, 600, 1000):
                     w = kid.source_hi - kid.source_lo
                     if kid.status in widths:

@@ -33,6 +33,12 @@ def l_shape():
     return B.polygon_from_vertices(verts, "1.0")
 
 
+def real_pairs(u: IntervalUnion):
+    """The (lo, hi) pairs of a union as exact mpf values."""
+    return [(from_fixed(lo, u.precision_bits), from_fixed(hi, u.precision_bits))
+            for lo, hi in u]
+
+
 # --------------------------------------------------------------------------
 # Construction and validation
 # --------------------------------------------------------------------------
@@ -303,7 +309,7 @@ def test_partition_rejects_multi_chord_direction():
 def test_trace_beam_exact_length_conservation():
     q = unit_rhombus()
     _, _, d = B.partition_udr(q, "0.3")
-    lo, hi = d.intervals[0]
+    lo, hi = real_pairs(d)[0]
     beam = B.beam_on_section(q, "0.3", lo, hi)
     kids = B.trace_beam(q, beam, 3, 100000)
     with mp.workprec(320):
@@ -316,7 +322,7 @@ def test_trace_beam_exact_length_conservation():
 def test_trace_beam_isometry_per_child():
     q = unit_rhombus()
     _, _, d = B.partition_udr(q, "0.9")
-    lo, hi = d.intervals[0]
+    lo, hi = real_pairs(d)[0]
     kids = B.trace_beam(q, B.beam_on_section(q, "0.9", lo, hi), 4, 100000)
     with mp.workprec(320):
         for k in kids:
@@ -329,7 +335,7 @@ def test_trace_beam_bounce_back_returns_after_one_pair():
     q = unit_rhombus()
     _, r, _ = B.partition_udr(q, "2.2")
     assert r.total_length > 1
-    lo, hi = r.intervals[0]
+    lo, hi = real_pairs(r)[0]
     with mp.workprec(300):
         pad = (hi - lo) / 1000
         beam = B.beam_on_section(q, "2.2", lo + pad, hi - pad)
@@ -342,7 +348,7 @@ def test_trace_beam_bounce_back_returns_after_one_pair():
 def test_trace_beam_splits_across_vertex_shadow():
     q = unit_rhombus()
     cs = B.cross_section(q, "0.3")
-    (lo, hi), = cs.segments.intervals
+    (lo, hi), = real_pairs(cs.segments)
     kids = B.trace_beam(q, B.beam_on_section(q, "0.3", lo, hi), 1, 100000)
     statuses = {k.status for k in kids}
     assert len(kids) >= 3
@@ -358,7 +364,7 @@ def test_trace_beam_splits_across_vertex_shadow():
 def test_trace_beam_level_direction_bookkeeping():
     q = unit_rhombus()
     _, _, d = B.partition_udr(q, "0.3")
-    lo, hi = d.intervals[0]
+    lo, hi = real_pairs(d)[0]
     kids = B.trace_beam(q, B.beam_on_section(q, "0.3", lo, hi), 2, 100000)
     with mp.workprec(300):
         th = eval_number("0.3", 280)
@@ -372,7 +378,7 @@ def test_trace_beam_level_direction_bookkeeping():
 def test_trace_beam_same_time_fragments_disjoint():
     q = unit_rhombus()
     cs = B.cross_section(q, "0.9")
-    (lo, hi), = cs.segments.intervals
+    (lo, hi), = real_pairs(cs.segments)
     beam = B.beam_on_section(q, "0.9", lo, hi)
     # rays at the same reflection count and level share one section line,
     # so the fragments landing there at the cap must be disjoint
@@ -415,7 +421,7 @@ def test_trace_beam_input_validation():
 def test_trace_beam_budget_flagged_as_active():
     q = unit_rhombus()
     cs = B.cross_section(q, "0.9")
-    (lo, hi), = cs.segments.intervals
+    (lo, hi), = real_pairs(cs.segments)
     kids = B.trace_beam(q, B.beam_on_section(q, "0.9", lo, hi), 50, 6)
     active = [k for k in kids if k.status is BeamStatus.ACTIVE]
     assert active  # the budget is far too small to resolve everything

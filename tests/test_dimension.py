@@ -17,13 +17,19 @@ from billiardlab.dimension import (
     dim_lb_estimate,
 )
 from billiardlab.errors import InsufficientScales
-from billiardlab.fixedpoint import mpf_to_fraction
+from billiardlab.fixedpoint import from_fixed, mpf_to_fraction, to_fixed
 from billiardlab.intervals import IntervalUnion
+
+
+def grid_union(pairs, bits: int = 256) -> IntervalUnion:
+    """The union of real (lo, hi) pairs, endpoints floored onto the grid."""
+    return IntervalUnion.make([(to_fixed(lo, bits), to_fixed(hi, bits))
+                               for lo, hi in pairs], bits)
 
 
 def middle_thirds(depth: int, bits: int = 256) -> IntervalUnion:
     """Depth-k pre-set of the ternary Cantor construction, exact in
-    rationals before rounding to mpf endpoints."""
+    rationals before flooring onto the grid."""
     segs = [(Fraction(0), Fraction(1))]
     for _ in range(depth):
         nxt = []
@@ -32,14 +38,13 @@ def middle_thirds(depth: int, bits: int = 256) -> IntervalUnion:
             nxt.append((lo, lo + third))
             nxt.append((hi - third, hi))
         segs = nxt
-    with mp.workprec(bits + 16):
-        pairs = [(mpf(lo.numerator) / lo.denominator,
-                  mpf(hi.numerator) / hi.denominator) for lo, hi in segs]
-    return IntervalUnion.make(pairs, bits)
+    return IntervalUnion.make([((lo.numerator << bits) // lo.denominator,
+                                (hi.numerator << bits) // hi.denominator)
+                               for lo, hi in segs], bits)
 
 
 def test_single_interval_single_piece():
-    u = IntervalUnion.make([(0.2, 0.4)])
+    u = grid_union([(0.2, 0.4)])
     r = box_count(u, 0.1)  # piece length 0.2 covers it exactly
     assert r.count == 1
     assert float(r.sum) == pytest.approx(0.1)
@@ -76,8 +81,10 @@ def test_greedy_count_never_beaten_by_shifted_covers(seed):
         lo = Fraction(rng.randint(0, 80), 100)
         hi = lo + Fraction(rng.randint(1, 15), 100)
         pairs.append((lo, hi))
-    u = IntervalUnion.make([(mpf(a.numerator) / a.denominator,
-                             mpf(b.numerator) / b.denominator) for a, b in pairs], 128)
+    u = IntervalUnion.make([((a.numerator << 128) // a.denominator,
+                             (b.numerator << 128) // b.denominator)
+                            for a, b in pairs], 128)
+    ends = [(from_fixed(lo, 128), from_fixed(hi, 128)) for lo, hi in u]
     eps = mpf(1) / 32
     greedy = box_count(u, eps).count
     # grid covers: pieces of length 2*eps starting on a shifted lattice
@@ -90,14 +97,14 @@ def test_greedy_count_never_beaten_by_shifted_covers(seed):
             while k * 2 * eps + shift < 2:
                 left = k * 2 * eps + shift
                 right = left + 2 * eps
-                if any(not (right <= lo or left >= hi) for lo, hi in u):
+                if any(not (right <= lo or left >= hi) for lo, hi in ends):
                     count += 1
                 k += 1
             assert greedy <= count
 
 
 def test_dim_fit_interval_has_dimension_one():
-    u = IntervalUnion.make([(0.0, 1.0)])
+    u = grid_union([(0.0, 1.0)])
     fit = dim_lb_estimate([(mpf(2) ** -k, u) for k in range(3, 12)])
     assert abs(float(fit.slope) - 1.0) < 0.02
 
@@ -115,13 +122,13 @@ def test_dim_fit_cantor_slope():
 def test_dim_fit_finite_point_set_slope_zero():
     # a few tiny intervals standing in for points: counts freeze once
     # 2*eps is below the minimal gap, so the tail slope tends to 0
-    u = IntervalUnion.make([(x, x + 1e-9) for x in (0.1, 0.4, 0.7)], 128)
+    u = grid_union([(x, x + 1e-9) for x in (0.1, 0.4, 0.7)], 128)
     fit = dim_lb_estimate([(mpf(2) ** -k, u) for k in range(8, 20)])
     assert float(fit.slope) < 0.05
 
 
 def test_dim_fit_guards():
-    u = IntervalUnion.make([(0.0, 1.0)])
+    u = grid_union([(0.0, 1.0)])
     with pytest.raises(InsufficientScales):
         dim_lb_estimate([(0.1, u), (0.05, u)])
     with pytest.raises(InsufficientScales):
@@ -201,7 +208,7 @@ def _cover_record(uncertain_pairs):
     return EscapeCoverRecord(
         N=1, count=3, piece_length=mpf("0.25"), gate_width=mpf(1),
         escape_length=mpf("0.5"),
-        uncertain=IntervalUnion.make(uncertain_pairs, 256))
+        uncertain=grid_union(uncertain_pairs))
 
 
 def test_escape_cover_hs_sum_adds_uncertain_lengths():

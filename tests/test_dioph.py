@@ -2,10 +2,12 @@
 truncations, and the ubiquity deficiency functional."""
 
 import warnings
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
+from billiardlab import dioph
 from billiardlab.circle import CirclePoint
 from billiardlab.dioph import (
     _candidates,
@@ -19,7 +21,8 @@ from billiardlab.dioph import (
     ubiquity_rho,
 )
 from billiardlab.errors import CapTooSmall, OrbitPoint, RationalRotation
-from billiardlab.fixedpoint import to_fixed
+from billiardlab.fixedpoint import from_fixed, mpf_to_fraction, to_fixed
+from billiardlab.intervals import circle_pairs
 
 GOLDEN = "(sqrt(5)-1)/2"
 
@@ -254,8 +257,7 @@ def test_a_set_sample_points_admit_witnesses():
     u = a_set_depth(g, 2.0, m, l, k, cap)
     bits = 256
     for lo, hi in u.intervals[:8]:
-        with mp.workprec(bits):
-            x = (lo + hi) / 2
+        x = from_fixed(lo + hi, bits + 1)
         # each layer j needs a witness p with ||x - p*omega|| < 1/(2|p|^mu)
         for j in range(1, k + 1):
             for sign in ("+", "-"):
@@ -276,10 +278,8 @@ def test_b_set_single_p_layer_geometry():
     # intervals centered at 0 and 1/2 with radius 1/8 (mu = 1).
     u = b_set_depth(CirclePoint.make(0), 1.0, 2, 0, 1, 2)
     assert float(u.total_length) == pytest.approx(0.5)
-    assert u.contains_point(0.05)
-    assert u.contains_point(0.45)
-    assert u.contains_point(0.95)
-    assert not u.contains_point(0.25)
+    for x, inside in ((0.05, True), (0.45, True), (0.95, True), (0.25, False)):
+        assert u.contains_point(to_fixed(x, 256)) == inside
 
 
 def test_b_set_total_length_bound():
@@ -295,6 +295,61 @@ def test_b_set_depth_nesting():
     u1 = b_set_depth(t, 2.0, 2, 1, 1, 60)
     u2 = b_set_depth(t, 2.0, 2, 1, 2, 60)
     assert u2.is_subset_of(u1)
+
+
+def grid_arcs(monkeypatch, build, *args):
+    """The (center, half) grid arcs that build(*args) hands to circle_pairs,
+    in call order."""
+    calls = []
+
+    def spy(center, half, bits):
+        calls.append((center, half))
+        return circle_pairs(center, half, bits)
+
+    monkeypatch.setattr(dioph, "circle_pairs", spy)
+    build(*args)
+    return calls
+
+
+def encloses(outer, inner, bits):
+    """Grid arc (center, half) against a real arc (center, half) in mpf:
+    True when the grid arc contains the real one, exactly."""
+    (c, h), (rc, rh) = outer, map(mpf_to_fraction, inner)
+    return (Fraction(c - h, 1 << bits) <= rc - rh
+            and Fraction(c + h, 1 << bits) >= rc + rh)
+
+
+@pytest.mark.parametrize("mu", [1.0, 2.0, 3.5])
+def test_a_and_b_arcs_contain_their_real_arcs(monkeypatch, mu):
+    bits, p_cap = 256, 12
+    g, t = CirclePoint.make(GOLDEN), CirclePoint.make("1/pi")
+    a_arcs = grid_arcs(monkeypatch, a_set_depth, g, mu, 1, 0, 1, p_cap)
+    b_arcs = grid_arcs(monkeypatch, b_set_depth, t, mu, 1, 0, 1, p_cap)
+    real_a, real_b = [], []
+    with mp.workprec(bits + 32):
+        for s in (1, -1):
+            for p in range(1, p_cap + 1):
+                real_a.append((s * p * g.value, 1 / (2 * mpf(p) ** mpf(mu))))
+                half = 1 / (2 * mpf(p) ** (mpf(mu) + 1))
+                real_b += [((t.value + i) / (s * p), half) for i in range(p)]
+    assert len(a_arcs) == len(real_a) and len(b_arcs) == len(real_b)
+    for grid, real in zip(a_arcs + b_arcs, real_a + real_b):
+        assert encloses(grid, real, bits), (grid, real)
+
+
+def test_ubiquity_arcs_lie_inside_their_real_arcs(monkeypatch):
+    bits, m, l, N, K, eps = 256, 2, 1, 3, 0.01, 0.05
+    g = CirclePoint.make(GOLDEN)
+    arcs = grid_arcs(monkeypatch, ubiquity_deficiency, g, m, l, N, K, eps)
+    rho = ubiquity_rho(m, l, N, K, eps, bits)
+    with mp.workprec(bits + 32):
+        real = [((g.value + i) / (k * m + l), rho)
+                for k in range(N, 0, -1) for i in range(k * m + l)]
+    assert len(arcs) == len(real)
+    for (c, h), (rc, rh) in zip(arcs, real):
+        rc, rh = mpf_to_fraction(rc), mpf_to_fraction(rh)
+        assert rc - rh <= Fraction(c - h, 1 << bits)
+        assert Fraction(c + h, 1 << bits) <= rc + rh
 
 
 # -- ubiquity ----------------------------------------------------------------

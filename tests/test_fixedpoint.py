@@ -1,12 +1,14 @@
 """Exact fixed-point helpers: conversion roundtrips and lattice-point
 counting against brute force."""
 
+from fractions import Fraction
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from billiardlab.fixedpoint import (arc_hits, count_arc, first_hit, floor_sum,
-                                   from_fixed, to_fixed)
+                                   from_fixed, mpf_to_fraction, to_fixed)
 
 
 def brute_floor_sum(n, m, a, b):
@@ -26,6 +28,16 @@ def test_roundtrip_error_below_one_ulp():
     back = from_fixed(n, 256)
     with mp.workprec(300):
         assert abs(back - x) < mpf(2) ** -256
+
+
+@given(st.integers(-(1 << 8192), 1 << 8192), st.integers(0, 8192))
+@example(-1, 0)
+@example(0, 512)
+@example((1 << 8192) - 1, 8192)
+@settings(max_examples=200)
+def test_from_fixed_is_exact_at_ambient_precision(n, bits):
+    assert mp.prec == 53
+    assert mpf_to_fraction(from_fixed(n, bits)) == Fraction(n, 1 << bits)
 
 
 @given(st.integers(0, 60), st.integers(1, 10**6), st.integers(-10**6, 10**6),
