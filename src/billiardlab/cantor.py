@@ -25,7 +25,8 @@ from mpmath import mp, mpf
 from .circle import (CirclePoint, ContinuedFractionExpansion,
                      continued_fraction, eval_number, min_orbit_distance)
 from .errors import CapTooSmall, DepthUnreachable, EmptyLevel
-from .fixedpoint import arc_hits, count_arc, from_fixed, to_fixed
+from .fixedpoint import (arc_hits, count_arc, from_fixed, index_range,
+                         power_floor, to_fixed)
 from .intervals import IntervalUnion, _dps_for, circle_pairs, fmt
 
 __all__ = [
@@ -52,17 +53,6 @@ def _schedule_sign(k: int, m: int) -> int:
 
 def _schedule_residue(k: int, m: int) -> int:
     return k % m
-
-
-def _lattice_range(n_signed: int, m: int, res: int) -> Tuple[int, int]:
-    """Indices j with j in sgn(n)*[|n|, 2|n|] and j = m*p + res: the p range."""
-    if n_signed > 0:
-        j_lo, j_hi = n_signed, 2 * n_signed
-    else:
-        j_lo, j_hi = 2 * n_signed, n_signed
-    p_lo = -((res - j_lo) // m)   # ceil((j_lo - res) / m)
-    p_hi = (j_hi - res) // m
-    return p_lo, p_hi
 
 
 @dataclass(frozen=True)
@@ -232,8 +222,7 @@ class _Builder:
 
     def half_fp(self, n_abs: int) -> int:
         """floor(scale * (2n)^(-mu) / 2): fixed-point interval half-width."""
-        with mp.workprec(self.bits + 64):
-            return int(mp.floor(mp.power(2 * n_abs, -self.mu) * self.scale / 2))
+        return power_floor(2 * n_abs, self.mu, self.bits) // 2
 
     def guard(self, n_abs: int) -> int:
         """Representative drift bound: |j| ulps for lattice indices up to
@@ -242,8 +231,10 @@ class _Builder:
         return max(_GUARD_FLOOR, 2 * (n_abs + prev) + 4)
 
     def _lattice(self, n_signed: int, k: int) -> Tuple[int, int, int]:
+        """The residue of level k and the range of p whose lattice index
+        m*p + res lies in sgn(n)*[|n|, 2|n|]."""
         res = _schedule_residue(k, self.m)
-        p_lo, p_hi = _lattice_range(n_signed, self.m, res)
+        p_lo, p_hi = index_range(*sorted((n_signed, 2 * n_signed)), self.m, res)
         return res, p_lo, p_hi
 
     def _check_resolution(self, k: int, n_abs: int) -> None:
@@ -578,7 +569,7 @@ def intermediate_interval_check(h: CantorHierarchy, lo, hi) -> dict:
         erosion_fp = int(mp.floor(erosion * scale))
     w = to_fixed(h.omega.value, bits)
     res = _schedule_residue(k_found, h.m)
-    p_lo, p_hi = _lattice_range(lev.n_k, h.m, res)
+    p_lo, p_hi = index_range(*sorted((lev.n_k, 2 * lev.n_k)), h.m, res)
     g = max(_GUARD_FLOOR, 2 * n_abs + 4)
     allow = half_fp - erosion_fp
     r_strict = count_arc(w, scale, h.m, res, p_lo, p_hi, center_fp, allow - g)

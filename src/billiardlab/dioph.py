@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from mpmath import mp, mpf
 
 from .circle import CirclePoint, detect_rational_angle
 from .errors import CapTooSmall, OrbitPoint, RationalRotation
-from .fixedpoint import arc_hits, to_fixed
+from .fixedpoint import arc_hits, index_range, power_floor, to_fixed
 from .intervals import IntervalUnion, circle_pairs
 
 
@@ -58,15 +57,6 @@ def _exponent(distance: mpf, p: int, bits: int) -> mpf:
         return -mp.log(distance) / mp.log(a)
 
 
-def _progression(lo: int, hi: int, m: int, residue: int) -> Tuple[int, int]:
-    """First and last integers in [lo, hi] congruent to residue mod m."""
-    first = lo + ((residue - lo) % m)
-    if first > hi:
-        return 1, 0
-    last = hi - ((hi - residue) % m)
-    return first, last
-
-
 def _candidates(t: CirclePoint, omega: CirclePoint, sign: int, m: int,
                 residue: int, p_max: int,
                 thr_fp: Callable[[int], int]) -> Iterator[int]:
@@ -76,64 +66,36 @@ def _candidates(t: CirclePoint, omega: CirclePoint, sign: int, m: int,
 
     T and W are the floors of t and omega at the working precision, so the
     real point t + p*omega lies less than |p| + 1 ulps from the fixed-point
-    one.  With thr_fp at least the threshold in ulps rounded down, every
-    solution of the real problem is therefore yielded, at any p_max; the
-    last ulp absorbs rounding in computing the threshold.  thr_fp never
-    increases with |p|, so the allowance thr_fp(first) + last + 2 covers
-    every index of a block first..last of one bit length: the block's
-    orbit hits within it are walked with first_hit, and each is kept if
-    its own allowance holds.
+    one.  With thr_fp(|p|) at least the threshold in ulps rounded down,
+    less one ulp, every solution of the real problem is therefore yielded,
+    at any p_max; the last ulp absorbs that rounding of the threshold.  The
+    real threshold never increases with |p|, so the allowance
+    thr_fp(first) + last + 2 covers every index of a block first..last of
+    one bit length: the block's orbit hits within it are walked with
+    first_hit, and each is kept if its own allowance holds.
     """
     bits = min(t.precision_bits, omega.precision_bits)
     scale = 1 << bits
     w = sign * to_fixed(omega.value, bits) % scale
     center = -to_fixed(t.value, bits) % scale
     for k in range(p_max.bit_length()):
-        first, last = _progression(1 << k, min(2 << k, p_max + 1) - 1,
-                                   m, residue)
-        if first > last:
+        i_lo, i_hi = index_range(1 << k, min(2 << k, p_max + 1) - 1,
+                                 m, residue)
+        if i_lo > i_hi:
             continue
+        first, last = m * i_lo + residue, m * i_hi + residue
         allow = thr_fp(first) + last + 2
-        for i in arc_hits(w, scale, m, residue, (first - residue) // m,
-                          (last - residue) // m, center, allow):
+        for i in arc_hits(w, scale, m, residue, i_lo, i_hi, center, allow):
             p_abs = m * i + residue
             x = (p_abs * w - center) % scale
             if min(x, scale - x) <= thr_fp(p_abs) + p_abs + 2:
                 yield p_abs
 
 
-def _power_allowance(mu: mpf, bits: int) -> Callable[[int], int]:
-    """thr_fp for the threshold |p|^-mu: an integer at least
-    floor(|p|^-mu * 2^bits), computed at 64 bits instead of ``bits``.
-
-    |p| is first cut to its leading 32 bits (which only raises the power),
-    and the power of that key is rounded up by 2^10 ulps of a 64-bit
-    mantissa, far more than the few ulps mpmath's power can be off by
-    while the threshold exceeds 2^-100000 (a smaller one is below one ulp
-    at any usable precision).  Distinct keys differ by a factor of at
-    least 1 + 2^-32, which moves the power by more than that slack for any
-    mu >= 2^-19, so the allowance never increases with |p|.
-    """
-
-    @lru_cache(maxsize=None)
-    def power_up(key: int) -> int:
-        with mp.workprec(64):
-            _, man, exp, bc = (mpf(key) ** (-mu))._mpf_
-        man, exp = (man << (64 - bc)) + (1 << 10), exp - (64 - bc)
-        e = exp + bits
-        return man << e if e >= 0 else -(-man >> -e)
-
-    def allowance(p_abs: int) -> int:
-        cut = max(0, p_abs.bit_length() - 32)
-        return power_up(p_abs >> cut << cut)
-
-    return allowance
-
-
 def _normalize_sign(sign) -> int:
-    if sign in (1, +1, "+", "pos", "positive"):
+    if sign in (1, "+"):
         return 1
-    if sign in (-1, "-", "neg", "negative"):
+    if sign in (-1, "-"):
         return -1
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
@@ -143,10 +105,10 @@ def approx_solutions(t: CirclePoint, omega: CirclePoint, mu: float, m: int,
     """All p of the requested sign with |p| <= p_max, p = l (mod m) and
     ||t + p*omega|| < |p|^(-mu), sorted by |p|.
 
-    The threshold exponent mu may be any real >= 2^-19, the range over
-    which the scan's allowance provably never increases with |p| (the
-    covering-set constructions use mu > 1; the billiard schedules use
-    mu < 1).
+    The threshold exponent mu may be any real >= 2^-19, the input range
+    the scan is validated over (the covering-set constructions use mu > 1;
+    the billiard schedules use mu < 1).  The scan's soundness holds for
+    any mu > 0, so the range can be widened as a declared input change.
     """
     if not mu >= 2 ** -19:
         raise ValueError(f"mu must be >= 2^-19, got {mu}")
@@ -163,7 +125,7 @@ def approx_solutions(t: CirclePoint, omega: CirclePoint, mu: float, m: int,
 
     out: List[ApproxSolution] = []
     for p_abs in _candidates(t, omega, s, m, residue, p_max,
-                             _power_allowance(mu_m, bits)):
+                             lambda p: power_floor(p, mu_m, bits)):
         p = s * p_abs
         d = _exact_distance(t.value, omega.value, p, bits)
         with mp.workprec(bits + 32):
@@ -239,10 +201,11 @@ def _layered(mu: float, m: int, l: int, k: int, p_cap: int, bits: int,
         for j in range(1, k + 1):
             for sign in (1, -1):
                 # |p| in [j*m, p_cap] with sign*|p| = l (mod m)
-                first, last = _progression(j * m, p_cap, m, l * sign % m)
+                res = l * sign % m
+                i_lo, i_hi = index_range(j * m, p_cap, m, res)
                 pairs: List[Tuple[int, int]] = []
-                for p_abs in range(first, last + 1, m):
-                    pairs.extend(arcs(sign, p_abs, mu_m))
+                for i in range(i_lo, i_hi + 1):
+                    pairs.extend(arcs(sign, m * i + res, mu_m))
                 layer = IntervalUnion.make(pairs, bits)
                 result = layer if result is None else result.intersect(layer)
     return result

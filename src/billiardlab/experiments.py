@@ -31,7 +31,7 @@ from .circle import (CirclePoint, Direction, angle_to_circle,
 from .dimension import EscapeCoverRecord, average_length_cover, cover_escape_sets
 from .dioph import approx_solutions, minkowski_solutions, ubiquity_deficiency, ubiquity_rho
 from .errors import ConfigError, ScheduleNotFound
-from .fixedpoint import to_fixed
+from .fixedpoint import power_floor, to_fixed
 from .intervals import _dps_for, fmt
 from .rng import Generator
 
@@ -580,11 +580,11 @@ def construct_twosided_target(omega: CirclePoint, mu: float,
     with mp.workprec(bits + 64):
         mu_m = mpf(mu)
         p = 3
-        while int(mp.floor(mp.power(p, -mu_m) * scale)) >= scale // 16:
+        while power_floor(p, mu_m, bits) >= scale // 16:
             p += 2
         sign = -1
         c = (p * w) % scale
-        h = int(mp.floor(mp.power(p, -mu_m) * scale)) // 2
+        h = power_floor(p, mu_m, bits) // 2
         witnesses = [(sign, p)]
         for _ in range(1, steps):
             sign = -sign
@@ -607,8 +607,7 @@ def construct_twosided_target(omega: CirclePoint, mu: float,
             dd = min(dd, scale - dd)
             if dd > h // 3:
                 raise AssertionError("jump left the nesting window")
-            r_fp = int(mp.floor(mp.power(p_next, -mu_m) * scale))
-            h_next = min(r_fp // 2, h // 3)
+            h_next = min(power_floor(p_next, mu_m, bits) // 2, h // 3)
             if h_next < (p_next << 16):
                 raise ScheduleNotFound(
                     f"witness index {p_next} needs more than {bits} bits of "
@@ -622,8 +621,7 @@ def construct_twosided_target(omega: CirclePoint, mu: float,
         for sgn, pw in witnesses:
             d_fp = (t_fp + sgn * pw * w) % scale
             d_fp = min(d_fp, scale - d_fp)
-            bound_fp = int(mp.floor(mp.power(pw, -mu_m) * scale))
-            ok = d_fp + pw + 2 < bound_fp
+            ok = d_fp + pw + 2 < power_floor(pw, mu_m, bits)
             all_ok = all_ok and ok
             dist = mpf(d_fp) / scale
             normalized = dist * mp.power(pw, mu_m)

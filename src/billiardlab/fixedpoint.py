@@ -10,7 +10,7 @@ original real inputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
@@ -40,6 +40,23 @@ def from_fixed(n: int, bits: int) -> mpf:
     """Exact mpf value n / 2**bits, built from its mantissa and exponent
     without rounding."""
     return mp.make_mpf(from_man_exp(n, -bits))
+
+
+def power_floor(n: int, mu, bits: int) -> int:
+    """floor(n^-mu * 2**bits) for an integer n >= 1, from the power rounded
+    to bits + 64 bits.  As n^-mu <= 1, the rounding moves the scaled value
+    by well under one ulp, so the result is within one of the exact floor,
+    and differs from it only when n^-mu * 2**bits lies within that
+    rounding of an integer."""
+    with mp.workprec(bits + 64):
+        scaled = mp.power(n, -mpf(mu)) * (1 << bits)
+        return int(mp.floor(scaled))
+
+
+def index_range(lo: int, hi: int, m: int, res: int) -> Tuple[int, int]:
+    """(i_lo, i_hi): the indices i with lo <= m*i + res <= hi, for m > 0 and
+    any signs; the range is empty when i_lo > i_hi."""
+    return -((res - lo) // m), (hi - res) // m
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:

@@ -1,14 +1,16 @@
-"""Exact fixed-point helpers: conversion roundtrips and lattice-point
-counting against brute force."""
+"""Exact fixed-point helpers: conversion roundtrips, power floors against
+an exact integer oracle, and lattice-point counting against brute force."""
 
 from fractions import Fraction
+from math import isqrt
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from billiardlab.fixedpoint import (arc_hits, count_arc, first_hit, floor_sum,
-                                   from_fixed, mpf_to_fraction, to_fixed)
+                                   from_fixed, index_range, mpf_to_fraction,
+                                   power_floor, to_fixed)
 
 
 def brute_floor_sum(n, m, a, b):
@@ -38,6 +40,49 @@ def test_roundtrip_error_below_one_ulp():
 def test_from_fixed_is_exact_at_ambient_precision(n, bits):
     assert mp.prec == 53
     assert mpf_to_fraction(from_fixed(n, bits)) == Fraction(n, 1 << bits)
+
+
+def exact_power_floor(n, a, k, bits):
+    # floor(2^bits / n^(a/2^k)): the largest y with y^(2^k) * n^a at most
+    # 2^(bits*2^k), by k nested integer square roots of the quotient
+    y = (1 << (bits << k)) // n ** a
+    for _ in range(k):
+        y = isqrt(y)
+    assert y ** (1 << k) * n ** a <= 1 << (bits << k)
+    assert (y + 1) ** (1 << k) * n ** a > 1 << (bits << k)
+    return y
+
+
+def test_power_floor_against_exact_oracle():
+    # dyadic mu = a/2^k, so the floor has an exact integer characterisation;
+    # the result may sit one below it (the scan's slack absorbs one ulp)
+    # but never above it
+    ns = set(range(1, 400))
+    for j in range(1, 31):
+        ns.update((2 ** j - 1, 2 ** j, 2 ** j + 1))
+    ns.add(10 ** 9)
+    for a, k in ((1, 0), (2, 0), (1, 1), (3, 1), (1, 2)):
+        mu = mpf(a) / 2 ** k
+        for bits in (64, 256, 512):
+            for n in sorted(ns):
+                exact = exact_power_floor(n, a, k, bits)
+                assert exact - 1 <= power_floor(n, mu, bits) <= exact, (
+                    n, a, k, bits)
+
+
+@given(st.integers(-200, 200), st.integers(-200, 200), st.integers(1, 20),
+       st.integers(-30, 30))
+@example(-10, -5, 3, 1)     # a negative level n_k = -5: indices in [2n, n]
+@example(-10, -5, 7, 2)     # ... with no index of the residue in range
+@example(5, 4, 1, 0)        # lo > hi
+@settings(max_examples=300)
+def test_index_range_matches_brute_force(lo, hi, m, res):
+    i_lo, i_hi = index_range(lo, hi, m, res)
+    found = [i for i in range(-250, 251) if lo <= m * i + res <= hi]
+    if found:
+        assert (i_lo, i_hi) == (found[0], found[-1])
+    else:
+        assert i_lo > i_hi
 
 
 @given(st.integers(0, 60), st.integers(1, 10**6), st.integers(-10**6, 10**6),
