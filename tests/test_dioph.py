@@ -20,7 +20,8 @@ from billiardlab.dioph import (
     ubiquity_rho,
 )
 from billiardlab.errors import CapTooSmall, OrbitPoint, RationalRotation
-from billiardlab.fixedpoint import from_fixed, mpf_to_fraction, to_fixed
+from billiardlab.fixedpoint import (from_fixed, mpf_to_fraction, power_floor,
+                                   to_fixed)
 from billiardlab.intervals import circle_pairs
 
 GOLDEN = "(sqrt(5)-1)/2"
@@ -112,6 +113,28 @@ def test_candidates_are_exactly_the_fixed_point_allowance_hits(
     got = list(_candidates(t, g, sign, m, residue, p_max, thr_fp))
     assert got == expected
     assert 0 < len(expected) < len(indices)
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("mu", [0.9, 2.0, 1 / 3])
+def test_power_allowance_bounds_full_precision_threshold(mu, bits):
+    # The scan's threshold, power_floor, must sit at most one ulp below the
+    # threshold as a much finer power rounds it (the +2 slack of _candidates
+    # absorbs that ulp), never above it, and never grow with |p|.
+    ps = set(range(1, 3000))
+    for k in range(12, 30):
+        ps.update((2 ** k - 1, 2 ** k, 2 ** k + 1, 3 ** (k * 2 // 3) + k))
+    for j in range(1, 10 ** 9, 7_654_321):
+        ps.update(range(j, j + 3))
+    ps.add(10 ** 9)
+    prev = None
+    for p_abs in sorted(ps):
+        with mp.workprec(bits + 256):
+            ref = to_fixed(mpf(p_abs) ** (-mpf(mu)), bits)
+        new = power_floor(p_abs, mpf(mu), bits)
+        assert ref - 1 <= new <= ref, p_abs
+        assert prev is None or new <= prev, p_abs
+        prev = new
 
 
 def test_approx_exact_hit_on_orbit():
