@@ -3,7 +3,8 @@ the inhomogeneous Diophantine machinery behind their escaping-orbit sets.
 
 Subpackage map:
 
-- ``circle``     unit-circle arithmetic, validated continued fractions
+- ``circle``     circle points, the angle-to-circle map, number specs,
+                 validated continued fractions
 - ``intervals``  disjoint open-interval unions on an integer grid (the
                  universal set type, with exact set algebra)
 - ``dioph``      approximation solution scans, A/B covering sets, ubiquity

@@ -42,7 +42,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
-from .circle import detect_rational_angle, eval_number
+from .circle import CirclePoint, detect_rational_angle, eval_number
 from .errors import (DegenerateDirection, NotGeneralizedParallelogram,
                      RationalAngle)
 from .fixedpoint import from_fixed, to_fixed
@@ -89,10 +89,6 @@ class GeneralizedParallelogram:
     side_classes: Tuple[SideClass, ...]
     alpha_rational: Optional[Fraction]
     precision_bits: int = DEFAULT_PRECISION
-
-    @property
-    def n_sides(self) -> int:
-        return len(self.vertices)
 
     def side(self, i: int) -> Tuple[Tuple[mpf, mpf], Tuple[mpf, mpf]]:
         return self.vertices[i], self.vertices[(i + 1) % len(self.vertices)]
@@ -214,7 +210,7 @@ def _finish_polygon(verts, alpha, bits) -> GeneralizedParallelogram:
         if not _is_simple(verts, bits):
             raise NotGeneralizedParallelogram("polygon is self-intersecting")
         ratio = alpha / mp.pi
-    rational = detect_rational_angle(ratio, bits)
+    rational = detect_rational_angle(CirclePoint(ratio, bits))
     if rational is not None:
         warnings.warn(RationalAngle(
             f"alpha = {rational} * pi is a rational angle; the direction "

@@ -106,9 +106,10 @@ class HierarchyLevel:
 
 @dataclass(frozen=True)
 class CantorHierarchy:
-    """A nested mass-carrying interval hierarchy over a circle rotation."""
+    """A nested mass-carrying interval hierarchy over a circle rotation,
+    with the validated continued fraction of omega it was built from."""
 
-    omega: CirclePoint
+    cf: ContinuedFractionExpansion
     mu: mpf
     m: int
     sequence: Tuple[int, ...]
@@ -184,7 +185,7 @@ class CantorHierarchy:
                     for p, c, w in zip(parents, lev.child_counts, lev.child_mass)]
             levels.append(entry)
         return {
-            "omega": fmt(self.omega.value, digits),
+            "omega": fmt(self.cf.omega.value, digits),
             "mu": fmt(self.mu, digits),
             "m": self.m,
             "precision_bits": bits,
@@ -198,13 +199,13 @@ class _Builder:
     """Shared construction core: exact lattice counting, guard bands,
     level extension (materialized or counted)."""
 
-    def __init__(self, omega: CirclePoint, mu, m: int,
+    def __init__(self, cf: ContinuedFractionExpansion, mu, m: int,
                  scan_cap: int, materialize_cap: int):
-        bits = omega.precision_bits
-        self.omega = omega
+        bits = cf.omega.precision_bits
+        self.cf = cf
         self.bits = bits
         self.scale = 1 << bits
-        self.w = to_fixed(omega.value, bits)
+        self.w = to_fixed(cf.omega.value, bits)
         with mp.workprec(bits + 16):
             self.mu = eval_number(mu, bits)
             if not self.mu > 1:
@@ -248,10 +249,10 @@ class _Builder:
                 f"level-{k} guard band is not negligible against the interval "
                 "width at this precision; increase precision_bits")
 
-    def disjoint_ok(self, cf: ContinuedFractionExpansion, n_abs: int) -> bool:
+    def disjoint_ok(self, n_abs: int) -> bool:
         """Certify that distinct lattice centers at this level are farther
         apart than a full interval plus both guard bands."""
-        gap_fp = to_fixed(min_orbit_distance(cf, n_abs), self.bits)
+        gap_fp = to_fixed(min_orbit_distance(self.cf, n_abs), self.bits)
         return gap_fp > 2 * (self.half_fp(n_abs) + self.guard(n_abs))
 
     def well_holds(self, n_signed: int, k: int) -> bool:
@@ -365,7 +366,7 @@ class _Builder:
     def hierarchy(self) -> CantorHierarchy:
         """The levels built so far, as a hierarchy."""
         return CantorHierarchy(
-            omega=self.omega, mu=self.mu, m=self.m,
+            cf=self.cf, mu=self.mu, m=self.m,
             sequence=tuple(lev.n_k for lev in self.levels),
             levels=tuple(self.levels),
             residue_schedule=tuple((_schedule_residue(lev.k, self.m),
@@ -398,7 +399,7 @@ def select_sequence(cf: ContinuedFractionExpansion, mu, m: int, depth: int,
         raise ValueError("growth_margin must be positive")
     if cf.validated_depth < 1:
         raise ValueError("continued fraction has no validated convergents")
-    builder = _Builder(cf.omega, mu, m, scan_cap, materialize_cap)
+    builder = _Builder(cf, mu, m, scan_cap, materialize_cap)
     log_product = 0.0
     r_next = 1
     for k in range(1, depth + 1):
@@ -411,7 +412,7 @@ def select_sequence(cf: ContinuedFractionExpansion, mu, m: int, depth: int,
                 continue
             if k > 1 and log_product > growth_margin * math.log(q):
                 continue
-            if not builder.disjoint_ok(cf, q):
+            if not builder.disjoint_ok(q):
                 continue
             n_cand = sign * q
             if not builder.well_holds(n_cand, k):
@@ -466,9 +467,9 @@ def build_hierarchy(omega: CirclePoint, mu, m: int,
         if abs(n) not in denominators:
             raise ValueError(
                 f"|n_k| = {abs(n)} is not a validated convergent denominator")
-    builder = _Builder(omega, mu, m, scan_cap, materialize_cap)
+    builder = _Builder(cf, mu, m, scan_cap, materialize_cap)
     for k, n in enumerate(seq, 1):
-        if not builder.disjoint_ok(cf, abs(n)):
+        if not builder.disjoint_ok(abs(n)):
             raise ValueError(
                 f"lattice centers at level {k} are not certifiably separated "
                 "by a full interval width")
@@ -502,7 +503,7 @@ def separation_report(h: CantorHierarchy) -> List[dict]:
     (materialized levels), and both the (n+2)-reciprocal comparison bound
     and the companion bound 1/(q_next + |n_k|) that the gap provably
     dominates."""
-    cf = continued_fraction(h.omega, max_depth=2048)
+    cf = h.cf
     bits = h.precision_bits
     denoms = [q for _, q in cf.convergents]
     out = []
@@ -566,17 +567,16 @@ def intermediate_interval_check(h: CantorHierarchy, lo, hi) -> dict:
         erosion = mp.power(2 * n_abs, -h.mu)
         center_fp = to_fixed((lo_m + hi_m) / 2, bits) % scale
         half_fp = to_fixed(length / 2, bits)
-        erosion_fp = int(mp.floor(erosion * scale))
-    w = to_fixed(h.omega.value, bits)
+    erosion_fp = power_floor(2 * n_abs, h.mu, bits)
+    w = to_fixed(h.cf.omega.value, bits)
     res = _schedule_residue(k_found, h.m)
     p_lo, p_hi = index_range(*sorted((lev.n_k, 2 * lev.n_k)), h.m, res)
     g = max(_GUARD_FLOOR, 2 * n_abs + 4)
     allow = half_fp - erosion_fp
     r_strict = count_arc(w, scale, h.m, res, p_lo, p_hi, center_fp, allow - g)
     r_loose = count_arc(w, scale, h.m, res, p_lo, p_hi, center_fp, allow + g)
-    cf = continued_fraction(h.omega, max_depth=2048)
     with mp.workprec(bits + 16):
-        orbit_min = min_orbit_distance(cf, n_abs)
+        orbit_min = min_orbit_distance(h.cf, n_abs)
         claimed_bound = mpf(r_strict - 1) / (n_abs + 2)
         true_bound = (r_strict - 1) * orbit_min
         return {

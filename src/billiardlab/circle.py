@@ -1,6 +1,6 @@
-"""Circle arithmetic: the unit-circle metric, validated continued
-fractions, three-distance gap computation, and angle-to-circle
-conversions.
+"""Circle points: number-spec parsing, the angle-to-circle map,
+validated continued fractions, three-distance gaps and rational-angle
+detection.
 
 All values live on R/Z of unit length and are stored as mpmath floats
 together with an explicit ``precision_bits`` tag.  Nothing here relies on
@@ -137,58 +137,14 @@ class CirclePoint:
     def make(cls, x: NumberLike, precision_bits: int = DEFAULT_PRECISION) -> "CirclePoint":
         return cls(eval_number(x, precision_bits), precision_bits)
 
-    def __add__(self, other: "CirclePoint") -> "CirclePoint":
-        bits = min(self.precision_bits, other.precision_bits)
-        with mp.workprec(bits + 16):
-            return CirclePoint(self.value + other.value, bits)
 
-    def __sub__(self, other: "CirclePoint") -> "CirclePoint":
-        bits = min(self.precision_bits, other.precision_bits)
-        with mp.workprec(bits + 16):
-            return CirclePoint(self.value - other.value, bits)
-
-    def __neg__(self) -> "CirclePoint":
-        with mp.workprec(self.precision_bits + 16):
-            return CirclePoint(-self.value, self.precision_bits)
-
-    def scaled(self, k: int) -> "CirclePoint":
-        """k * self mod 1 for an integer k."""
-        with mp.workprec(self.precision_bits + max(16, abs(k).bit_length() + 8)):
-            return CirclePoint(self.value * k, self.precision_bits)
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A billiard direction: ray angle theta and parallelogram angle alpha."""
-
-    theta: mpf
-    alpha: mpf
-    precision_bits: int = DEFAULT_PRECISION
-
-    def __post_init__(self):
-        with mp.workprec(self.precision_bits + 16):
-            two_pi = 2 * mp.pi
-            th = mpf(self.theta)
-            th = th - mp.floor(th / two_pi) * two_pi
-            al = mpf(self.alpha)
-            if not (0 < al < mp.pi / 2):
-                raise ValueError("alpha must lie in (0, pi/2)")
-        object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "alpha", al)
-
-    @classmethod
-    def make(cls, theta: NumberLike, alpha: NumberLike,
-             precision_bits: int = DEFAULT_PRECISION) -> "Direction":
-        return cls(eval_number(theta, precision_bits),
-                   eval_number(alpha, precision_bits), precision_bits)
-
-
-def circle_distance(a: CirclePoint, b: CirclePoint) -> mpf:
-    """min(|a-b|, 1-|a-b|): the standard metric on the unit circle."""
-    bits = min(a.precision_bits, b.precision_bits)
-    with mp.workprec(bits + 16):
-        d = abs(a.value - b.value)
-        return min(d, 1 - d)
+def angle_point(x: mpf, precision_bits: int) -> CirclePoint:
+    """The circle point (x mod pi)/pi of an angle x, computed at
+    precision_bits + 16: the target t of a ray angle theta, or the rotation
+    number omega of 2*alpha.  The caller computes x itself at that precision
+    or above."""
+    with mp.workprec(precision_bits + 16):
+        return CirclePoint((x % mp.pi) / mp.pi, precision_bits)
 
 
 @dataclass(frozen=True)
@@ -285,46 +241,28 @@ def three_distance_gap(cf: ContinuedFractionExpansion, r: int) -> mpf:
     return min_orbit_distance(cf, cf.denominator(r))
 
 
-def angle_to_circle(d: Direction) -> Tuple[CirclePoint, CirclePoint]:
-    """(t, omega) = ((theta mod pi)/pi, (2*alpha mod pi)/pi)."""
-    bits = d.precision_bits
-    with mp.workprec(bits + 16):
-        pi = mp.pi
-        t = (d.theta - mp.floor(d.theta / pi) * pi) / pi
-        two_alpha = 2 * d.alpha
-        om = (two_alpha - mp.floor(two_alpha / pi) * pi) / pi
-    return CirclePoint(t, bits), CirclePoint(om, bits)
-
-
-def detect_rational_angle(x: mpf, precision_bits: int) -> Union[Fraction, None]:
-    """Return p/q if x is rational with denominator at most 2^24 at working
-    precision.
+def detect_rational_angle(point: CirclePoint) -> Union[Fraction, None]:
+    """Return p/q if the point is rational with denominator at most 2^24 at
+    working precision.
 
     Used to recognize rational multiples of pi (alpha/pi, omega, ...): runs
     the validated continued fraction and reports the last convergent before
     a quotient blow-up.  Returns None for irrational-at-precision inputs.
     """
-    point = CirclePoint(x, precision_bits)
-    with mp.workprec(precision_bits + 16):
-        frac_part = point.value
-        int_part = int(mp.floor(mpf(x)))
-    if frac_part == 0:
-        return Fraction(int_part, 1)
+    bits = point.precision_bits
+    w = to_fixed(point.value, bits)
+    if w == 0:
+        return Fraction(0)
     try:
-        cf = continued_fraction(point, max_depth=256)
+        continued_fraction(point, max_depth=256)
     except RationalDetected:
         # Re-run a single-endpoint Euclid and cut at the quotient blow-up:
         # the convergent just before the cut is the detected rational
         # (possibly in its trailing-1 form, which Fraction normalizes).
-        bits = precision_bits
-        scale = 1 << bits
-        w = to_fixed(frac_part, bits)
-        if w == 0:
-            return Fraction(int_part, 1)
         max_den = 1 << 24
         cut = max(1 << (bits // 4), 2 * max_den)
         quotients = []
-        a, b = scale, w
+        a, b = 1 << bits, w
         while b > 0:
             q, r = divmod(a, b)
             if q >= cut:
@@ -339,8 +277,7 @@ def detect_rational_angle(x: mpf, precision_bits: int) -> Union[Fraction, None]:
             return None
         if q_cur > max_den:
             return None
-        return Fraction(p_cur, q_cur) + int_part
-    del cf
+        return Fraction(p_cur, q_cur)
     return None
 
 

@@ -29,14 +29,12 @@ class ApproxSolution:
     """One solution of ||t + p*omega|| < threshold(|p|).
 
     residue is the canonical representative of p mod m for the modulus the
-    producing scan used; exponent is -log(distance)/log|p| (infinite for
-    |p| = 1 or an exact hit).
+    producing scan used.
     """
 
     p: int
     residue: int
     distance: mpf
-    exponent: mpf
 
 
 def _exact_distance(t: mpf, w: mpf, p: int, bits: int) -> mpf:
@@ -45,16 +43,6 @@ def _exact_distance(t: mpf, w: mpf, p: int, bits: int) -> mpf:
         x = t + p * w
         x = x - mp.floor(x)
         return min(x, 1 - x)
-
-
-def _exponent(distance: mpf, p: int, bits: int) -> mpf:
-    with mp.workprec(bits + 16):
-        if distance <= 0:
-            return mp.inf
-        a = abs(p)
-        if a <= 1:
-            return mp.inf
-        return -mp.log(distance) / mp.log(a)
 
 
 def _candidates(t: CirclePoint, omega: CirclePoint, sign: int, m: int,
@@ -131,9 +119,7 @@ def approx_solutions(t: CirclePoint, omega: CirclePoint, mu: float, m: int,
         with mp.workprec(bits + 32):
             hit = d < mpf(p_abs) ** (-mu_m)
         if hit:
-            out.append(ApproxSolution(
-                p=p, residue=p % m, distance=d,
-                exponent=_exponent(d, p, bits)))
+            out.append(ApproxSolution(p=p, residue=p % m, distance=d))
     return out
 
 
@@ -149,7 +135,7 @@ def minkowski_solutions(t: CirclePoint, omega: CirclePoint,
     warning before scanning.
     """
     bits = min(t.precision_bits, omega.precision_bits)
-    if detect_rational_angle(omega.value, omega.precision_bits) is not None:
+    if detect_rational_angle(omega) is not None:
         warnings.warn("rotation number is rational at working precision; "
                       "orbit distances are eventually periodic", RationalRotation)
     floor_thr = mpf(2) ** (-(bits // 2))
@@ -171,9 +157,7 @@ def minkowski_solutions(t: CirclePoint, omega: CirclePoint,
                 continue
             with mp.workprec(bits + 32):
                 if d < mpf(1) / (4 * p_abs):
-                    out.append(ApproxSolution(
-                        p=p, residue=0, distance=d,
-                        exponent=_exponent(d, p, bits)))
+                    out.append(ApproxSolution(p=p, residue=0, distance=d))
     if orbit_hits:
         nearest = min(orbit_hits, key=abs)
         raise OrbitPoint(f"t + {nearest}*omega is within 2^-{bits // 2} of 0: "
@@ -187,8 +171,9 @@ def _layered(mu: float, m: int, l: int, k: int, p_cap: int, bits: int,
     """The layer intersection of a_set_depth and b_set_depth, with the
     arcs of each admissible p given as grid pairs by arcs(sign, |p|, mu)
     at working precision bits + 32.  Each arc is rounded outward (the
-    floor of its center, the floor of its half-width plus 2 ulps), so it
-    contains its real arc."""
+    floor of its center; power_floor of its half-width, which is at least
+    the floor less one, plus 2 ulps), so it contains its real arc up to
+    power_floor's sub-ulp rounding."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     if not (0 <= l < m) or k < 1:
@@ -224,7 +209,7 @@ def a_set_depth(omega: CirclePoint, mu: float, m: int, l: int, k: int,
     bits = omega.precision_bits
 
     def arcs(sign: int, p_abs: int, mu_m: mpf):
-        half = to_fixed(mpf(1) / (2 * mpf(p_abs) ** mu_m), bits) + 2
+        half = power_floor(p_abs, mu_m, bits - 1) + 2
         return circle_pairs(to_fixed(sign * p_abs * omega.value, bits),
                             half, bits)
 
@@ -241,7 +226,7 @@ def b_set_depth(t: CirclePoint, mu: float, m: int, l: int, k: int,
     bits = t.precision_bits
 
     def arcs(sign: int, p_abs: int, mu_m: mpf):
-        half = to_fixed(mpf(1) / (2 * mpf(p_abs) ** (mu_m + 1)), bits) + 2
+        half = power_floor(p_abs, mu_m + 1, bits - 1) + 2
         for i in range(p_abs):
             yield from circle_pairs(
                 to_fixed((t.value + i) / (sign * p_abs), bits), half, bits)

@@ -25,13 +25,12 @@ from mpmath import mp, mpf
 from . import __version__
 from .billiard import build_polygon, perpendicular_periodicity, rhombus
 from .cantor import local_dimension_report, select_sequence, separation_report
-from .circle import (CirclePoint, Direction, angle_to_circle,
-                     continued_fraction, detect_rational_angle, eval_number,
-                     three_distance_gap)
+from .circle import (CirclePoint, angle_point, continued_fraction,
+                     detect_rational_angle, eval_number, three_distance_gap)
 from .dimension import EscapeCoverRecord, average_length_cover, cover_escape_sets
 from .dioph import approx_solutions, minkowski_solutions, ubiquity_deficiency, ubiquity_rho
 from .errors import ConfigError, ScheduleNotFound
-from .fixedpoint import power_floor, to_fixed
+from .fixedpoint import mpf_to_fraction, power_floor, to_fixed
 from .intervals import _dps_for, fmt
 from .rng import Generator
 
@@ -424,10 +423,11 @@ def _deltadio_schedule(t: CirclePoint, omega: CirclePoint, delta: float,
         n = abs(sol.p)
         if n ** (1.0 - delta) <= 2:
             continue
-        if best is not None and not sol.distance <= shrink * best:
+        distance = mpf_to_fraction(sol.distance)
+        if best is not None and not distance <= Fraction(shrink) * best:
             continue
         ns.append(n)
-        best = sol.distance
+        best = distance
         if len(ns) == steps:
             break
     if not ns:
@@ -479,7 +479,6 @@ def run_thm1(cfg: ExperimentConfig) -> RunReport:
     bits = cfg.precision_bits
     full = _dps_for(bits) - 1  # digits of a full-precision field
     q = build_polygon(cfg.polygon, bits)
-    d = Direction.make(cfg.theta, cfg.polygon["alpha"], bits)
     violations: List[str] = []
     notes: List[str] = []
     delta, eps = float(cfg.delta), float(cfg.eps)
@@ -489,9 +488,11 @@ def run_thm1(cfg: ExperimentConfig) -> RunReport:
         warnings.warn(msg, UserWarning)
         notes.append("warning: " + msg)
     s = float(cfg.s) if cfg.s is not None else 0.5 + eps
-    t_up, om = angle_to_circle(d)
     with mp.workprec(bits + 16):
-        t_down = CirclePoint(((d.theta - q.alpha) % mp.pi) / mp.pi, bits)
+        theta = eval_number(cfg.theta, bits) % (2 * mp.pi)
+        t_up = angle_point(theta, bits)
+        t_down = angle_point(theta - q.alpha, bits)
+        om = angle_point(2 * q.alpha, bits)
     side_specs = (("up", t_up, +1), ("down", t_down, -1))
     rows: List[str] = []
     sides: Dict[str, Any] = {}
@@ -509,14 +510,13 @@ def run_thm1(cfg: ExperimentConfig) -> RunReport:
             continue
         entry["schedule_found"] = True
         entry["schedule"] = ns
-        _cover_schedule(entry, q, d.theta, side, ns, cfg.reflection_cap,
+        _cover_schedule(entry, q, theta, side, ns, cfg.reflection_cap,
                         [("", s)], rows, notes, violations)
         sides[side] = entry
     control: Dict[str, Any] = {}
     if cfg.control_alpha is not None:
         q_ctl = rhombus(cfg.control_alpha, side=cfg.polygon["side"],
                         precision_bits=bits)
-        d_ctl = Direction.make(cfg.theta, cfg.control_alpha, bits)
         n, ctl_ns = 1, []
         while n <= cfg.control_max_n:
             ctl_ns.append(n)
@@ -524,7 +524,7 @@ def run_thm1(cfg: ExperimentConfig) -> RunReport:
         ctl_rows, ctl_sums = [], []
         certified_empty = False
         residual = None
-        for rec in cover_escape_sets(q_ctl, d_ctl.theta, ctl_ns,
+        for rec in cover_escape_sets(q_ctl, theta, ctl_ns,
                                      cfg.reflection_cap, variant="up"):
             ctl_sums.append(rec.hs_sum(s))
             ctl_rows.append(_cover_row("control_up", rec, ctl_sums[-1]))
@@ -547,7 +547,7 @@ def run_thm1(cfg: ExperimentConfig) -> RunReport:
             violations.append("control: escape cover never certified empty "
                               "on the rational-angle fixture")
     data = {"s": fmt(s), "delta": fmt(delta), "eps": fmt(eps),
-            "theta": fmt(d.theta, full), "omega": fmt(om.value, full),
+            "theta": fmt(theta, full), "omega": fmt(om.value, full),
             "sides": sides, "control": control}
     return RunReport("thm1_cover", violations, notes,
                      {"covers": (_COVER_HEADER, rows)}, data, cfg)
@@ -639,13 +639,11 @@ def run_thm2(cfg: ExperimentConfig) -> RunReport:
     violations: List[str] = []
     notes: List[str] = []
     mu, eps = float(cfg.mu), float(cfg.eps)
-    with mp.workprec(bits + 16):
-        om_alpha = CirclePoint((q.alpha % mp.pi) / mp.pi, bits)
+    om_alpha = angle_point(q.alpha, bits)
     built = construct_twosided_target(om_alpha, mu, cfg.construct_steps)
     t = built["t"]
     with mp.workprec(bits + 16):
         theta = t.value * mp.pi
-    d = Direction(theta=theta, alpha=q.alpha, precision_bits=bits)
     wit_rows = []
     evens, odds = [], []
     for row in built["witnesses"]:
@@ -686,12 +684,12 @@ def run_thm2(cfg: ExperimentConfig) -> RunReport:
             notes.append(f"{side}: no witness level within n_cap={cfg.n_cap}")
             schedules[side] = entry
             continue
-        _cover_schedule(entry, q, d.theta, side, ns, cfg.reflection_cap,
+        _cover_schedule(entry, q, theta, side, ns, cfg.reflection_cap,
                         [("", s_main), ("_low_s", s_low)], cover_rows, notes,
                         violations, scope=f" within n_cap={cfg.n_cap}")
         schedules[side] = entry
     data = {"mu": fmt(mu), "eps": fmt(eps), "s": fmt(s_main),
-            "s_low": fmt(s_low), "theta": fmt(d.theta, full),
+            "s_low": fmt(s_low), "theta": fmt(theta, full),
             "t": fmt(t.value, full),
             "omega_alpha": fmt(om_alpha.value, full),
             "witness_counts": {"even": len(evens), "odd": len(odds)},
@@ -866,8 +864,8 @@ def run_perp(cfg: ExperimentConfig) -> RunReport:
     violations: List[str] = []
     notes: List[str] = []
     with mp.workprec(bits + 16):
-        om_val = (2 * q.alpha % mp.pi) / mp.pi
-    rational = detect_rational_angle(om_val, bits)
+        om = angle_point(2 * q.alpha, bits)
+    rational = detect_rational_angle(om)
     res = perpendicular_periodicity(q, cfg.samples, cfg.reflection_cap)
     rows = [_perp_row(cfg.reflection_cap, res)]
     results = {"base": {k: (fmt(v, 15) if isinstance(v, mpf) else v)

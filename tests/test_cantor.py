@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from billiardlab import cantor
 from billiardlab.cantor import (DEFAULT_MATERIALIZE_CAP, DEFAULT_SCAN_CAP,
                                 LevelInterval, _Builder, build_hierarchy,
                                 intermediate_interval_check,
@@ -232,7 +233,7 @@ def test_two_level_structure_exact(golden_h3):
     h = golden_h3
     bits = h.precision_bits
     with mp.workprec(bits + 16):
-        om = h.omega.value
+        om = h.cf.omega.value
         tol = mpf(2) ** (-bits + 48)
         lv1, lv2 = h.levels[0], h.levels[1]
         assert [iv.j for iv in lv1.intervals] == [2, 1]
@@ -273,7 +274,7 @@ def test_density_condition_post_hoc(golden_h3):
     h = golden_h3
     bits = h.precision_bits
     with mp.workprec(bits + 32):
-        om = h.omega.value
+        om = h.cf.omega.value
         pts = [(j * om) % 1 for j in range(1597, 3195)]
         par = h.levels[1]
         half = from_fixed(par.half_fp, bits)
@@ -358,7 +359,8 @@ def test_counted_final_level_matches_enumerated():
 def test_scan_walks_exactly_the_points_a_full_scan_keeps():
     # level 3 of [1, -3, 4181]: 4182 lattice points under three parents;
     # the hit walk must give the tuple a point-by-point scan gives
-    b = _Builder(golden(), 2, 1, DEFAULT_SCAN_CAP, DEFAULT_MATERIALIZE_CAP)
+    b = _Builder(continued_fraction(golden(), max_depth=256), 2, 1,
+                 DEFAULT_SCAN_CAP, DEFAULT_MATERIALIZE_CAP)
     b.extend(1, 1, final=False)
     b.extend(-3, 2, final=False)
     res, p_lo, p_hi = b._lattice(4181, 3)
@@ -465,7 +467,7 @@ def test_intermediate_interval_audit(golden_h3):
     h = golden_h3
     bits = h.precision_bits
     with mp.workprec(bits + 32):
-        om = h.omega.value
+        om = h.cf.omega.value
         pts = sorted((j * om) % 1 for j in range(1597, 3195))
         gaps = sorted((b - a, a, b) for a, b in zip(pts, pts[1:])
                       if mpf("0.01") < a and b < mpf("0.99"))
@@ -494,6 +496,20 @@ def test_intermediate_interval_audit_window_errors(golden_h3):
         intermediate_interval_check(golden_h3, "0.5", "0.5625")  # length 1/16
     with pytest.raises(ValueError):
         intermediate_interval_check(golden_h3, "0.5", "0.500000001")
+
+
+def test_reports_read_the_hierarchy_expansion(golden_h3, monkeypatch):
+    # The hierarchy keeps the continued fraction it was built from, so the
+    # reports expand omega no second time.
+    sep = separation_report(golden_h3)
+    audit = intermediate_interval_check(golden_h3, "0.5", "0.5001")
+
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("continued_fraction called by a report")
+
+    monkeypatch.setattr(cantor, "continued_fraction", no_expansion)
+    assert separation_report(golden_h3) == sep
+    assert intermediate_interval_check(golden_h3, "0.5", "0.5001") == audit
 
 
 def test_box_dimension_consistency(golden_h3):

@@ -1,61 +1,29 @@
-"""Circle arithmetic: metric properties, validated continued fractions
-for the classical fixtures, exact three-distance gaps, and the
-angle-to-circle conversions."""
+"""Circle points: validated continued fractions for the classical
+fixtures, exact three-distance gaps, rational-angle detection and the
+angle-to-circle map."""
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from billiardlab.circle import (
     CirclePoint,
     ContinuedFractionExpansion,
-    Direction,
-    angle_to_circle,
-    circle_distance,
+    angle_point,
     continued_fraction,
     detect_rational_angle,
     eval_number,
     min_orbit_distance,
     three_distance_gap,
 )
-from billiardlab.errors import DepthExceeded, RationalDetected
+from billiardlab.billiard import rhombus
+from billiardlab.errors import DepthExceeded, RationalAngle, RationalDetected
 from billiardlab.fixedpoint import from_fixed, to_fixed
 
 GOLDEN = "(sqrt(5)-1)/2"
 SILVER = "sqrt(2)-1"
-
-
-# -- circle_distance -------------------------------------------------------
-
-def test_distance_identity():
-    a = CirclePoint.make(0.0)
-    assert circle_distance(a, a) == 0
-
-
-def test_distance_wraparound():
-    assert float(circle_distance(CirclePoint.make(0.1), CirclePoint.make(0.9))) == pytest.approx(0.2)
-
-
-def test_distance_direct():
-    assert float(circle_distance(CirclePoint.make(0.25), CirclePoint.make(0.80))) == pytest.approx(0.45)
-
-
-@given(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True),
-       st.floats(0, 1, exclude_max=True))
-@settings(max_examples=100)
-def test_distance_is_a_metric(x, y, z):
-    a, b, c = (CirclePoint.make(v, 64) for v in (x, y, z))
-    dab = circle_distance(a, b)
-    dba = circle_distance(b, a)
-    assert dab == dba
-    assert dab >= 0
-    assert dab <= 0.5
-    eps = mpf(2) ** -48
-    assert circle_distance(a, c) <= dab + circle_distance(b, c) + eps
 
 
 # -- number specs ----------------------------------------------------------
@@ -160,8 +128,8 @@ def test_convergent_recurrence_and_quality(fixture):
             if i + 1 < len(qs):
                 assert abs(w - mpf(p) / q) < mpf(1) / (q * qs[i + 1])
             # q * ||q*omega|| < 1
-            d = circle_distance(point.scaled(q), CirclePoint.make(0))
-            assert q * d < 1
+            x = (q * w) % 1
+            assert q * min(x, 1 - x) < 1
 
 
 def test_validated_depth_honest_across_precisions():
@@ -180,24 +148,25 @@ def test_rational_inputs_detected(spec):
 
 def test_detect_rational_angle():
     with mp.workprec(272):
-        third = (mp.pi / 3) / mp.pi
-    assert detect_rational_angle(third, 256) == Fraction(1, 3)
-    assert detect_rational_angle((mp.pi / 4) / mp.pi, 256) == Fraction(1, 4)
-    with mp.workprec(272):
-        irr = 1 / mp.pi
-    assert detect_rational_angle(irr, 256) is None
+        third = CirclePoint((mp.pi / 3) / mp.pi, 256)
+        irr = CirclePoint(1 / mp.pi, 256)
+    assert detect_rational_angle(third) == Fraction(1, 3)
+    assert detect_rational_angle(CirclePoint((mp.pi / 4) / mp.pi, 256)) == Fraction(1, 4)
+    assert detect_rational_angle(irr) is None
+    assert detect_rational_angle(CirclePoint(0, 256)) == 0
 
 
 # -- three-distance gaps ---------------------------------------------------
 
-def brute_gap(omega: CirclePoint, n: int) -> mpf:
-    pts = [omega.scaled(p) for p in range(n, 2 * n + 1)]
+def brute_gap(w: mpf, n: int) -> mpf:
+    """min over n <= p1 < p2 <= 2n of the circle distance between p1*w and
+    p2*w, in plain mpf arithmetic at the current precision."""
+    pts = [(p * w) % 1 for p in range(n, 2 * n + 1)]
     best = mpf(1)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            d = circle_distance(pts[i], pts[j])
-            if d < best:
-                best = d
+            d = abs(pts[i] - pts[j])
+            best = min(best, d, 1 - d)
     return best
 
 
@@ -207,7 +176,7 @@ def test_gap_matches_brute_force(fixture, r):
     cf = continued_fraction(point, max_depth=12)
     gap = three_distance_gap(cf, r)
     with mp.workprec(280):
-        assert abs(gap - brute_gap(point, cf.denominator(r))) < mpf(2) ** -240
+        assert abs(gap - brute_gap(point.value, cf.denominator(r))) < mpf(2) ** -240
 
 
 def test_gap_single_pair_case():
@@ -215,9 +184,8 @@ def test_gap_single_pair_case():
     assert cf.denominator(1) == 1
     gap = three_distance_gap(cf, 1)
     point = CirclePoint.make(GOLDEN)
-    expected = circle_distance(point, point.scaled(2))
     with mp.workprec(280):
-        assert abs(gap - expected) < mpf(2) ** -240
+        assert abs(gap - brute_gap(point.value, 1)) < mpf(2) ** -240
 
 
 def test_gap_equals_smallest_orbit_distance_up_to_2n():
@@ -310,32 +278,57 @@ def test_gap_depth_guard():
         three_distance_gap(cf, 6)
 
 
-# -- angle conversions -----------------------------------------------------
+# -- the angle-to-circle map ----------------------------------------------
+
+def reference_point(x: mpf, bits: int) -> mpf:
+    """(x mod pi)/pi at twice the precision angle_point works at."""
+    with mp.workprec(2 * (bits + 16)):
+        return (x % mp.pi) / mp.pi
+
+
+@pytest.mark.parametrize("spec", ["1.0", "3*pi/2", "-pi/7", "0.4 + pi", "7*pi"])
+@pytest.mark.parametrize("bits", [64, 256])
+def test_angle_point_matches_reference(spec, bits):
+    with mp.workprec(2 * (bits + 16)):
+        x = eval_number(spec, 2 * bits + 16)
+    point = angle_point(x, bits)
+    assert point.precision_bits == bits
+    assert 0 <= point.value < 1
+    with mp.workprec(2 * (bits + 16)):
+        d = abs(point.value - reference_point(x, bits))
+        assert min(d, 1 - d) < mpf(2) ** -(bits + 8)
+
 
 def test_angle_to_circle_derived_example():
-    d = Direction.make("1.0", "0.7")
-    t, om = angle_to_circle(d)
+    with mp.workprec(272):
+        t = angle_point(mpf("1.0"), 256)
+        om = angle_point(2 * mpf("0.7"), 256)
     with mp.workprec(280):
         assert abs(t.value - 1 / mp.pi) < mpf(2) ** -250
         assert abs(om.value - mpf("1.4") / mp.pi) < mpf(2) ** -250
 
 
 def test_angle_to_circle_mod_pi():
-    d = Direction.make("3*pi/2", "pi/4")
-    t, om = angle_to_circle(d)
+    with mp.workprec(272):
+        t = angle_point(eval_number("3*pi/2", 256), 256)
     with mp.workprec(280):
         assert abs(t.value - mpf("0.5")) < mpf(2) ** -250
 
 
 def test_angle_to_circle_pi_periodic_in_theta():
-    a, b = Direction.make("0.4", 0.7), Direction.make("0.4 + pi", 0.7)
-    ta, _ = angle_to_circle(a)
-    tb, _ = angle_to_circle(b)
-    assert circle_distance(ta, tb) < mpf(2) ** -250
+    for spec in ("0.4", "-pi/7", "7*pi"):
+        with mp.workprec(272):
+            x = eval_number(spec, 256)
+            a, b = angle_point(x, 256), angle_point(x + mp.pi, 256)
+        with mp.workprec(280):
+            d = abs(a.value - b.value)
+            assert min(d, 1 - d) < mpf(2) ** -250, spec
 
 
-def test_alpha_within_range_enforced():
-    with pytest.raises(ValueError):
-        Direction.make(0.3, "pi/2")
-    with pytest.raises(ValueError):
-        Direction.make(0.3, 0.0)
+def test_rotation_number_of_quarter_pi_rhombus_is_one_half():
+    bits = 256
+    with pytest.warns(RationalAngle):
+        q = rhombus("pi/4", precision_bits=bits)
+    with mp.workprec(bits + 16):
+        om = angle_point(2 * q.alpha, bits)
+    assert detect_rational_angle(om) == Fraction(1, 2)

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf
 
-from billiardlab import billiard
-from billiardlab.circle import CirclePoint, angle_to_circle, Direction
+from billiardlab import billiard, experiments
+from billiardlab.circle import CirclePoint, angle_point, eval_number
 from billiardlab.cli import main as lab_main
+from billiardlab.dioph import ApproxSolution
 from billiardlab.errors import ConfigError, ScheduleNotFound
 from billiardlab.experiments import (EXPERIMENTS, ExperimentConfig, RunReport,
                                      _SCHEMA, _deltadio_schedule, apply_overrides,
@@ -274,11 +275,11 @@ def test_construct_runs_out_of_precision():
 # ---------------------------------------------------------------------------
 
 def schedule_inputs():
-    d = Direction.make("0.3", "pi*(sqrt(5)-1)/4", 256)
-    t_up, om = angle_to_circle(d)
     with mp.workprec(256 + 16):
-        t_down = CirclePoint(((d.theta - d.alpha) % mp.pi) / mp.pi, 256)
-    return t_up, t_down, om
+        theta = eval_number("0.3", 256)
+        alpha = eval_number("pi*(sqrt(5)-1)/4", 256)
+        return (angle_point(theta, 256), angle_point(theta - alpha, 256),
+                angle_point(2 * alpha, 256))
 
 
 def test_schedule_frozen_for_golden_rhombus():
@@ -310,6 +311,19 @@ def test_schedule_distances_shrink_geometrically():
             # every kept level satisfies the defining inequality
             for n, dist in zip(ns, dists):
                 assert dist < mpf(n) ** mpf(-0.9)
+
+
+def test_schedule_shrink_test_is_exact(monkeypatch):
+    # best/2 is exactly shrink * best; rounding shrink * best to 53 bits
+    # (1/8 + 2^-121 -> 1/8) would drop the second level.
+    with mp.workprec(256):
+        best = mpf(1) / 4 + mpf(2) ** -120
+        sols = [ApproxSolution(p=10, residue=0, distance=best),
+                ApproxSolution(p=20, residue=0, distance=best / 2)]
+    monkeypatch.setattr(experiments, "approx_solutions",
+                        lambda *args: sols)
+    t_up, _, om = schedule_inputs()
+    assert _deltadio_schedule(t_up, om, 0.1, 4096, +1, 3) == [10, 20]
 
 
 def test_schedule_not_found_when_cap_too_small():
