@@ -5,12 +5,13 @@ denominators: level k keeps the intervals of half-width (2|n_k|)^(-mu)/2
 centered on lattice orbit points (m*p + k)*omega that are completely
 contained in a level-(k-1) interval, and splits each parent's mass
 uniformly among its retained children.  All counting and containment is
-done in exact fixed-point integer arithmetic (floor sums count, orbit-hit
-walks enumerate), so level counts and masses are exact even when a level
-is far too large to enumerate; representative drift is absorbed by
-per-level guard bands and any interval whose containment is ambiguous at
-the guard is discarded, keeping every reported quantity a certified
-lower-bound object.
+done in exact fixed-point integer arithmetic (shifted windows of one count
+per residue class count the children of parents centered on orbit points,
+orbit-hit walks enumerate them), so level counts and masses are exact even
+when a level is far too large to enumerate; representative drift is
+absorbed by per-level guard bands and any interval whose containment is
+ambiguous at the guard is discarded, keeping every reported quantity a
+certified lower-bound object.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from mpmath import mp, mpf
 from .circle import (CirclePoint, ContinuedFractionExpansion,
                      continued_fraction, eval_number, min_orbit_distance)
 from .errors import CapTooSmall, DepthUnreachable, EmptyLevel
-from .fixedpoint import (arc_hits, count_arc, from_fixed, index_range,
-                         power_floor, to_fixed)
+from .fixedpoint import (arc_hits, count_arc, count_arcs, from_fixed,
+                         index_range, power_floor, to_fixed)
 from .intervals import IntervalUnion, _dps_for, circle_pairs, fmt
 
 __all__ = [
@@ -49,10 +50,6 @@ _GUARD_FLOOR = 1 << 8
 def _schedule_sign(k: int, m: int) -> int:
     """+1 on the first m steps of each 2m-cycle (1-based k), -1 after."""
     return 1 if ((k - 1) % (2 * m)) <= m - 1 else -1
-
-
-def _schedule_residue(k: int, m: int) -> int:
-    return k % m
 
 
 @dataclass(frozen=True)
@@ -234,7 +231,7 @@ class _Builder:
     def _lattice(self, n_signed: int, k: int) -> Tuple[int, int, int]:
         """The residue of level k and the range of p whose lattice index
         m*p + res lies in sgn(n)*[|n|, 2|n|]."""
-        res = _schedule_residue(k, self.m)
+        res = k % self.m
         p_lo, p_hi = index_range(*sorted((n_signed, 2 * n_signed)), self.m, res)
         return res, p_lo, p_hi
 
@@ -261,32 +258,27 @@ class _Builder:
         q = abs(n_signed)
         res, p_lo, p_hi = self._lattice(n_signed, k)
         if not self.levels:
-            n_pts = max(p_hi - p_lo + 1, 0)
-            return Fraction(1, 2) <= Fraction(n_pts, q) <= 2
+            return q <= 2 * max(p_hi - p_lo + 1, 0) <= 4 * q
         parent = self.levels[-1]
         if parent.intervals is None:
             raise CapTooSmall(
                 "cannot verify the density condition against a counted level")
         half = parent.half_fp
         g = self.guard(q)
-        len_lo = Fraction(2 * half, self.scale)
-        len_hi = Fraction(2 * half + 2, self.scale)
-        for iv in parent.intervals:
-            loose = count_arc(self.w, self.scale, self.m, res, p_lo, p_hi,
-                              iv.center_fp, half + g)
-            if Fraction(loose, q) > 2 * len_lo:
-                return False
-            strict = count_arc(self.w, self.scale, self.m, res, p_lo, p_hi,
-                               iv.center_fp, half - g)
-            if Fraction(strict, q) < len_hi / 2:
-                return False
-        return True
+        js = [iv.j for iv in parent.intervals]
+        loose = count_arcs(self.w, self.scale, self.m, res, p_lo, p_hi, js,
+                           half + g)
+        if max(loose) * self.scale > 4 * half * q:
+            return False
+        strict = count_arcs(self.w, self.scale, self.m, res, p_lo, p_hi, js,
+                            half - g)
+        return min(strict) * self.scale >= (half + 1) * q
 
     # -- level extension ----------------------------------------------
 
     def extend(self, n_signed: int, k: int, *, final: bool) -> None:
         """Append level k for n_k = n_signed: exact per-parent child counts
-        by floor sums first, then the parent arcs' orbit hits if the level
+        by count_arcs first, then the parent arcs' orbit hits if the level
         fits both caps, else the counts if it is final, else CapTooSmall.
         Raises EmptyLevel if some parent would keep no certified child; the
         builder is unchanged on any raise."""
@@ -309,28 +301,25 @@ class _Builder:
 
         if parent is None:
             # level 1 has one parent, the whole circle, which keeps every point
-            centers, masses, counts = [0], [Fraction(1)], [n_pts]
-            allow, ambiguous = self.scale, 0
+            js, masses, allow = [0], [Fraction(1)], self.scale
         else:
-            centers = [iv.center_fp for iv in parent.intervals]
+            js = [iv.j for iv in parent.intervals]
             masses = [iv.mass for iv in parent.intervals]
             allow = parent.half_fp - half - g
-            counts, ambiguous = [], 0
-            for i, c in enumerate(centers):
-                strict = count_arc(self.w, self.scale, self.m, res, p_lo, p_hi,
-                                   c, allow)
-                if strict == 0:
-                    raise EmptyLevel(
-                        f"parent {i} at level {k} keeps no certified children")
-                counts.append(strict)
-                # the loose arcs of distinct parents are disjoint, so each
-                # uncertain candidate is tallied once
-                ambiguous += count_arc(self.w, self.scale, self.m, res, p_lo,
-                                       p_hi, c, allow + 2 * g) - strict
+        counts = count_arcs(self.w, self.scale, self.m, res, p_lo, p_hi, js,
+                            allow)
+        if 0 in counts:
+            raise EmptyLevel(f"parent {counts.index(0)} at level {k} keeps "
+                             "no certified children")
+        # the loose arcs of distinct parents are disjoint, so each uncertain
+        # candidate is tallied once
+        ambiguous = sum(count_arcs(self.w, self.scale, self.m, res, p_lo, p_hi,
+                                   js, allow + 2 * g)) - sum(counts)
         masses = [mass / n for mass, n in zip(masses, counts)]
         total = sum(counts)
 
         if n_pts <= self.scan_cap and total <= self.materialize_cap:
+            centers = [j * self.w % self.scale for j in js]
             intervals = self._scan(res, p_lo, p_hi, centers, allow, masses)
             level = HierarchyLevel(
                 k=k, n_k=n_signed, half_fp=half, count=len(intervals),
@@ -369,7 +358,7 @@ class _Builder:
             cf=self.cf, mu=self.mu, m=self.m,
             sequence=tuple(lev.n_k for lev in self.levels),
             levels=tuple(self.levels),
-            residue_schedule=tuple((_schedule_residue(lev.k, self.m),
+            residue_schedule=tuple((lev.k % self.m,
                                     _schedule_sign(lev.k, self.m))
                                    for lev in self.levels),
             precision_bits=self.bits)
@@ -442,9 +431,9 @@ def build_hierarchy(omega: CirclePoint, mu, m: int,
 
     A level, level 1 included, is stored with its intervals when it fits
     both caps; the deepest level may instead carry exact per-parent child
-    counts and masses computed by floor sums (an intermediate level that
-    does not fit raises CapTooSmall, since its children would need the
-    geometry).
+    counts and masses, by shifted windows of one count per residue class
+    (an intermediate level that does not fit raises CapTooSmall, since its
+    children would need the geometry).
     Masses split each parent's mass uniformly among its retained
     children, so they sum to exactly 1 at every level.
     """
@@ -569,7 +558,7 @@ def intermediate_interval_check(h: CantorHierarchy, lo, hi) -> dict:
         half_fp = to_fixed(length / 2, bits)
     erosion_fp = power_floor(2 * n_abs, h.mu, bits)
     w = to_fixed(h.cf.omega.value, bits)
-    res = _schedule_residue(k_found, h.m)
+    res = k_found % h.m
     p_lo, p_hi = index_range(*sorted((lev.n_k, 2 * lev.n_k)), h.m, res)
     g = max(_GUARD_FLOOR, 2 * n_abs + 4)
     allow = half_fp - erosion_fp

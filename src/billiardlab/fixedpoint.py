@@ -10,7 +10,7 @@ original real inputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
@@ -104,6 +104,27 @@ def count_arc(w: int, scale: int, m: int, res: int, p_lo: int, p_hi: int,
     a = w * m
     b0 = w * (m * p_lo + res) - (center - allow)
     return floor_sum(n, scale, a, b0) - floor_sum(n, scale, a, b0 - width)
+
+
+def count_arcs(w: int, scale: int, m: int, res: int, p_lo: int, p_hi: int,
+               js: Sequence[int], allow: int) -> List[int]:
+    """[count_arc(w, scale, m, res, p_lo, p_hi, j*w mod scale, allow) for j
+    in js].  With d = j // m, the count around j*w is the count around 0 of
+    residue res - j mod m over [p_lo - d, p_hi - d], by translation
+    invariance: one full count per residue class at the least shift d0,
+    then per j two windows of d - d0 indices, where the ranges' ends differ."""
+    if p_hi < p_lo:
+        return [0] * len(js)
+    d0 = min(js, default=0) // m
+    ref, out = {}, []
+    for j in js:
+        d, r = j // m, res - j % m
+        if r not in ref:
+            ref[r] = count_arc(w, scale, m, r, p_lo - d0, p_hi - d0, 0, allow)
+        left = count_arc(w, scale, m, r, p_lo - d, p_lo - d0 - 1, 0, allow)
+        right = count_arc(w, scale, m, r, p_hi - d + 1, p_hi - d0, 0, allow)
+        out.append(ref[r] + left - right)
+    return out
 
 
 def first_hit(a: int, b: int, m: int, L: int, R: int) -> Optional[int]:

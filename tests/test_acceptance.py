@@ -68,6 +68,27 @@ def test_criterion_01_cantor_box_dimension():
     assert elapsed < 1.0
 
 
+def test_criterion_01_box_dimension_off_ties():
+    # At piece lengths c*3^-k with c < 1 no piece length equals a level
+    # length, so the greedy counts do not turn on sub-ulp rounding of the
+    # 3-adic endpoints and the fitted slope is log 2/log 3 to far below
+    # the 0.03 tolerance the tie scales above need.
+    with mp.workprec(BITS + 16):
+        pairs = [(mpf(0), mpf(1))]
+        for _ in range(12):
+            pairs = [piece for lo, hi in pairs
+                     for piece in ((lo, lo + (hi - lo) / 3),
+                                   (hi - (hi - lo) / 3, hi))]
+        u = IntervalUnion.make([(to_fixed(lo, BITS), to_fixed(hi, BITS))
+                                for lo, hi in pairs], BITS)
+    for c in ("0.6", "0.9"):
+        with mp.workprec(BITS + 16):
+            scales = [(mpf(3) ** -k * mpf(c) / 2, u) for k in range(4, 13)]
+        fit = dim_lb_estimate(scales)
+        with mp.workprec(BITS + 16):
+            assert abs(fit.slope - mp.log(2) / mp.log(3)) <= mpf("1e-6"), c
+
+
 # ---------------------------------------------------------------------------
 # 2. three-distance minimum gap against the 1/(q_r+2) floor
 # ---------------------------------------------------------------------------

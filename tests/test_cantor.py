@@ -304,6 +304,16 @@ def test_empty_level_witness():
     # parents, so both parents lose all children.
     with pytest.raises(EmptyLevel):
         build_hierarchy(golden(), 2, 1, [1, -2, 3])
+    # the message names the first empty parent, and the failed extension
+    # leaves the builder's levels as they were
+    b = _Builder(continued_fraction(golden(), max_depth=256), 2, 1,
+                 DEFAULT_SCAN_CAP, DEFAULT_MATERIALIZE_CAP)
+    b.extend(1, 1, final=False)
+    b.extend(-2, 2, final=False)
+    with pytest.raises(EmptyLevel) as err:
+        b.extend(3, 3, final=True)
+    assert str(err.value) == "parent 0 at level 3 keeps no certified children"
+    assert len(b.levels) == 2
 
 
 def test_build_validates_sequences():

@@ -1,0 +1,74 @@
+"""Same-bytes gate beyond the defaults: each non-default ``cantor_dim``
+config below must write reports whose SHA-256 digests match
+``cantor_golden.json``, or raise the exception class and message recorded
+there.  The bench digests cover only the default config, which uses the
+single residue class m = 1; these configs also reach other rotation
+numbers, another exponent, a stored level over three residue classes,
+and the scan cap.
+
+    PYTHONPATH=src python tests/test_cantor_golden.py --regen
+
+rewrites the file.  Run it only to accept a deliberate change of output.
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from billiardlab.experiments import ExperimentConfig, run_experiment, write_report
+
+GOLDEN = Path(__file__).resolve().parent / "cantor_golden.json"
+
+CONFIGS = {
+    "sqrt2_depth3": {"omega": "sqrt(2)-1", "depth": 3},
+    "sqrt3_depth3": {"omega": "sqrt(3)-1", "depth": 3},
+    "e_depth3": {"omega": "e-2", "depth": 3},
+    "mu3_depth3": {"mu": 3.0, "depth": 3},
+    "m3_depth2": {"m": 3, "depth": 2},
+    "m3_depth3": {"m": 3, "depth": 3},            # DepthUnreachable
+    "pi_depth3": {"omega": "pi-3", "depth": 3},   # CapTooSmall
+}
+
+
+def outcome(name: str) -> dict:
+    """The config, and the digest of each report it writes or the
+    exception it raises.  Run from an empty working directory, so that the
+    default relative out_dir echoed in the reports stays "lab_out"."""
+    overrides = CONFIGS[name]
+    try:
+        cfg = ExperimentConfig.from_json_obj(overrides, "cantor_dim")
+        files = write_report(run_experiment(cfg), cfg.out_dir)
+    except Exception as exc:  # a refused config's message is its output
+        return {"config": overrides, "error": f"{type(exc).__name__}: {exc}"}
+    return {"config": overrides,
+            "files": {f: hashlib.sha256((Path(cfg.out_dir) / f).read_bytes())
+                      .hexdigest() for f in files}}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_cantor_config_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert outcome(name) == golden[name]
+
+
+def _regen() -> None:
+    table = {}
+    for name in sorted(CONFIGS):
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            table[name] = outcome(name)
+    GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n",
+                      encoding="utf-8")
+    print(f"wrote {len(table)} outcomes to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit(f"usage: python {sys.argv[0]} --regen")
+    _regen()

@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from billiardlab.fixedpoint import (arc_hits, count_arc, first_hit, floor_sum,
-                                   from_fixed, index_range, mpf_to_fraction,
-                                   power_floor, to_fixed)
+from billiardlab.fixedpoint import (arc_hits, count_arc, count_arcs, first_hit,
+                                   floor_sum, from_fixed, index_range,
+                                   mpf_to_fraction, power_floor, to_fixed)
 
 
 def brute_floor_sum(n, m, a, b):
@@ -119,6 +119,26 @@ def test_count_arc_matches_brute_force(w, m, res, p_lo, extra, center, allow):
     p_hi = p_lo + extra
     assert (count_arc(w, scale, m, res, p_lo, p_hi, center, allow)
             == brute_count_arc(w, scale, m, res, p_lo, p_hi, center, allow))
+
+
+@given(st.data(), st.sampled_from((16, 64, 256)), st.integers(1, 5),
+       st.integers(-20, 20), st.integers(-10**6, 10**6), st.integers(-3, 2000),
+       st.lists(st.integers(-10**4, 10**4), max_size=12))
+@settings(max_examples=200)
+def test_count_arcs_is_count_arc_at_each_parent(data, bits, m, res, p_lo,
+                                                extra, js):
+    # parents j of both signs in several residue classes, shifts wider
+    # than the index range, empty ranges (extra < 0), and allowances from
+    # none through narrow and wide arcs to the whole circle
+    scale = 1 << bits
+    w = data.draw(st.integers(0, scale - 1), label="w")
+    allow = data.draw(st.one_of(st.sampled_from((-1, 0, scale // 2, scale)),
+                                st.integers(0, 1 << 12),
+                                st.integers(0, scale - 1)), label="allow")
+    p_hi = p_lo + extra
+    assert count_arcs(w, scale, m, res, p_lo, p_hi, js, allow) == [
+        count_arc(w, scale, m, res, p_lo, p_hi, j * w % scale, allow)
+        for j in js]
 
 
 def test_count_arc_edge_cases():
