@@ -11,11 +11,14 @@ beam a signed integer level relative to its base direction.
 
 Beam positions are carried as fixed-point integers at the polygon's
 precision, so every traced child interval is an exact isometric image of
-its source interval.  Geometric data (vertex shadows, per-reflection
-offsets) is quantized once per (direction, source side) into cached
-transit tables; a guard zone of width 2^-(precision_bits//2) around every
-genuine vertex shadow is excluded from tracing and reported separately,
-keeping all reported lengths conservative.
+its source interval.  Vertex shadows and reflection offsets are quantized
+once per (direction, source side) into cached transit tables.  Reflecting
+in a side's line, of unit direction u and height h = v.rot90(u) for its
+vertices v, sends the offset c of a ray of direction d to delta - c with
+delta = 2*(d.u)*h, wherever the ray hits; so delta = 0 exactly on a side
+through the origin.  A guard zone of width 2^-(precision_bits//2) around
+every genuine vertex shadow is excluded from tracing and reported
+separately, keeping all reported lengths conservative.
 
 Beams step from section to section: a pair table per (level, source side)
 composes two transit tables, so one lookup carries a beam through both
@@ -364,9 +367,9 @@ class _Table:
 
     ``los``/``his`` bound the guard-carved cells; per cell ``targets`` is
     the side hit next, ``deltas`` the fixed-point reflection offset
-    (c -> delta - c), ``classes`` the target's side class as an int
-    (0 BASE, 1 SLANT).  ``raw_cells`` (launch tables only) keeps the
-    uncarved (lo, hi, chords) decomposition for cross-section reporting.
+    2*(d.u)*h of the target's line (c -> delta - c), ``classes`` the
+    target's side class as an int (0 BASE, 1 SLANT).  ``raw_cells``
+    (launch tables only) keeps the uncarved (lo, hi, chords) cells.
     """
 
     __slots__ = ("dom_lo", "dom_hi", "los", "his", "targets", "deltas",
@@ -438,6 +441,12 @@ class _Tracer:
         self.b_mod = q.return_modulus
         self.classes_int = tuple(0 if c is SideClass.BASE else 1
                                  for c in q.side_classes)
+        # the height h of each side's line, taken at the side's lower vertex
+        with mp.workprec(self.P + 64):
+            self.cos_a, self.sin_a = mp.cos(self.alpha), mp.sin(self.alpha)
+            self.heights = [vy * self.cos_a - vx * self.sin_a if cls else vy
+                            for i, cls in enumerate(self.classes_int)
+                            for vx, vy in [min(q.side(i), key=lambda v: v[1])]]
         # transit tables under (odd, n, side), pair tables under (n, side)
         self.tables: Dict[tuple, object] = {}
 
@@ -466,18 +475,18 @@ class _Tracer:
 
     # -- geometry -----------------------------------------------------
 
-    def _cast_from_point(self, px, py, dx, dy, skip_side: int):
-        """First boundary hit of the ray from (px, py) on a side other than
-        ``skip_side``: (t, side, hx, hy)."""
-        for hit in self._stab_all(px, py, dx, dy):
-            if hit[1] != skip_side:
-                return hit
+    def _cast_from_point(self, px, py, dx, dy, skip_side: int) -> int:
+        """Side of the first boundary hit of the ray from (px, py) on a side
+        other than ``skip_side``."""
+        for _, s2 in self._stab_all(px, py, dx, dy):
+            if s2 != skip_side:
+                return s2
         raise DegenerateDirection(
             "ray from the boundary found no forward intersection; "
             "direction is parallel to a side within precision")
 
     def _stab_all(self, px, py, dx, dy):
-        """All boundary hits of the full forward ray, sorted by distance."""
+        """All boundary hits (t, side) of the full forward ray, by distance."""
         verts = self.q.vertices
         m = len(verts)
         hits = []
@@ -495,28 +504,23 @@ class _Tracer:
             u = (dy * rx - dx * ry) / den
             if u < 0 or u > 1:
                 continue
-            hits.append((t, s2, px + t * dx, py + t * dy))
-        hits.sort(key=lambda h: h[0])
-        return hits
-
-    def _reflected(self, phi: mpf, cls: int) -> mpf:
-        if cls == 0:
-            return (-phi) % self.two_pi
-        return (2 * self.alpha - phi) % self.two_pi
+            hits.append((t, s2))
+        return sorted(hits)  # sides in index order at a tie, as appended
 
     def _build_table(self, odd: int, n: int, side: int) -> _Table:
         P = self.P
-        q = self.q
-        verts = q.vertices
+        verts = self.q.vertices
         m = len(verts)
         with mp.workprec(P + 64):
             phi = self._phi(odd, n)
+            dx, dy = mp.cos(phi), mp.sin(phi)
+            # components of the direction along and across each side class
+            along = (dx, dx * self.cos_a + dy * self.sin_a)
             gtol = mpf(2) ** (-(P // 2))
-            if abs(mp.sin(phi)) < gtol or abs(mp.sin(phi - self.alpha)) < gtol:
+            if abs(dy) < gtol or abs(dy * self.cos_a - dx * self.sin_a) < gtol:
                 raise DegenerateDirection(
                     f"direction {mp.nstr(phi, 12)} (level offset {n}) is "
                     f"parallel to a side class within the precision guard")
-            dx, dy = mp.cos(phi), mp.sin(phi)
             nx, ny = -dy, dx
             proj = [vx * nx + vy * ny for vx, vy in verts]
             proj_i = [to_fixed(p, P) for p in proj]
@@ -550,11 +554,8 @@ class _Tracer:
                         raise DegenerateDirection(
                             "stabbing line meets the boundary an odd number "
                             "of times; direction too close to a vertex frame")
-                    chords = len(hits) // 2
-                    _, target, hx, hy = hits[1]
-                    return target, chords, hx, hy
-                _, target, hx, hy = self._cast_from_point(px, py, dx, dy, side)
-                return target, 1, hx, hy
+                    return hits[1][1], len(hits) // 2
+                return self._cast_from_point(px, py, dx, dy, side), 1
 
             breaks = sorted({p for p in proj_i if dom_lo < p < dom_hi})
             edges = [dom_lo] + breaks + [dom_hi]
@@ -567,35 +568,24 @@ class _Tracer:
             tbl = _Table()
             tbl.dom_lo, tbl.dom_hi = dom_lo, dom_hi
             if side == _LAUNCH:
-                tbl.raw_cells = [(lo, hi, ch) for lo, hi, _, ch, _, _ in raw]
-                tbl.max_chords = max((ch for _, _, _, ch, _, _ in raw), default=1)
+                tbl.raw_cells = [(lo, hi, ch) for lo, hi, _, ch in raw]
+                tbl.max_chords = max((ch for _, _, _, ch in raw), default=1)
                 tbl.width_exact = max(proj) - min(proj)
 
             # Coalesce cells sharing a target: the transit map is
             # continuous across a vertex shadow that does not change the
             # side being hit, so only target changes are real singularities.
-            # The reflection offset is constant on the whole run; each run
-            # keeps the hit at the midpoint of its widest raw cell, which is
-            # bounded away from every vertex shadow.
-            runs: List[List] = []  # [lo, hi, target, best_width, hx, hy]
-            for lo_i, hi_i, target, _, hx, hy in raw:
+            runs: List[List] = []  # [lo, hi, target]
+            for lo_i, hi_i, target, _ in raw:
                 if runs and runs[-1][2] == target:
                     runs[-1][1] = hi_i
-                    if hi_i - lo_i > runs[-1][3]:
-                        runs[-1][3:] = [hi_i - lo_i, hx, hy]
                 else:
-                    runs.append([lo_i, hi_i, target, hi_i - lo_i, hx, hy])
+                    runs.append([lo_i, hi_i, target])
 
             G = self.guard
-            for idx, (lo_i, hi_i, target, _, hx, hy) in enumerate(runs):
+            for idx, (lo_i, hi_i, target) in enumerate(runs):
                 cls = self.classes_int[target]
-                phi2 = self._reflected(phi, cls)
-                n2x, n2y = -mp.sin(phi2), mp.cos(phi2)
-                # projection onto the incoming frame is constant along the
-                # ray, so measuring both frames at the hit point is exact
-                c_in = hx * nx + hy * ny
-                c_out = hx * n2x + hy * n2y
-                delta = to_fixed(c_in + c_out, P)
+                delta = to_fixed(2 * along[cls] * self.heights[target], P)
                 lo_c = lo_i if idx == 0 else lo_i + G
                 hi_c = hi_i if idx == len(runs) - 1 else hi_i - G
                 if hi_c <= lo_c:

@@ -165,10 +165,10 @@ class CantorHierarchy:
                 "ambiguous_discarded": lev.ambiguous,
             }
             if lev.intervals is not None:
-                h = from_fixed(lev.half_fp, bits)
+                h = fmt(from_fixed(lev.half_fp, bits), digits)
                 entry["intervals"] = [
                     {"center": fmt(from_fixed(iv.center_fp, bits), digits),
-                     "half_width": fmt(h, digits),
+                     "half_width": h,
                      "mass": str(iv.mass)}
                     for iv in lev.intervals]
             else:

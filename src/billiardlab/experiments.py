@@ -24,7 +24,8 @@ from mpmath import mp, mpf
 
 from . import __version__
 from .billiard import build_polygon, perpendicular_periodicity, rhombus
-from .cantor import local_dimension_report, select_sequence, separation_report
+from .cantor import (DEFAULT_MATERIALIZE_CAP, DEFAULT_SCAN_CAP,
+                     local_dimension_report, select_sequence, separation_report)
 from .circle import (CirclePoint, angle_point, continued_fraction,
                      detect_rational_angle, eval_number, three_distance_gap)
 from .dimension import EscapeCoverRecord, average_length_cover, cover_escape_sets
@@ -196,8 +197,8 @@ _SCHEMA: Dict[str, Dict[str, Tuple[Any, Check]]] = {
         "m": (1, _COUNT),
         "depth": (4, _integer(2)),
         "growth_margin": (0.1, _UNIT),
-        "scan_cap": (1 << 21, _COUNT),
-        "materialize_cap": (1 << 19, _COUNT),
+        "scan_cap": (DEFAULT_SCAN_CAP, _COUNT),
+        "materialize_cap": (DEFAULT_MATERIALIZE_CAP, _COUNT),
         "ratio_floor": (None, _optional(_UNIT)),
     },
     "ubiquity": {

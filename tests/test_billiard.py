@@ -437,7 +437,9 @@ def test_trace_beam_budget_flagged_as_active():
 
 
 def _float_trace(verts, theta, c0, nrefl):
-    """Plain float billiard: start inside the chord at offset c0."""
+    """Plain float billiard: start inside the chord at offset c0.  Returns
+    the side hit by each reflection and the section offset p.(-sin, cos)
+    of the reflected ray."""
     m = len(verts)
     d = (math.cos(theta), math.sin(theta))
     nx, ny = -math.sin(theta), math.cos(theta)
@@ -465,15 +467,15 @@ def _float_trace(verts, theta, c0, nrefl):
 
     hits = cast_all(px, py, d, -1)
     if len(hits) < 2:
-        return []
+        return [], []
     tm = (hits[0][0] + hits[1][0]) / 2
     px, py = px + tm * d[0], py + tm * d[1]
-    sides = []
+    sides, offsets = [], []
     skip = -1
     for _ in range(nrefl):
         hits = cast_all(px, py, d, skip)
         if not hits:
-            return sides
+            return sides, offsets
         t, s = hits[0]
         px, py = px + t * d[0], py + t * d[1]
         sides.append(s)
@@ -484,8 +486,9 @@ def _float_trace(verts, theta, c0, nrefl):
         ex, ey = ex / ln, ey / ln
         dot = d[0] * ex + d[1] * ey
         d = (2 * dot * ex - d[0], 2 * dot * ey - d[1])
+        offsets.append(py * d[0] - px * d[1])
         skip = s
-    return sides
+    return sides, offsets
 
 
 @pytest.mark.parametrize("alpha,theta", [
@@ -500,23 +503,56 @@ def test_side_sequences_match_float_geometry(alpha, theta):
     span = hi - lo
     for j in (17, 101, 313, 449, 700, 901):
         c0 = lo + (j * span) // 997
-        # a one-ulp ray never splits; read the target side of every
-        # reflection, odd ones included, until it returns
+        # a one-ulp ray never splits; read the target side and the offset
+        # of every reflection, odd ones included, until it returns
         st = (_LAUNCH, c0, c0 + 1, 0, 0, 0)
-        engine_sides = []
+        engine_sides, engine_offsets = [], []
         while len(engine_sides) < 40:
             children, _ = tracer._advance(st)
             if not children:
                 break
             (st,) = children
             engine_sides.append(st[0])
+            engine_offsets.append(float(from_fixed(st[1], q.precision_bits)))
             n, b_mod = st[3], tracer.b_mod
             if not st[5] & 1 and (n == 0 or b_mod and n % b_mod == 0):
                 break
-        oracle_sides = _float_trace(
+        oracle_sides, oracle_offsets = _float_trace(
             verts_f, float(mpf(tracer.theta)),
             float(from_fixed(c0, q.precision_bits)), len(engine_sides))
         assert engine_sides == oracle_sides
+        assert engine_offsets == pytest.approx(oracle_offsets, rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("shape", [
+    ("rhombus", "1.0", 1), ("rhombus", "pi*(sqrt(5)-1)/4", "sqrt(3)"),
+    ("rhombus", "pi/5", "1.5"), ("parallelogram", "0.7", 2, "sqrt(2)"),
+    ("parallelogram", "1.2", "sqrt(2)", 1)])
+@pytest.mark.parametrize("theta", ["0.3", "2.2", "4.0"])
+def test_offsets_vanish_on_sides_through_origin(shape, theta):
+    """delta = 2*(d.u)*h, and h = 0 on the line of a side through the
+    origin: those offsets are exactly 0, at both parities."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        q = getattr(B, shape[0])(*shape[1:])
+    vs = q.vertices
+    through_origin = {i for i in range(len(vs))
+                      if (0, 0) in (vs[i], vs[(i + 1) % len(vs)])}
+    assert len(through_origin) == 2
+    tracer = _Tracer(q, theta)
+    seen = set()
+    for odd in (0, 1):
+        for n in range(-3, 4):
+            for side in [_LAUNCH, *range(len(vs))]:
+                try:
+                    tbl = tracer._table(odd, n, side)
+                except DegenerateDirection:
+                    continue
+                for target, delta in zip(tbl.targets, tbl.deltas):
+                    if target in through_origin:
+                        assert delta == 0
+                        seen.add(odd)
+    assert seen == {0, 1}
 
 
 def _reflection_by_reflection(tracer, states, n_cap, reflection_cap):

@@ -1,10 +1,11 @@
-"""Same-bytes gate beyond the defaults: each non-default ``cantor_dim``
-config below must write reports whose SHA-256 digests match
-``cantor_golden.json``, or raise the exception class and message recorded
-there.  The bench digests cover only the default config, which uses the
-single residue class m = 1; these configs also reach other rotation
-numbers, another exponent, a stored level over three residue classes,
-and the scan cap.
+"""Same-bytes gate beyond the defaults: each non-default config below
+must write reports whose SHA-256 digests match ``golden.json``, or raise
+the exception class and message recorded there.  The bench digests cover
+only the default configs.  The ``cantor_dim`` configs also reach other
+rotation numbers, another exponent, a stored level over three residue
+classes, and the scan cap; the others reach a finer ``thm1_cover`` grid,
+a ``thm2_cover`` parallelogram, ``perp_orbits`` on an irrational rhombus,
+and the family subtraction of ``ubiquity`` with its failing verdict.
 
     PYTHONPATH=src python tests/test_cantor_golden.py --regen
 
@@ -22,26 +23,35 @@ import pytest
 
 from billiardlab.experiments import ExperimentConfig, run_experiment, write_report
 
-GOLDEN = Path(__file__).resolve().parent / "cantor_golden.json"
+GOLDEN = Path(__file__).resolve().parent / "golden.json"
 
-CONFIGS = {
-    "sqrt2_depth3": {"omega": "sqrt(2)-1", "depth": 3},
-    "sqrt3_depth3": {"omega": "sqrt(3)-1", "depth": 3},
-    "e_depth3": {"omega": "e-2", "depth": 3},
-    "mu3_depth3": {"mu": 3.0, "depth": 3},
-    "m3_depth2": {"m": 3, "depth": 2},
-    "m3_depth3": {"m": 3, "depth": 3},            # DepthUnreachable
-    "pi_depth3": {"omega": "pi-3", "depth": 3},   # CapTooSmall
+CONFIGS = {  # name: (experiment, overrides)
+    "sqrt2_depth3": ("cantor_dim", {"omega": "sqrt(2)-1", "depth": 3}),
+    "sqrt3_depth3": ("cantor_dim", {"omega": "sqrt(3)-1", "depth": 3}),
+    "e_depth3": ("cantor_dim", {"omega": "e-2", "depth": 3}),
+    "mu3_depth3": ("cantor_dim", {"mu": 3.0, "depth": 3}),
+    "m3_depth2": ("cantor_dim", {"m": 3, "depth": 2}),
+    "m3_depth3": ("cantor_dim", {"m": 3, "depth": 3}),           # DepthUnreachable
+    "pi_depth3": ("cantor_dim", {"omega": "pi-3", "depth": 3}),  # CapTooSmall
+    "thm1_bits512": ("thm1_cover", {"precision_bits": 512}),
+    "thm2_base2": ("thm2_cover",
+                   {"polygon": {"kind": "parallelogram", "base": 2}}),
+    "perp_alpha07": ("perp_orbits", {"polygon": {"alpha": "0.7"},
+                                     "samples": 300, "reflection_cap": 5000}),
+    "ubiquity_m3": ("ubiquity", {"m": 3, "coverage_constant": 0.001,
+                                 "n_values": [10, 30, 100]}),
 }
+CANTOR = sorted(k for k, (exp, _) in CONFIGS.items() if exp == "cantor_dim")
+OTHERS = sorted(set(CONFIGS) - set(CANTOR))
 
 
 def outcome(name: str) -> dict:
     """The config, and the digest of each report it writes or the
     exception it raises.  Run from an empty working directory, so that the
     default relative out_dir echoed in the reports stays "lab_out"."""
-    overrides = CONFIGS[name]
+    experiment, overrides = CONFIGS[name]
     try:
-        cfg = ExperimentConfig.from_json_obj(overrides, "cantor_dim")
+        cfg = ExperimentConfig.from_json_obj(overrides, experiment)
         files = write_report(run_experiment(cfg), cfg.out_dir)
     except Exception as exc:  # a refused config's message is its output
         return {"config": overrides, "error": f"{type(exc).__name__}: {exc}"}
@@ -50,11 +60,20 @@ def outcome(name: str) -> dict:
                       .hexdigest() for f in files}}
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_cantor_config_matches_golden(name, tmp_path, monkeypatch):
+def _matches_golden(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert outcome(name) == golden[name]
+
+
+@pytest.mark.parametrize("name", CANTOR)
+def test_cantor_config_matches_golden(name, tmp_path, monkeypatch):
+    _matches_golden(name, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("name", OTHERS)
+def test_config_matches_golden(name, tmp_path, monkeypatch):
+    _matches_golden(name, tmp_path, monkeypatch)
 
 
 def _regen() -> None:
