@@ -26,7 +26,9 @@ reflections of a pair as a translation.  Its cells are the first table's
 cells refined by the preimages of the second table's cells; a piece that
 falls into a guard of the first reflection or of the second stops there
 as a vertex sliver.  A degenerate middle direction raises only for a beam
-that reaches it, as it would one reflection at a time.
+that reaches it, as it would one reflection at a time.  Almost every pair
+step leaves a piece whole inside one cell; such a piece is translated in
+place, and only a piece that splits or meets a guard is cut into pieces.
 
 Dynamic operations (partitioning, beam tracing, escape sets) require each
 stabbing line to cross the polygon in a single chord for the directions
@@ -397,9 +399,9 @@ def _split(los, his, lo, hi):
     """Tile [lo, hi] by sorted, disjoint cells [los[i], his[i]]: the list of
     pieces (i, a, b) in order, with i = -1 for a piece between cells.
 
-    The one interval walk behind both table lookups, the single
-    reflection (``_Tracer._advance``) and the pair step
-    (``_Tracer.trace_states``).
+    The one interval walk behind the single reflection
+    (``_Tracer._advance``) and the pair steps of
+    ``_Tracer.trace_states`` that do not stay in one plain cell.
     """
     pieces = []
     i = bisect_right(los, lo) - 1
@@ -679,6 +681,11 @@ class _Tracer:
         reflection_cap``, or steps on.  Returns (out, max_refl) where out
         maps each status name to the list of states that finished with
         it; vertex slivers are listed under "uncertain".
+
+        A piece that one plain pair cell holds is stepped in place: as the
+        only child of its step it would be the next state popped anyway, so
+        the visiting order and every output list stay the same.  Pieces that
+        split or meet a guard or a degenerate middle go through ``_split``.
         """
         stack = list(states)
         if any(st[5] & 1 for st in stack):
@@ -690,34 +697,57 @@ class _Tracer:
         max_refl = 0
         while stack:
             side, lo, hi, n, disp, refl = stack.pop()
-            key = (n if b_mod is None else n % b_mod, side)
-            pair = tables.get(key)
-            if pair is None:
-                pair = self._store(key, self._build_pair(*key))
-            los, his, cells = pair
-            refl2 = refl + 2
-            for i, a, b in _split(los, his, lo, hi):
-                if i < 0:
-                    uncertain.append((side, a, b, n, disp, refl))
-                    continue
-                t, d, k, mid = cells[i]
-                if mid:
-                    if mid is not True:
-                        raise DegenerateDirection(*mid.args)
-                    uncertain.append((t, d - b, d - a, k - n, d - disp, refl + 1))
-                    continue
-                n2 = n + k
-                child = (t, a + d, b + d, n2, disp + d, refl2)
-                if refl2 > max_refl:
-                    max_refl = refl2
-                if n2 == 0 or (b_mod is not None and n2 % b_mod == 0):
-                    returned.append(child)
-                elif n_cap is not None and abs(n2) > n_cap:
-                    escaped.append(child)
-                elif refl2 >= reflection_cap:
-                    active.append(child)
-                else:
-                    stack.append(child)
+            while True:
+                key = (n if b_mod is None else n % b_mod, side)
+                pair = tables.get(key)
+                if pair is None:
+                    pair = self._store(key, self._build_pair(*key))
+                los, his, cells = pair
+                i = bisect_right(los, lo) - 1
+                if i >= 0 and hi <= his[i] and not cells[i][3]:
+                    side, d, k, _ = cells[i]
+                    lo += d
+                    hi += d
+                    n += k
+                    disp += d
+                    refl += 2
+                    if refl > max_refl:
+                        max_refl = refl
+                    # the split loop's status rule below, repeated for speed
+                    if n == 0 or (b_mod is not None and n % b_mod == 0):
+                        returned.append((side, lo, hi, n, disp, refl))
+                    elif n_cap is not None and abs(n) > n_cap:
+                        escaped.append((side, lo, hi, n, disp, refl))
+                    elif refl >= reflection_cap:
+                        active.append((side, lo, hi, n, disp, refl))
+                    else:
+                        continue
+                    break
+                # across cells, in a gap or on a guard or degenerate cell
+                refl2 = refl + 2
+                for i, a, b in _split(los, his, lo, hi):
+                    if i < 0:
+                        uncertain.append((side, a, b, n, disp, refl))
+                        continue
+                    t, d, k, mid = cells[i]
+                    if mid:
+                        if mid is not True:
+                            raise DegenerateDirection(*mid.args)
+                        uncertain.append((t, d - b, d - a, k - n, d - disp, refl + 1))
+                        continue
+                    n2 = n + k
+                    child = (t, a + d, b + d, n2, disp + d, refl2)
+                    if refl2 > max_refl:
+                        max_refl = refl2
+                    if n2 == 0 or (b_mod is not None and n2 % b_mod == 0):
+                        returned.append(child)
+                    elif n_cap is not None and abs(n2) > n_cap:
+                        escaped.append(child)
+                    elif refl2 >= reflection_cap:
+                        active.append(child)
+                    else:
+                        stack.append(child)
+                break
         return out, max_refl
 
     def partition_states(self, level: int = 0):

@@ -6,6 +6,7 @@ match plain geometry for dozens of reflections.  Everything else is
 checked against exact conservation laws and closed-form projections.
 """
 
+import itertools
 import math
 import warnings
 
@@ -606,6 +607,37 @@ def test_pair_stepper_matches_reflection_by_reflection(shape, bits):
                         (theta, level, n_cap, cap)
 
 
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("shape", [("rhombus", "pi*(sqrt(5)-1)/4"),
+                                   ("rhombus", "pi/3"),
+                                   ("parallelogram", "1.0", 2, 1)])
+def test_single_cell_chains_match_reflection_by_reflection(shape, bits):
+    # Narrow pieces rarely split, so they run long chains of single-cell
+    # pair steps, some up to the 5000-reflection cap.  One piece starts in
+    # the middle of each cell of a launch pair table, guard cells included.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        q = getattr(B, shape[0])(*shape[1:], precision_bits=bits)
+    for theta in ("0.05", "0.3", "1.2"):
+        tracer = _Tracer(q, theta)
+        for level in (0, 2):
+            los, his, _ = tracer._build_pair(level, _LAUNCH)
+            for (lo, hi), width in itertools.product(zip(los, his),
+                                                     (1, 1 << 20)):
+                mid = (lo + hi) // 2
+                launch = [(_LAUNCH, mid, min(mid + width, hi), level, 0, 0)]
+                for n_cap, cap in itertools.product((None, 1, 3),
+                                                    (2, 3, 4, 5000)):
+                    got, got_refl = tracer.trace_states(
+                        launch, n_cap=n_cap, reflection_cap=cap)
+                    want, want_refl = _reflection_by_reflection(
+                        tracer, launch, n_cap, cap)
+                    assert got_refl == want_refl
+                    assert {k: sorted(v) for k, v in got.items()} == \
+                        {k: sorted(v) for k, v in want.items()}, \
+                        (theta, level, mid, width, n_cap, cap)
+
+
 def test_degenerate_middle_table_raises_only_for_beams_that_reach_it():
     # A pair table reflects its whole domain twice, so it builds middle
     # tables that a given beam may never use.  Make one of them degenerate:
@@ -619,12 +651,12 @@ def test_degenerate_middle_table_raises_only_for_beams_that_reach_it():
     other = next(i for i in range(len(first.los))
                  if (1, first.classes[i], first.targets[i]) != poison)
 
-    def poisoned():
+    def poisoned(key=poison):
         tracer = _Tracer(q, "0.3")
         build = tracer._build_table
 
         def build_table(odd, n, side):
-            if (odd, n, side) == poison:
+            if (odd, n, side) == key:
                 raise DegenerateDirection("poisoned middle table")
             return build(odd, n, side)
         tracer._build_table = build_table
@@ -642,6 +674,27 @@ def test_degenerate_middle_table_raises_only_for_beams_that_reach_it():
         poisoned().trace_states(beam(0), n_cap=None, reflection_cap=2)
     with pytest.raises(DegenerateDirection, match="poisoned"):
         _reflection_by_reflection(poisoned(), beam(0), None, 2)
+
+    # Mid-chain: the narrow beam(0) takes two unsplit pair steps, away from
+    # level 0, and first meets the middle table ``late`` on its third step.
+    # Poisoned there, it raises on that step and stops cleanly at cap 4.
+    st, middles = beam(0)[0], []
+    for _ in range(3):
+        (mid,), slivers = clean._advance(st)
+        (st,), more = clean._advance(mid)
+        assert not slivers and not more and st[3] != 0
+        middles.append((1, mid[3], mid[0]))
+    late = middles[2]
+    assert late not in middles[:2]
+    want = clean.trace_states(beam(0), n_cap=None, reflection_cap=4)
+    assert want[1] == 4 and len(want[0]["active"]) == 1
+    assert poisoned(late).trace_states(beam(0), n_cap=None,
+                                       reflection_cap=4) == want
+    assert _reflection_by_reflection(poisoned(late), beam(0), None, 4) == want
+    with pytest.raises(DegenerateDirection, match="poisoned"):
+        poisoned(late).trace_states(beam(0), n_cap=None, reflection_cap=6)
+    with pytest.raises(DegenerateDirection, match="poisoned"):
+        _reflection_by_reflection(poisoned(late), beam(0), None, 6)
 
 
 def test_trace_states_rejects_odd_states():
