@@ -20,6 +20,12 @@ through the origin.  A guard zone of width 2^-(precision_bits//2) around
 every genuine vertex shadow is excluded from tracing and reported
 separately, keeping all reported lengths conservative.
 
+Target sides come from p = v.n and a = v.d, the grid projections of the
+vertices across and along the ray direction d: the line at offset c
+crosses side s iff c lies strictly between its vertices' p, at
+a_a + (c - p_a)(a_b - a_a)/(p_b - p_a) along the ray, and a cell's target
+is the crossing after its source side (for a launch, the second one).
+
 Beams step from section to section: a pair table per (level, source side)
 composes two transit tables, so one lookup carries a beam through both
 reflections of a pair as a translation.  Its cells are the first table's
@@ -372,6 +378,8 @@ class _Table:
     2*(d.u)*h of the target's line (c -> delta - c), ``classes`` the
     target's side class as an int (0 BASE, 1 SLANT).  ``raw_cells``
     (launch tables only) keeps the uncarved (lo, hi, chords) cells.
+    Ordered by a_a + (c - p_a)(a_b - a_a)/(p_b - p_a), the sides whose
+    span of p = v.n holds a cell's midpoint c are its line's crossings.
     """
 
     __slots__ = ("dom_lo", "dom_hi", "los", "his", "targets", "deltas",
@@ -475,40 +483,6 @@ class _Tracer:
         self.tables[key] = table
         return table
 
-    # -- geometry -----------------------------------------------------
-
-    def _cast_from_point(self, px, py, dx, dy, skip_side: int) -> int:
-        """Side of the first boundary hit of the ray from (px, py) on a side
-        other than ``skip_side``."""
-        for _, s2 in self._stab_all(px, py, dx, dy):
-            if s2 != skip_side:
-                return s2
-        raise DegenerateDirection(
-            "ray from the boundary found no forward intersection; "
-            "direction is parallel to a side within precision")
-
-    def _stab_all(self, px, py, dx, dy):
-        """All boundary hits (t, side) of the full forward ray, by distance."""
-        verts = self.q.vertices
-        m = len(verts)
-        hits = []
-        for s2 in range(m):
-            cx, cy = verts[s2]
-            dx2, dy2 = verts[(s2 + 1) % m]
-            ex, ey = dx2 - cx, dy2 - cy
-            den = dx * ey - dy * ex
-            if den == 0:
-                continue
-            rx, ry = cx - px, cy - py
-            t = (rx * ey - ex * ry) / den
-            if t <= 0:
-                continue
-            u = (dy * rx - dx * ry) / den
-            if u < 0 or u > 1:
-                continue
-            hits.append((t, s2))
-        return sorted(hits)  # sides in index order at a tie, as appended
-
     def _build_table(self, odd: int, n: int, side: int) -> _Table:
         P = self.P
         verts = self.q.vertices
@@ -526,9 +500,11 @@ class _Tracer:
             nx, ny = -dy, dx
             proj = [vx * nx + vy * ny for vx, vy in verts]
             proj_i = [to_fixed(p, P) for p in proj]
+            along_i = [to_fixed(vx * dx + vy * dy, P) for vx, vy in verts]
+            spans = list(zip(proj_i, proj_i[1:] + proj_i[:1],
+                             along_i, along_i[1:] + along_i[:1]))
             if side == _LAUNCH:
                 dom_lo, dom_hi = min(proj_i), max(proj_i)
-                reach = max(abs(vx * dx + vy * dy) for vx, vy in verts) + 1
             else:
                 a_i, b_i = proj_i[side], proj_i[(side + 1) % m]
                 dom_lo, dom_hi = (a_i, b_i) if a_i <= b_i else (b_i, a_i)
@@ -536,28 +512,24 @@ class _Tracer:
                     raise DegenerateDirection(
                         f"side {side} collapses in the direction "
                         f"{mp.nstr(phi, 12)} perpendicular frame")
-                sa_x, sa_y = verts[side]
-                sb_x, sb_y = verts[(side + 1) % m]
-                pa = proj[side]
-                pb = proj[(side + 1) % m]
 
-            def source_point(c_int):
-                c = from_fixed(c_int, P)
+            def outcome(lo_i, hi_i):
+                # No vertex projects inside a cell, so each side crossed at
+                # its midpoint c is a sign change of p - c around the
+                # vertex cycle: their number is even, and at least two.
+                c2 = lo_i + hi_i  # 2c
+                order = [s2 for _, s2 in sorted(
+                    (aa + Fraction((c2 - 2 * pa) * (ab - aa), 2 * (pb - pa)),
+                     s2) for s2, (pa, pb, aa, ab) in enumerate(spans)
+                    if (2 * pa < c2) != (2 * pb < c2))]
                 if side == _LAUNCH:
-                    return c * nx - reach * dx, c * ny - reach * dy
-                u = (c - pa) / (pb - pa)
-                return sa_x + u * (sb_x - sa_x), sa_y + u * (sb_y - sa_y)
-
-            def outcome(c_int):
-                px, py = source_point(c_int)
-                if side == _LAUNCH:
-                    hits = self._stab_all(px, py, dx, dy)
-                    if len(hits) < 2 or len(hits) % 2:
-                        raise DegenerateDirection(
-                            "stabbing line meets the boundary an odd number "
-                            "of times; direction too close to a vertex frame")
-                    return hits[1][1], len(hits) // 2
-                return self._cast_from_point(px, py, dx, dy, side), 1
+                    return order[1], len(order) // 2
+                k = order.index(side) + 1
+                if k == len(order):
+                    raise DegenerateDirection(
+                        "ray from the boundary found no forward intersection; "
+                        "direction is parallel to a side within precision")
+                return order[k], 1
 
             breaks = sorted({p for p in proj_i if dom_lo < p < dom_hi})
             edges = [dom_lo] + breaks + [dom_hi]
@@ -565,7 +537,7 @@ class _Tracer:
             for lo_i, hi_i in zip(edges, edges[1:]):
                 if hi_i <= lo_i:
                     continue
-                raw.append((lo_i, hi_i) + outcome((lo_i + hi_i) // 2))
+                raw.append((lo_i, hi_i) + outcome(lo_i, hi_i))
 
             tbl = _Table()
             tbl.dom_lo, tbl.dom_hi = dom_lo, dom_hi

@@ -36,22 +36,23 @@ def box_count(cover_set: IntervalUnion, epsilon, s: float = 1.0) -> CoverReport:
     """Minimal number of closed length-2*epsilon intervals covering the
     union.  The greedy left-to-right sweep is optimal in one dimension:
     each piece is placed at the leftmost uncovered point, and no cover can
-    do better than covering that point with a piece extending right."""
+    do better than covering that point with a piece extending right.
+    Exact on the grid: one ceiling division per interval."""
     bits = cover_set.precision_bits
     with mp.workprec(bits + 16):
         eps = mpf(epsilon)
         if eps <= 0:
             raise ValueError("epsilon must be positive")
-        piece = 2 * eps
+        piece = mpf_to_fraction(2 * eps) * (1 << bits)  # in grid units
         count = 0
         cursor = None
         for lo, hi in cover_set:
-            lo, hi = from_fixed(lo, bits), from_fixed(hi, bits)
             if cursor is None or cursor < lo:
                 cursor = lo
-            while cursor < hi:
-                count += 1
-                cursor = cursor + piece
+            if cursor < hi:
+                k = math.ceil((hi - cursor) / piece)
+                count += k
+                cursor += k * piece
         total = count * eps ** mpf(s)
         if count == 0 or eps >= 1:
             dim = None

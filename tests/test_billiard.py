@@ -26,12 +26,22 @@ def unit_rhombus(alpha="1.0"):
     return B.rhombus(alpha, 1)
 
 
+def staircase(steps: int):
+    """Non-convex staircase of ``steps`` unit-height slabs, slant angle
+    1.0: the bottom slab has base ``steps``, each slab above is one
+    shorter at its right end."""
+    verts = [("0", "0"), (f"{steps}", "0")]
+    for k in range(1, steps):
+        verts += [(f"{steps - k + 1}+{k}*cos(1)", f"{k}*sin(1)"),
+                  (f"{steps - k}+{k}*cos(1)", f"{k}*sin(1)")]
+    verts += [(f"1+{steps}*cos(1)", f"{steps}*sin(1)"),
+              (f"{steps}*cos(1)", f"{steps}*sin(1)")]
+    return B.polygon_from_vertices(verts, "1.0")
+
+
 def l_shape():
     """Non-convex staircase of two unit-height slabs, slant angle 1.0."""
-    verts = [("0", "0"), ("2", "0"), ("2+cos(1)", "sin(1)"),
-             ("1+cos(1)", "sin(1)"), ("1+2*cos(1)", "2*sin(1)"),
-             ("2*cos(1)", "2*sin(1)")]
-    return B.polygon_from_vertices(verts, "1.0")
+    return staircase(2)
 
 
 def real_pairs(u: IntervalUnion):
@@ -210,21 +220,7 @@ def test_multi_chord_piece_counts_match_direct_stabbing():
     for lo, hi, mult in cs.pieces:
         c = float((lo + hi) / 2)
         px, py = c * nx - 4 * d[0], c * ny - 4 * d[1]
-        crossings = 0
-        m = len(verts)
-        for s in range(m):
-            ax, ay = verts[s]
-            bx, by = verts[(s + 1) % m]
-            ex, ey = bx - ax, by - ay
-            den = d[0] * ey - d[1] * ex
-            if abs(den) < 1e-15:
-                continue
-            rx, ry = ax - px, ay - py
-            t = (rx * ey - ex * ry) / den
-            u = (d[1] * rx - d[0] * ry) / den
-            if t > 0 and 0 <= u <= 1:
-                crossings += 1
-        assert crossings == 2 * mult
+        assert len(_float_hits(verts, px, py, d)) == 2 * mult
 
 
 # --------------------------------------------------------------------------
@@ -437,6 +433,30 @@ def test_trace_beam_budget_flagged_as_active():
 # --------------------------------------------------------------------------
 
 
+def _float_hits(verts, px, py, d, skip=-1):
+    """Plain float ray cast: the boundary hits (t, side) of the forward ray
+    from (px, py) in direction d, nearest first, ignoring side ``skip``."""
+    m = len(verts)
+    hits = []
+    for s in range(m):
+        if s == skip:
+            continue
+        ax, ay = verts[s]
+        bx, by = verts[(s + 1) % m]
+        ex, ey = bx - ax, by - ay
+        den = d[0] * ey - d[1] * ex
+        if abs(den) < 1e-15:
+            continue
+        rx, ry = ax - px, ay - py
+        t = (rx * ey - ex * ry) / den
+        u = (d[1] * rx - d[0] * ry) / den
+        if t <= 1e-12 or u < -1e-12 or u > 1 + 1e-12:
+            continue
+        hits.append((t, s))
+    hits.sort()
+    return hits
+
+
 def _float_trace(verts, theta, c0, nrefl):
     """Plain float billiard: start inside the chord at offset c0.  Returns
     the side hit by each reflection and the section offset p.(-sin, cos)
@@ -446,27 +466,7 @@ def _float_trace(verts, theta, c0, nrefl):
     nx, ny = -math.sin(theta), math.cos(theta)
     px, py = c0 * nx - 4 * d[0], c0 * ny - 4 * d[1]
 
-    def cast_all(px, py, d, skip):
-        hits = []
-        for s in range(m):
-            if s == skip:
-                continue
-            ax, ay = verts[s]
-            bx, by = verts[(s + 1) % m]
-            ex, ey = bx - ax, by - ay
-            den = d[0] * ey - d[1] * ex
-            if abs(den) < 1e-15:
-                continue
-            rx, ry = ax - px, ay - py
-            t = (rx * ey - ex * ry) / den
-            u = (d[1] * rx - d[0] * ry) / den
-            if t <= 1e-12 or u < -1e-12 or u > 1 + 1e-12:
-                continue
-            hits.append((t, s))
-        hits.sort()
-        return hits
-
-    hits = cast_all(px, py, d, -1)
+    hits = _float_hits(verts, px, py, d)
     if len(hits) < 2:
         return [], []
     tm = (hits[0][0] + hits[1][0]) / 2
@@ -474,7 +474,7 @@ def _float_trace(verts, theta, c0, nrefl):
     sides, offsets = [], []
     skip = -1
     for _ in range(nrefl):
-        hits = cast_all(px, py, d, skip)
+        hits = _float_hits(verts, px, py, d, skip)
         if not hits:
             return sides, offsets
         t, s = hits[0]
@@ -523,6 +523,55 @@ def test_side_sequences_match_float_geometry(alpha, theta):
             float(from_fixed(c0, q.precision_bits)), len(engine_sides))
         assert engine_sides == oracle_sides
         assert engine_offsets == pytest.approx(oracle_offsets, rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("steps", [2, 3])
+def test_nonconvex_targets_match_float_geometry(steps):
+    """On the staircases, where a line may cross the boundary four or six
+    times: a side-table cell's target is the first side a float ray from
+    the cell's midpoint on its source side hits, and a launch cell's
+    target and chord count are the second hit and half the hits of the
+    stabbing line at its midpoint."""
+    q = staircase(steps)
+    P = q.precision_bits
+    verts = [(float(x), float(y)) for x, y in q.vertices]
+    m = len(verts)
+    crossings = {True: set(), False: set()}  # launch cells, side cells
+    for theta in ("0.3", "1.3", "2.2", "4.0"):
+        tracer = _Tracer(q, theta)
+        for odd, n in itertools.product((0, 1), range(-2, 3)):
+            phi = float(tracer._phi(odd, n))
+            d = (math.cos(phi), math.sin(phi))
+            nrm = (-d[1], d[0])
+
+            def line(lo, hi):  # the hits of the whole stabbing line
+                c = float(from_fixed(lo + hi, P + 1))
+                return c, _float_hits(verts, c * nrm[0] - 9 * d[0],
+                                      c * nrm[1] - 9 * d[1], d)
+
+            for side in [_LAUNCH, *range(m)]:
+                try:
+                    tbl = tracer._table(odd, n, side)
+                except DegenerateDirection:
+                    continue
+                for lo, hi, target in zip(tbl.los, tbl.his, tbl.targets):
+                    if hi - lo < 1 << (P - 24):
+                        continue  # too near a vertex shadow for floats
+                    c, hits = line(lo, hi)
+                    crossings[side == _LAUNCH].add(len(hits))
+                    if side == _LAUNCH:
+                        assert hits[1][1] == target
+                        continue
+                    (ax, ay), (bx, by) = verts[side], verts[(side + 1) % m]
+                    pa = ax * nrm[0] + ay * nrm[1]
+                    u = (c - pa) / (bx * nrm[0] + by * nrm[1] - pa)
+                    px, py = ax + u * (bx - ax), ay + u * (by - ay)
+                    assert _float_hits(verts, px, py, d, side)[0][1] == target
+                for lo, hi, chords in tbl.raw_cells:
+                    assert len(line(lo, hi)[1]) == 2 * chords
+    # both kinds of cell met lines crossing 2, 4, ... 2*steps times
+    counts = set(range(2, 2 * steps + 1, 2))
+    assert crossings[True] == crossings[False] == counts
 
 
 @pytest.mark.parametrize("shape", [

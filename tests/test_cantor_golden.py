@@ -7,6 +7,13 @@ classes, and the scan cap; the others reach a finer ``thm1_cover`` grid,
 a ``thm2_cover`` parallelogram, ``perp_orbits`` on an irrational rhombus,
 and the family subtraction of ``ubiquity`` with its failing verdict.
 
+The same file holds digests of library outputs that no report shows:
+every transit table (or the exception its build raises) of five polygons,
+two of them non-convex staircases, at four directions, both parities,
+levels -3..3 and every source side; and the covering sets of
+``a_set_depth`` and ``b_set_depth`` and the dicts of
+``intermediate_interval_check`` at small caps.
+
     PYTHONPATH=src python tests/test_cantor_golden.py --regen
 
 rewrites the file.  Run it only to accept a deliberate change of output.
@@ -17,11 +24,20 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from mpmath import mpf
 
+from billiardlab.billiard import _LAUNCH, _Tracer, parallelogram, rhombus
+from billiardlab.cantor import build_hierarchy, intermediate_interval_check
+from billiardlab.circle import CirclePoint
+from billiardlab.dioph import a_set_depth, b_set_depth
+from billiardlab.errors import DegenerateDirection
 from billiardlab.experiments import ExperimentConfig, run_experiment, write_report
+from billiardlab.fixedpoint import mpf_to_fraction
+from test_billiard import staircase
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 
@@ -44,6 +60,27 @@ CONFIGS = {  # name: (experiment, overrides)
 CANTOR = sorted(k for k, (exp, _) in CONFIGS.items() if exp == "cantor_dim")
 OTHERS = sorted(set(CONFIGS) - set(CANTOR))
 
+POLYGONS = {  # name: polygon factory
+    "golden_rhombus": lambda: rhombus("pi*(sqrt(5)-1)/4"),
+    "pi3_rhombus": lambda: rhombus("pi/3"),                   # b_mod 3
+    "a07_parallelogram_64": lambda: parallelogram("0.7", "sqrt(2)", 1, 64),
+    "l_shape": lambda: staircase(2),
+    "staircase3": lambda: staircase(3),
+}
+THETAS = ("0.3", "1.3", "2.2", "4.0")
+TABLES = {f"tables_{poly}_{theta}": (poly, theta)
+          for poly in POLYGONS for theta in THETAS}
+
+GOLDEN_OMEGA = "(sqrt(5)-1)/2"
+SETS = {  # name: (function, arguments after the circle point)
+    "a_set_golden_m2": (a_set_depth, (2.0, 2, 1, 3, 200)),
+    "a_set_golden_mu3_m3": (a_set_depth, (3.0, 3, 2, 1, 150)),
+    "b_set_golden_m2": (b_set_depth, (2.0, 2, 1, 2, 40)),
+    "b_set_golden_mu1_m1": (b_set_depth, (1.0, 1, 0, 2, 25)),
+}
+INTERMEDIATE = [("0.3", "0.3001"), ("0.61", "0.6104"), ("0.1", "0.15"),
+                ("0.05", "0.28")]
+
 
 def outcome(name: str) -> dict:
     """The config, and the digest of each report it writes or the
@@ -58,6 +95,56 @@ def outcome(name: str) -> dict:
     return {"config": overrides,
             "files": {f: hashlib.sha256((Path(cfg.out_dir) / f).read_bytes())
                       .hexdigest() for f in files}}
+
+
+def _exact(value):
+    """A JSON-ready value: an mpf as its exact rational, the rest as is."""
+    return str(mpf_to_fraction(value)) if isinstance(value, mpf) else value
+
+
+def table_outcome(poly: str, theta: str) -> dict:
+    """The digest of every ``_build_table`` outcome of one polygon at one
+    direction: its fields, or the exception class and message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the pi/3 rhombus is rational
+        q = POLYGONS[poly]()
+    tracer = _Tracer(q, theta)
+    digest = hashlib.sha256()
+    counts = {"builds": 0, "errors": 0, "multi_chord": 0}
+    for odd in (0, 1):
+        for n in range(-3, 4):
+            for side in (_LAUNCH, *range(len(q.vertices))):
+                counts["builds"] += 1
+                try:
+                    t = tracer._build_table(odd, n, side)
+                except DegenerateDirection as exc:
+                    counts["errors"] += 1
+                    record = f"{type(exc).__name__}: {exc}"
+                else:
+                    counts["multi_chord"] += t.max_chords > 1
+                    record = [t.dom_lo, t.dom_hi, t.los, t.his, t.targets,
+                              t.deltas, t.classes, t.raw_cells, t.max_chords,
+                              _exact(t.width_exact)]
+                digest.update(json.dumps(record).encode() + b"\n")
+    return dict(counts, digest=digest.hexdigest())
+
+
+def sets_outcome() -> dict:
+    """Digests of ``a_set_depth``/``b_set_depth`` unions and of the
+    ``intermediate_interval_check`` dicts on a three-level hierarchy."""
+    omega = CirclePoint.make(GOLDEN_OMEGA, 192)
+    out = {}
+    for name, (fn, args) in SETS.items():
+        u = fn(omega, *args)
+        out[name] = hashlib.sha256(json.dumps(
+            [u.precision_bits, list(u)]).encode()).hexdigest()
+    h = build_hierarchy(omega, 2, 1, [1, -2, 1597])
+    for lo, hi in INTERMEDIATE:
+        record = intermediate_interval_check(h, lo, hi)
+        out[f"intermediate_{lo}_{hi}"] = hashlib.sha256(json.dumps(
+            {k: _exact(v) for k, v in record.items()},
+            sort_keys=True).encode()).hexdigest()
+    return out
 
 
 def _matches_golden(name, tmp_path, monkeypatch):
@@ -76,12 +163,26 @@ def test_config_matches_golden(name, tmp_path, monkeypatch):
     _matches_golden(name, tmp_path, monkeypatch)
 
 
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_transit_tables_match_golden(name):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert table_outcome(*TABLES[name]) == golden[name]
+
+
+def test_covering_sets_match_golden():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sets_outcome() == golden["sets"]
+
+
 def _regen() -> None:
     table = {}
     for name in sorted(CONFIGS):
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
             table[name] = outcome(name)
+    for name, (poly, theta) in TABLES.items():
+        table[name] = table_outcome(poly, theta)
+    table["sets"] = sets_outcome()
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")
     print(f"wrote {len(table)} outcomes to {GOLDEN}")

@@ -103,6 +103,27 @@ def test_greedy_count_never_beaten_by_shifted_covers(seed):
             assert greedy <= count
 
 
+def test_greedy_count_exact_for_sub_ulp_deficit():
+    """k pieces a sub-ulp share short of an N-ulp interval leave it
+    uncovered, so the count is k + 1, the exact ceiling of N over the
+    piece; a rounded cursor would close the gap and return k."""
+    lo, n_ulps = 4631110900376695129, 813480834645315
+    u = IntervalUnion.make([(lo, lo + n_ulps)], 64)
+    with mp.workprec(128):
+        eps = mpf((n_ulps << 24) // 29) / 2 ** 89  # 2*eps just under N/29
+    assert 29 * mpf_to_fraction(eps) * 2 ** 65 < n_ulps
+    assert box_count(u, eps).count == 30
+    rng = random.Random(1)
+    for _ in range(200):
+        lo, n_ulps, k = (rng.getrandbits(63), rng.getrandbits(50) + 1,
+                         rng.randint(2, 60))
+        u = IntervalUnion.make([(lo, lo + n_ulps)], 64)
+        with mp.workprec(128):
+            eps = mpf((n_ulps << 24) // k - rng.randint(0, 3)) / 2 ** 89
+        piece = mpf_to_fraction(eps) * 2 ** 65
+        assert box_count(u, eps).count == -(-n_ulps // piece)
+
+
 def test_dim_fit_interval_has_dimension_one():
     u = grid_union([(0.0, 1.0)])
     fit = dim_lb_estimate([(mpf(2) ** -k, u) for k in range(3, 12)])

@@ -31,6 +31,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# bench_record.py measures in a directory named like the "rev" side here,
+# so that its end-to-end figures compare with these runs
+TMP_PREFIX = "bench_pairs_"
 
 
 def bench_run(tree: Path, workload: str, seconds: float) -> dict:
@@ -49,6 +52,15 @@ def bench_run(tree: Path, workload: str, seconds: float) -> dict:
                            f"{result['correct']}, failed {result['failed']}"
                            f"\n{proc.stdout}")
     return result
+
+
+def export(rev: str, dest: Path) -> None:
+    """Extract the committed tree of ``rev`` into the new directory ``dest``
+    with ``git archive``."""
+    dest.mkdir()
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def copy_working_tree(dest: Path) -> None:
@@ -88,14 +100,10 @@ def main() -> int:
                      f"declares {declared}")
     metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
 
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+    with tempfile.TemporaryDirectory(prefix=TMP_PREFIX) as tmp:
         # equal-length names, so neither side gets the longer paths
         sides = {"rev": Path(tmp, "rev"), "change": Path(tmp, "new")}
-        sides["rev"].mkdir()
-        archive = subprocess.run(["git", "archive", args.rev], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(sides["rev"])], input=archive,
-                       check=True)
+        export(args.rev, sides["rev"])
         copy_working_tree(sides["change"])
         for name in names:
             values = {"rev": [], "change": []}
