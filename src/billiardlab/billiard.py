@@ -12,7 +12,8 @@ beam a signed integer level relative to its base direction.
 Beam positions are carried as fixed-point integers at the polygon's
 precision, so every traced child interval is an exact isometric image of
 its source interval.  Vertex shadows and reflection offsets are quantized
-once per (direction, source side) into cached transit tables.  Reflecting
+once per direction, in a cached frame, and each (direction, source side)
+cuts its cached transit table from that frame.  Reflecting
 in a side's line, of unit direction u and height h = v.rot90(u) for its
 vertices v, sends the offset c of a ray of direction d to delta - c with
 delta = 2*(d.u)*h, wherever the ray hits; so delta = 0 exactly on a side
@@ -35,6 +36,9 @@ as a vertex sliver.  A degenerate middle direction raises only for a beam
 that reaches it, as it would one reflection at a time.  Almost every pair
 step leaves a piece whole inside one cell; such a piece is translated in
 place, and only a piece that splits or meets a guard is cut into pieces.
+Each cell leads to one pair table, that of level n+k on its target side,
+so it keeps a link to that table once a piece has stepped through it, and
+a chain of single-cell steps follows links instead of looking tables up.
 
 Dynamic operations (partitioning, beam tracing, escape sets) require each
 stabbing line to cross the polygon in a single chord for the directions
@@ -52,6 +56,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_cos_sin
 
 from .circle import CirclePoint, detect_rational_angle, eval_number
 from .errors import (DegenerateDirection, NotGeneralizedParallelogram,
@@ -371,7 +376,9 @@ def beam_on_section(q: GeneralizedParallelogram, theta, lo, hi,
 
 
 class _Table:
-    """Carved transit cells for one (direction, source side) pair.
+    """Carved transit cells for one (direction, source side) pair, cut from
+    the direction's frame (``_Tracer._frame``), which all the direction's
+    tables share.
 
     ``los``/``his`` bound the guard-carved cells; per cell ``targets`` is
     the side hit next, ``deltas`` the fixed-point reflection offset
@@ -451,14 +458,17 @@ class _Tracer:
         self.b_mod = q.return_modulus
         self.classes_int = tuple(0 if c is SideClass.BASE else 1
                                  for c in q.side_classes)
+        self.gtol = mpf(2) ** (-(self.P // 2))  # degenerate-direction bound
         # the height h of each side's line, taken at the side's lower vertex
         with mp.workprec(self.P + 64):
             self.cos_a, self.sin_a = mp.cos(self.alpha), mp.sin(self.alpha)
             self.heights = [vy * self.cos_a - vx * self.sin_a if cls else vy
                             for i, cls in enumerate(self.classes_int)
                             for vx, vy in [min(q.side(i), key=lambda v: v[1])]]
-        # transit tables under (odd, n, side), pair tables under (n, side)
+        # transit tables under (odd, n, side), pair tables under (n, side);
+        # the frames of their directions under (odd, n)
         self.tables: Dict[tuple, object] = {}
+        self.frames: Dict[Tuple[int, int], tuple] = {}
 
     # -- directions ---------------------------------------------------
 
@@ -477,98 +487,120 @@ class _Tracer:
         return tbl
 
     def _store(self, key, table):
-        """Cache a transit or pair table; both kinds share one bound."""
+        """Cache a transit or pair table; both kinds share one bound, and
+        the eviction drops the frames too.  A pair table's links go with
+        it: ``trace_states`` builds a table only on its way from its
+        current pair table to a new one, so after an eviction it follows
+        no link of an evicted table."""
         if len(self.tables) > _TABLE_CACHE_LIMIT:
             self.tables.clear()
+            self.frames.clear()
         self.tables[key] = table
         return table
 
-    def _build_table(self, odd: int, n: int, side: int) -> _Table:
+    def _frame(self, odd: int, n: int):
+        """(phi, proj_i, spans, width_exact, deltas) of the direction after
+        a reflection count of parity ``odd`` at level ``n``, computed once
+        for all of its transit tables: the direction phi, the fixed-point
+        projections p = v.n of the vertices, each side's (p_a, p_b, a_a,
+        a_b) with a = v.d, the exact launch width and each side's
+        reflection offset delta.  A degenerate direction is not kept, so
+        it raises again on every build."""
+        frame = self.frames.get((odd, n))
+        if frame is not None:
+            return frame
         P = self.P
-        verts = self.q.vertices
-        m = len(verts)
         with mp.workprec(P + 64):
             phi = self._phi(odd, n)
-            dx, dy = mp.cos(phi), mp.sin(phi)
+            # mp.cos and mp.sin, rounded to nearest, from one call
+            dx, dy = map(mp.make_mpf, mpf_cos_sin(phi._mpf_, P + 64, "n"))
             # components of the direction along and across each side class
             along = (dx, dx * self.cos_a + dy * self.sin_a)
-            gtol = mpf(2) ** (-(P // 2))
-            if abs(dy) < gtol or abs(dy * self.cos_a - dx * self.sin_a) < gtol:
+            if (abs(dy) < self.gtol
+                    or abs(dy * self.cos_a - dx * self.sin_a) < self.gtol):
                 raise DegenerateDirection(
                     f"direction {mp.nstr(phi, 12)} (level offset {n}) is "
                     f"parallel to a side class within the precision guard")
             nx, ny = -dy, dx
+            verts = self.q.vertices
             proj = [vx * nx + vy * ny for vx, vy in verts]
             proj_i = [to_fixed(p, P) for p in proj]
             along_i = [to_fixed(vx * dx + vy * dy, P) for vx, vy in verts]
             spans = list(zip(proj_i, proj_i[1:] + proj_i[:1],
                              along_i, along_i[1:] + along_i[:1]))
+            deltas = [to_fixed(2 * along[cls] * h, P)
+                      for cls, h in zip(self.classes_int, self.heights)]
+            frame = (phi, proj_i, spans, max(proj) - min(proj), deltas)
+        self.frames[odd, n] = frame
+        return frame
+
+    def _build_table(self, odd: int, n: int, side: int) -> _Table:
+        phi, proj_i, spans, width_exact, deltas = self._frame(odd, n)
+        m = len(proj_i)
+        if side == _LAUNCH:
+            dom_lo, dom_hi = min(proj_i), max(proj_i)
+        else:
+            a_i, b_i = proj_i[side], proj_i[(side + 1) % m]
+            dom_lo, dom_hi = (a_i, b_i) if a_i <= b_i else (b_i, a_i)
+            if dom_lo >= dom_hi:
+                raise DegenerateDirection(
+                    f"side {side} collapses in the direction "
+                    f"{mp.nstr(phi, 12)} perpendicular frame")
+
+        def outcome(lo_i, hi_i):
+            # No vertex projects inside a cell, so each side crossed at
+            # its midpoint c is a sign change of p - c around the
+            # vertex cycle: their number is even, and at least two.
+            c2 = lo_i + hi_i  # 2c
+            order = [s2 for _, s2 in sorted(
+                (aa + Fraction((c2 - 2 * pa) * (ab - aa), 2 * (pb - pa)),
+                 s2) for s2, (pa, pb, aa, ab) in enumerate(spans)
+                if (2 * pa < c2) != (2 * pb < c2))]
             if side == _LAUNCH:
-                dom_lo, dom_hi = min(proj_i), max(proj_i)
+                return order[1], len(order) // 2
+            k = order.index(side) + 1
+            if k == len(order):
+                raise DegenerateDirection(
+                    "ray from the boundary found no forward intersection; "
+                    "direction is parallel to a side within precision")
+            return order[k], 1
+
+        breaks = sorted({p for p in proj_i if dom_lo < p < dom_hi})
+        edges = [dom_lo] + breaks + [dom_hi]
+        raw = []
+        for lo_i, hi_i in zip(edges, edges[1:]):
+            if hi_i <= lo_i:
+                continue
+            raw.append((lo_i, hi_i) + outcome(lo_i, hi_i))
+
+        tbl = _Table()
+        tbl.dom_lo, tbl.dom_hi = dom_lo, dom_hi
+        if side == _LAUNCH:
+            tbl.raw_cells = [(lo, hi, ch) for lo, hi, _, ch in raw]
+            tbl.max_chords = max((ch for _, _, _, ch in raw), default=1)
+            tbl.width_exact = width_exact
+
+        # Coalesce cells sharing a target: the transit map is
+        # continuous across a vertex shadow that does not change the
+        # side being hit, so only target changes are real singularities.
+        runs: List[List] = []  # [lo, hi, target]
+        for lo_i, hi_i, target, _ in raw:
+            if runs and runs[-1][2] == target:
+                runs[-1][1] = hi_i
             else:
-                a_i, b_i = proj_i[side], proj_i[(side + 1) % m]
-                dom_lo, dom_hi = (a_i, b_i) if a_i <= b_i else (b_i, a_i)
-                if dom_lo >= dom_hi:
-                    raise DegenerateDirection(
-                        f"side {side} collapses in the direction "
-                        f"{mp.nstr(phi, 12)} perpendicular frame")
+                runs.append([lo_i, hi_i, target])
 
-            def outcome(lo_i, hi_i):
-                # No vertex projects inside a cell, so each side crossed at
-                # its midpoint c is a sign change of p - c around the
-                # vertex cycle: their number is even, and at least two.
-                c2 = lo_i + hi_i  # 2c
-                order = [s2 for _, s2 in sorted(
-                    (aa + Fraction((c2 - 2 * pa) * (ab - aa), 2 * (pb - pa)),
-                     s2) for s2, (pa, pb, aa, ab) in enumerate(spans)
-                    if (2 * pa < c2) != (2 * pb < c2))]
-                if side == _LAUNCH:
-                    return order[1], len(order) // 2
-                k = order.index(side) + 1
-                if k == len(order):
-                    raise DegenerateDirection(
-                        "ray from the boundary found no forward intersection; "
-                        "direction is parallel to a side within precision")
-                return order[k], 1
-
-            breaks = sorted({p for p in proj_i if dom_lo < p < dom_hi})
-            edges = [dom_lo] + breaks + [dom_hi]
-            raw = []
-            for lo_i, hi_i in zip(edges, edges[1:]):
-                if hi_i <= lo_i:
-                    continue
-                raw.append((lo_i, hi_i) + outcome(lo_i, hi_i))
-
-            tbl = _Table()
-            tbl.dom_lo, tbl.dom_hi = dom_lo, dom_hi
-            if side == _LAUNCH:
-                tbl.raw_cells = [(lo, hi, ch) for lo, hi, _, ch in raw]
-                tbl.max_chords = max((ch for _, _, _, ch in raw), default=1)
-                tbl.width_exact = max(proj) - min(proj)
-
-            # Coalesce cells sharing a target: the transit map is
-            # continuous across a vertex shadow that does not change the
-            # side being hit, so only target changes are real singularities.
-            runs: List[List] = []  # [lo, hi, target]
-            for lo_i, hi_i, target, _ in raw:
-                if runs and runs[-1][2] == target:
-                    runs[-1][1] = hi_i
-                else:
-                    runs.append([lo_i, hi_i, target])
-
-            G = self.guard
-            for idx, (lo_i, hi_i, target) in enumerate(runs):
-                cls = self.classes_int[target]
-                delta = to_fixed(2 * along[cls] * self.heights[target], P)
-                lo_c = lo_i if idx == 0 else lo_i + G
-                hi_c = hi_i if idx == len(runs) - 1 else hi_i - G
-                if hi_c <= lo_c:
-                    continue  # cell fully consumed by vertex guards
-                tbl.los.append(lo_c)
-                tbl.his.append(hi_c)
-                tbl.targets.append(target)
-                tbl.deltas.append(delta)
-                tbl.classes.append(cls)
+        G = self.guard
+        for idx, (lo_i, hi_i, target) in enumerate(runs):
+            lo_c = lo_i if idx == 0 else lo_i + G
+            hi_c = hi_i if idx == len(runs) - 1 else hi_i - G
+            if hi_c <= lo_c:
+                continue  # cell fully consumed by vertex guards
+            tbl.los.append(lo_c)
+            tbl.his.append(hi_c)
+            tbl.targets.append(target)
+            tbl.deltas.append(deltas[target])
+            tbl.classes.append(self.classes_int[target])
         return tbl
 
     # -- beam stepping -------------------------------------------------
@@ -598,7 +630,8 @@ class _Tracer:
 
     def _build_pair(self, n: int, side: int):
         """Pair table for section states at level ``n`` (reduced modulo
-        b_mod) resting on ``side``: (los, his, cells), sorted, disjoint.
+        b_mod) resting on ``side``: (los, his, cells, links), the cells
+        sorted and disjoint.
 
         Built by two single reflections of the whole domain state.  A
         cell (t, d, k, False) maps its piece [a, b] of the section to the
@@ -610,7 +643,9 @@ class _Tracer:
         reaches it raises, as stepping one reflection at a time would,
         and pieces that do not reach it step on.  The cells tile each
         first-reflection cell, so the gaps between them are the
-        first-reflection guards.
+        first-reflection guards.  ``links[i]``, None until a piece first
+        steps through cell i, is the pair table of the section the cell
+        leads to, at level n+k on side t.
         """
         tbl = self._table(0, n, side)
         pieces = []
@@ -628,7 +663,15 @@ class _Tracer:
                 pieces.append((d1 - hi, d1 - lo, (t1, d1, c1, True)))
         pieces.sort(key=lambda p: p[0])
         return ([p[0] for p in pieces], [p[1] for p in pieces],
-                [p[2] for p in pieces])
+                [p[2] for p in pieces], [None] * len(pieces))
+
+    def _pair(self, n: int, side: int):
+        """The cached pair table of level ``n`` and side ``side``."""
+        key = (n if self.b_mod is None else n % self.b_mod, side)
+        pair = self.tables.get(key)
+        if pair is None:
+            pair = self._store(key, self._build_pair(*key))
+        return pair
 
     def launch_span(self) -> Tuple[int, int]:
         tbl = self._table(0, 0, _LAUNCH)
@@ -645,7 +688,7 @@ class _Tracer:
     def trace_states(self, states, *, n_cap: Optional[int],
                      reflection_cap: int):
         """Drive section states (even refl) to terminal statuses, one pair
-        table lookup per two reflections.
+        table step per two reflections.
 
         Each input state takes at least one step.  A child section state
         returns at a level that is a multiple of b_mod (0 if irrational),
@@ -654,10 +697,11 @@ class _Tracer:
         maps each status name to the list of states that finished with
         it; vertex slivers are listed under "uncertain".
 
-        A piece that one plain pair cell holds is stepped in place: as the
-        only child of its step it would be the next state popped anyway, so
-        the visiting order and every output list stay the same.  Pieces that
-        split or meet a guard or a degenerate middle go through ``_split``.
+        A piece that one plain pair cell holds is stepped in place, on to
+        the pair table the cell links to: as the only child of its step it
+        would be the next state popped anyway, so the visiting order and
+        every output list stay the same.  Pieces that split or meet a guard
+        or a degenerate middle go through ``_split``.
         """
         stack = list(states)
         if any(st[5] & 1 for st in stack):
@@ -665,16 +709,13 @@ class _Tracer:
                              "reflection count is even")
         out = {"returned": [], "escaped": [], "active": [], "uncertain": []}
         returned, escaped, active, uncertain = out.values()
-        tables, b_mod = self.tables, self.b_mod
+        b_mod = self.b_mod
         max_refl = 0
         while stack:
             side, lo, hi, n, disp, refl = stack.pop()
+            pair = self._pair(n, side)
             while True:
-                key = (n if b_mod is None else n % b_mod, side)
-                pair = tables.get(key)
-                if pair is None:
-                    pair = self._store(key, self._build_pair(*key))
-                los, his, cells = pair
+                los, his, cells, links = pair
                 i = bisect_right(los, lo) - 1
                 if i >= 0 and hi <= his[i] and not cells[i][3]:
                     side, d, k, _ = cells[i]
@@ -693,6 +734,9 @@ class _Tracer:
                     elif refl >= reflection_cap:
                         active.append((side, lo, hi, n, disp, refl))
                     else:
+                        pair = links[i]
+                        if pair is None:
+                            pair = links[i] = self._pair(n, side)
                         continue
                     break
                 # across cells, in a gap or on a guard or degenerate cell

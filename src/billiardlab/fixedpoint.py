@@ -31,7 +31,16 @@ def mpf_to_fraction(x) -> Fraction:
 
 
 def to_fixed(x, bits: int) -> int:
-    """floor(x * 2**bits) for an mpf/int/Fraction x."""
+    """floor(x * 2**bits) for an mpf or int x (any value mpf() accepts,
+    which a Fraction is not), from x rounded to bits + 64 bits.  A finite
+    mpf of at most that many mantissa bits is not rounded, so its floor is
+    read off the mantissa exactly."""
+    if isinstance(x, mpf):
+        sign, man, exp, bc = x._mpf_
+        if 0 <= bc <= bits + 64:  # bc < 0 marks inf and nan
+            man = -int(man) if sign else int(man)
+            shift = exp + bits
+            return man << shift if shift >= 0 else man >> -shift
     with mp.workprec(bits + 64):
         return int(mp.floor(mpf(x) * (1 << bits)))
 

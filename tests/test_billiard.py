@@ -670,7 +670,7 @@ def test_single_cell_chains_match_reflection_by_reflection(shape, bits):
     for theta in ("0.05", "0.3", "1.2"):
         tracer = _Tracer(q, theta)
         for level in (0, 2):
-            los, his, _ = tracer._build_pair(level, _LAUNCH)
+            los, his, _, _ = tracer._build_pair(level, _LAUNCH)
             for (lo, hi), width in itertools.product(zip(los, his),
                                                      (1, 1 << 20)):
                 mid = (lo + hi) // 2
@@ -909,6 +909,41 @@ def test_escape_sets_survive_table_cache_eviction(monkeypatch):
     assert list(B.escape_sets(q, "0.3", [1, 2, 3], 1000)) == want
     for name, log in builds.items():
         assert len(log) > unpatched[name] > 0, name
+
+
+@pytest.mark.parametrize("limit, want_builds", [
+    (2, {"_build_table": 1376, "_build_pair": 506}),
+    (5, {"_build_table": 470, "_build_pair": 189})])
+def test_links_do_not_outlive_cache_eviction(monkeypatch, limit, want_builds):
+    # Pair steps follow cell links instead of looking tables up.  Under a
+    # tiny cache limit the tables are evicted again and again mid-chain; a
+    # trace must rebuild exactly the tables that a tracer looking its pair
+    # table up at every step rebuilds (the counts below), so it follows no
+    # link into an evicted table.
+    q = B.rhombus("pi*(sqrt(5)-1)/4", 1, precision_bits=64)
+
+    def trace():
+        tracer = _Tracer(q, "0.3")
+        lo, hi = tracer.launch_span()
+        return tracer.trace_states([(_LAUNCH, lo, hi, 0, 0, 0)], n_cap=4,
+                                   reflection_cap=1000)
+
+    want = trace()
+    builds = dict.fromkeys(want_builds, 0)
+
+    def counting(name):
+        build = getattr(_Tracer, name)
+
+        def counting_build(self, *key):
+            builds[name] += 1
+            return build(self, *key)
+        return counting_build
+
+    for name in builds:
+        monkeypatch.setattr(_Tracer, name, counting(name))
+    monkeypatch.setattr(B, "_TABLE_CACHE_LIMIT", limit)
+    assert trace() == want
+    assert builds == want_builds
 
 
 @pytest.mark.parametrize("ns", [[], [0, 2], [2, 2], [3, 1]])

@@ -4,9 +4,11 @@ an exact integer oracle, and lattice-point counting against brute force."""
 from fractions import Fraction
 from math import isqrt
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from billiardlab.fixedpoint import (arc_hits, count_arc, count_arcs, first_hit,
                                    floor_sum, from_fixed, index_range,
@@ -30,6 +32,63 @@ def test_roundtrip_error_below_one_ulp():
     back = from_fixed(n, 256)
     with mp.workprec(300):
         assert abs(back - x) < mpf(2) ** -256
+
+
+def workprec_to_fixed(x, bits):
+    """to_fixed through mpmath at bits + 64 bits, for every kind of input."""
+    with mp.workprec(bits + 64):
+        return int(mp.floor(mpf(x) * (1 << bits)))
+
+
+@st.composite
+def dyadic_mpfs(draw):
+    # an odd mantissa of bits + 64 + extra bits, so the mpf keeps exactly
+    # that bit count, at exponents on both sides of -bits
+    bits = draw(st.integers(0, 600))
+    extra = draw(st.one_of(st.integers(-2, 2), st.integers(-700, 40)))
+    bc = max(1, bits + 64 + extra)
+    man = (1 << (bc - 1)) | draw(st.integers(0, (1 << bc) - 1)) | 1
+    exp = -bits + draw(st.integers(-bc - 20, 40))
+    sign = draw(st.sampled_from((1, -1)))
+    return mp.make_mpf(from_man_exp(sign * man, exp)), bits
+
+
+@given(dyadic_mpfs())
+@example((mpf(0), 64))
+@example((mp.make_mpf(from_man_exp((1 << 128) - 1, -64)), 64))  # at bits+64
+@example((mp.make_mpf(from_man_exp(-(1 << 129) + 1, -64)), 64))  # above
+@example((mp.make_mpf(from_man_exp(-3, -70)), 64))  # below the grid
+@settings(max_examples=400)
+def test_to_fixed_matches_workprec_reference(case):
+    x, bits = case
+    assert mp.prec == 53
+    assert to_fixed(x, bits) == workprec_to_fixed(x, bits)
+    assert to_fixed(-x, bits) == workprec_to_fixed(-x, bits)
+
+
+@given(st.integers(-(1 << 300), 1 << 300), st.integers(0, 300))
+@example(0, 0)
+@example((1 << 300) - 1, 0)  # rounded to 64 bits first
+@settings(max_examples=200)
+def test_to_fixed_keeps_the_workprec_path_for_int(x, bits):
+    assert to_fixed(x, bits) == workprec_to_fixed(x, bits)
+
+
+@given(st.fractions(max_denominator=1 << 200), st.integers(0, 300))
+@example(Fraction(-1, 3), 8)
+@example(Fraction(0), 0)
+@settings(max_examples=50)
+def test_to_fixed_refuses_a_fraction_as_mpf_does(x, bits):
+    with pytest.raises(TypeError):
+        workprec_to_fixed(x, bits)
+    with pytest.raises(TypeError):
+        to_fixed(x, bits)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_to_fixed_rejects_non_finite_values(value):
+    with pytest.raises(ValueError):
+        to_fixed(mpf(value), 64)
 
 
 @given(st.integers(-(1 << 8192), 1 << 8192), st.integers(0, 8192))

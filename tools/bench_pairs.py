@@ -13,10 +13,11 @@ pair to pair, so a drift in host speed favours neither.
 ``BENCHMARK.json`` declares is run.
 
 For each workload and each end-to-end metric of ``BENCHMARK.json`` it
-prints the median over the pairs of the revision's and the change's run
-values, the interquartile range of the revision's run values, and the
-number of pairs in which the change was better.  It exits non-zero if any
-run fails or reports ``correct: false`` or ``failed > 0``.
+prints, for the revision's and for the change's run values, the median
+over the pairs and the quartiles, then the interquartile range of the
+revision's values and the number of pairs in which the change was
+better.  It exits non-zero if any run fails or reports ``correct:
+false`` or ``failed > 0``.
 """
 
 from __future__ import annotations
@@ -127,11 +128,13 @@ def main() -> int:
                 wins = sum(c < r if better == "lower" else c > r
                            for r, c in zip(rev, change))
                 q1, q3 = quartiles(rev)
+                c1, c3 = quartiles(change)
                 print(f"{name:13} {m:12} {args.rev} median "
-                      f"{statistics.median(rev):.4g} (IQR {q3 - q1:.3g})  "
-                      f"change median {statistics.median(change):.4g}  "
-                      f"change better in {wins}/{args.pairs} pairs",
-                      flush=True)
+                      f"{statistics.median(rev):.4g} (quartiles {q1:.4g} "
+                      f"{q3:.4g}, IQR {q3 - q1:.3g})  change median "
+                      f"{statistics.median(change):.4g} (quartiles "
+                      f"{c1:.4g} {c3:.4g})  change better in "
+                      f"{wins}/{args.pairs} pairs", flush=True)
     return 0
 
 
