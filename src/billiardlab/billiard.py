@@ -488,10 +488,8 @@ class _Tracer:
 
     def _store(self, key, table):
         """Cache a transit or pair table; both kinds share one bound, and
-        the eviction drops the frames too.  A pair table's links go with
-        it: ``trace_states`` builds a table only on its way from its
-        current pair table to a new one, so after an eviction it follows
-        no link of an evicted table."""
+        the eviction drops the frames and, with the pair tables, their
+        links."""
         if len(self.tables) > _TABLE_CACHE_LIMIT:
             self.tables.clear()
             self.frames.clear()

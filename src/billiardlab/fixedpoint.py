@@ -32,17 +32,16 @@ def mpf_to_fraction(x) -> Fraction:
 
 def to_fixed(x, bits: int) -> int:
     """floor(x * 2**bits) for an mpf or int x (any value mpf() accepts,
-    which a Fraction is not), from x rounded to bits + 64 bits.  A finite
-    mpf of at most that many mantissa bits is not rounded, so its floor is
-    read off the mantissa exactly."""
-    if isinstance(x, mpf):
-        sign, man, exp, bc = x._mpf_
-        if 0 <= bc <= bits + 64:  # bc < 0 marks inf and nan
-            man = -int(man) if sign else int(man)
-            shift = exp + bits
-            return man << shift if shift >= 0 else man >> -shift
-    with mp.workprec(bits + 64):
-        return int(mp.floor(mpf(x) * (1 << bits)))
+    which a Fraction is not), from x rounded to bits + 64 bits.  Scaling
+    by 2**bits and flooring are exact, so the floor is read off the
+    rounded mantissa."""
+    sign, man, exp, bc = mpf(x, prec=bits + 64)._mpf_
+    if bc < 0:
+        raise ValueError(f"cannot convert the non-finite value {x} to "
+                         f"fixed point")
+    man = -int(man) if sign else int(man)
+    shift = exp + bits
+    return man << shift if shift >= 0 else man >> -shift
 
 
 def from_fixed(n: int, bits: int) -> mpf:

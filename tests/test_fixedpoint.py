@@ -63,15 +63,23 @@ def test_to_fixed_matches_workprec_reference(case):
     x, bits = case
     assert mp.prec == 53
     assert to_fixed(x, bits) == workprec_to_fixed(x, bits)
-    assert to_fixed(-x, bits) == workprec_to_fixed(-x, bits)
 
 
 @given(st.integers(-(1 << 300), 1 << 300), st.integers(0, 300))
 @example(0, 0)
 @example((1 << 300) - 1, 0)  # rounded to 64 bits first
 @settings(max_examples=200)
-def test_to_fixed_keeps_the_workprec_path_for_int(x, bits):
+def test_to_fixed_matches_workprec_reference_for_int(x, bits):
     assert to_fixed(x, bits) == workprec_to_fixed(x, bits)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.integers(0, 300))
+@example(-0.1, 8)
+@settings(max_examples=100)
+def test_to_fixed_matches_workprec_reference_for_float_and_str(x, bits):
+    assert to_fixed(x, bits) == workprec_to_fixed(x, bits)
+    assert to_fixed(repr(x), bits) == workprec_to_fixed(repr(x), bits)
 
 
 @given(st.fractions(max_denominator=1 << 200), st.integers(0, 300))
