@@ -9,7 +9,7 @@ Subpackage map:
                  universal set type, with exact set algebra)
 - ``dioph``      approximation solution scans, A/B covering sets, ubiquity
 - ``cantor``     nested interval hierarchies with outer-measure bookkeeping
-- ``billiard``   polygon geometry, cross-sections, beam tracing, escape sets
+- ``billiard``   polygons, the beam tracer, escape sets, perpendicular orbits
 - ``dimension``  box counting, slope fits and escape-set covers
 - ``rng``        the seeded generator of the experiments (numpy-free)
 - ``experiments``/``cli``  reproducible experiment runners (``lab`` entry point)
@@ -18,23 +18,15 @@ Subpackage map:
 __version__ = "0.1.0"
 
 from .billiard import (
-    Beam,
-    BeamStatus,
-    CrossSection,
     EscapeReport,
     GeneralizedParallelogram,
     SideClass,
-    beam_on_section,
     build_polygon,
-    cross_section,
-    escape_set,
     escape_sets,
     parallelogram,
-    partition_udr,
     perpendicular_periodicity,
     polygon_from_vertices,
     rhombus,
-    trace_beam,
 )
 from .cantor import (
     CantorHierarchy,
@@ -74,13 +66,10 @@ from .experiments import (
 )
 
 __all__ = [
-    "Beam",
-    "BeamStatus",
     "BilliardLabError",
     "CantorHierarchy",
     "CapTooSmall",
     "ConfigError",
-    "CrossSection",
     "DegenerateDirection",
     "DepthExceeded",
     "DepthUnreachable",
@@ -101,25 +90,20 @@ __all__ = [
     "ScheduleNotFound",
     "SideClass",
     "apply_overrides",
-    "beam_on_section",
     "build_hierarchy",
     "build_polygon",
     "construct_twosided_target",
     "cover_escape_sets",
-    "cross_section",
-    "escape_set",
     "escape_sets",
     "intermediate_interval_check",
     "local_dimension_report",
     "parallelogram",
-    "partition_udr",
     "perpendicular_periodicity",
     "polygon_from_vertices",
     "rhombus",
     "run_experiment",
     "select_sequence",
     "separation_report",
-    "trace_beam",
     "write_report",
     "__version__",
 ]

@@ -40,10 +40,10 @@ Each cell leads to one pair table, that of level n+k on its target side,
 so it keeps a link to that table once a piece has stepped through it, and
 a chain of single-cell steps follows links instead of looking tables up.
 
-Dynamic operations (partitioning, beam tracing, escape sets) require each
-stabbing line to cross the polygon in a single chord for the directions
-involved; polygon construction and cross-sections handle the general
-multi-chord case.
+Polygon construction and transit tables handle the general multi-chord
+case: a launch table counts the chords each stabbing line crosses.  The
+dynamic operations (level partitions, escape sets, perpendicular orbits)
+require a single chord for the directions involved.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from mpmath.libmp import mpf_cos_sin
 from .circle import CirclePoint, detect_rational_angle, eval_number
 from .errors import (DegenerateDirection, NotGeneralizedParallelogram,
                      RationalAngle)
-from .fixedpoint import from_fixed, to_fixed
+from .fixedpoint import to_fixed
 from .intervals import DEFAULT_PRECISION, IntervalUnion
 
 _LAUNCH = -1  # pseudo source-side index: beam resting on a cross-section
@@ -81,13 +81,6 @@ class SideClass(Enum):
 
     BASE = "base"    # parallel to the x-axis
     SLANT = "slant"  # parallel to (cos alpha, sin alpha)
-
-
-class BeamStatus(Enum):
-    ACTIVE = "active"
-    RETURNED = "returned"
-    ESCAPED = "escaped"
-    VERTEX_UNCERTAIN = "vertex_uncertain"
 
 
 @dataclass(frozen=True)
@@ -307,70 +300,6 @@ def build_polygon(spec, precision_bits: int = DEFAULT_PRECISION,
 
 
 # --------------------------------------------------------------------------
-# Cross-sections and beams
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CrossSection:
-    """Arc-length view of the rays with a fixed direction crossing a polygon.
-
-    ``segments`` is the stabbed span on the perpendicular axis, on the
-    2^-precision_bits grid;
-    ``pieces`` lists (lo, hi, chords) cells where ``chords`` counts how
-    many disjoint chords a stabbing line at that offset crosses; ``width``
-    is the total ray measure (chord-multiplicity weighted), which equals
-    the plain directional width exactly when every line crosses one chord.
-    """
-
-    theta: mpf
-    segments: IntervalUnion
-    width: mpf
-    pieces: Tuple[Tuple[mpf, mpf, int], ...]
-    precision_bits: int = DEFAULT_PRECISION
-
-    @property
-    def multi_chord(self) -> bool:
-        return any(m > 1 for _, _, m in self.pieces)
-
-
-@dataclass(frozen=True)
-class Beam:
-    """Interval of parallel rays on a cross-section.
-
-    ``lo``/``hi`` bound the current interval on the level's section;
-    ``source_lo``/``source_hi`` bound its exact preimage on the base
-    section where the beam was launched.  ``direction`` equals
-    theta + 2*level*alpha (mod 2*pi) whenever the status is not
-    VERTEX_UNCERTAIN.
-    """
-
-    lo: mpf
-    hi: mpf
-    level: int
-    direction: mpf
-    reflections: int
-    status: BeamStatus
-    source_lo: Optional[mpf] = None
-    source_hi: Optional[mpf] = None
-
-
-def beam_on_section(q: GeneralizedParallelogram, theta, lo, hi,
-                    level: int = 0) -> Beam:
-    """Active beam resting on the level-``level`` section of direction theta."""
-    bits = q.precision_bits
-    with mp.workprec(bits + 48):
-        th = eval_number(theta, bits + 32) % (2 * mp.pi)
-        direction = (th + 2 * level * q.alpha) % (2 * mp.pi)
-        lo_m, hi_m = mpf(lo), mpf(hi)
-        if not hi_m > lo_m:
-            raise ValueError("beam interval must have positive length")
-    return Beam(lo=lo_m, hi=hi_m, level=level, direction=direction,
-                reflections=0, status=BeamStatus.ACTIVE,
-                source_lo=lo_m, source_hi=hi_m)
-
-
-# --------------------------------------------------------------------------
 # Transit tables and the tracing engine
 # --------------------------------------------------------------------------
 
@@ -383,8 +312,12 @@ class _Table:
     ``los``/``his`` bound the guard-carved cells; per cell ``targets`` is
     the side hit next, ``deltas`` the fixed-point reflection offset
     2*(d.u)*h of the target's line (c -> delta - c), ``classes`` the
-    target's side class as an int (0 BASE, 1 SLANT).  ``raw_cells``
-    (launch tables only) keeps the uncarved (lo, hi, chords) cells.
+    target's side class as an int (0 BASE, 1 SLANT).  Launch tables
+    also keep the uncarved (lo, hi, chords) cells in ``raw_cells``, their
+    largest chord count in ``max_chords`` (which the dynamic operations
+    check) and the unrounded section width in ``width_exact``; no runner
+    reads the other two, but the table digests in ``tests/golden.json``
+    pin all three.
     Ordered by a_a + (c - p_a)(a_b - a_a)/(p_b - p_a), the sides whose
     span of p = v.n holds a cell's midpoint c are its line's crossings.
     """
@@ -404,10 +337,6 @@ class _Table:
 
 
 _TABLE_CACHE_LIMIT = 60000
-
-_BEAM_STATUS = {"returned": BeamStatus.RETURNED, "escaped": BeamStatus.ESCAPED,
-                "active": BeamStatus.ACTIVE,
-                "uncertain": BeamStatus.VERTEX_UNCERTAIN}
 
 
 def _split(los, his, lo, hi):
@@ -794,87 +723,9 @@ class _Tracer:
     def source_union(self, states) -> IntervalUnion:
         return IntervalUnion.make(map(self.source_pair, states), self.P)
 
-    def to_beam(self, status: str, st) -> Beam:
-        """Public beam for a state listed under ``status`` by trace_states."""
-        _, lo, hi, n, _, refl = st
-        s_lo, s_hi = self.source_pair(st)
-        P = self.P
-        # refl is even on every section; a sliver may stop between reflections
-        return Beam(lo=from_fixed(lo, P), hi=from_fixed(hi, P), level=n,
-                    direction=self._phi(refl & 1, n), reflections=refl,
-                    status=_BEAM_STATUS[status],
-                    source_lo=from_fixed(s_lo, P), source_hi=from_fixed(s_hi, P))
-
-
 # --------------------------------------------------------------------------
 # Public operations
 # --------------------------------------------------------------------------
-
-
-def cross_section(q: GeneralizedParallelogram, theta) -> CrossSection:
-    """Perpendicular cross-section of the rays with direction theta.
-
-    Arc length increases along theta + pi/2.  Raises DegenerateDirection
-    when theta is parallel to a side class within the precision guard.
-    """
-    tracer = _Tracer(q, theta)
-    tbl = tracer._table(0, 0, _LAUNCH)
-    P = tracer.P
-    with mp.workprec(P + 16):
-        pieces = tuple((from_fixed(lo, P), from_fixed(hi, P), ch)
-                       for lo, hi, ch in tbl.raw_cells)
-        segments = IntervalUnion.make([(tbl.dom_lo, tbl.dom_hi)], P)
-        if tbl.max_chords == 1:
-            width = tbl.width_exact
-        else:
-            width = sum(((hi - lo) * ch for lo, hi, ch in pieces), mpf(0))
-    return CrossSection(theta=tracer.theta, segments=segments, width=width,
-                        pieces=pieces, precision_bits=P)
-
-
-def partition_udr(q: GeneralizedParallelogram, theta,
-                  ) -> Tuple[IntervalUnion, IntervalUnion, IntervalUnion]:
-    """Split the base section by the level reached after two reflections.
-
-    Returns (U, R, D): sub-beams moving to level +1, staying at level 0,
-    and moving to level -1.  The three parts are disjoint and exhaust the
-    section up to the vertex-guard slivers around transit singularities.
-    """
-    tracer = _Tracer(q, theta)
-    (u_states, r_states, d_states), _ = tracer.partition_states()
-    return (tracer.source_union(u_states), tracer.source_union(r_states),
-            tracer.source_union(d_states))
-
-
-def trace_beam(q: GeneralizedParallelogram, beam: Beam, n_cap: int,
-               reflection_cap: int) -> List[Beam]:
-    """Propagate a beam through reflection pairs until every child
-    returns to level 0, escapes past level +-(n_cap+1), runs out of
-    reflection budget (status ACTIVE), or lands in a vertex guard.
-
-    Children are pairwise disjoint and their source intervals partition
-    the parent exactly (vertex slivers included).
-    """
-    if beam.status is not BeamStatus.ACTIVE:
-        raise ValueError("only an ACTIVE beam can be traced")
-    if abs(beam.level) > n_cap:
-        raise ValueError("beam level must satisfy |level| <= n_cap")
-    if beam.reflections % 2:
-        raise ValueError("a traceable beam rests on a section, so its "
-                         "reflection count must be even")
-    bits = q.precision_bits
-    with mp.workprec(bits + 48):
-        theta = (beam.direction - 2 * beam.level * q.alpha) % (2 * mp.pi)
-    tracer = _Tracer(q, theta)
-    tracer.require_single_chord(beam.level)
-    lo_i, hi_i = to_fixed(beam.lo, bits), to_fixed(beam.hi, bits)
-    state = (_LAUNCH, lo_i, hi_i, beam.level, 0, beam.reflections)
-    out, _ = tracer.trace_states([state], n_cap=n_cap,
-                                 reflection_cap=reflection_cap)
-    children = [tracer.to_beam(status, st)
-                for status, states in out.items() for st in states]
-    children.sort(key=lambda b: (b.source_lo, b.source_hi))
-    return children
 
 
 @dataclass(frozen=True)
@@ -971,13 +822,6 @@ def escape_sets(q: GeneralizedParallelogram, theta, ns: Sequence[int],
         stack = []
         for st in out["escaped"]:
             (active if st[5] >= reflection_cap else stack).append(st)
-
-
-def escape_set(q: GeneralizedParallelogram, theta, N: int,
-               reflection_cap: int, variant: str = "down",
-               ) -> Tuple[IntervalUnion, EscapeReport]:
-    """F_N and its report for a single N; see :func:`escape_sets`."""
-    return next(escape_sets(q, theta, [N], reflection_cap, variant))
 
 
 def perpendicular_periodicity(q: GeneralizedParallelogram, samples: int,

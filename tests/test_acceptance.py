@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from billiardlab.billiard import (BeamStatus, beam_on_section, escape_set,
-                                  partition_udr, rhombus, trace_beam)
+from billiardlab.billiard import _LAUNCH, _Tracer, escape_sets, rhombus
 from billiardlab.cantor import build_hierarchy, select_sequence
 from billiardlab.circle import CirclePoint, continued_fraction
 from billiardlab.dimension import average_length_cover, box_count, dim_lb_estimate
@@ -171,31 +170,30 @@ def test_criterion_04_minkowski_solution_count():
 def test_criterion_05_beam_width_conservation():
     start = time.time()
     q = rhombus("1.0", side=1, precision_bits=BITS)
-    theta = "0.3"
-    parts = partition_udr(q, theta)
-    widths = {BeamStatus.RETURNED: mpf(0), BeamStatus.ESCAPED: mpf(0)}
-    uncertain = mpf(0)
+    tracer = _Tracer(q, "0.3")
+    (u, r, d), _ = tracer.partition_states()
+    parts = [tracer.source_union(states) for states in (u, r, d)]
+    # source widths summed as exact integers on the 2^-BITS grid; beams
+    # stopped on the budget count as uncertain
+    widths = dict.fromkeys(("returned", "escaped", "uncertain"), 0)
+    total = sum(hi - lo for part in parts for lo, hi in part)
+    for part in parts:
+        for lo, hi in part:
+            out, _ = tracer.trace_states([(_LAUNCH, lo, hi, 0, 0, 0)],
+                                         n_cap=600, reflection_cap=1000)
+            for status, kids in out.items():
+                widths["uncertain" if status == "active" else status] += sum(
+                    b - a for a, b in map(tracer.source_pair, kids))
+    accounted = sum(widths.values())
     with mp.workprec(BITS + 16):
-        total = sum((u.total_length for u in parts), mpf(0))
-        for u in parts:
-            for lo, hi in u:
-                beam = beam_on_section(q, theta, from_fixed(lo, BITS),
-                                       from_fixed(hi, BITS))
-                for kid in trace_beam(q, beam, 600, 1000):
-                    w = kid.source_hi - kid.source_lo
-                    if kid.status in widths:
-                        widths[kid.status] += w
-                    else:
-                        uncertain += w
-        accounted = widths[BeamStatus.RETURNED] + widths[BeamStatus.ESCAPED] \
-            + uncertain
-        rel = abs(accounted - total) / total
+        rel = mpf(abs(accounted - total)) / total
     elapsed = time.time() - start
     ok = rel <= mpf("1e-9") and elapsed < 60.0
+    shown = {k: mp.nstr(from_fixed(w, BITS), 6) for k, w in widths.items()}
     assert _line(5, ok, f"rel_err={mp.nstr(rel, 4)} "
-                        f"returned={mp.nstr(widths[BeamStatus.RETURNED], 6)} "
-                        f"escaped={mp.nstr(widths[BeamStatus.ESCAPED], 6)} "
-                        f"uncertain={mp.nstr(uncertain, 6)} ({elapsed:.1f}s)")
+                        f"returned={shown['returned']} "
+                        f"escaped={shown['escaped']} "
+                        f"uncertain={shown['uncertain']} ({elapsed:.1f}s)")
     assert rel <= mpf("1e-9")
     assert elapsed < 60.0
 
@@ -211,7 +209,9 @@ def test_criterion_06_gate_ratio_bounded():
     def ratios(thetas):
         out = []
         for th in thetas:
-            d_union = partition_udr(q, th)[2]
+            tracer = _Tracer(q, th)
+            (_, _, d_states), _ = tracer.partition_states()
+            d_union = tracer.source_union(d_states)
             with mp.workprec(BITS + 16):
                 out.append(d_union.total_length / abs(mp.sin(th)))
         return out
@@ -245,8 +245,9 @@ def test_criterion_07_escape_set_structure():
     pairs = 0
     for theta in ("0.3", "0.8", "1.2", "1.9", "2.6"):
         prev = None
-        for n in (1, 2, 3, 4):
-            f_n, rep = escape_set(q, theta, n, 20000, variant="down")
+        for f_n, rep in escape_sets(q, theta, [1, 2, 3, 4], 20000,
+                                    variant="down"):
+            n = rep.N
             pairs += 1
             assert rep.j_N <= 2 * vertices * n, (theta, n, rep.j_N)
             assert f_n.total_length <= rep.gate_width, (theta, n)

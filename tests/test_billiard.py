@@ -14,12 +14,11 @@ import pytest
 from mpmath import mp, mpf
 
 from billiardlab import billiard as B
-from billiardlab.billiard import _LAUNCH, _Tracer, BeamStatus, SideClass
+from billiardlab.billiard import _LAUNCH, _Tracer, SideClass
 from billiardlab.circle import eval_number
 from billiardlab.errors import (DegenerateDirection,
                                 NotGeneralizedParallelogram, RationalAngle)
 from billiardlab.fixedpoint import from_fixed
-from billiardlab.intervals import IntervalUnion
 
 
 def unit_rhombus(alpha="1.0"):
@@ -44,10 +43,30 @@ def l_shape():
     return staircase(2)
 
 
-def real_pairs(u: IntervalUnion):
-    """The (lo, hi) pairs of a union as exact mpf values."""
-    return [(from_fixed(lo, u.precision_bits), from_fixed(hi, u.precision_bits))
-            for lo, hi in u]
+def launch_table(q, theta):
+    """The launch transit table of direction theta: the cross-section of
+    the rays with that direction, cut at the vertex shadows."""
+    return _Tracer(q, theta)._table(0, 0, _LAUNCH)
+
+
+def udr(tracer):
+    """Source sets (U, R, D) of the base section's parts that reach level
+    +1, 0 and -1 after two reflections."""
+    (u, r, d), _ = tracer.partition_states()
+    return tuple(map(tracer.source_union, (u, r, d)))
+
+
+def trace(tracer, lo, hi, n_cap, reflection_cap):
+    """Trace the base-section beam [lo, hi]: its terminal states by status,
+    each listed as ``(status, state)``."""
+    out, _ = tracer.trace_states([(_LAUNCH, lo, hi, 0, 0, 0)], n_cap=n_cap,
+                                 reflection_cap=reflection_cap)
+    return [(status, st) for status, states in out.items() for st in states]
+
+
+def source_width(tracer, states):
+    """Total source width of ``states``, as an exact integer."""
+    return sum(b - a for a, b in map(tracer.source_pair, states))
 
 
 # --------------------------------------------------------------------------
@@ -158,28 +177,27 @@ def test_build_polygon_dispatch():
 
 def test_cross_section_width_matches_projection_span():
     q = unit_rhombus()
-    cs = B.cross_section(q, "0.3")
-    assert len(cs.segments) == 1
-    assert not cs.multi_chord
+    tbl = launch_table(q, "0.3")
+    assert tbl.max_chords == 1
     with mp.workprec(300):
         th = eval_number("0.3", 280)
         proj = [-vx * mp.sin(th) + vy * mp.cos(th) for vx, vy in q.vertices]
-        assert abs(cs.width - (max(proj) - min(proj))) < mpf(2) ** -250
+        assert abs(tbl.width_exact - (max(proj) - min(proj))) < mpf(2) ** -250
 
 
 def test_cross_section_reversed_direction_same_width():
     q = unit_rhombus()
-    a = B.cross_section(q, "0.3")
-    b = B.cross_section(q, "0.3 + pi")
+    a = launch_table(q, "0.3")
+    b = launch_table(q, "0.3 + pi")
     with mp.workprec(300):
-        assert abs(a.width - b.width) < mpf(2) ** -250
+        assert abs(a.width_exact - b.width_exact) < mpf(2) ** -250
 
 
 def test_cross_section_width_continuous_in_theta():
     q = unit_rhombus()
     with mp.workprec(300):
-        w1 = B.cross_section(q, "0.3").width
-        w2 = B.cross_section(q, "0.3 + 1/100000").width
+        w1 = launch_table(q, "0.3").width_exact
+        w2 = launch_table(q, "0.3 + 1/100000").width_exact
         # width is Lipschitz in theta with constant <= polygon diameter
         assert abs(w2 - w1) < mpf("3e-5")
 
@@ -187,38 +205,40 @@ def test_cross_section_width_continuous_in_theta():
 def test_cross_section_degenerate_directions_rejected():
     q = unit_rhombus()
     with pytest.raises(DegenerateDirection):
-        B.cross_section(q, "0")
+        launch_table(q, "0")
     with pytest.raises(DegenerateDirection):
-        B.cross_section(q, "1.0")  # parallel to the slant sides
+        launch_table(q, "1.0")  # parallel to the slant sides
     with pytest.raises(DegenerateDirection):
-        B.cross_section(q, "pi")
+        launch_table(q, "pi")
 
 
 def test_cross_section_multi_chord_reporting():
     q = l_shape()
-    cs = B.cross_section(q, "1.3")
-    assert cs.multi_chord
-    assert max(m for _, _, m in cs.pieces) == 2
+    tbl = launch_table(q, "1.3")
+    assert tbl.max_chords == 2
+    assert max(m for _, _, m in tbl.raw_cells) == 2
+    P = q.precision_bits
     with mp.workprec(300):
         th = mpf("1.3")
         proj = [-vx * mp.sin(th) + vy * mp.cos(th) for vx, vy in q.vertices]
         span = max(proj) - min(proj)
         # multiplicity-weighted width strictly exceeds the plain span
-        assert cs.width > span + mpf("0.1")
+        width = sum((hi - lo) * m for lo, hi, m in tbl.raw_cells)
+        assert from_fixed(width, P) > span + mpf("0.1")
         # and the reported pieces tile the span exactly
-        tiled = sum((hi - lo for lo, hi, _ in cs.pieces), mpf(0))
-        assert abs(tiled - span) < mpf(2) ** -240
+        tiled = sum(hi - lo for lo, hi, _ in tbl.raw_cells)
+        assert abs(from_fixed(tiled, P) - span) < mpf(2) ** -240
 
 
 def test_multi_chord_piece_counts_match_direct_stabbing():
     q = l_shape()
-    cs = B.cross_section(q, "1.3")
+    tbl = launch_table(q, "1.3")
     verts = [(float(x), float(y)) for x, y in q.vertices]
     th = 1.3
     d = (math.cos(th), math.sin(th))
     nx, ny = -math.sin(th), math.cos(th)
-    for lo, hi, mult in cs.pieces:
-        c = float((lo + hi) / 2)
+    for lo, hi, mult in tbl.raw_cells:
+        c = float(from_fixed(lo + hi, q.precision_bits + 1))
         px, py = c * nx - 4 * d[0], c * ny - 4 * d[1]
         assert len(_float_hits(verts, px, py, d)) == 2 * mult
 
@@ -231,18 +251,18 @@ def test_multi_chord_piece_counts_match_direct_stabbing():
 def test_partition_sums_to_section_width():
     q = unit_rhombus()
     for ts in ("0.3", "1.2", "2.6"):
-        u, r, d = B.partition_udr(q, ts)
-        cs = B.cross_section(q, ts)
+        tracer = _Tracer(q, ts)
+        u, r, d = udr(tracer)
         with mp.workprec(320):
             total = u.total_length + r.total_length + d.total_length
-            gap = cs.width - total
+            gap = tracer._table(0, 0, _LAUNCH).width_exact - total
             # only the vertex-guard slivers are missing
             assert 0 <= gap < mpf("1e-35")
 
 
 def test_partition_parts_disjoint():
     q = unit_rhombus()
-    u, r, d = B.partition_udr(q, "1.2")
+    u, r, d = udr(_Tracer(q, "1.2"))
     assert all(x.total_length > 0 for x in (u, r, d))
     with mp.workprec(320):
         assert u.intersect(d).total_length == 0
@@ -257,7 +277,7 @@ def test_partition_thin_gates_track_sines():
     with mp.workprec(300):
         for k in range(1, 21):
             th = mpf(k) / 100
-            u, r, d = B.partition_udr(q, th)
+            u, r, d = udr(_Tracer(q, th))
             ru = u.total_length / abs(mp.sin(th))
             rd = d.total_length / abs(mp.sin(th - q.alpha))
             assert abs(ru - 1) < mpf("1e-30")
@@ -272,7 +292,7 @@ def test_partition_literal_ratio_bounded_on_range():
         ratios = []
         for k in range(50):
             th = mpf("0.01") + k * (mpf("0.19") / 49)
-            _, _, d = B.partition_udr(q, th)
+            _, _, d = udr(_Tracer(q, th))
             ratios.append(d.total_length / abs(mp.sin(th)))
         assert max(ratios) < 90
         assert min(ratios) > 3
@@ -284,16 +304,16 @@ def test_partition_vanishing_gate_as_theta_to_zero():
     with mp.workprec(300):
         for ts in ("0.01", "0.001", "0.0001"):
             th = mpf(ts)
-            u, _, _ = B.partition_udr(q, th)
+            u, _, _ = udr(_Tracer(q, th))
             assert u.total_length < mpf("1.01") * th
 
 
 def test_partition_rejects_multi_chord_direction():
     q = l_shape()
     with pytest.raises(ValueError):
-        B.partition_udr(q, "1.3")
+        _Tracer(q, "1.3").partition_states()
     # single-chord directions on the same polygon still work
-    u, r, d = B.partition_udr(q, "0.3")
+    u, r, d = udr(_Tracer(q, "0.3"))
     with mp.workprec(300):
         assert (u.total_length + r.total_length + d.total_length) > 1
 
@@ -305,86 +325,57 @@ def test_partition_rejects_multi_chord_direction():
 
 def test_trace_beam_exact_length_conservation():
     q = unit_rhombus()
-    _, _, d = B.partition_udr(q, "0.3")
-    lo, hi = real_pairs(d)[0]
-    beam = B.beam_on_section(q, "0.3", lo, hi)
-    kids = B.trace_beam(q, beam, 3, 100000)
-    with mp.workprec(320):
-        total = sum((k.source_hi - k.source_lo for k in kids), mpf(0))
-        assert total == hi - lo  # exact, not approximate
-    assert all(k.status in (BeamStatus.RETURNED, BeamStatus.ESCAPED,
-                            BeamStatus.VERTEX_UNCERTAIN) for k in kids)
-
-
-def test_trace_beam_isometry_per_child():
-    q = unit_rhombus()
-    _, _, d = B.partition_udr(q, "0.9")
-    lo, hi = real_pairs(d)[0]
-    kids = B.trace_beam(q, B.beam_on_section(q, "0.9", lo, hi), 4, 100000)
-    with mp.workprec(320):
-        for k in kids:
-            assert (k.hi - k.lo) == (k.source_hi - k.source_lo)
+    tracer = _Tracer(q, "0.3")
+    _, _, d = udr(tracer)
+    lo, hi = d.intervals[0]
+    kids = trace(tracer, lo, hi, 3, 100000)
+    assert source_width(tracer, [k for _, k in kids]) == hi - lo  # exact
+    assert all(status in ("returned", "escaped", "uncertain")
+               for status, _ in kids)
 
 
 def test_trace_beam_bounce_back_returns_after_one_pair():
     # at theta = 2.2 the middle of the section bounces between the two
     # side classes' same-class pairs and returns immediately
     q = unit_rhombus()
-    _, r, _ = B.partition_udr(q, "2.2")
+    tracer = _Tracer(q, "2.2")
+    _, r, _ = udr(tracer)
     assert r.total_length > 1
-    lo, hi = real_pairs(r)[0]
-    with mp.workprec(300):
-        pad = (hi - lo) / 1000
-        beam = B.beam_on_section(q, "2.2", lo + pad, hi - pad)
-    kids = B.trace_beam(q, beam, 2, 1000)
-    assert all(k.status is BeamStatus.RETURNED for k in kids)
-    assert all(k.reflections == 2 for k in kids)
-    assert all(k.level == 0 for k in kids)
+    lo, hi = r.intervals[0]
+    pad = (hi - lo) // 1000
+    kids = trace(tracer, lo + pad, hi - pad, 2, 1000)
+    assert all(status == "returned" for status, _ in kids)
+    assert all(k[5] == 2 for _, k in kids)  # reflections
+    assert all(k[3] == 0 for _, k in kids)  # level
 
 
 def test_trace_beam_splits_across_vertex_shadow():
     q = unit_rhombus()
-    cs = B.cross_section(q, "0.3")
-    (lo, hi), = real_pairs(cs.segments)
-    kids = B.trace_beam(q, B.beam_on_section(q, "0.3", lo, hi), 1, 100000)
-    statuses = {k.status for k in kids}
+    tracer = _Tracer(q, "0.3")
+    lo, hi = tracer.launch_span()
+    kids = trace(tracer, lo, hi, 1, 100000)
+    statuses = {status for status, _ in kids}
     assert len(kids) >= 3
-    assert BeamStatus.VERTEX_UNCERTAIN in statuses
-    assert BeamStatus.RETURNED in statuses or BeamStatus.ESCAPED in statuses
+    assert "uncertain" in statuses
+    assert "returned" in statuses or "escaped" in statuses
     # vertex slivers carry negligible length
-    with mp.workprec(320):
-        sliver = sum((k.source_hi - k.source_lo for k in kids
-                      if k.status is BeamStatus.VERTEX_UNCERTAIN), mpf(0))
-        assert sliver < mpf("1e-35")
-
-
-def test_trace_beam_level_direction_bookkeeping():
-    q = unit_rhombus()
-    _, _, d = B.partition_udr(q, "0.3")
-    lo, hi = real_pairs(d)[0]
-    kids = B.trace_beam(q, B.beam_on_section(q, "0.3", lo, hi), 2, 100000)
-    with mp.workprec(300):
-        th = eval_number("0.3", 280)
-        for k in kids:
-            if k.status is BeamStatus.VERTEX_UNCERTAIN:
-                continue
-            want = (th + 2 * k.level * q.alpha) % (2 * mp.pi)
-            assert abs(k.direction - want) < mpf(2) ** -230
+    sliver = source_width(tracer, [k for status, k in kids
+                                   if status == "uncertain"])
+    assert from_fixed(sliver, q.precision_bits) < mpf("1e-35")
 
 
 def test_trace_beam_same_time_fragments_disjoint():
     q = unit_rhombus()
-    cs = B.cross_section(q, "0.9")
-    (lo, hi), = real_pairs(cs.segments)
-    beam = B.beam_on_section(q, "0.9", lo, hi)
+    tracer = _Tracer(q, "0.9")
+    lo, hi = tracer.launch_span()
     # rays at the same reflection count and level share one section line,
     # so the fragments landing there at the cap must be disjoint
     checked = 0
     for cap in range(2, 61, 2):
         landed = {}
-        for k in B.trace_beam(q, beam, 3, cap):
-            if k.reflections == cap:
-                landed.setdefault(k.level, []).append((k.lo, k.hi))
+        for _, k in trace(tracer, lo, hi, 3, cap):
+            if k[5] == cap:
+                landed.setdefault(k[3], []).append((k[1], k[2]))
         for group in landed.values():
             group.sort()
             for (a_lo, a_hi), (b_lo, b_hi) in zip(group, group[1:]):
@@ -393,39 +384,15 @@ def test_trace_beam_same_time_fragments_disjoint():
     assert checked > 0
 
 
-def test_trace_beam_input_validation():
-    q = unit_rhombus()
-    beam = B.beam_on_section(q, "0.3", "0.1", "0.2")
-    with pytest.raises(ValueError):
-        # beam level beyond the escape cutoff
-        B.trace_beam(q, B.beam_on_section(q, "0.3", "0.1", "0.2", level=3),
-                     2, 100)
-    with pytest.raises(ValueError):
-        # beams rest on sections only after full reflection pairs
-        odd = B.Beam(lo=beam.lo, hi=beam.hi, level=0,
-                     direction=beam.direction, reflections=1,
-                     status=BeamStatus.ACTIVE, source_lo=beam.lo,
-                     source_hi=beam.hi)
-        B.trace_beam(q, odd, 2, 100)
-    done = next(k for k in B.trace_beam(q, beam, 1, 100000)
-                if k.status is not BeamStatus.ACTIVE)
-    with pytest.raises(ValueError):
-        B.trace_beam(q, done, 1, 100)
-    with pytest.raises(ValueError):
-        B.beam_on_section(q, "0.3", "0.2", "0.1")
-
-
 def test_trace_beam_budget_flagged_as_active():
     q = unit_rhombus()
-    cs = B.cross_section(q, "0.9")
-    (lo, hi), = real_pairs(cs.segments)
-    kids = B.trace_beam(q, B.beam_on_section(q, "0.9", lo, hi), 50, 6)
-    active = [k for k in kids if k.status is BeamStatus.ACTIVE]
+    tracer = _Tracer(q, "0.9")
+    lo, hi = tracer.launch_span()
+    kids = trace(tracer, lo, hi, 50, 6)
+    active = [k for status, k in kids if status == "active"]
     assert active  # the budget is far too small to resolve everything
-    assert all(k.reflections >= 6 for k in active)
-    with mp.workprec(320):
-        total = sum((k.source_hi - k.source_lo for k in kids), mpf(0))
-        assert total == hi - lo
+    assert all(k[5] >= 6 for k in active)
+    assert source_width(tracer, [k for _, k in kids]) == hi - lo
 
 
 # --------------------------------------------------------------------------
@@ -762,10 +729,9 @@ def test_trace_states_rejects_odd_states():
 def test_escape_sets_nested_and_gate_bounded():
     q = unit_rhombus()
     prev = None
-    for n in (1, 2, 3, 4, 5):
-        f_n, rep = B.escape_set(q, "0.3", n, 100000)
+    for f_n, rep in B.escape_sets(q, "0.3", [1, 2, 3, 4, 5], 100000):
         assert f_n.total_length <= rep.gate_width
-        assert rep.j_N <= 2 * 4 * n
+        assert rep.j_N <= 2 * 4 * rep.N
         if prev is not None:
             assert f_n.is_subset_of(prev)
         prev = f_n
@@ -776,11 +742,11 @@ def test_escape_sets_nested_and_gate_bounded():
 
 def test_escape_set_report_partition_widths():
     q = unit_rhombus()
-    f_1, rep = B.escape_set(q, "1.2", 1, 100000)
-    cs = B.cross_section(q, "1.2")
+    (f_1, rep), = B.escape_sets(q, "1.2", [1], 100000)
+    width = launch_table(q, "1.2").width_exact
     with mp.workprec(320):
         total = rep.u_width + rep.r_width + rep.d_width
-        assert 0 <= cs.width - total < mpf("1e-35")
+        assert 0 <= width - total < mpf("1e-35")
         assert rep.cohort_width == rep.d_width
     # the escaped set plus the returned set sit inside the cohort
     assert f_1.is_subset_of(rep.f_n_upper)
@@ -791,10 +757,9 @@ def test_escape_set_up_variant_gate_tracks_sine():
     q = unit_rhombus()
     with mp.workprec(300):
         th = mpf("0.3")
-        for n in (1, 2, 3):
-            f_n, rep = B.escape_set(q, th, n, 100000, variant="up")
+        for f_n, rep in B.escape_sets(q, th, [1, 2, 3], 100000, variant="up"):
             assert f_n.total_length <= rep.gate_width
-            bound = abs(mp.sin(th + 2 * n * q.alpha))
+            bound = abs(mp.sin(th + 2 * rep.N * q.alpha))
             assert rep.gate_width <= bound * mpf("1.000001")
             assert f_n.is_subset_of(rep.f_n_upper)
 
@@ -803,21 +768,20 @@ def test_escape_set_rational_angle_shallow_levels_empty():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         q3 = B.rhombus("pi/3", 1)
-    f_1, _ = B.escape_set(q3, "0.3", 1, 100000)
+    (f_1, _), = B.escape_sets(q3, "0.3", [1], 100000)
     assert f_1.total_length > 0
-    for n in (2, 3, 5):
-        f_n, rep = B.escape_set(q3, "0.3", n, 100000)
+    for f_n, rep in B.escape_sets(q3, "0.3", [2, 3, 5], 100000):
         assert len(f_n) == 0
         assert f_n.total_length == 0
         assert not rep.budget_exhausted
     # the up side closes off the same way
-    f_up, _ = B.escape_set(q3, "0.3", 3, 100000, variant="up")
+    (f_up, _), = B.escape_sets(q3, "0.3", [3], 100000, variant="up")
     assert f_up.total_length == 0
 
 
 def test_escape_set_budget_exhaustion_reported_not_raised():
     q = unit_rhombus()
-    f_n, rep = B.escape_set(q, "0.3", 30, 50)
+    (f_n, rep), = B.escape_sets(q, "0.3", [30], 50)
     assert rep.budget_exhausted
     assert rep.active.total_length > 0
     assert rep.uncertain.total_length >= rep.active.total_length
@@ -828,12 +792,13 @@ def test_escape_set_budget_exhaustion_reported_not_raised():
 def test_escape_set_input_validation():
     q = unit_rhombus()
     with pytest.raises(ValueError):
-        B.escape_set(q, "0.3", 0, 1000)
+        next(B.escape_sets(q, "0.3", [0], 1000))
     with pytest.raises(ValueError):
-        B.escape_set(q, "0.3", 1, 1000, variant="sideways")
+        next(B.escape_sets(q, "0.3", [1], 1000, variant="sideways"))
 
 
 def test_escape_set_builds_one_tracer(monkeypatch):
+    # one tracer serves every N of a schedule, gates included
     built = []
 
     class CountingTracer(_Tracer):
@@ -844,7 +809,9 @@ def test_escape_set_builds_one_tracer(monkeypatch):
     monkeypatch.setattr(B, "_Tracer", CountingTracer)
     for variant in ("down", "up"):
         built.clear()
-        B.escape_set(unit_rhombus(), "0.3", 3, 100000, variant=variant)
+        got = list(B.escape_sets(unit_rhombus(), "0.3", [1, 3, 7], 100000,
+                                 variant=variant))
+        assert [rep.N for _, rep in got] == [1, 3, 7]
         assert len(built) == 1
 
 
@@ -972,10 +939,10 @@ def test_escape_gate_matches_two_tracer_reference(alpha, bits):
         q = B.rhombus(alpha, 1, precision_bits=bits)
     ulp = mpf(2) ** -bits
     for theta in ("0.3", "1.2", "5.9"):
-        for n in (1, 2, 7, 25):
-            for variant in ("down", "up"):
-                f_n, rep = B.escape_set(q, theta, n, 2000, variant=variant)
-                ref = _two_tracer_gate_width(q, theta, n, variant)
+        for variant in ("down", "up"):
+            for f_n, rep in B.escape_sets(q, theta, [1, 2, 7, 25], 2000,
+                                          variant=variant):
+                ref = _two_tracer_gate_width(q, theta, rep.N, variant)
                 with mp.workprec(bits + 64):
                     assert abs(rep.gate_width - ref) <= ulp
                 assert f_n.total_length <= rep.gate_width

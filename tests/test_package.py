@@ -51,3 +51,21 @@ def test_lab_runtime_does_not_import_numpy():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_pytest_refuses_a_pythonpath_tree_it_does_not_import(tmp_path):
+    # A decoy package on PYTHONPATH: pytest must stop with a usage error
+    # before collecting, not quietly test this checkout.  --collect-only
+    # keeps a missed guard from running anything.
+    decoy = tmp_path / "src" / "billiardlab"
+    decoy.mkdir(parents=True)
+    (decoy / "__init__.py").write_text("", encoding="utf-8")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--collect-only", "tests/test_package.py"],
+        cwd=root, env=env, capture_output=True, text=True)
+    assert run.returncode == 4, run.stdout + run.stderr  # USAGE_ERROR
+    assert str(decoy.resolve()) in run.stderr
+    assert "run pytest from that tree" in run.stderr
