@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import billiardlab
+
 
 def pytest_configure(config):
-    import billiardlab
-
     imported = Path(billiardlab.__file__).resolve()
     entries = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     for entry in filter(None, entries):
