@@ -39,6 +39,11 @@ place, and only a piece that splits or meets a guard is cut into pieces.
 Each cell leads to one pair table, that of level n+k on its target side,
 so it keeps a link to that table once a piece has stepped through it, and
 a chain of single-cell steps follows links instead of looking tables up.
+Narrow pieces run such chains for thousands of steps, through the same
+cells again and again as in an interval exchange.  So a chain also stores
+the compositions of its steps at their first cells, doubling in length as
+a binary counter does, and a piece at a plain cell jumps along the newest
+composition stored there that holds it and stays within its budget.
 
 Polygon construction and transit tables handle the general multi-chord
 case: a launch table counts the chords each stabbing line crosses.  The
@@ -337,6 +342,8 @@ class _Table:
 
 
 _TABLE_CACHE_LIMIT = 60000
+# imin > imax: a single step has no intermediate level
+_INF, _NEG_INF = float("inf"), float("-inf")
 
 
 def _split(los, his, lo, hi):
@@ -398,6 +405,8 @@ class _Tracer:
         # the frames of their directions under (odd, n)
         self.tables: Dict[tuple, object] = {}
         self.frames: Dict[Tuple[int, int], tuple] = {}
+        # work done by trace_states (no report shows it)
+        self.counts = dict.fromkeys(("plain", "jumps", "jumped", "records"), 0)
 
     # -- directions ---------------------------------------------------
 
@@ -557,8 +566,8 @@ class _Tracer:
 
     def _build_pair(self, n: int, side: int):
         """Pair table for section states at level ``n`` (reduced modulo
-        b_mod) resting on ``side``: (los, his, cells, links), the cells
-        sorted and disjoint.
+        b_mod) resting on ``side``: (los, his, cells, links, records), the
+        cells sorted and disjoint.
 
         Built by two single reflections of the whole domain state.  A
         cell (t, d, k, False) maps its piece [a, b] of the section to the
@@ -572,7 +581,8 @@ class _Tracer:
         first-reflection cell, so the gaps between them are the
         first-reflection guards.  ``links[i]``, None until a piece first
         steps through cell i, is the pair table of the section the cell
-        leads to, at level n+k on side t.
+        leads to, at level n+k on side t.  ``records[i]`` lists the
+        macro-steps learned from cell i, newest first (``trace_states``).
         """
         tbl = self._table(0, n, side)
         pieces = []
@@ -590,7 +600,8 @@ class _Tracer:
                 pieces.append((d1 - hi, d1 - lo, (t1, d1, c1, True)))
         pieces.sort(key=lambda p: p[0])
         return ([p[0] for p in pieces], [p[1] for p in pieces],
-                [p[2] for p in pieces], [None] * len(pieces))
+                [p[2] for p in pieces], [None] * len(pieces),
+                [[] for _ in pieces])
 
     def _pair(self, n: int, side: int):
         """The cached pair table of level ``n`` and side ``side``."""
@@ -629,6 +640,27 @@ class _Tracer:
         would be the next state popped anyway, so the visiting order and
         every output list stay the same.  Pieces that split or meet a guard
         or a degenerate middle go through ``_split``.
+
+        A chain of single-cell steps also learns macro-steps.  A record
+        (blo, bhi, L, D, dn, imin, imax, end_pair, end_side) of a cell
+        says that any piece [lo, hi] there with blo <= lo and hi <= bhi
+        takes L single-cell steps, which move it by D and its level by dn,
+        keep its intermediate levels in n + [imin, imax] and end on side
+        end_side of the pair table end_pair.  The chain keeps its steps
+        and jumps on a stack; while the entry below the newest one is no
+        longer than it, the two are composed and the composite is stored
+        at the earlier entry's cell.  At a plain cell a piece jumps along
+        the first record that holds it and whose intermediate states would
+        all step on: their refl stays below ``reflection_cap`` and their
+        levels within ``n_cap``.  None of them returns, since the pair
+        table fixes n modulo b_mod (n itself when irrational): they repeat
+        the levels, or the residues, of the chain that learned the record,
+        which stepped on from each of them.  The status rule then judges
+        the state the jump ends in, as it would after the L steps.
+
+        ``counts`` adds up, over the traces that finish, the plain
+        single-cell steps, the jumps, the single-cell steps these stand
+        for and the records stored.
         """
         stack = list(states)
         if any(st[5] & 1 for st in stack):
@@ -638,19 +670,34 @@ class _Tracer:
         returned, escaped, active, uncertain = out.values()
         b_mod = self.b_mod
         max_refl = 0
+        plain = jumps = jumped = stored = 0
         while stack:
             side, lo, hi, n, disp, refl = stack.pop()
             pair = self._pair(n, side)
+            chain = []  # (records of the start cell, record) per step or jump
             while True:
-                los, his, cells, links = pair
+                los, his, cells, links, records = pair
                 i = bisect_right(los, lo) - 1
                 if i >= 0 and hi <= his[i] and not cells[i][3]:
-                    side, d, k, _ = cells[i]
+                    recs = records[i]
+                    for rec in recs:
+                        if (rec[0] <= lo and hi <= rec[1]
+                                and refl + 2 * rec[2] - 2 < reflection_cap
+                                and (n_cap is None or -n_cap <= n + rec[5]
+                                     and n + rec[6] <= n_cap)):
+                            _, _, L, d, k, _, _, nxt, side = rec
+                            jumps += 1
+                            jumped += L
+                            break
+                    else:
+                        side, d, k, _ = cells[i]
+                        L, nxt, rec = 1, links[i], None
+                        plain += 1
                     lo += d
                     hi += d
                     n += k
                     disp += d
-                    refl += 2
+                    refl += 2 * L
                     if refl > max_refl:
                         max_refl = refl
                     # the split loop's status rule below, repeated for speed
@@ -661,9 +708,26 @@ class _Tracer:
                     elif refl >= reflection_cap:
                         active.append((side, lo, hi, n, disp, refl))
                     else:
-                        pair = links[i]
-                        if pair is None:
-                            pair = links[i] = self._pair(n, side)
+                        if nxt is None:
+                            nxt = links[i] = self._pair(n, side)
+                        if rec is None:
+                            rec = (los[i], his[i], 1, d, k, _INF, _NEG_INF, nxt,
+                                   side)
+                        chain.append((recs, rec))
+                        # a binary counter: the lengths double
+                        while len(chain) > 1 and chain[-2][1][2] <= L:
+                            b = chain.pop()[1]
+                            where, a = chain.pop()
+                            a_d, a_n = a[3], a[4]
+                            rec = (max(a[0], b[0] - a_d), min(a[1], b[1] - a_d),
+                                   a[2] + b[2], a_d + b[3], a_n + b[4],
+                                   min(a[5], a_n, a_n + b[5]),
+                                   max(a[6], a_n, a_n + b[6]), nxt, side)
+                            where.insert(0, rec)
+                            stored += 1
+                            chain.append((where, rec))
+                            L = rec[2]
+                        pair = nxt
                         continue
                     break
                 # across cells, in a gap or on a guard or degenerate cell
@@ -691,6 +755,11 @@ class _Tracer:
                     else:
                         stack.append(child)
                 break
+        counts = self.counts
+        counts["plain"] += plain
+        counts["jumps"] += jumps
+        counts["jumped"] += jumped
+        counts["records"] += stored
         return out, max_refl
 
     def partition_states(self, level: int = 0):

@@ -18,6 +18,7 @@ from billiardlab.billiard import _LAUNCH, _Tracer, SideClass
 from billiardlab.circle import eval_number
 from billiardlab.errors import (DegenerateDirection,
                                 NotGeneralizedParallelogram, RationalAngle)
+from billiardlab.experiments import ExperimentConfig, run_experiment
 from billiardlab.fixedpoint import from_fixed
 
 
@@ -637,7 +638,7 @@ def test_single_cell_chains_match_reflection_by_reflection(shape, bits):
     for theta in ("0.05", "0.3", "1.2"):
         tracer = _Tracer(q, theta)
         for level in (0, 2):
-            los, his, _, _ = tracer._build_pair(level, _LAUNCH)
+            los, his, _, _, _ = tracer._build_pair(level, _LAUNCH)
             for (lo, hi), width in itertools.product(zip(los, his),
                                                      (1, 1 << 20)):
                 mid = (lo + hi) // 2
@@ -652,6 +653,89 @@ def test_single_cell_chains_match_reflection_by_reflection(shape, bits):
                     assert {k: sorted(v) for k, v in got.items()} == \
                         {k: sorted(v) for k, v in want.items()}, \
                         (theta, level, mid, width, n_cap, cap)
+
+
+def _plain_pair_walk(tracer, states, n_cap, reflection_cap):
+    """Reference pair stepper without links or macro-steps: every popped
+    state looks its pair table up and goes through ``_split``, and each
+    child section state is classified on arrival."""
+    out = {"returned": [], "escaped": [], "active": [], "uncertain": []}
+    stack = list(states)
+    max_refl = 0
+    while stack:
+        side, lo, hi, n, disp, refl = stack.pop()
+        los, his, cells, *_ = tracer._pair(n, side)
+        for i, a, b in B._split(los, his, lo, hi):
+            if i < 0:
+                out["uncertain"].append((side, a, b, n, disp, refl))
+                continue
+            t, d, k, mid = cells[i]
+            if mid:
+                assert mid is True  # no degenerate middle on these polygons
+                out["uncertain"].append((t, d - b, d - a, k - n, d - disp,
+                                         refl + 1))
+                continue
+            ch = (t, a + d, b + d, n + k, disp + d, refl + 2)
+            max_refl = max(max_refl, refl + 2)
+            if ch[3] == 0 or tracer.b_mod and ch[3] % tracer.b_mod == 0:
+                out["returned"].append(ch)
+            elif n_cap is not None and abs(ch[3]) > n_cap:
+                out["escaped"].append(ch)
+            elif refl + 2 >= reflection_cap:
+                out["active"].append(ch)
+            else:
+                stack.append(ch)
+    return out, max_refl
+
+
+# (n_cap, reflection_cap), loosest first: records learned under one budget
+# are clamped or refused under the tighter ones that follow
+_BUDGETS = [(None, 100000), (40, 100000), (40, 5000), (None, 4999), (4, 5000),
+            (3, 5000), (None, 401), (4, 64), (1, 64), (None, 9), (1, 4)]
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("shape", [("rhombus", "pi*(sqrt(5)-1)/4"),
+                                   ("rhombus", "pi/3"),
+                                   ("parallelogram", "1.0", 2, 1)])
+def test_macro_steps_match_plain_pair_steps(shape, bits):
+    # Narrow pieces from every launch pair cell at level 2 run long
+    # single-cell chains, up to the 100000-reflection cap on the golden
+    # rhombus, so the stepper learns macro-steps and jumps along them.  At
+    # the rational angle pieces also start one period higher, where the
+    # records learned a period lower meet n_cap 4.  One tracer serves every
+    # budget, so records learned under a loose budget meet tighter ones.
+    # Outputs must equal, in order, those of plain pair steps, and up to
+    # cap 5000 those of single reflections.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        q = getattr(B, shape[0])(*shape[1:], precision_bits=bits)
+    tracer, plain = _Tracer(q, "0.05"), _Tracer(q, "0.05")
+    launches = [[(_LAUNCH, mid, min(mid + width, hi), level, 0, 0)]
+                for level in sorted({2, 2 + (tracer.b_mod or 0)})
+                for lo, hi in zip(*tracer._pair(level, _LAUNCH)[:2])
+                for mid in [(lo + hi) // 2]
+                for width in (1, 1 << bits // 4, 1 << bits - 20)]
+    for n_cap, cap in _BUDGETS:
+        for launch in launches:
+            got = tracer.trace_states(launch, n_cap=n_cap, reflection_cap=cap)
+            assert got == _plain_pair_walk(plain, launch, n_cap, cap), \
+                (launch, n_cap, cap)
+            if cap <= 5000:
+                want, want_refl = _reflection_by_reflection(plain, launch,
+                                                            n_cap, cap)
+                assert got[1] == want_refl
+                assert {k: sorted(v) for k, v in got[0].items()} == \
+                    {k: sorted(v) for k, v in want.items()}
+    assert tracer.counts["jumps"] > 0
+    assert plain.counts == dict.fromkeys(tracer.counts, 0)
+    # No record of an irrational angle spans level 0, where its learning
+    # chain would have returned: a jump never needs to test for it.
+    if tracer.b_mod is None:
+        for (n, _), (*_, records) in filter(lambda kv: len(kv[0]) == 2,
+                                             tracer.tables.items()):
+            assert all(not n + r[5] <= 0 <= n + r[6]
+                       for recs in records for r in recs)
 
 
 def test_degenerate_middle_table_raises_only_for_beams_that_reach_it():
@@ -911,6 +995,55 @@ def test_links_do_not_outlive_cache_eviction(monkeypatch, limit, want_builds):
     monkeypatch.setattr(B, "_TABLE_CACHE_LIMIT", limit)
     assert trace() == want
     assert builds == want_builds
+
+
+def test_macro_steps_survive_cache_eviction(monkeypatch):
+    # Under a tiny cache limit the tables, and with them the macro-steps
+    # learned into them, are evicted again and again mid-trace, while
+    # chains inside evicted tables go on jumping along their records.
+    # Narrow pieces from the level-2 launch cells of the golden rhombus
+    # run long chains, as in test_macro_steps_match_plain_pair_steps.
+    q = B.rhombus("pi*(sqrt(5)-1)/4", 1, precision_bits=64)
+    plain = _Tracer(q, "0.05")
+    launch = [(_LAUNCH, mid, mid + (1 << 44), 2, 0, 0)
+              for lo, hi in zip(*plain._pair(2, _LAUNCH)[:2])
+              for mid in [(lo + hi) // 2]]
+    want = _plain_pair_walk(plain, launch, None, 2000)
+    builds = []
+    build = _Tracer._build_pair
+    monkeypatch.setattr(_Tracer, "_build_pair",
+                        lambda self, *key: builds.append(key) or build(self, *key))
+    monkeypatch.setattr(B, "_TABLE_CACHE_LIMIT", 5)
+    tracer = _Tracer(q, "0.05")
+    assert tracer.trace_states(launch, n_cap=None,
+                               reflection_cap=2000) == want
+    assert len(builds) > len(set(builds))  # evicted tables were rebuilt
+    assert tracer.counts["records"] > 0 and tracer.counts["jumps"] > 0
+
+
+def test_counts_add_up_to_the_plain_single_cell_steps(monkeypatch):
+    # On default thm1_cover the plain steps and the steps that jumps skip
+    # add up to the 260,022 single-cell pair steps of stepping without
+    # macro-steps, and a second run counts exactly the same.
+    tracers = []
+
+    class RecordingTracer(_Tracer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tracers.append(self)
+
+    monkeypatch.setattr(B, "_Tracer", RecordingTracer)
+    runs = []
+    for _ in range(2):
+        tracers.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_experiment(ExperimentConfig.from_json_obj({}, "thm1_cover"))
+        runs.append([t.counts for t in tracers])
+    assert runs[0] == runs[1]
+    total = {k: sum(c[k] for c in runs[0]) for k in runs[0][0]}
+    assert total["plain"] + total["jumped"] == 260022
+    assert total["jumps"] > 0 and total["records"] > 0
 
 
 @pytest.mark.parametrize("ns", [[], [0, 2], [2, 2], [3, 1]])

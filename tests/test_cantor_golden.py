@@ -50,6 +50,7 @@ CONFIGS = {  # name: (experiment, overrides)
     "m3_depth3": ("cantor_dim", {"m": 3, "depth": 3}),           # DepthUnreachable
     "pi_depth3": ("cantor_dim", {"omega": "pi-3", "depth": 3}),  # CapTooSmall
     "thm1_bits512": ("thm1_cover", {"precision_bits": 512}),
+    "thm1_cap1e6": ("thm1_cover", {"reflection_cap": 1000000}),
     "thm2_base2": ("thm2_cover",
                    {"polygon": {"kind": "parallelogram", "base": 2}}),
     "perp_alpha07": ("perp_orbits", {"polygon": {"alpha": "0.7"},
