@@ -36,14 +36,13 @@ as a vertex sliver.  A degenerate middle direction raises only for a beam
 that reaches it, as it would one reflection at a time.  Almost every pair
 step leaves a piece whole inside one cell; such a piece is translated in
 place, and only a piece that splits or meets a guard is cut into pieces.
-Each cell leads to one pair table, that of level n+k on its target side,
-so it keeps a link to that table once a piece has stepped through it, and
-a chain of single-cell steps follows links instead of looking tables up.
-Narrow pieces run such chains for thousands of steps, through the same
+Each plain cell holds records of the steps a piece there may take in
+place, starting with the cell's own single step.  Narrow pieces run
+chains of single-cell steps for thousands of steps, through the same
 cells again and again as in an interval exchange.  So a chain also stores
 the compositions of its steps at their first cells, doubling in length as
-a binary counter does, and a piece at a plain cell jumps along the newest
-composition stored there that holds it and stays within its budget.
+a binary counter does, and a piece at a plain cell takes the newest record
+stored there that holds it and stays within its budget.
 
 Polygon construction and transit tables handle the general multi-chord
 case: a launch table counts the chords each stabbing line crosses.  The
@@ -426,8 +425,7 @@ class _Tracer:
 
     def _store(self, key, table):
         """Cache a transit or pair table; both kinds share one bound, and
-        the eviction drops the frames and, with the pair tables, their
-        links."""
+        the eviction drops the frames too."""
         if len(self.tables) > _TABLE_CACHE_LIMIT:
             self.tables.clear()
             self.frames.clear()
@@ -566,8 +564,8 @@ class _Tracer:
 
     def _build_pair(self, n: int, side: int):
         """Pair table for section states at level ``n`` (reduced modulo
-        b_mod) resting on ``side``: (los, his, cells, links, records), the
-        cells sorted and disjoint.
+        b_mod) resting on ``side``: (los, his, cells, records), the cells
+        sorted and disjoint.
 
         Built by two single reflections of the whole domain state.  A
         cell (t, d, k, False) maps its piece [a, b] of the section to the
@@ -579,10 +577,11 @@ class _Tracer:
         reaches it raises, as stepping one reflection at a time would,
         and pieces that do not reach it step on.  The cells tile each
         first-reflection cell, so the gaps between them are the
-        first-reflection guards.  ``links[i]``, None until a piece first
-        steps through cell i, is the pair table of the section the cell
-        leads to, at level n+k on side t.  ``records[i]`` lists the
-        macro-steps learned from cell i, newest first (``trace_states``).
+        first-reflection guards.  ``records[i]`` lists the steps a piece
+        in cell i may take in place, newest first (``trace_states``): a
+        plain cell starts with its own single step (lo, hi, 1, d, k, +inf,
+        -inf, t) and learns macro-steps in front of it, while guard and
+        degenerate cells hold none.
         """
         tbl = self._table(0, n, side)
         pieces = []
@@ -600,8 +599,9 @@ class _Tracer:
                 pieces.append((d1 - hi, d1 - lo, (t1, d1, c1, True)))
         pieces.sort(key=lambda p: p[0])
         return ([p[0] for p in pieces], [p[1] for p in pieces],
-                [p[2] for p in pieces], [None] * len(pieces),
-                [[] for _ in pieces])
+                [p[2] for p in pieces],
+                [[] if mid else [(lo, hi, 1, d, k, _INF, _NEG_INF, t)]
+                 for lo, hi, (t, d, k, mid) in pieces])
 
     def _pair(self, n: int, side: int):
         """The cached pair table of level ``n`` and side ``side``."""
@@ -635,32 +635,36 @@ class _Tracer:
         maps each status name to the list of states that finished with
         it; vertex slivers are listed under "uncertain".
 
-        A piece that one plain pair cell holds is stepped in place, on to
-        the pair table the cell links to: as the only child of its step it
-        would be the next state popped anyway, so the visiting order and
-        every output list stay the same.  Pieces that split or meet a guard
-        or a degenerate middle go through ``_split``.
+        A piece that one plain pair cell holds steps in place, along the
+        first record of the cell that holds it and fits its budget.  A
+        record (blo, bhi, L, D, dn, imin, imax, end_side) says that any
+        piece [lo, hi] there with blo <= lo and hi <= bhi takes L
+        single-cell steps, which move it by D and its level by dn, keep
+        its intermediate levels in n + [imin, imax] and end on side
+        end_side.  It fits when all the intermediate states would step
+        on: their refl stays below ``reflection_cap`` and their levels
+        within ``n_cap``.  The cell's own single step has no intermediate
+        state, so it fits whenever refl < reflection_cap.  Every other
+        piece goes through ``_split``: one across cells, in a gap, on a
+        guard or a degenerate middle, or an input state already past its
+        budget.  One status rule judges the states either path makes, and
+        pushes those that step on; the one state of an in-place step is
+        the next one popped, so the visiting order and every output list
+        are those of stepping each piece through ``_split``.
 
-        A chain of single-cell steps also learns macro-steps.  A record
-        (blo, bhi, L, D, dn, imin, imax, end_pair, end_side) of a cell
-        says that any piece [lo, hi] there with blo <= lo and hi <= bhi
-        takes L single-cell steps, which move it by D and its level by dn,
-        keep its intermediate levels in n + [imin, imax] and end on side
-        end_side of the pair table end_pair.  The chain keeps its steps
+        A chain of in-place steps learns macro-steps.  It keeps its steps
         and jumps on a stack; while the entry below the newest one is no
         longer than it, the two are composed and the composite is stored
-        at the earlier entry's cell.  At a plain cell a piece jumps along
-        the first record that holds it and whose intermediate states would
-        all step on: their refl stays below ``reflection_cap`` and their
-        levels within ``n_cap``.  None of them returns, since the pair
-        table fixes n modulo b_mod (n itself when irrational): they repeat
-        the levels, or the residues, of the chain that learned the record,
-        which stepped on from each of them.  The status rule then judges
-        the state the jump ends in, as it would after the L steps.
+        at the earlier entry's cell, in front of its records.  None of the
+        states a jump passes returns, since the pair table fixes n modulo
+        b_mod (n itself when irrational): they repeat the levels, or the
+        residues, of the chain that learned the record, which stepped on
+        from each of them.  The status rule then judges the state the jump
+        ends in, as it would after the L steps.
 
-        ``counts`` adds up, over the traces that finish, the plain
-        single-cell steps, the jumps, the single-cell steps these stand
-        for and the records stored.
+        ``counts`` adds up, over the traces that finish, the single steps
+        in place, the jumps, the single steps these stand for and the
+        records stored.
         """
         stack = list(states)
         if any(st[5] & 1 for st in stack):
@@ -671,67 +675,29 @@ class _Tracer:
         b_mod = self.b_mod
         max_refl = 0
         plain = jumps = jumped = stored = 0
+        chain = []  # (records of the start cell, record) per step or jump
         while stack:
             side, lo, hi, n, disp, refl = stack.pop()
-            pair = self._pair(n, side)
-            chain = []  # (records of the start cell, record) per step or jump
-            while True:
-                los, his, cells, links, records = pair
-                i = bisect_right(los, lo) - 1
-                if i >= 0 and hi <= his[i] and not cells[i][3]:
-                    recs = records[i]
-                    for rec in recs:
-                        if (rec[0] <= lo and hi <= rec[1]
-                                and refl + 2 * rec[2] - 2 < reflection_cap
-                                and (n_cap is None or -n_cap <= n + rec[5]
-                                     and n + rec[6] <= n_cap)):
-                            _, _, L, d, k, _, _, nxt, side = rec
-                            jumps += 1
-                            jumped += L
-                            break
-                    else:
-                        side, d, k, _ = cells[i]
-                        L, nxt, rec = 1, links[i], None
+            los, his, cells, records = self._pair(n, side)
+            i = bisect_right(los, lo) - 1
+            recs = records[i] if i >= 0 and hi <= his[i] else ()
+            for rec in recs:
+                if (rec[0] <= lo and hi <= rec[1]
+                        and refl + 2 * rec[2] - 2 < reflection_cap
+                        and (n_cap is None or -n_cap <= n + rec[5]
+                             and n + rec[6] <= n_cap)):
+                    _, _, L, d, k, _, _, t = rec
+                    if L == 1:
                         plain += 1
-                    lo += d
-                    hi += d
-                    n += k
-                    disp += d
-                    refl += 2 * L
-                    if refl > max_refl:
-                        max_refl = refl
-                    # the split loop's status rule below, repeated for speed
-                    if n == 0 or (b_mod is not None and n % b_mod == 0):
-                        returned.append((side, lo, hi, n, disp, refl))
-                    elif n_cap is not None and abs(n) > n_cap:
-                        escaped.append((side, lo, hi, n, disp, refl))
-                    elif refl >= reflection_cap:
-                        active.append((side, lo, hi, n, disp, refl))
                     else:
-                        if nxt is None:
-                            nxt = links[i] = self._pair(n, side)
-                        if rec is None:
-                            rec = (los[i], his[i], 1, d, k, _INF, _NEG_INF, nxt,
-                                   side)
-                        chain.append((recs, rec))
-                        # a binary counter: the lengths double
-                        while len(chain) > 1 and chain[-2][1][2] <= L:
-                            b = chain.pop()[1]
-                            where, a = chain.pop()
-                            a_d, a_n = a[3], a[4]
-                            rec = (max(a[0], b[0] - a_d), min(a[1], b[1] - a_d),
-                                   a[2] + b[2], a_d + b[3], a_n + b[4],
-                                   min(a[5], a_n, a_n + b[5]),
-                                   max(a[6], a_n, a_n + b[6]), nxt, side)
-                            where.insert(0, rec)
-                            stored += 1
-                            chain.append((where, rec))
-                            L = rec[2]
-                        pair = nxt
-                        continue
+                        jumps += 1
+                        jumped += L
+                    arrivals = [(t, lo + d, hi + d, n + k, disp + d,
+                                 refl + 2 * L)]
                     break
-                # across cells, in a gap or on a guard or degenerate cell
-                refl2 = refl + 2
+            else:
+                rec = None
+                arrivals = []
                 for i, a, b in _split(los, his, lo, hi):
                     if i < 0:
                         uncertain.append((side, a, b, n, disp, refl))
@@ -740,21 +706,41 @@ class _Tracer:
                     if mid:
                         if mid is not True:
                             raise DegenerateDirection(*mid.args)
-                        uncertain.append((t, d - b, d - a, k - n, d - disp, refl + 1))
+                        uncertain.append((t, d - b, d - a, k - n, d - disp,
+                                          refl + 1))
                         continue
-                    n2 = n + k
-                    child = (t, a + d, b + d, n2, disp + d, refl2)
-                    if refl2 > max_refl:
-                        max_refl = refl2
-                    if n2 == 0 or (b_mod is not None and n2 % b_mod == 0):
-                        returned.append(child)
-                    elif n_cap is not None and abs(n2) > n_cap:
-                        escaped.append(child)
-                    elif refl2 >= reflection_cap:
-                        active.append(child)
-                    else:
-                        stack.append(child)
-                break
+                    arrivals.append((t, a + d, b + d, n + k, disp + d,
+                                     refl + 2))
+            for st in arrivals:
+                n, refl = st[3], st[5]
+                if refl > max_refl:
+                    max_refl = refl
+                if n == 0 or (b_mod is not None and n % b_mod == 0):
+                    dest = returned
+                elif n_cap is not None and abs(n) > n_cap:
+                    dest = escaped
+                elif refl >= reflection_cap:
+                    dest = active
+                else:
+                    dest = stack
+                dest.append(st)
+            if rec is None or dest is not stack:
+                chain.clear()
+                continue
+            chain.append((recs, rec))
+            # a binary counter: the lengths double
+            while len(chain) > 1 and chain[-2][1][2] <= L:
+                b = chain.pop()[1]
+                where, a = chain.pop()
+                a_d, a_n = a[3], a[4]
+                rec = (max(a[0], b[0] - a_d), min(a[1], b[1] - a_d),
+                       a[2] + b[2], a_d + b[3], a_n + b[4],
+                       min(a[5], a_n, a_n + b[5]),
+                       max(a[6], a_n, a_n + b[6]), b[7])
+                where.insert(0, rec)
+                stored += 1
+                chain.append((where, rec))
+                L = rec[2]
         counts = self.counts
         counts["plain"] += plain
         counts["jumps"] += jumps
@@ -893,6 +879,10 @@ def escape_sets(q: GeneralizedParallelogram, theta, ns: Sequence[int],
             (active if st[5] >= reflection_cap else stack).append(st)
 
 
+# rays per trace_states call in perpendicular_periodicity
+_PERP_BATCH = 128
+
+
 def perpendicular_periodicity(q: GeneralizedParallelogram, samples: int,
                               reflection_cap: int) -> dict:
     """Fraction of equispaced rays perpendicular to a rhombus diagonal
@@ -903,6 +893,12 @@ def perpendicular_periodicity(q: GeneralizedParallelogram, samples: int,
     (vertex-guard hits plus reflection-budget exhaustions) among other
     counters.  A handful of returned samples are re-traced from their
     return position to confirm they return again.
+
+    The rays are traced in cohorts of ``_PERP_BATCH``, one
+    ``trace_states`` call each, and the re-traces in one more call.  Each
+    ray ends as exactly one state, so the counts are list lengths, and the
+    first returns are the returned states in order of their rays' starts,
+    that is, in sample order.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -925,33 +921,31 @@ def perpendicular_periodicity(q: GeneralizedParallelogram, samples: int,
     dom_lo, dom_hi = tracer.launch_span()
     span = dom_hi - dom_lo
 
-    def trace_ray(c0: int):
-        # A one-ulp beam never splits, since cell bounds are integers: it
-        # finishes as exactly one state, whose lo is the ray's position
-        # after an even number of reflections.
+    def trace(starts):
+        # A one-ulp beam never splits, since cell bounds are integers: each
+        # ray finishes as exactly one state, and a returned state's
+        # lo - disp is its ray's start.
         out, _ = tracer.trace_states(
-            [(_LAUNCH, c0, c0 + 1, 0, 0, 0)],
+            [(_LAUNCH, c0, c0 + 1, 0, 0, 0) for c0 in starts],
             n_cap=None, reflection_cap=reflection_cap)
-        status, (st,) = next((k, v) for k, v in out.items() if v)
-        return status, st[1], st[5], st[4]
+        return out
 
     counts = {"returned": 0, "uncertain": 0, "active": 0}
     first_returns = []
-    for j in range(samples):
-        c0 = dom_lo + ((2 * j + 1) * span) // (2 * samples)
-        status, c, refl, disp = trace_ray(c0)
-        counts[status] += 1
-        if status == "returned" and len(first_returns) < 5:
-            first_returns.append((c, refl, disp))
+    for j0 in range(0, samples, _PERP_BATCH):
+        out = trace(dom_lo + ((2 * j + 1) * span) // (2 * samples)
+                    for j in range(j0, min(j0 + _PERP_BATCH, samples)))
+        for status in counts:
+            counts[status] += len(out[status])
+        if len(first_returns) < 5:
+            first_returns += sorted(out["returned"],
+                                    key=lambda st: st[1] - st[4]
+                                    )[:5 - len(first_returns)]
 
-    retrace_returned = 0
-    retrace_exact = 0
-    for c_ret, refl1, disp1 in first_returns:
-        status2, _, refl2, disp2 = trace_ray(c_ret)
-        if status2 == "returned":
-            retrace_returned += 1
-            if refl2 == refl1 and disp2 == disp1:
-                retrace_exact += 1
+    # each retrace starts where its ray returned, and must return again
+    again = {st[1] - st[4]: st
+             for st in trace(st[1] for st in first_returns)["returned"]}
+    retraced = [(st, again[st[1]]) for st in first_returns if st[1] in again]
 
     return {
         "periodic_fraction": counts["returned"] / samples,
@@ -962,7 +956,7 @@ def perpendicular_periodicity(q: GeneralizedParallelogram, samples: int,
         "vertex_uncertain": counts["uncertain"],
         "budget_exhausted": counts["active"],
         "retrace_checked": len(first_returns),
-        "retrace_returned": retrace_returned,
-        "retrace_exact": retrace_exact,
+        "retrace_returned": len(retraced),
+        "retrace_exact": sum(st[4:] == st2[4:] for st, st2 in retraced),
         "theta": tracer.theta,
     }

@@ -41,7 +41,6 @@ __all__ = [
     "separation_report",
 ]
 
-DEFAULT_GROWTH_MARGIN = 0.2
 DEFAULT_SCAN_CAP = 1 << 21          # max lattice points enumerated per level
 DEFAULT_MATERIALIZE_CAP = 1 << 19   # max intervals stored per level
 _GUARD_FLOOR = 1 << 8
@@ -365,7 +364,7 @@ class _Builder:
 
 
 def select_sequence(cf: ContinuedFractionExpansion, mu, m: int, depth: int,
-                    growth_margin: float = DEFAULT_GROWTH_MARGIN, *,
+                    growth_margin: float, *,
                     scan_cap: int = DEFAULT_SCAN_CAP,
                     materialize_cap: int = DEFAULT_MATERIALIZE_CAP,
                     ) -> CantorHierarchy:

@@ -638,7 +638,7 @@ def test_single_cell_chains_match_reflection_by_reflection(shape, bits):
     for theta in ("0.05", "0.3", "1.2"):
         tracer = _Tracer(q, theta)
         for level in (0, 2):
-            los, his, _, _, _ = tracer._build_pair(level, _LAUNCH)
+            los, his, _, _ = tracer._build_pair(level, _LAUNCH)
             for (lo, hi), width in itertools.product(zip(los, his),
                                                      (1, 1 << 20)):
                 mid = (lo + hi) // 2
@@ -656,7 +656,7 @@ def test_single_cell_chains_match_reflection_by_reflection(shape, bits):
 
 
 def _plain_pair_walk(tracer, states, n_cap, reflection_cap):
-    """Reference pair stepper without links or macro-steps: every popped
+    """Reference pair stepper without in-place steps: every popped
     state looks its pair table up and goes through ``_split``, and each
     child section state is classified on arrival."""
     out = {"returned": [], "escaped": [], "active": [], "uncertain": []}
@@ -735,7 +735,31 @@ def test_macro_steps_match_plain_pair_steps(shape, bits):
         for key, pair in tracer.tables.items():
             if len(key) == 2:  # a pair table, keyed by (n, side)
                 assert all(not key[0] + r[5] <= 0 <= key[0] + r[6]
-                           for recs in pair[4] for r in recs)
+                           for recs in pair[3] for r in recs)
+
+
+@pytest.mark.parametrize("shape", [("rhombus", "pi*(sqrt(5)-1)/4"),
+                                   ("rhombus", "pi/3"),
+                                   ("parallelogram", "1.0", 2, 1)])
+def test_over_budget_states_take_one_step(shape):
+    # Input states at refl 10, whole launch pair cells (guard cells
+    # included) and 5-ulp pieces of them, against budgets below, at and
+    # above it.  One already past its budget takes no record in place but
+    # goes through _split; each input state still takes one pair step, and
+    # the outputs equal, in order, those of plain pair steps.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        q = getattr(B, shape[0])(*shape[1:], precision_bits=64)
+    tracer, plain = _Tracer(q, "0.3"), _Tracer(q, "0.3")
+    states = [st for level in (0, 2)
+              for lo, hi in zip(*tracer._pair(level, _LAUNCH)[:2])
+              for mid in [(lo + hi) // 2]
+              for st in [(_LAUNCH, lo, hi, level, 0, 10),
+                         (_LAUNCH, mid, mid + 5, level, 0, 10)]]
+    for n_cap, cap in itertools.product((None, 1), (2, 4, 10, 12)):
+        got = tracer.trace_states(states, n_cap=n_cap, reflection_cap=cap)
+        assert got == _plain_pair_walk(plain, states, n_cap, cap), (n_cap, cap)
+        assert all(st[5] > 10 for out in got[0].values() for st in out)
 
 
 def test_degenerate_middle_table_raises_only_for_beams_that_reach_it():
@@ -966,11 +990,10 @@ def test_escape_sets_survive_table_cache_eviction(monkeypatch):
     (2, {"_build_table": 1376, "_build_pair": 506}),
     (5, {"_build_table": 470, "_build_pair": 189})])
 def test_links_do_not_outlive_cache_eviction(monkeypatch, limit, want_builds):
-    # Pair steps follow cell links instead of looking tables up.  Under a
-    # tiny cache limit the tables are evicted again and again mid-chain; a
-    # trace must rebuild exactly the tables that a tracer looking its pair
-    # table up at every step rebuilds (the counts below), so it follows no
-    # link into an evicted table.
+    # Each pair step and jump looks its next pair table up.  Under a tiny
+    # cache limit the tables are evicted again and again mid-chain, and a
+    # trace rebuilds exactly the tables that a tracer looking its pair
+    # table up at every step rebuilds (the counts below).
     q = B.rhombus("pi*(sqrt(5)-1)/4", 1, precision_bits=64)
 
     def trace():
@@ -1022,9 +1045,10 @@ def test_macro_steps_survive_cache_eviction(monkeypatch):
 
 
 def test_counts_add_up_to_the_plain_single_cell_steps(monkeypatch):
-    # On default thm1_cover the plain steps and the steps that jumps skip
-    # add up to the 260,022 single-cell pair steps of stepping without
-    # macro-steps, and a second run counts exactly the same.
+    # On each default config the plain steps and the steps that jumps skip
+    # add up to the single-cell pair steps of stepping without macro-steps,
+    # so each ray of perp_orbits is stepped exactly once, and a second run
+    # counts exactly the same.
     tracers = []
 
     class RecordingTracer(_Tracer):
@@ -1033,17 +1057,19 @@ def test_counts_add_up_to_the_plain_single_cell_steps(monkeypatch):
             tracers.append(self)
 
     monkeypatch.setattr(B, "_Tracer", RecordingTracer)
-    runs = []
-    for _ in range(2):
-        tracers.clear()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            run_experiment(ExperimentConfig.from_json_obj({}, "thm1_cover"))
-        runs.append([t.counts for t in tracers])
-    assert runs[0] == runs[1]
-    total = {k: sum(c[k] for c in runs[0]) for k in runs[0][0]}
-    assert total["plain"] + total["jumped"] == 260022
-    assert total["jumps"] > 0 and total["records"] > 0
+    for name, steps in [("thm1_cover", 260022), ("thm2_cover", 32387),
+                        ("perp_orbits", 4504)]:
+        runs = []
+        for _ in range(2):
+            tracers.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                run_experiment(ExperimentConfig.from_json_obj({}, name))
+            runs.append([t.counts for t in tracers])
+        assert runs[0] == runs[1], name
+        total = {k: sum(c[k] for c in runs[0]) for k in runs[0][0]}
+        assert total["plain"] + total["jumped"] == steps, name
+        assert total["jumps"] > 0 and total["records"] > 0, name
 
 
 @pytest.mark.parametrize("ns", [[], [0, 2], [2, 2], [3, 1]])
@@ -1129,6 +1155,96 @@ def test_perpendicular_undecided_shrinks_with_budget():
         fractions.append(res["undecided_fraction"])
     assert fractions[0] >= fractions[1] >= fractions[2]
     assert fractions[2] <= 0.05
+
+
+def _perp_per_ray(q, samples, reflection_cap):
+    """Reference perpendicular periodicity: one trace_states call per ray,
+    in sample order, and one per retrace.  Returns the result dict and
+    the retraces' starts."""
+    with mp.workprec(q.precision_bits + 48):
+        theta = (q.alpha / 2 + mp.pi / 2) % (2 * mp.pi)
+    tracer = _Tracer(q, theta)
+    tracer.require_single_chord()
+    dom_lo, dom_hi = tracer.launch_span()
+    span = dom_hi - dom_lo
+
+    def trace_ray(c0):
+        out, _ = tracer.trace_states([(_LAUNCH, c0, c0 + 1, 0, 0, 0)],
+                                     n_cap=None, reflection_cap=reflection_cap)
+        status, (st,) = next((k, v) for k, v in out.items() if v)
+        return status, st[1], st[5], st[4]
+
+    counts = {"returned": 0, "uncertain": 0, "active": 0}
+    first_returns = []
+    for j in range(samples):
+        status, c, refl, disp = trace_ray(
+            dom_lo + ((2 * j + 1) * span) // (2 * samples))
+        counts[status] += 1
+        if status == "returned" and len(first_returns) < 5:
+            first_returns.append((c, refl, disp))
+    retrace_returned = retrace_exact = 0
+    for c_ret, refl1, disp1 in first_returns:
+        status2, _, refl2, disp2 = trace_ray(c_ret)
+        if status2 == "returned":
+            retrace_returned += 1
+            retrace_exact += (refl2, disp2) == (refl1, disp1)
+    return {
+        "periodic_fraction": counts["returned"] / samples,
+        "undecided_fraction": (counts["uncertain"] + counts["active"]) / samples,
+        "samples": samples,
+        "reflection_cap": reflection_cap,
+        "returned": counts["returned"],
+        "vertex_uncertain": counts["uncertain"],
+        "budget_exhausted": counts["active"],
+        "retrace_checked": len(first_returns),
+        "retrace_returned": retrace_returned,
+        "retrace_exact": retrace_exact,
+        "theta": tracer.theta,
+    }, [c for c, _, _ in first_returns]
+
+
+@pytest.mark.parametrize("alpha, side, samples, caps", [
+    ("pi/4", 1, 2000, (100000,)),  # the perp_orbits default
+    # the budget runs out, at the cap and at its double (cap_doubling)
+    ("pi*(sqrt(5)-1)/4", 1, 2000, (500, 1000)),
+    # across batch boundaries, with a vertex-guard hit
+    ("1.0", 1, 3001, (100000,)),
+    ("0.7", 2, 2000, (3000,))])
+def test_perpendicular_cohorts_match_per_ray_traces(monkeypatch, alpha, side,
+                                                    samples, caps):
+    # The rays go in batches, one trace_states call each, and the retraces
+    # in one more call; these start where the first returns in sample
+    # order came back, as one ray at a time would pick them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        q = B.rhombus(alpha, side)
+    want = [_perp_per_ray(q, samples, cap) for cap in caps]
+    calls = []
+    trace_states = _Tracer.trace_states
+
+    def recording(self, states, **kwargs):
+        calls.append([st[1] for st in states])
+        return trace_states(self, states, **kwargs)
+
+    monkeypatch.setattr(_Tracer, "trace_states", recording)
+    for cap, (want_res, want_starts) in zip(caps, want):
+        calls.clear()
+        got = B.perpendicular_periodicity(q, samples, cap)
+        assert got == want_res, cap
+        assert got["undecided_fraction"] > 0 or alpha == "pi/4"
+        assert len(calls) == -(-samples // B._PERP_BATCH) + 1
+        assert calls[-1] == want_starts
+
+
+def test_perpendicular_cohorts_raise_on_degenerate_directions():
+    # at alpha = pi/5 a traced beam reaches a direction parallel to a side
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        q = B.rhombus("pi/5", 1)
+    with pytest.raises(DegenerateDirection):
+        B.perpendicular_periodicity(q, 2000, 40)
+    with pytest.raises(DegenerateDirection):
+        _perp_per_ray(q, 2000, 40)
 
 
 def test_perpendicular_rejects_non_rhombus():
