@@ -7,7 +7,7 @@ Subpackage map:
                  validated continued fractions
 - ``intervals``  disjoint open-interval unions on an integer grid (the
                  universal set type, with exact set algebra)
-- ``dioph``      approximation solution scans, A/B covering sets, ubiquity
+- ``dioph``      approximation solution scans, ubiquity
 - ``cantor``     nested interval hierarchies with outer-measure bookkeeping
 - ``billiard``   polygons, the beam tracer, escape sets, perpendicular orbits
 - ``dimension``  box counting, slope fits and escape-set covers
@@ -33,7 +33,6 @@ from .cantor import (
     HierarchyLevel,
     LevelInterval,
     build_hierarchy,
-    intermediate_interval_check,
     local_dimension_report,
     select_sequence,
     separation_report,
@@ -95,7 +94,6 @@ __all__ = [
     "construct_twosided_target",
     "cover_escape_sets",
     "escape_sets",
-    "intermediate_interval_check",
     "local_dimension_report",
     "parallelogram",
     "perpendicular_periodicity",

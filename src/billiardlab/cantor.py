@@ -26,8 +26,8 @@ from mpmath import mp, mpf
 from .circle import (CirclePoint, ContinuedFractionExpansion,
                      continued_fraction, eval_number, min_orbit_distance)
 from .errors import CapTooSmall, DepthUnreachable, EmptyLevel
-from .fixedpoint import (arc_hits, count_arc, count_arcs, from_fixed,
-                         index_range, power_floor, to_fixed)
+from .fixedpoint import (arc_hits, count_arcs, from_fixed, index_range,
+                         power_floor, to_fixed)
 from .intervals import IntervalUnion, _dps_for, circle_pairs, fmt
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "HierarchyLevel",
     "LevelInterval",
     "build_hierarchy",
-    "intermediate_interval_check",
     "local_dimension_report",
     "select_sequence",
     "separation_report",
@@ -525,57 +524,3 @@ def separation_report(h: CantorHierarchy) -> List[dict]:
             })
     return out
 
-
-def intermediate_interval_check(h: CantorHierarchy, lo, hi) -> dict:
-    """Audit a test interval whose length falls between two consecutive
-    level lengths: count the level-k lattice points it contains away from
-    its boundary (erosion radius one full level-k interval length) and
-    compare its length against both the (n+2)-reciprocal spacing bound
-    and the exact orbit-gap bound (r-1) * min_gap, which always holds."""
-    bits = h.precision_bits
-    scale = 1 << bits
-    with mp.workprec(bits + 16):
-        lo_m = eval_number(lo, bits)
-        hi_m = eval_number(hi, bits)
-        length = hi_m - lo_m
-        if not (0 < length < 1):
-            raise ValueError("interval length must lie in (0, 1)")
-        k_found = None
-        for lev in h.levels:
-            upper = mpf(1) if lev.k == 1 else h.nominal_length(lev.k - 1)
-            if h.nominal_length(lev.k) < length < upper:
-                k_found = lev.k
-                break
-        if k_found is None:
-            raise ValueError(
-                "interval length does not fall strictly between consecutive "
-                "level lengths")
-        lev = h.level(k_found)
-        n_abs = abs(lev.n_k)
-        erosion = mp.power(2 * n_abs, -h.mu)
-        center_fp = to_fixed((lo_m + hi_m) / 2, bits) % scale
-        half_fp = to_fixed(length / 2, bits)
-    erosion_fp = power_floor(2 * n_abs, h.mu, bits)
-    w = to_fixed(h.cf.omega.value, bits)
-    res = k_found % h.m
-    p_lo, p_hi = index_range(*sorted((lev.n_k, 2 * lev.n_k)), h.m, res)
-    g = max(_GUARD_FLOOR, 2 * n_abs + 4)
-    allow = half_fp - erosion_fp
-    r_strict = count_arc(w, scale, h.m, res, p_lo, p_hi, center_fp, allow - g)
-    r_loose = count_arc(w, scale, h.m, res, p_lo, p_hi, center_fp, allow + g)
-    with mp.workprec(bits + 16):
-        orbit_min = min_orbit_distance(h.cf, n_abs)
-        claimed_bound = mpf(r_strict - 1) / (n_abs + 2)
-        true_bound = (r_strict - 1) * orbit_min
-        return {
-            "k": k_found,
-            "n_k": lev.n_k,
-            "r": r_strict,
-            "r_loose": r_loose,
-            "length": length,
-            "erosion_radius": erosion,
-            "claimed_bound": claimed_bound,
-            "claimed_ok": bool(length >= claimed_bound),
-            "true_bound": true_bound,
-            "true_ok": bool(length >= true_bound),
-        }

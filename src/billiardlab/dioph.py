@@ -1,6 +1,6 @@
 """Inhomogeneous approximation machinery: exact solution enumeration for
-||t + p*omega|| below power thresholds, finite-depth truncations of the
-A/B covering sets, and the ubiquity deficiency functional.
+||t + p*omega|| below power thresholds and the ubiquity deficiency
+functional.
 
 Solutions are enumerated in exact integer arithmetic at any p_max: in each
 block of indices of one bit length, the hitting-time kernel first_hit
@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 from mpmath import mp, mpf
 
 from .circle import CirclePoint, detect_rational_angle
-from .errors import CapTooSmall, OrbitPoint, RationalRotation
+from .errors import OrbitPoint, RationalRotation
 from .fixedpoint import arc_hits, index_range, power_floor, to_fixed
 from .intervals import IntervalUnion, circle_pairs
 
@@ -94,9 +94,10 @@ def approx_solutions(t: CirclePoint, omega: CirclePoint, mu: float, m: int,
     ||t + p*omega|| < |p|^(-mu), sorted by |p|.
 
     The threshold exponent mu may be any real >= 2^-19, the input range
-    the scan is validated over (the covering-set constructions use mu > 1;
-    the billiard schedules use mu < 1).  The scan's soundness holds for
-    any mu > 0, so the range can be widened as a declared input change.
+    the scan is validated over (the sets W(omega, mu) of the dimension
+    side use mu > 1; the billiard schedules use mu < 1).  The scan's
+    soundness holds for any mu > 0, so the range can be widened as a
+    declared input change.
     """
     if not mu >= 2 ** -19:
         raise ValueError(f"mu must be >= 2^-19, got {mu}")
@@ -163,75 +164,6 @@ def minkowski_solutions(t: CirclePoint, omega: CirclePoint,
         raise OrbitPoint(f"t + {nearest}*omega is within 2^-{bits // 2} of 0: "
                          "t lies on the rotation orbit at working precision")
     return out
-
-
-def _layered(mu: float, m: int, l: int, k: int, p_cap: int, bits: int,
-             arcs: Callable[[int, int, mpf], Iterable[Tuple[int, int]]],
-             ) -> IntervalUnion:
-    """The layer intersection of a_set_depth and b_set_depth, with the
-    arcs of each admissible p given as grid pairs by arcs(sign, |p|, mu)
-    at working precision bits + 32.  Each arc is rounded outward (the
-    floor of its center; power_floor of its half-width, which is at least
-    the floor less one, plus 2 ulps), so it contains its real arc up to
-    power_floor's sub-ulp rounding."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if not (0 <= l < m) or k < 1:
-        raise ValueError("need 0 <= l < m and k >= 1")
-    if p_cap < k * m:
-        raise CapTooSmall(f"p_cap={p_cap} below k*m={k * m}")
-    result: Optional[IntervalUnion] = None
-    with mp.workprec(bits + 32):
-        mu_m = mpf(mu)
-        for j in range(1, k + 1):
-            for sign in (1, -1):
-                # |p| in [j*m, p_cap] with sign*|p| = l (mod m)
-                res = l * sign % m
-                i_lo, i_hi = index_range(j * m, p_cap, m, res)
-                pairs: List[Tuple[int, int]] = []
-                for i in range(i_lo, i_hi + 1):
-                    pairs.extend(arcs(sign, m * i + res, mu_m))
-                layer = IntervalUnion.make(pairs, bits)
-                result = layer if result is None else result.intersect(layer)
-    return result
-
-
-def a_set_depth(omega: CirclePoint, mu: float, m: int, l: int, k: int,
-                p_cap: int) -> IntervalUnion:
-    """Depth-k truncation of the inhomogeneous covering set over the
-    rotation orbit: the intersection over layer indices |j| = 1..k (each
-    sign separately) of the union over admissible p — sign(p) = sign(j),
-    |j|*m <= |p| <= p_cap, p = l (mod m) — of the intervals
-    (p*omega - 1/(2|p|^mu), p*omega + 1/(2|p|^mu)) on the circle.
-
-    The full (infinite-cap) set has finite total length only for mu > 1;
-    the finite truncation is well defined for any positive mu."""
-    bits = omega.precision_bits
-
-    def arcs(sign: int, p_abs: int, mu_m: mpf):
-        half = power_floor(p_abs, mu_m, bits - 1) + 2
-        return circle_pairs(to_fixed(sign * p_abs * omega.value, bits),
-                            half, bits)
-
-    return _layered(mu, m, l, k, p_cap, bits, arcs)
-
-
-def b_set_depth(t: CirclePoint, mu: float, m: int, l: int, k: int,
-                p_cap: int) -> IntervalUnion:
-    """Depth-k truncation of the denominator-side covering set: for each
-    admissible p (same layer convention as a_set_depth), |p| intervals
-    centered at (t+i)/p for i = 0..|p|-1 with radius 1/(2|p|^(mu+1));
-    layers intersected.  As with a_set_depth, any positive mu is accepted
-    for the finite truncation."""
-    bits = t.precision_bits
-
-    def arcs(sign: int, p_abs: int, mu_m: mpf):
-        half = power_floor(p_abs, mu_m + 1, bits - 1) + 2
-        for i in range(p_abs):
-            yield from circle_pairs(
-                to_fixed((t.value + i) / (sign * p_abs), bits), half, bits)
-
-    return _layered(mu, m, l, k, p_cap, bits, arcs)
 
 
 def ubiquity_rho(m: int, l: int, N: int, K: float, eps: float,

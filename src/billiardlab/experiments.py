@@ -267,8 +267,10 @@ class ExperimentConfig:
         self._options = dict(options)
 
     def __getattr__(self, name: str) -> Any:
+        # Through __dict__: copy and pickle build a blank instance and probe
+        # it before _options is set, and self._options would recurse there.
         try:
-            return self._options[name]
+            return self.__dict__["_options"][name]
         except KeyError:
             raise AttributeError(name) from None
 
@@ -407,7 +409,7 @@ def _collect_warnings(records, notes: List[str]) -> None:
 
 def _deltadio_schedule(t: CirclePoint, omega: CirclePoint, delta: float,
                        p_max: int, sign: int, steps: int,
-                       shrink: float = 0.5) -> List[int]:
+                       shrink: float) -> List[int]:
     """Indices N with ||t + sign*N*omega|| < N^-(1-delta), distance-sparsified.
 
     The inequality is vacuous while N^-(1-delta) >= 1/2 (no circle distance

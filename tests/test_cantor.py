@@ -11,7 +11,6 @@ from mpmath import mp, mpf
 from billiardlab import cantor
 from billiardlab.cantor import (DEFAULT_MATERIALIZE_CAP, DEFAULT_SCAN_CAP,
                                 LevelInterval, _Builder, build_hierarchy,
-                                intermediate_interval_check,
                                 local_dimension_report, select_sequence,
                                 separation_report)
 from billiardlab.circle import CirclePoint, continued_fraction
@@ -473,53 +472,16 @@ def test_separation_report_flags_reciprocal_bound(golden_h3):
             assert row["measured_min_distance"] >= row["orbit_min_distance"]
 
 
-def test_intermediate_interval_audit(golden_h3):
-    h = golden_h3
-    bits = h.precision_bits
-    with mp.workprec(bits + 32):
-        om = h.cf.omega.value
-        pts = sorted((j * om) % 1 for j in range(1597, 3195))
-        gaps = sorted((b - a, a, b) for a, b in zip(pts, pts[1:])
-                      if mpf("0.01") < a and b < mpf("0.99"))
-        g_min, a_min, b_min = gaps[0]
-        g_max, a_max, b_max = gaps[-1]
-        pad = g_min / 10
-
-        tight = intermediate_interval_check(h, a_min - pad, b_min + pad)
-        assert tight["k"] == 3 and tight["r"] == 2 == tight["r_loose"]
-        # two points closer than 1/(|n_3|+2): the reciprocal spacing
-        # claim fails on this interval while the orbit-gap bound holds
-        assert not tight["claimed_ok"]
-        assert tight["true_ok"]
-        assert tight["length"] >= tight["true_bound"]
-
-        wide = intermediate_interval_check(h, a_max - pad, b_max + pad)
-        assert wide["k"] == 3 and wide["r"] == 2 == wide["r_loose"]
-        assert wide["claimed_ok"]
-        assert wide["true_ok"]
-
-
-def test_intermediate_interval_audit_window_errors(golden_h3):
-    with pytest.raises(ValueError):
-        intermediate_interval_check(golden_h3, 0, 1)       # length not in (0,1)
-    with pytest.raises(ValueError):
-        intermediate_interval_check(golden_h3, "0.5", "0.5625")  # length 1/16
-    with pytest.raises(ValueError):
-        intermediate_interval_check(golden_h3, "0.5", "0.500000001")
-
-
 def test_reports_read_the_hierarchy_expansion(golden_h3, monkeypatch):
     # The hierarchy keeps the continued fraction it was built from, so the
-    # reports expand omega no second time.
+    # separation report expands omega no second time.
     sep = separation_report(golden_h3)
-    audit = intermediate_interval_check(golden_h3, "0.5", "0.5001")
 
     def no_expansion(*args, **kwargs):
         raise AssertionError("continued_fraction called by a report")
 
     monkeypatch.setattr(cantor, "continued_fraction", no_expansion)
     assert separation_report(golden_h3) == sep
-    assert intermediate_interval_check(golden_h3, "0.5", "0.5001") == audit
 
 
 def test_box_dimension_consistency(golden_h3):

@@ -7,12 +7,10 @@ classes, and the scan cap; the others reach a finer ``thm1_cover`` grid,
 a ``thm2_cover`` parallelogram, ``perp_orbits`` on an irrational rhombus,
 and the family subtraction of ``ubiquity`` with its failing verdict.
 
-The same file holds digests of library outputs that no report shows:
+The same file holds digests of a library output that no report shows:
 every transit table (or the exception its build raises) of five polygons,
 two of them non-convex staircases, at four directions, both parities,
-levels -3..3 and every source side; and the covering sets of
-``a_set_depth`` and ``b_set_depth`` and the dicts of
-``intermediate_interval_check`` at small caps.
+levels -3..3 and every source side.
 
     PYTHONPATH=src python tests/test_cantor_golden.py --regen
 
@@ -31,9 +29,6 @@ import pytest
 from mpmath import mpf
 
 from billiardlab.billiard import _LAUNCH, _Tracer, parallelogram, rhombus
-from billiardlab.cantor import build_hierarchy, intermediate_interval_check
-from billiardlab.circle import CirclePoint
-from billiardlab.dioph import a_set_depth, b_set_depth
 from billiardlab.errors import DegenerateDirection
 from billiardlab.experiments import ExperimentConfig, run_experiment, write_report
 from billiardlab.fixedpoint import mpf_to_fraction
@@ -71,17 +66,6 @@ POLYGONS = {  # name: polygon factory
 THETAS = ("0.3", "1.3", "2.2", "4.0")
 TABLES = {f"tables_{poly}_{theta}": (poly, theta)
           for poly in POLYGONS for theta in THETAS}
-
-GOLDEN_OMEGA = "(sqrt(5)-1)/2"
-SETS = {  # name: (function, arguments after the circle point)
-    "a_set_golden_m2": (a_set_depth, (2.0, 2, 1, 3, 200)),
-    "a_set_golden_mu3_m3": (a_set_depth, (3.0, 3, 2, 1, 150)),
-    "b_set_golden_m2": (b_set_depth, (2.0, 2, 1, 2, 40)),
-    "b_set_golden_mu1_m1": (b_set_depth, (1.0, 1, 0, 2, 25)),
-}
-INTERMEDIATE = [("0.3", "0.3001"), ("0.61", "0.6104"), ("0.1", "0.15"),
-                ("0.05", "0.28")]
-
 
 def outcome(name: str) -> dict:
     """The config, and the digest of each report it writes or the
@@ -130,24 +114,6 @@ def table_outcome(poly: str, theta: str) -> dict:
     return dict(counts, digest=digest.hexdigest())
 
 
-def sets_outcome() -> dict:
-    """Digests of ``a_set_depth``/``b_set_depth`` unions and of the
-    ``intermediate_interval_check`` dicts on a three-level hierarchy."""
-    omega = CirclePoint.make(GOLDEN_OMEGA, 192)
-    out = {}
-    for name, (fn, args) in SETS.items():
-        u = fn(omega, *args)
-        out[name] = hashlib.sha256(json.dumps(
-            [u.precision_bits, list(u)]).encode()).hexdigest()
-    h = build_hierarchy(omega, 2, 1, [1, -2, 1597])
-    for lo, hi in INTERMEDIATE:
-        record = intermediate_interval_check(h, lo, hi)
-        out[f"intermediate_{lo}_{hi}"] = hashlib.sha256(json.dumps(
-            {k: _exact(v) for k, v in record.items()},
-            sort_keys=True).encode()).hexdigest()
-    return out
-
-
 def _matches_golden(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -170,11 +136,6 @@ def test_transit_tables_match_golden(name):
     assert table_outcome(*TABLES[name]) == golden[name]
 
 
-def test_covering_sets_match_golden():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert sets_outcome() == golden["sets"]
-
-
 def _regen() -> None:
     table = {}
     for name in sorted(CONFIGS):
@@ -183,7 +144,6 @@ def _regen() -> None:
             table[name] = outcome(name)
     for name, (poly, theta) in TABLES.items():
         table[name] = table_outcome(poly, theta)
-    table["sets"] = sets_outcome()
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")
     print(f"wrote {len(table)} outcomes to {GOLDEN}")

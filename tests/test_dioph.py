@@ -1,5 +1,5 @@
-"""Approximation scans against brute-force oracles, covering-set
-truncations, and the ubiquity deficiency functional."""
+"""Approximation scans against brute-force oracles and the ubiquity
+deficiency functional."""
 
 import warnings
 from fractions import Fraction
@@ -12,16 +12,13 @@ from billiardlab.circle import CirclePoint
 from billiardlab.dioph import (
     _candidates,
     _exact_distance,
-    a_set_depth,
     approx_solutions,
-    b_set_depth,
     minkowski_solutions,
     ubiquity_deficiency,
     ubiquity_rho,
 )
-from billiardlab.errors import CapTooSmall, OrbitPoint, RationalRotation
-from billiardlab.fixedpoint import (from_fixed, mpf_to_fraction, power_floor,
-                                   to_fixed)
+from billiardlab.errors import OrbitPoint, RationalRotation
+from billiardlab.fixedpoint import mpf_to_fraction, power_floor, to_fixed
 from billiardlab.intervals import circle_pairs
 
 GOLDEN = "(sqrt(5)-1)/2"
@@ -229,72 +226,7 @@ def test_minkowski_orbit_point_beyond_quarter_threshold():
         minkowski_solutions(t, g, p0)
 
 
-# -- covering sets -----------------------------------------------------------
-
-
-def test_a_set_depth_one_bound_and_construction():
-    g = CirclePoint.make(GOLDEN)
-    u = a_set_depth(g, 2.0, 1, 0, 1, 100)
-    # p = 1 contributes a half-width-1/2 interval, so depth 1 is everything
-    assert float(u.total_length) == pytest.approx(1.0)
-    with mp.workprec(80):
-        bound = 2 * sum(mpf(p) ** -2 for p in range(1, 101))
-        assert u.total_length <= bound
-
-
-def test_a_set_depth_nesting_and_monotone_length():
-    g = CirclePoint.make(GOLDEN)
-    sets = [a_set_depth(g, 2.0, 2, 1, k, 200) for k in (1, 2, 3)]
-    assert sets[1].is_subset_of(sets[0])
-    assert sets[2].is_subset_of(sets[1])
-    lens = [s.total_length for s in sets]
-    assert lens[0] >= lens[1] >= lens[2]
-
-
-def test_a_set_sample_points_admit_witnesses():
-    g = CirclePoint.make(GOLDEN)
-    k, m, l, cap = 2, 2, 1, 200
-    u = a_set_depth(g, 2.0, m, l, k, cap)
-    bits = 256
-    for lo, hi in u.intervals[:8]:
-        x = from_fixed(lo + hi, bits + 1)
-        # each layer j needs a witness p with ||x - p*omega|| < 1/(2|p|^mu)
-        for j in range(1, k + 1):
-            for sign in ("+", "-"):
-                sols = approx_solutions(CirclePoint(-x, bits), g, 2.0, m, l, cap, sign)
-                good = [s for s in sols if abs(s.p) >= j * m
-                        and s.distance < mpf(1) / (2 * mpf(abs(s.p)) ** 2)]
-                assert good, f"no witness at layer {j}{sign} for sample {float(x)}"
-
-
-def test_a_set_cap_guard():
-    g = CirclePoint.make(GOLDEN)
-    with pytest.raises(CapTooSmall):
-        a_set_depth(g, 2.0, 3, 1, 4, 11)
-
-
-def test_b_set_single_p_layer_geometry():
-    # m = 2, l = 0, cap = 2 isolates p = +/-2; t = 0 makes both layers the
-    # intervals centered at 0 and 1/2 with radius 1/8 (mu = 1).
-    u = b_set_depth(CirclePoint.make(0), 1.0, 2, 0, 1, 2)
-    assert float(u.total_length) == pytest.approx(0.5)
-    for x, inside in ((0.05, True), (0.45, True), (0.95, True), (0.25, False)):
-        assert u.contains_point(to_fixed(x, 256)) == inside
-
-
-def test_b_set_total_length_bound():
-    t = CirclePoint.make("1/pi")
-    u = b_set_depth(t, 2.0, 2, 1, 1, 30)
-    with mp.workprec(80):
-        bound = 2 * sum(mpf(p) ** -2 for p in range(1, 31))
-        assert u.total_length <= bound
-
-
-def test_b_set_depth_nesting():
-    t = CirclePoint.make("1/pi")
-    u1 = b_set_depth(t, 2.0, 2, 1, 1, 60)
-    u2 = b_set_depth(t, 2.0, 2, 1, 2, 60)
-    assert u2.is_subset_of(u1)
+# -- ubiquity ----------------------------------------------------------------
 
 
 def grid_arcs(monkeypatch, build, *args):
@@ -311,32 +243,6 @@ def grid_arcs(monkeypatch, build, *args):
     return calls
 
 
-def encloses(outer, inner, bits):
-    """Grid arc (center, half) against a real arc (center, half) in mpf:
-    True when the grid arc contains the real one, exactly."""
-    (c, h), (rc, rh) = outer, map(mpf_to_fraction, inner)
-    return (Fraction(c - h, 1 << bits) <= rc - rh
-            and Fraction(c + h, 1 << bits) >= rc + rh)
-
-
-@pytest.mark.parametrize("mu", [1.0, 2.0, 3.5])
-def test_a_and_b_arcs_contain_their_real_arcs(monkeypatch, mu):
-    bits, p_cap = 256, 12
-    g, t = CirclePoint.make(GOLDEN), CirclePoint.make("1/pi")
-    a_arcs = grid_arcs(monkeypatch, a_set_depth, g, mu, 1, 0, 1, p_cap)
-    b_arcs = grid_arcs(monkeypatch, b_set_depth, t, mu, 1, 0, 1, p_cap)
-    real_a, real_b = [], []
-    with mp.workprec(bits + 32):
-        for s in (1, -1):
-            for p in range(1, p_cap + 1):
-                real_a.append((s * p * g.value, 1 / (2 * mpf(p) ** mpf(mu))))
-                half = 1 / (2 * mpf(p) ** (mpf(mu) + 1))
-                real_b += [((t.value + i) / (s * p), half) for i in range(p)]
-    assert len(a_arcs) == len(real_a) and len(b_arcs) == len(real_b)
-    for grid, real in zip(a_arcs + b_arcs, real_a + real_b):
-        assert encloses(grid, real, bits), (grid, real)
-
-
 def test_ubiquity_arcs_lie_inside_their_real_arcs(monkeypatch):
     bits, m, l, N, K, eps = 256, 2, 1, 3, 0.01, 0.05
     g = CirclePoint.make(GOLDEN)
@@ -350,9 +256,6 @@ def test_ubiquity_arcs_lie_inside_their_real_arcs(monkeypatch):
         rc, rh = mpf_to_fraction(rc), mpf_to_fraction(rh)
         assert rc - rh <= Fraction(c - h, 1 << bits)
         assert Fraction(c + h, 1 << bits) <= rc + rh
-
-
-# -- ubiquity ----------------------------------------------------------------
 
 
 def test_ubiquity_degenerate_single_point():

@@ -2,7 +2,10 @@
 overrides, the two-sided target construction, escape-cover schedules, the
 seven runners, deterministic report files, and process exit codes."""
 
+import copy
+import dataclasses
 import json
+import pickle
 import warnings
 from pathlib import Path
 
@@ -175,6 +178,21 @@ def test_to_json_obj_round_trips_and_copies():
     assert cfg.n_values == [10, 20, 40]
 
 
+def test_configs_and_reports_copy_and_pickle():
+    # copy and pickle probe a blank instance before its options are set.
+    cfg = make_cfg("ubiquity", n_values=[10, 20, 40])
+    obj = cfg.to_json_obj()
+    for twin in (copy.copy(cfg), copy.deepcopy(cfg),
+                 pickle.loads(pickle.dumps(cfg))):
+        assert twin.to_json_obj() == obj
+        assert twin.n_values == [10, 20, 40]
+    report = RunReport(experiment="ubiquity", violations=[], notes=["n"],
+                       tables={}, data={"x": 1}, config=cfg)
+    assert dataclasses.asdict(report)["config"].to_json_obj() == obj
+    again = pickle.loads(pickle.dumps(report))
+    assert again.config.to_json_obj() == obj and again.data == {"x": 1}
+
+
 # ---------------------------------------------------------------------------
 # command-line overrides
 # ---------------------------------------------------------------------------
@@ -284,8 +302,10 @@ def schedule_inputs():
 
 def test_schedule_frozen_for_golden_rhombus():
     t_up, t_down, om = schedule_inputs()
-    assert _deltadio_schedule(t_up, om, 0.1, 4096, +1, 3) == [3, 16, 50]
-    assert _deltadio_schedule(t_down, om, 0.1, 4096, -1, 3) == [3, 11, 66]
+    assert (_deltadio_schedule(t_up, om, 0.1, 4096, +1, 3, shrink=0.5)
+            == [3, 16, 50])
+    assert (_deltadio_schedule(t_down, om, 0.1, 4096, -1, 3, shrink=0.5)
+            == [3, 11, 66])
 
 
 def test_schedule_skips_levels_with_vacuous_bounds():
@@ -293,7 +313,7 @@ def test_schedule_skips_levels_with_vacuous_bounds():
     # circle point, so levels p <= 2^(1/(1-delta)) carry no information.
     t_up, t_down, om = schedule_inputs()
     for t, sign in ((t_up, +1), (t_down, -1)):
-        ns = _deltadio_schedule(t, om, 0.1, 4096, sign, 3)
+        ns = _deltadio_schedule(t, om, 0.1, 4096, sign, 3, shrink=0.5)
         assert all(n > 2.0 ** (1.0 / 0.9) for n in ns)
 
 
@@ -323,13 +343,14 @@ def test_schedule_shrink_test_is_exact(monkeypatch):
     monkeypatch.setattr(experiments, "approx_solutions",
                         lambda *args: sols)
     t_up, _, om = schedule_inputs()
-    assert _deltadio_schedule(t_up, om, 0.1, 4096, +1, 3) == [10, 20]
+    assert (_deltadio_schedule(t_up, om, 0.1, 4096, +1, 3, shrink=0.5)
+            == [10, 20])
 
 
 def test_schedule_not_found_when_cap_too_small():
     t_up, _, om = schedule_inputs()
     with pytest.raises(ScheduleNotFound):
-        _deltadio_schedule(t_up, om, 0.1, 2, +1, 3)
+        _deltadio_schedule(t_up, om, 0.1, 2, +1, 3, shrink=0.5)
 
 
 def test_schedule_not_found_when_delta_near_one():
@@ -337,7 +358,7 @@ def test_schedule_not_found_when_delta_near_one():
     # every level (and 2^(1/(1-delta)) would overflow a float).
     t_up, _, om = schedule_inputs()
     with pytest.raises(ScheduleNotFound):
-        _deltadio_schedule(t_up, om, 0.9995, 4096, +1, 3)
+        _deltadio_schedule(t_up, om, 0.9995, 4096, +1, 3, shrink=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Package-level guards: the public exports exist, no library module
 hands a string to ``eval`` or ``exec``, none sets the global mpmath
-precision (reports must not depend on the ambient context), and the
-``lab`` runtime does not load numpy."""
+precision (reports must not depend on the ambient context), the
+``lab`` runtime does not load numpy, and the bench tracer still finds
+the library names it wraps."""
 
 import ast
 import os
@@ -51,6 +52,30 @@ def test_lab_runtime_does_not_import_numpy():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_bench_tracer_installs_on_the_library():
+    # bench/tracing.py wraps IntervalUnion's set operations by name, so a
+    # deletion of one of them breaks traced bench passes.  The tracer
+    # patches the library globally, hence the subprocess; it loads the
+    # file by path and writes no bytecode next to it.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    probe = (
+        "import importlib.util\n"
+        f"spec = importlib.util.spec_from_file_location('bench_tracing', "
+        f"{str(root / 'bench' / 'tracing.py')!r})\n"
+        "tracing = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracing)\n"
+        "tracing.install(tracing.Recorder('t'))\n"
+        "from billiardlab.intervals import IntervalUnion\n"
+        "print(all(hasattr(getattr(IntervalUnion, op), '__wrapped__')\n"
+        "          for op in ('intersect', 'complement')))\n")
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "True"
 
 
 def test_pytest_refuses_a_pythonpath_tree_it_does_not_import(tmp_path):
