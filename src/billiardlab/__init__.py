@@ -37,7 +37,6 @@ from .cantor import (
     select_sequence,
     separation_report,
 )
-from .dimension import cover_escape_sets
 from .errors import (
     BilliardLabError,
     CapTooSmall,
@@ -92,7 +91,6 @@ __all__ = [
     "build_hierarchy",
     "build_polygon",
     "construct_twosided_target",
-    "cover_escape_sets",
     "escape_sets",
     "local_dimension_report",
     "parallelogram",

@@ -107,19 +107,6 @@ class GeneralizedParallelogram:
         return self.vertices[i], self.vertices[(i + 1) % len(self.vertices)]
 
     @property
-    def is_convex(self) -> bool:
-        vs = self.vertices
-        m = len(vs)
-        with mp.workprec(self.precision_bits + 16):
-            for i in range(m):
-                ax, ay = vs[i]
-                bx, by = vs[(i + 1) % m]
-                cx, cy = vs[(i + 2) % m]
-                if (bx - ax) * (cy - by) - (by - ay) * (cx - bx) < 0:
-                    return False
-        return True
-
-    @property
     def return_modulus(self) -> Optional[int]:
         """Smallest q > 0 with 2*q*alpha a multiple of 2*pi, None if irrational.
 
@@ -792,24 +779,13 @@ class EscapeReport:
     part of the level-+-N section through which every escaping beam must
     pass, so total_length(F_N) <= gate_width.  ``uncertain`` collects the
     vertex-guard slivers plus any budget-stopped remnants (their mass is
-    excluded from both the returned and escaped tallies).  ``f_n_upper``
-    complements the returned set inside the cohort: it contains F_N even
-    when the reflection budget ran out.
+    excluded from both the returned and escaped tallies).
     """
 
     N: int
     j_N: int
     gate_width: mpf
-    cohort_width: mpf
-    u_width: mpf
-    r_width: mpf
-    d_width: mpf
-    returned: IntervalUnion
-    f_n_upper: IntervalUnion
-    active: IntervalUnion
     uncertain: IntervalUnion
-    budget_exhausted: bool
-    max_reflections: int
 
 
 def escape_sets(q: GeneralizedParallelogram, theta, ns: Sequence[int],
@@ -835,41 +811,25 @@ def escape_sets(q: GeneralizedParallelogram, theta, ns: Sequence[int],
     if variant not in ("down", "up"):
         raise ValueError("variant must be 'down' or 'up'")
     tracer = _Tracer(q, theta)
-    (u_states, r_states, d_states), part_slivers = tracer.partition_states()
-    u_union = tracer.source_union(u_states)
-    r_union = tracer.source_union(r_states)
-    d_union = tracer.source_union(d_states)
+    (u_states, _, d_states), slivers = tracer.partition_states()
     stack = d_states if variant == "down" else u_states
-    cohort_union = d_union if variant == "down" else u_union
 
-    returned, active, slivers = [], [], list(part_slivers)
-    max_refl = 0
+    n_returned, active = 0, []
     for N in ns:
-        out, refl = tracer.trace_states(stack, n_cap=N,
-                                        reflection_cap=reflection_cap)
-        returned += out["returned"]
+        out, _ = tracer.trace_states(stack, n_cap=N,
+                                     reflection_cap=reflection_cap)
+        n_returned += len(out["returned"])
         active += out["active"]
         slivers += out["uncertain"]
-        max_refl = max(max_refl, refl)
-
-        f_n = tracer.source_union(out["escaped"])
-        returned_u = tracer.source_union(returned)
-        active_u = tracer.source_union(active)
         # the gate: the departing part of the level -+N section, split by
         # the same tracer (and tables) the cohort was traced with
         (g_u, _, g_d), _ = tracer.partition_states(-N if variant == "down" else N)
         gate_width = tracer.source_union(
             g_d if variant == "down" else g_u).total_length
-        yield f_n, EscapeReport(
-            N=N, j_N=len(returned) + len(out["escaped"]) + len(active),
+        yield tracer.source_union(out["escaped"]), EscapeReport(
+            N=N, j_N=n_returned + len(out["escaped"]) + len(active),
             gate_width=gate_width,
-            cohort_width=cohort_union.total_length,
-            u_width=u_union.total_length, r_width=r_union.total_length,
-            d_width=d_union.total_length,
-            returned=returned_u, f_n_upper=cohort_union.subtract(returned_u),
-            active=active_u,
-            uncertain=tracer.source_union(slivers).union(active_u),
-            budget_exhausted=bool(active), max_reflections=max_refl)
+            uncertain=tracer.source_union(slivers + active))
 
         # An escaped state sits at level -+(N+1), inside every later cap,
         # where a single deeper trace would have gone on from it: to the

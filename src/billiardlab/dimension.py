@@ -9,11 +9,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
-from .billiard import escape_sets
 from .errors import InsufficientScales
 from .fixedpoint import from_fixed, mpf_to_fraction
 from .intervals import IntervalUnion
@@ -145,52 +144,30 @@ def average_length_cover(lengths: Sequence, budget_length) -> AverageCoverReport
                               piece_length=piece, pieces_per_interval=per)
 
 
-@dataclass(frozen=True)
-class EscapeCoverRecord:
-    """The average-length cover of one escape set F_N.  The cover is
-    geometry and does not depend on the exponent; :meth:`hs_sum` gives its
-    H^s covering sum for any s."""
-
-    N: int
-    count: int
-    piece_length: mpf
-    gate_width: mpf
-    escape_length: mpf
-    uncertain: IntervalUnion
-
-    @property
-    def uncertain_length(self) -> mpf:
-        return self.uncertain.total_length
-
-    def hs_sum(self, s: float) -> mpf:
-        """count * piece_length^s, plus every unresolved (vertex-uncertain)
-        source interval at its own length, keeping the result an honest
-        upper bound for what was resolved."""
-        if not (0 < s <= 1):
-            raise ValueError("s must lie in (0, 1]")
-        bits = self.uncertain.precision_bits
-        with mp.workprec(bits + 16):
-            unc = mpf(0)
-            for lo, hi in self.uncertain:
-                unc += from_fixed(hi - lo, bits) ** mpf(s)
-            return self.count * self.piece_length ** mpf(s) + unc
+def escape_cover(f_n: IntervalUnion, gate_width) -> Tuple[int, mpf]:
+    """(count, piece_length) of the average-length cover of the escape set
+    F_N: its j intervals by pieces of length max(gate_width, |F_N|) / j.
+    (0, 0) when F_N is empty."""
+    # mpf() rounds each exact length to the ambient 53 bits, which the
+    # report digests still depend on (ROADMAP item 4).
+    lengths = [mpf(from_fixed(hi - lo, f_n.precision_bits)) for lo, hi in f_n]
+    if not lengths:
+        return 0, mpf(0)
+    with mp.workprec(f_n.precision_bits + 16):
+        cover = average_length_cover(lengths, max(gate_width, sum(lengths)))
+    return cover.count, cover.piece_length
 
 
-def cover_escape_sets(q, theta, ns: Sequence[int], reflection_cap: int,
-                      variant: str = "down") -> Iterator[EscapeCoverRecord]:
-    """For each N of the strictly increasing ``ns``, compute F_N and cover
-    it with average-exiting-length pieces of the gate width."""
-    for f_n, report in escape_sets(q, theta, ns, reflection_cap, variant):
-        gate = report.gate_width
-        # mpf() rounds each exact length to the ambient 53 bits, which the
-        # report digests still depend on (ROADMAP item 4).
-        lengths = [mpf(from_fixed(hi - lo, f_n.precision_bits))
-                   for lo, hi in f_n]
-        count, piece = 0, mpf(0)
-        if lengths:
-            with mp.workprec(f_n.precision_bits + 16):
-                cover = average_length_cover(lengths, max(gate, sum(lengths)))
-            count, piece = cover.count, cover.piece_length
-        yield EscapeCoverRecord(
-            N=report.N, count=count, piece_length=piece, gate_width=gate,
-            escape_length=f_n.total_length, uncertain=report.uncertain)
+def hs_sum(count: int, piece_length: mpf, uncertain: IntervalUnion,
+           s: float) -> mpf:
+    """The H^s covering sum count * piece_length^s, plus every unresolved
+    (vertex-uncertain) source interval at its own length, keeping the
+    result an honest upper bound for what was resolved."""
+    if not (0 < s <= 1):
+        raise ValueError("s must lie in (0, 1]")
+    bits = uncertain.precision_bits
+    with mp.workprec(bits + 16):
+        unc = mpf(0)
+        for lo, hi in uncertain:
+            unc += from_fixed(hi - lo, bits) ** mpf(s)
+        return count * piece_length ** mpf(s) + unc

@@ -23,12 +23,13 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from mpmath import mp, mpf
 
 from . import __version__
-from .billiard import build_polygon, perpendicular_periodicity, rhombus
+from .billiard import (build_polygon, escape_sets, perpendicular_periodicity,
+                       rhombus)
 from .cantor import (DEFAULT_MATERIALIZE_CAP, DEFAULT_SCAN_CAP,
                      local_dimension_report, select_sequence, separation_report)
 from .circle import (CirclePoint, angle_point, continued_fraction,
                      detect_rational_angle, eval_number, three_distance_gap)
-from .dimension import EscapeCoverRecord, average_length_cover, cover_escape_sets
+from .dimension import average_length_cover, escape_cover, hs_sum
 from .dioph import approx_solutions, minkowski_solutions, ubiquity_deficiency, ubiquity_rho
 from .errors import ConfigError, ScheduleNotFound
 from .fixedpoint import mpf_to_fraction, power_floor, to_fixed
@@ -444,10 +445,10 @@ _COVER_HEADER = ("side,n,count,piece_length,gate_width,escape_length,"
                  "uncertain_length,hs_sum")
 
 
-def _cover_row(label: str, rec: EscapeCoverRecord, hs_sum: mpf) -> str:
-    return ",".join([label, str(rec.N), str(rec.count), fmt(rec.piece_length),
-                     fmt(rec.gate_width), fmt(rec.escape_length),
-                     fmt(rec.uncertain_length), fmt(hs_sum)])
+def _cover_row(label: str, f_n, rep, count: int, piece: mpf, hs: mpf) -> str:
+    return ",".join([label, str(rep.N), str(count), fmt(piece),
+                     fmt(rep.gate_width), fmt(f_n.total_length),
+                     fmt(rep.uncertain.total_length), fmt(hs)])
 
 
 def _cover_schedule(entry: Dict[str, Any], q, theta, side: str, ns: List[int],
@@ -458,11 +459,13 @@ def _cover_schedule(entry: Dict[str, Any], q, theta, side: str, ns: List[int],
     exponents, add the H^s rows labelled side+suffix and
     entry["hs_sums" + suffix]; the strict-decay verdict reads the sums at
     the first exponent."""
-    recs = list(cover_escape_sets(q, theta, ns, reflection_cap, variant=side))
-    all_sums = [[rec.hs_sum(s) for rec in recs] for _, s in exponents]
+    covers = [(f_n, rep, *escape_cover(f_n, rep.gate_width))
+              for f_n, rep in escape_sets(q, theta, ns, reflection_cap, side)]
+    all_sums = [[hs_sum(count, piece, rep.uncertain, s)
+                 for _, rep, count, piece in covers] for _, s in exponents]
     for (suffix, _), sums in zip(exponents, all_sums):
-        rows.extend(_cover_row(side + suffix, rec, hs)
-                    for rec, hs in zip(recs, sums))
+        rows.extend(_cover_row(side + suffix, *cover, hs)
+                    for cover, hs in zip(covers, sums))
         entry["hs_sums" + suffix] = [fmt(v) for v in sums]
     sums = all_sums[0]
     if len(sums) >= 2:
@@ -524,23 +527,24 @@ def run_thm1(cfg: ExperimentConfig) -> RunReport:
         while n <= cfg.control_max_n:
             ctl_ns.append(n)
             n *= 2
-        ctl_rows, ctl_sums = [], []
+        ctl_sums = []
         certified_empty = False
         residual = None
-        for rec in cover_escape_sets(q_ctl, theta, ctl_ns,
-                                     cfg.reflection_cap, variant="up"):
-            ctl_sums.append(rec.hs_sum(s))
-            ctl_rows.append(_cover_row("control_up", rec, ctl_sums[-1]))
+        for f_n, rep in escape_sets(q_ctl, theta, ctl_ns,
+                                    cfg.reflection_cap, "up"):
+            count, piece = escape_cover(f_n, rep.gate_width)
+            ctl_sums.append(hs_sum(count, piece, rep.uncertain, s))
+            rows.append(_cover_row("control_up", f_n, rep, count, piece,
+                                   ctl_sums[-1]))
             # The certified escape cover is empty once no pieces and no
             # escape length remain; the H^s sum then carries only the
             # 2-ulp guard shards around singular vertex rays, which the
             # exact engine keeps as explicit uncertainty instead of
             # rounding to zero.
-            if rec.count == 0 and rec.escape_length == 0:
+            if not count:
                 certified_empty = True
-                residual = rec.uncertain_length
+                residual = rep.uncertain.total_length
                 break
-        rows.extend(ctl_rows)
         control = {"alpha": cfg.control_alpha, "schedule": ctl_ns[:len(ctl_sums)],
                    "hs_sums": [fmt(v) for v in ctl_sums],
                    "certified_empty": certified_empty,

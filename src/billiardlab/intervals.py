@@ -84,10 +84,6 @@ class IntervalUnion:
                 merged.append((lo, hi))
         return cls(tuple(merged), precision_bits)
 
-    @classmethod
-    def empty(cls, precision_bits: int = DEFAULT_PRECISION) -> "IntervalUnion":
-        return cls((), precision_bits)
-
     # -- basic queries -------------------------------------------------
 
     def __len__(self) -> int:

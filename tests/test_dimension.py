@@ -11,10 +11,11 @@ from mpmath import mp, mpf
 
 from billiardlab.dimension import (
     AverageCoverReport,
-    EscapeCoverRecord,
     average_length_cover,
     box_count,
     dim_lb_estimate,
+    escape_cover,
+    hs_sum,
 )
 from billiardlab.errors import InsufficientScales
 from billiardlab.fixedpoint import from_fixed, mpf_to_fraction, to_fixed
@@ -51,7 +52,7 @@ def test_single_interval_single_piece():
 
 
 def test_empty_union():
-    r = box_count(IntervalUnion.empty(), 0.25)
+    r = box_count(IntervalUnion((), 256), 0.25)
     assert r.count == 0
     assert r.dim_estimate is None
 
@@ -225,22 +226,26 @@ def test_tail_sums_of_escape_exponent_converge():
             assert tail < bound
 
 
-def _cover_record(uncertain_pairs):
-    return EscapeCoverRecord(
-        N=1, count=3, piece_length=mpf("0.25"), gate_width=mpf(1),
-        escape_length=mpf("0.5"),
-        uncertain=grid_union(uncertain_pairs))
-
-
 def test_escape_cover_hs_sum_adds_uncertain_lengths():
-    rec = _cover_record([(0, 0.125)])
-    assert rec.hs_sum(1) == mpf("0.875")
+    unc = grid_union([(0, 0.125)])
+    assert hs_sum(3, mpf("0.25"), unc, 1) == mpf("0.875")
     with mp.workprec(272):
-        assert rec.hs_sum(0.5) == 3 * mpf("0.5") + mp.sqrt(mpf("0.125"))
-    assert _cover_record([]).hs_sum(0.5) == mpf("1.5")
+        assert hs_sum(3, mpf("0.25"), unc, 0.5) == (
+            3 * mpf("0.5") + mp.sqrt(mpf("0.125")))
+    assert hs_sum(3, mpf("0.25"), grid_union([]), 0.5) == mpf("1.5")
 
 
 @pytest.mark.parametrize("s", [0.0, -0.5, 1.5, 2.0])
 def test_escape_cover_hs_sum_rejects_exponent_outside_unit_interval(s):
     with pytest.raises(ValueError):
-        _cover_record([]).hs_sum(s)
+        hs_sum(3, mpf("0.25"), grid_union([]), s)
+
+
+def test_escape_cover_averages_over_the_gate():
+    # lengths 1/4 and 1/8 in a gate of width 1: pieces of 1/2, and
+    # floor(a_k * 2 / (3/8)) + 1 = 2 and 1 pieces for the two intervals
+    f_n = grid_union([(0, 0.25), (0.5, 0.625)])
+    assert escape_cover(f_n, mpf(1)) == (3, mpf("0.5"))
+    # a gate narrower than F_N is widened to F_N's length
+    assert escape_cover(f_n, mpf(0)) == (3, mpf("0.1875"))
+    assert escape_cover(grid_union([]), mpf(1)) == (0, 0)

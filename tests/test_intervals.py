@@ -141,7 +141,7 @@ def test_is_subset_of():
     assert IntervalUnion.make([(20, 30), (72, 75)], 8).is_subset_of(big)
     assert not IntervalUnion.make([(20, 60)], 8).is_subset_of(big)
     assert not IntervalUnion.make([(60, 65)], 8).is_subset_of(big)
-    assert IntervalUnion.empty(8).is_subset_of(big)
+    assert IntervalUnion((), 8).is_subset_of(big)
 
 
 def test_one_ulp_overhang_is_not_a_subset():
