@@ -12,94 +12,50 @@ Subpackage map:
 - ``billiard``   polygons, the beam tracer, escape sets, perpendicular orbits
 - ``dimension``  box counting, slope fits and escape-set covers
 - ``rng``        the seeded generator of the experiments (numpy-free)
-- ``experiments``/``cli``  reproducible experiment runners (``lab`` entry point)
+- ``experiments``  what the experiments share: the config schema, the
+                 report type and ``write_report``, and the table of runner
+                 modules (``lab`` entry point in ``cli``)
+- ``lab_escape``  ``thm1_cover``, ``thm2_cover`` and the two-sided target
+- ``lab_scans``  ``minkowski_scan`` and ``ubiquity``
+- ``lab_cantor`` ``cantor_dim``
+- ``lab_perp``   ``perp_orbits``
+- ``lab_audit``  ``three_distance_audit``
+
+Importing the package loads no submodule; each name below is imported
+from its module on first use.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .billiard import (
-    EscapeReport,
-    GeneralizedParallelogram,
-    SideClass,
-    build_polygon,
-    escape_sets,
-    parallelogram,
-    perpendicular_periodicity,
-    polygon_from_vertices,
-    rhombus,
-)
-from .cantor import (
-    CantorHierarchy,
-    HierarchyLevel,
-    LevelInterval,
-    build_hierarchy,
-    local_dimension_report,
-    select_sequence,
-    separation_report,
-)
-from .errors import (
-    BilliardLabError,
-    CapTooSmall,
-    ConfigError,
-    DegenerateDirection,
-    DepthExceeded,
-    DepthUnreachable,
-    EmptyLevel,
-    InsufficientScales,
-    NotGeneralizedParallelogram,
-    OrbitPoint,
-    RationalAngle,
-    RationalDetected,
-    RationalRotation,
-    ScheduleNotFound,
-)
-from .experiments import (
-    EXPERIMENTS,
-    ExperimentConfig,
-    RunReport,
-    apply_overrides,
-    construct_twosided_target,
-    run_experiment,
-    write_report,
-)
+_HOMES = {
+    "billiard": ("EscapeReport", "GeneralizedParallelogram", "SideClass",
+                 "build_polygon", "escape_sets", "parallelogram",
+                 "perpendicular_periodicity", "polygon_from_vertices",
+                 "rhombus"),
+    "cantor": ("CantorHierarchy", "HierarchyLevel", "LevelInterval",
+               "build_hierarchy", "local_dimension_report", "select_sequence",
+               "separation_report"),
+    "errors": ("BilliardLabError", "CapTooSmall", "ConfigError",
+               "DegenerateDirection", "DepthExceeded", "DepthUnreachable",
+               "EmptyLevel", "InsufficientScales", "NotGeneralizedParallelogram",
+               "OrbitPoint", "RationalAngle", "RationalDetected",
+               "RationalRotation", "ScheduleNotFound"),
+    "experiments": ("EXPERIMENTS", "ExperimentConfig", "RunReport",
+                    "apply_overrides", "run_experiment", "write_report"),
+    "lab_escape": ("construct_twosided_target",),
+}
+_MODULE_OF = {name: module for module, names in _HOMES.items()
+              for name in names}
 
-__all__ = [
-    "BilliardLabError",
-    "CantorHierarchy",
-    "CapTooSmall",
-    "ConfigError",
-    "DegenerateDirection",
-    "DepthExceeded",
-    "DepthUnreachable",
-    "EXPERIMENTS",
-    "EmptyLevel",
-    "EscapeReport",
-    "ExperimentConfig",
-    "GeneralizedParallelogram",
-    "HierarchyLevel",
-    "InsufficientScales",
-    "LevelInterval",
-    "NotGeneralizedParallelogram",
-    "OrbitPoint",
-    "RationalAngle",
-    "RationalDetected",
-    "RationalRotation",
-    "RunReport",
-    "ScheduleNotFound",
-    "SideClass",
-    "apply_overrides",
-    "build_hierarchy",
-    "build_polygon",
-    "construct_twosided_target",
-    "escape_sets",
-    "local_dimension_report",
-    "parallelogram",
-    "perpendicular_periodicity",
-    "polygon_from_vertices",
-    "rhombus",
-    "run_experiment",
-    "select_sequence",
-    "separation_report",
-    "write_report",
-    "__version__",
-]
+__all__ = sorted(_MODULE_OF) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value

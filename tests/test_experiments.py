@@ -4,6 +4,7 @@ seven runners, deterministic report files, and process exit codes."""
 
 import copy
 import dataclasses
+import importlib
 import json
 import pickle
 import warnings
@@ -12,15 +13,15 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf
 
-from billiardlab import billiard, experiments
+from billiardlab import billiard, lab_escape
 from billiardlab.circle import CirclePoint, angle_point, eval_number
 from billiardlab.cli import main as lab_main
 from billiardlab.dioph import ApproxSolution
 from billiardlab.errors import ConfigError, ScheduleNotFound
 from billiardlab.experiments import (EXPERIMENTS, ExperimentConfig, RunReport,
-                                     _SCHEMA, _deltadio_schedule, apply_overrides,
-                                     construct_twosided_target, run_experiment,
+                                     apply_overrides, run_experiment,
                                      write_report)
+from billiardlab.lab_escape import _deltadio_schedule, construct_twosided_target
 
 SEED = 20260818
 
@@ -163,7 +164,8 @@ def test_polygon_override_keeps_the_row_default_angle():
 
 def test_readme_documents_every_option():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    for name, table in _SCHEMA.items():
+    for name, module in EXPERIMENTS.items():
+        table = importlib.import_module(f"billiardlab.{module}")._SCHEMA[name]
         section = readme.split(f"### `{name}`", 1)[1].split("\n##", 1)[0]
         missing = [key for key in table if f"`{key}`" not in section]
         assert not missing, f"README section {name} omits {missing}"
@@ -340,7 +342,7 @@ def test_schedule_shrink_test_is_exact(monkeypatch):
         best = mpf(1) / 4 + mpf(2) ** -120
         sols = [ApproxSolution(p=10, residue=0, distance=best),
                 ApproxSolution(p=20, residue=0, distance=best / 2)]
-    monkeypatch.setattr(experiments, "approx_solutions",
+    monkeypatch.setattr(lab_escape, "approx_solutions",
                         lambda *args: sols)
     t_up, _, om = schedule_inputs()
     assert (_deltadio_schedule(t_up, om, 0.1, 4096, +1, 3, shrink=0.5)

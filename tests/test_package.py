@@ -1,13 +1,15 @@
 """Package-level guards: the public exports exist, no library module
 hands a string to ``eval`` or ``exec``, none sets the global mpmath
 precision (reports must not depend on the ambient context), the
-``lab`` runtime does not load numpy, and the bench tracer still finds
-the library names it wraps."""
+``lab`` runtime does not load numpy, an experiment loads only the
+modules it uses, no module nears the parser's token cliff, and the
+bench tracer still finds the library names it wraps."""
 
 import ast
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import billiardlab
@@ -43,15 +45,69 @@ def test_no_module_assigns_global_precision():
     assert not offenders
 
 
-def test_lab_runtime_does_not_import_numpy():
-    # numpy is a test dependency only; the experiments draw from billiardlab.rng.
+def _run_probe(probe: str) -> str:
+    """Stdout of ``probe`` run in a fresh interpreter on this checkout."""
     src = str(Path(billiardlab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = ("import sys, billiardlab.experiments, billiardlab.cli; "
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
+
+
+def test_lab_runtime_does_not_import_numpy():
+    # numpy is a test dependency only; the experiments draw from
+    # billiardlab.rng.  Validating every default config loads every runner.
+    probe = ("import sys, billiardlab.cli\n"
+             "from billiardlab.experiments import EXPERIMENTS, ExperimentConfig\n"
+             "for name in EXPERIMENTS:\n"
+             "    ExperimentConfig.from_json_obj({}, name)\n"
+             "assert {f'billiardlab.{m}' for m in EXPERIMENTS.values()} "
+             "<= set(sys.modules)\n"
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert _run_probe(probe) == "[]"
+
+
+def test_minkowski_scan_loads_no_tracer_or_cantor_module():
+    # Loading the command line loads no runner module either.
+    probe = ("import sys, billiardlab.cli\n"
+             "from billiardlab.experiments import ExperimentConfig, run_experiment\n"
+             "print(sorted(m for m in sys.modules if m.startswith('billiardlab.lab_')))\n"
+             "cfg = ExperimentConfig.from_json_obj({'pairs': 2, 'p_max': 1000, "
+             "'min_solutions': 1}, 'minkowski_scan')\n"
+             "assert run_experiment(cfg).passed\n"
+             "print(sorted({'billiardlab.billiard', 'billiardlab.cantor',\n"
+             "              'billiardlab.dimension'} & set(sys.modules)))")
+    assert _run_probe(probe).splitlines() == ["[]", "[]"]
+
+
+def test_validation_loads_the_runner_module():
+    # The bench ends set-up after validation, so the runner's imports are
+    # paid there and not inside the timed run.
+    probe = ("import sys\n"
+             "from billiardlab.experiments import ExperimentConfig\n"
+             "ExperimentConfig.from_json_obj({}, 'thm1_cover')\n"
+             "print(sorted(m for m in sys.modules\n"
+             "             if m in ('billiardlab.lab_escape', 'billiardlab.cantor')))")
+    assert _run_probe(probe) == "['billiardlab.lab_escape']"
+
+
+def test_every_export_imports_in_a_fresh_process():
+    names = ", ".join(billiardlab.__all__)
+    assert _run_probe(f"from billiardlab import {names}\nprint('ok')") == "ok"
+
+
+def test_no_module_near_the_parser_token_cliff():
+    # CPython 3.11's parser doubles its token array past 8,192 tokens, and
+    # each bench pass compiles the sources afresh: a module that crosses it
+    # adds about 0.47 MB to peak RSS.  Keep every module 1,000 tokens clear.
+    skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+    counts = {}
+    for path in sorted(Path(billiardlab.__file__).parent.glob("*.py")):
+        with open(path, "rb") as fh:
+            counts[path.name] = sum(1 for tok in tokenize.tokenize(fh.readline)
+                                    if tok.type not in skipped)
+    assert {name: n for name, n in counts.items() if n >= 7192} == {}
 
 
 def test_bench_tracer_installs_on_the_library():
