@@ -23,8 +23,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
-from .circle import (CirclePoint, ContinuedFractionExpansion,
-                     continued_fraction, eval_number, min_orbit_distance)
+from .circle import (CirclePoint, ContinuedFractionExpansion, _orbit_gap_fp,
+                     continued_fraction, eval_number, three_distance_bounds)
 from .errors import CapTooSmall, DepthUnreachable, EmptyLevel
 from .fixedpoint import (arc_hits, count_arcs, from_fixed, index_range,
                          power_floor, to_fixed)
@@ -247,8 +247,8 @@ class _Builder:
     def disjoint_ok(self, n_abs: int) -> bool:
         """Certify that distinct lattice centers at this level are farther
         apart than a full interval plus both guard bands."""
-        gap_fp = to_fixed(min_orbit_distance(self.cf, n_abs), self.bits)
-        return gap_fp > 2 * (self.half_fp(n_abs) + self.guard(n_abs))
+        return (_orbit_gap_fp(self.cf, n_abs)
+                > 2 * (self.half_fp(n_abs) + self.guard(n_abs)))
 
     def well_holds(self, n_signed: int, k: int) -> bool:
         """Sufficient check of the per-parent density condition
@@ -489,38 +489,27 @@ def separation_report(h: CantorHierarchy) -> List[dict]:
     level's index range, the measured minimum between retained centers
     (materialized levels), and both the (n+2)-reciprocal comparison bound
     and the companion bound 1/(q_next + |n_k|) that the gap provably
-    dominates."""
-    cf = h.cf
+    dominates, from three_distance_bounds."""
     bits = h.precision_bits
-    denoms = [q for _, q in cf.convergents]
+    denoms = [q for _, q in h.cf.convergents]
     out = []
-    with mp.workprec(bits + 16):
-        for lev in h.levels:
-            n_abs = abs(lev.n_k)
-            orbit_min = min_orbit_distance(cf, n_abs)
-            claimed = mpf(1) / (n_abs + 2)
-            companion = None
-            if n_abs in denoms:
-                r = denoms.index(n_abs)
-                if r + 1 < len(denoms):
-                    companion = mpf(1) / (denoms[r + 1] + n_abs)
-            measured = None
-            if lev.intervals is not None and lev.count >= 2:
-                centers = [iv.center_fp for iv in lev.intervals]
-                best = min(b - a for a, b in zip(centers, centers[1:]))
-                wrap = (1 << bits) - centers[-1] + centers[0]
-                best = min(best, wrap)
-                measured = from_fixed(best, bits)
-            out.append({
-                "level": lev.k,
-                "n_k": lev.n_k,
-                "orbit_min_distance": orbit_min,
-                "measured_min_distance": measured,
-                "claimed_bound": claimed,
-                "claimed_ok": bool(orbit_min >= claimed),
-                "companion_bound": companion,
-                "companion_ok": None if companion is None
-                else bool(orbit_min >= companion),
-            })
+    for lev in h.levels:
+        gap, claimed, claimed_ok, companion, companion_ok = \
+            three_distance_bounds(h.cf, denoms.index(abs(lev.n_k)) + 1)
+        measured = None
+        if lev.intervals is not None and lev.count >= 2:
+            centers = [iv.center_fp for iv in lev.intervals]
+            best = min(b - a for a, b in zip(centers, centers[1:]))
+            wrap = (1 << bits) - centers[-1] + centers[0]
+            measured = from_fixed(min(best, wrap), bits)
+        out.append({
+            "level": lev.k,
+            "n_k": lev.n_k,
+            "orbit_min_distance": gap,
+            "measured_min_distance": measured,
+            "claimed_bound": claimed,
+            "claimed_ok": claimed_ok,
+            "companion_bound": companion,
+            "companion_ok": companion_ok,
+        })
     return out
-

@@ -241,6 +241,27 @@ def three_distance_gap(cf: ContinuedFractionExpansion, r: int) -> mpf:
     return min_orbit_distance(cf, cf.denominator(r))
 
 
+def three_distance_bounds(cf: ContinuedFractionExpansion, r: int) -> tuple:
+    """(gap, claimed, claimed_ok, classical, classical_ok) at q = q_r: gap is
+    three_distance_gap(cf, r); the published 1/(q + 2) and the classical
+    1/(q_(r+1) + q) (None, as its verdict, at the last validated r) are
+    rounded at P + 16 bits for printing.  A verdict compares integers,
+    gap*2^P*d >= 2^P, which agrees with the rounded comparison: a P-bit gap
+    other than 1/d differs from it by 1/(d*2^P) or more, above its rounding."""
+    bits = cf.omega.precision_bits
+    q = cf.denominator(r)
+    gap = three_distance_gap(cf, r)
+    gap_fp = to_fixed(gap, bits)  # exact: gap is a P-bit dyadic
+
+    def bound(d: int) -> tuple:  # 1/d, and whether gap >= 1/d
+        with mp.workprec(bits + 16):
+            return mpf(1) / d, gap_fp * d >= 1 << bits
+
+    classical = ((None, None) if r == cf.validated_depth
+                 else bound(cf.denominator(r + 1) + q))
+    return (gap, *bound(q + 2), *classical)
+
+
 def detect_rational_angle(point: CirclePoint) -> Union[Fraction, None]:
     """Return p/q if the point is rational with denominator at most 2^24 at
     working precision.
@@ -289,6 +310,11 @@ def min_orbit_distance(cf: ContinuedFractionExpansion, n: int) -> mpf:
     and d*omega <= 1 - omega for every d < a_1.  This holds exactly for the
     fixed-point omega too, whose first quotient is the validated a_1.
     """
+    return from_fixed(_orbit_gap_fp(cf, n), cf.omega.precision_bits)
+
+
+def _orbit_gap_fp(cf: ContinuedFractionExpansion, n: int) -> int:
+    """min_orbit_distance(cf, n) * 2^precision_bits, an integer."""
     if n < 1:
         raise ValueError("n must be at least 1")
     bits = cf.omega.precision_bits
@@ -300,4 +326,4 @@ def min_orbit_distance(cf: ContinuedFractionExpansion, n: int) -> mpf:
             break
         d = (q * w) % scale
         best = min(best, d, scale - d)
-    return from_fixed(best, bits)
+    return best

@@ -6,9 +6,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Tuple
 
-from mpmath import mp, mpf
-
-from .circle import CirclePoint, continued_fraction, three_distance_gap
+from .circle import CirclePoint, continued_fraction, three_distance_bounds
 from .dimension import average_length_cover
 from .experiments import (_BITS, _COUNT, Check, ExperimentConfig, RunReport,
                           _expr, _integer, _list)
@@ -52,12 +50,8 @@ def run_audits(cfg: ExperimentConfig) -> RunReport:
             if q_r > cfg.q_max:
                 break
             q_next = cf.denominator(r + 1)
-            gap = three_distance_gap(cf, r)
-            with mp.workprec(bits + 16):
-                claimed = mpf(1) / (q_r + 2)
-                true_bound = mpf(1) / (q_next + q_r)
-            claimed_ok = bool(gap >= claimed)
-            true_ok = bool(gap >= true_bound)
+            gap, claimed, claimed_ok, true_bound, true_ok = \
+                three_distance_bounds(cf, r)
             gap_rows.append(",".join([json.dumps(expr), str(r), str(q_r),
                                       str(q_next), fmt(gap, 15),
                                       fmt(claimed, 15), str(claimed_ok),

@@ -6,8 +6,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Dict, List, Tuple
 
-from mpmath import mp, mpf
-
 from .cantor import (DEFAULT_MATERIALIZE_CAP, DEFAULT_SCAN_CAP,
                      local_dimension_report, select_sequence, separation_report)
 from .circle import CirclePoint, continued_fraction
@@ -64,15 +62,6 @@ def run_cantor(cfg: ExperimentConfig) -> RunReport:
             continue
         if not inner.is_subset_of(outer):
             violations.append(f"level {k + 1} union escapes level {k}")
-    with mp.workprec(bits + 64):
-        scale = mpf(1 << bits)
-        for k in range(1, h.depth + 1):
-            lvl = h.level(k)
-            nominal = mp.power(2 * abs(lvl.n_k), -mpf(mu)) * scale
-            gap = nominal - 2 * lvl.half_fp
-            if not (0 <= gap <= 2):
-                violations.append(f"level {k} interval length is off the "
-                                  f"(2|n|)^-mu law by {fmt(gap, 8)} ulps")
     level_rows = []
     for k in range(1, h.depth + 1):
         lvl = h.level(k)

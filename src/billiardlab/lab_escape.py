@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Tuple
 
 from mpmath import mp, mpf
 
@@ -113,10 +113,17 @@ _COVER_HEADER = ("side,n,count,piece_length,gate_width,escape_length,"
                  "uncertain_length,hs_sum")
 
 
-def _cover_row(label: str, f_n, rep, count: int, piece: mpf, hs: mpf) -> str:
-    return ",".join([label, str(rep.N), str(count), fmt(piece),
-                     fmt(rep.gate_width), fmt(f_n.total_length),
-                     fmt(rep.uncertain.total_length), fmt(hs)])
+def _covers(q, theta, ns: List[int], reflection_cap: int, side: str,
+            exponents: List[float]) -> Iterator[tuple]:
+    """Cover F_N for each N in ns on one side, yielding per N the cover
+    row's fields from n to uncertain_length, the piece count and the H^s
+    sum at each exponent."""
+    for f_n, rep in escape_sets(q, theta, ns, reflection_cap, side):
+        count, piece = escape_cover(f_n, rep.gate_width)
+        fields = [str(rep.N), str(count), fmt(piece), fmt(rep.gate_width),
+                  fmt(f_n.total_length), fmt(rep.uncertain.total_length)]
+        yield fields, count, [hs_sum(count, piece, rep.uncertain, s)
+                              for s in exponents]
 
 
 def _cover_schedule(entry: Dict[str, Any], q, theta, side: str, ns: List[int],
@@ -127,15 +134,13 @@ def _cover_schedule(entry: Dict[str, Any], q, theta, side: str, ns: List[int],
     exponents, add the H^s rows labelled side+suffix and
     entry["hs_sums" + suffix]; the strict-decay verdict reads the sums at
     the first exponent."""
-    covers = [(f_n, rep, *escape_cover(f_n, rep.gate_width))
-              for f_n, rep in escape_sets(q, theta, ns, reflection_cap, side)]
-    all_sums = [[hs_sum(count, piece, rep.uncertain, s)
-                 for _, rep, count, piece in covers] for _, s in exponents]
-    for (suffix, _), sums in zip(exponents, all_sums):
-        rows.extend(_cover_row(side + suffix, *cover, hs)
-                    for cover, hs in zip(covers, sums))
-        entry["hs_sums" + suffix] = [fmt(v) for v in sums]
-    sums = all_sums[0]
+    covers = list(_covers(q, theta, ns, reflection_cap, side,
+                          [s for _, s in exponents]))
+    for i, (suffix, _) in enumerate(exponents):
+        rows.extend(",".join([side + suffix, *fields, fmt(sums[i])])
+                    for fields, _, sums in covers)
+        entry["hs_sums" + suffix] = [fmt(sums[i]) for _, _, sums in covers]
+    sums = [sums[0] for _, _, sums in covers]
     if len(sums) >= 2:
         decay = all(b < a for a, b in zip(sums, sums[1:]))
         entry["decay_strict"] = decay
@@ -196,29 +201,24 @@ def run_thm1(cfg: ExperimentConfig) -> RunReport:
             ctl_ns.append(n)
             n *= 2
         ctl_sums = []
-        certified_empty = False
         residual = None
-        for f_n, rep in escape_sets(q_ctl, theta, ctl_ns,
-                                    cfg.reflection_cap, "up"):
-            count, piece = escape_cover(f_n, rep.gate_width)
-            ctl_sums.append(hs_sum(count, piece, rep.uncertain, s))
-            rows.append(_cover_row("control_up", f_n, rep, count, piece,
-                                   ctl_sums[-1]))
+        for fields, count, (hs,) in _covers(q_ctl, theta, ctl_ns,
+                                            cfg.reflection_cap, "up", [s]):
+            ctl_sums.append(fmt(hs))
+            rows.append(",".join(["control_up", *fields, ctl_sums[-1]]))
             # The certified escape cover is empty once no pieces and no
             # escape length remain; the H^s sum then carries only the
             # 2-ulp guard shards around singular vertex rays, which the
             # exact engine keeps as explicit uncertainty instead of
             # rounding to zero.
             if not count:
-                certified_empty = True
-                residual = rep.uncertain.total_length
+                residual = fields[-1]  # the uncertain length
                 break
         control = {"alpha": cfg.control_alpha, "schedule": ctl_ns[:len(ctl_sums)],
-                   "hs_sums": [fmt(v) for v in ctl_sums],
-                   "certified_empty": certified_empty,
-                   "residual_uncertain": fmt(residual) if residual is not None
-                   else None}
-        if not certified_empty:
+                   "hs_sums": ctl_sums,
+                   "certified_empty": residual is not None,
+                   "residual_uncertain": residual}
+        if residual is None:
             violations.append("control: escape cover never certified empty "
                               "on the rational-angle fixture")
     data = {"s": fmt(s), "delta": fmt(delta), "eps": fmt(eps),
@@ -303,7 +303,7 @@ def construct_twosided_target(omega: CirclePoint, mu: float,
             rows.append({"sign": sgn, "p": pw, "parity": pw % 2,
                          "distance": dist, "normalized": normalized,
                          "certified": bool(ok)})
-    return {"t": t, "t_fp": t_fp, "witnesses": rows, "all_certified": all_ok}
+    return {"t": t, "witnesses": rows, "all_certified": all_ok}
 
 
 def run_thm2(cfg: ExperimentConfig) -> RunReport:
@@ -316,6 +316,12 @@ def run_thm2(cfg: ExperimentConfig) -> RunReport:
     mu, eps = float(cfg.mu), float(cfg.eps)
     om_alpha = angle_point(q.alpha, bits)
     built = construct_twosided_target(om_alpha, mu, cfg.construct_steps)
+    # t is the last witness's own orbit point: its level p // 2 is degenerate
+    last = built["witnesses"][-1]["p"]
+    if last // 2 <= cfg.n_cap:
+        raise ScheduleNotFound(
+            f"the target is the orbit point of its last witness p={last}, whose "
+            f"level {last // 2} lies within n_cap={cfg.n_cap}; lower n_cap")
     t = built["t"]
     with mp.workprec(bits + 16):
         theta = t.value * mp.pi
@@ -350,10 +356,9 @@ def run_thm2(cfg: ExperimentConfig) -> RunReport:
     s_low = max(1.0 / (mu + 1.0) - eps, 0.02)
     cover_rows: List[str] = []
     schedules: Dict[str, Any] = {}
-    for side, parity, to_n in (("down", 1, lambda p: (p - 1) // 2),
-                               ("up", 0, lambda p: p // 2)):
-        ns = sorted({to_n(row["p"]) for row in built["witnesses"]
-                     if row["parity"] == parity and 1 <= to_n(row["p"]) <= cfg.n_cap})
+    for side, parity in (("down", 1), ("up", 0)):
+        ns = sorted({row["p"] // 2 for row in built["witnesses"]
+                     if row["parity"] == parity and 1 <= row["p"] // 2 <= cfg.n_cap})
         entry: Dict[str, Any] = {"schedule": ns}
         if not ns:
             notes.append(f"{side}: no witness level within n_cap={cfg.n_cap}")

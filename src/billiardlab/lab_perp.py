@@ -3,13 +3,11 @@ direction perpendicular to a side of a rhombus."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Tuple
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .billiard import build_polygon, perpendicular_periodicity
-from .circle import angle_point, detect_rational_angle
 from .experiments import (_BITS, _COUNT, _UNIT, Check, ExperimentConfig,
                           RunReport, _boolean, _integer, _polygon)
 from .intervals import _dps_for, fmt
@@ -46,17 +44,15 @@ def run_perp(cfg: ExperimentConfig) -> RunReport:
     q = build_polygon(cfg.polygon, bits)
     violations: List[str] = []
     notes: List[str] = []
-    with mp.workprec(bits + 16):
-        om = angle_point(2 * q.alpha, bits)
-    rational = detect_rational_angle(om)
+    # omega = 2*alpha/pi mod 1 is rational exactly when alpha/pi is
+    rational = None if q.alpha_rational is None else 2 * q.alpha_rational % 1
     res = perpendicular_periodicity(q, cfg.samples, cfg.reflection_cap)
     rows = [_perp_row(cfg.reflection_cap, res)]
     results = {"base": {k: (fmt(v, 15) if isinstance(v, mpf) else v)
                         for k, v in res.items()}}
     if rational is not None:
         mode = "rational"
-        floor = Fraction(cfg.samples - cfg.singular_allowance, cfg.samples)
-        if not res["periodic_fraction"] >= mpf(floor.numerator) / floor.denominator:
+        if res["returned"] < cfg.samples - cfg.singular_allowance:
             violations.append(
                 f"periodic fraction {fmt(res['periodic_fraction'], 10)} below "
                 f"1 - {cfg.singular_allowance}/{cfg.samples}")

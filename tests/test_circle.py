@@ -16,11 +16,12 @@ from billiardlab.circle import (
     detect_rational_angle,
     eval_number,
     min_orbit_distance,
+    three_distance_bounds,
     three_distance_gap,
 )
 from billiardlab.billiard import rhombus
 from billiardlab.errors import DepthExceeded, RationalAngle, RationalDetected
-from billiardlab.fixedpoint import from_fixed, to_fixed
+from billiardlab.fixedpoint import from_fixed, mpf_to_fraction, to_fixed
 
 GOLDEN = "(sqrt(5)-1)/2"
 SILVER = "sqrt(2)-1"
@@ -238,6 +239,31 @@ def test_gap_identity_exact_on_default_audit_rows():
             assert three_distance_gap(cf, r) == sorted_gap(cf, r), (spec, r)
             rows += 1
     assert rows == 37
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+@pytest.mark.parametrize("spec", [GOLDEN, SILVER, "e-2"])
+def test_three_distance_bounds_verdicts_match_rounded_comparison(spec, bits):
+    # the integer verdicts agree with comparing the gap against each bound
+    # rounded at bits + 16, and with the exact rational comparison
+    cf = continued_fraction(CirclePoint.make(spec, bits), max_depth=2048)
+    for r in range(1, cf.validated_depth + 1):
+        q = cf.denominator(r)
+        gap, claimed, claimed_ok, classical, classical_ok = \
+            three_distance_bounds(cf, r)
+        assert gap == three_distance_gap(cf, r)
+        exact = mpf_to_fraction(gap)
+        with mp.workprec(bits + 16):
+            assert claimed == mpf(1) / (q + 2)
+            assert claimed_ok is bool(gap >= claimed)
+            assert claimed_ok is (exact >= Fraction(1, q + 2))
+            if r == cf.validated_depth:
+                assert classical is None and classical_ok is None
+                continue
+            q_next = cf.denominator(r + 1)
+            assert classical == mpf(1) / (q_next + q)
+            assert classical_ok is bool(gap >= classical)
+            assert classical_ok is (exact >= Fraction(1, q_next + q))
 
 
 def _first_terms(spec, bits):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf
 
-from billiardlab import billiard, lab_escape
+from billiardlab import billiard, lab_escape, lab_perp
 from billiardlab.circle import CirclePoint, angle_point, eval_number
 from billiardlab.cli import main as lab_main
 from billiardlab.dioph import ApproxSolution
@@ -454,6 +454,39 @@ def test_thm2_default_passes():
     assert any("decay not assessable" in n for n in rep.notes)
 
 
+@pytest.mark.parametrize("options,message", [
+    ({"construct_steps": 1}, "p=5, whose level 2 lies within n_cap=100"),
+    ({"construct_steps": 2}, "p=50, whose level 25 lies within n_cap=100"),
+    ({"construct_steps": 2, "n_cap": 25},
+     "p=50, whose level 25 lies within n_cap=25"),
+])
+def test_thm2_rejects_a_target_on_a_traced_orbit_point(monkeypatch, options,
+                                                        message):
+    # t is the last witness's own orbit point; a schedule that holds that
+    # witness's level stops before any tracing
+    built = _count_tracers(monkeypatch)
+    with pytest.raises(ScheduleNotFound, match=message):
+        run_experiment(make_cfg("thm2_cover", **options))
+    assert built == []
+
+
+def test_thm2_two_steps_below_the_last_level_reports():
+    # n_cap 24 leaves out level 25 of the last witness p = 50
+    rep = run_experiment(make_cfg("thm2_cover", construct_steps=2, n_cap=24))
+    assert rep.data["schedules"]["down"]["schedule"] == [2]
+    assert rep.data["schedules"]["up"] == {"schedule": []}
+    assert rep.violations == ["need >= 3 even and >= 3 odd witnesses, got "
+                              "1 even / 1 odd"]
+
+
+def test_cli_thm2_on_a_traced_orbit_point_exits_one(tmp_path, capsys):
+    cfg = cli_config(tmp_path, "thm2.json", {"construct_steps": 1,
+                                             "out_dir": str(tmp_path / "out")})
+    assert lab_main(["thm2_cover", "--config", cfg]) == 1
+    assert "lab: ScheduleNotFound: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _count_tracers(monkeypatch):
     built = []
 
@@ -531,6 +564,42 @@ def test_perp_irrational_angle_resolves_every_ray():
     assert rep.data["mode"] == "irrational"
     assert float(rep.data["results"]["base"]["undecided_fraction"]) == 0.0
     assert float(rep.data["results"]["doubled_cap"]["undecided_fraction"]) == 0.0
+
+
+@pytest.mark.parametrize("alpha,mode,rotation", [
+    ("2*pi/5", "rational", "4/5"), ("pi/6", "rational", "1/3"),
+    ("0.7", "irrational", None)])
+def test_perp_rotation_number_follows_alpha(alpha, mode, rotation):
+    # omega = 2*alpha/pi mod 1, read off the polygon's alpha/pi (at pi/3
+    # the perpendicular direction is degenerate, so no report exists)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", billiard.RationalAngle)
+        rep = run_experiment(make_cfg(
+            "perp_orbits", samples=40, reflection_cap=20000,
+            polygon={"kind": "rhombus", "alpha": alpha, "side": 1}))
+    assert rep.data["mode"] == mode
+    assert rep.data["rotation_number"] == rotation
+
+
+@pytest.mark.parametrize("short,passed", [(0, True), (1, False)])
+def test_perp_periodic_floor_counts_returns(monkeypatch, short, passed):
+    # the rational-mode verdict needs samples - singular_allowance returns
+    def stub(q, samples, reflection_cap):
+        returned = samples - 3 - short
+        return {"samples": samples, "returned": returned,
+                "vertex_uncertain": samples - returned, "budget_exhausted": 0,
+                "periodic_fraction": returned / samples,
+                "undecided_fraction": (samples - returned) / samples,
+                "retrace_checked": 0, "retrace_returned": 0,
+                "retrace_exact": 0}
+
+    monkeypatch.setattr(lab_perp, "perpendicular_periodicity", stub)
+    rep = run_experiment(make_cfg("perp_orbits", samples=40,
+                                  singular_allowance=3))
+    assert rep.data["mode"] == "rational"
+    assert rep.passed is passed
+    assert rep.violations == ([] if passed else [
+        "periodic fraction 0.9 below 1 - 3/40"])
 
 
 def test_audit_reports_claimed_bound_failures(audit_small):
