@@ -2,12 +2,13 @@
 ||t + p*omega|| below power thresholds and the ubiquity deficiency
 functional.
 
-Solutions are enumerated in exact integer arithmetic at any p_max: in each
-block of indices of one bit length, the hitting-time kernel first_hit
-walks from one index whose fixed-point orbit point lies within the block's
-allowance of 0 to the next, each hit is kept if it is close enough to be a
-solution of the real problem, and every kept index is verified with
-mpmath.
+Every mpf is a dyadic rational, so t and omega lie exactly on the grid
+2^-E of the finer of their two denominators, and so does every orbit
+point t + p*omega.  Solutions are enumerated on that grid in one integer
+pass, at any p_max: in each block of indices of one bit length, the
+hitting-time kernel first_hit walks from one index whose orbit point lies
+within the block's allowance of 0 to the next, and each hit is kept if
+its exact grid distance meets its own allowance.
 """
 
 from __future__ import annotations
@@ -20,84 +21,78 @@ from mpmath import mp, mpf
 
 from .circle import CirclePoint, detect_rational_angle
 from .errors import OrbitPoint, RationalRotation
-from .fixedpoint import arc_hits, index_range, power_floor, to_fixed
+from .fixedpoint import (arc_hits, from_fixed, index_range, mpf_to_fraction,
+                         power_floor, to_fixed)
 from .intervals import IntervalUnion, circle_pairs
 
 
 @dataclass(frozen=True)
 class ApproxSolution:
-    """One solution of ||t + p*omega|| < threshold(|p|).
-
-    residue is the canonical representative of p mod m for the modulus the
-    producing scan used.
-    """
+    """One solution of ||t + p*omega|| < threshold(|p|), with its exact
+    distance."""
 
     p: int
-    residue: int
     distance: mpf
 
 
-def _exact_distance(t: mpf, w: mpf, p: int, bits: int) -> mpf:
-    """||t + p*w|| on the unit circle, at working precision."""
-    with mp.workprec(bits + 64 + abs(p).bit_length()):
-        x = t + p * w
-        x = x - mp.floor(x)
-        return min(x, 1 - x)
+def _grid(t: CirclePoint, omega: CirclePoint) -> Tuple[int, int, int]:
+    """(T, W, E) with t = T/2^E and omega = W/2^E exactly, E the larger
+    denominator exponent of the two values.
+
+    A nonzero value v stored at precision_bits keeps at most
+    precision_bits + 16 mantissa bits, so its exponent is at most
+    precision_bits + 15 - floor(log2 v).  Every integer the scans build on
+    this grid is E bits wide, so their cost grows with log2(1/v) of the
+    smaller nonzero value, not with precision_bits alone."""
+    ft, fw = mpf_to_fraction(t.value), mpf_to_fraction(omega.value)
+    et = ft.denominator.bit_length() - 1
+    ew = fw.denominator.bit_length() - 1
+    E = max(et, ew)
+    return ft.numerator << (E - et), fw.numerator << (E - ew), E
 
 
-def _candidates(t: CirclePoint, omega: CirclePoint, sign: int, m: int,
-                residue: int, p_max: int,
-                thr_fp: Callable[[int], int]) -> Iterator[int]:
-    """Yield, increasing, every |p| <= p_max with |p| = residue (mod m) whose
-    fixed-point point (T + sign*|p|*W) mod 2^bits lies within
-    thr_fp(|p|) + |p| + 2 ulps of 0.
+def _hits(T: int, W: int, E: int, sign: int, m: int, residue: int,
+          p_max: int, allow: Callable[[int], int]) -> Iterator[Tuple[int, int]]:
+    """Yield, increasing in |p|, every (|p|, d) with |p| <= p_max and
+    |p| = residue (mod m) whose grid distance d, that of
+    (T + sign*|p|*W) mod 2^E from 0, is at most allow(|p|).
 
-    T and W are the floors of t and omega at the working precision, so the
-    real point t + p*omega lies less than |p| + 1 ulps from the fixed-point
-    one.  With thr_fp(|p|) at least the threshold in ulps rounded down,
-    less one ulp, every solution of the real problem is therefore yielded,
-    at any p_max; the last ulp absorbs that rounding of the threshold.  The
-    real threshold never increases with |p|, so the allowance
-    thr_fp(first) + last + 2 covers every index of a block first..last of
-    one bit length: the block's orbit hits within it are walked with
-    first_hit, and each is kept if its own allowance holds.
+    allow never increases with |p|, so the allowance of a block's first
+    index covers the whole block of one bit length: the block's orbit hits
+    within it are walked with first_hit, and each is kept if its own
+    allowance holds.
     """
-    bits = min(t.precision_bits, omega.precision_bits)
-    scale = 1 << bits
-    w = sign * to_fixed(omega.value, bits) % scale
-    center = -to_fixed(t.value, bits) % scale
+    scale = 1 << E
+    w = sign * W % scale
+    center = -T % scale
     for k in range(p_max.bit_length()):
         i_lo, i_hi = index_range(1 << k, min(2 << k, p_max + 1) - 1,
                                  m, residue)
         if i_lo > i_hi:
             continue
-        first, last = m * i_lo + residue, m * i_hi + residue
-        allow = thr_fp(first) + last + 2
-        for i in arc_hits(w, scale, m, residue, i_lo, i_hi, center, allow):
+        block = allow(m * i_lo + residue)
+        for i in arc_hits(w, scale, m, residue, i_lo, i_hi, center, block):
             p_abs = m * i + residue
             x = (p_abs * w - center) % scale
-            if min(x, scale - x) <= thr_fp(p_abs) + p_abs + 2:
-                yield p_abs
-
-
-def _normalize_sign(sign) -> int:
-    if sign in (1, "+"):
-        return 1
-    if sign in (-1, "-"):
-        return -1
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+            d = min(x, scale - x)
+            if d <= allow(p_abs):
+                yield p_abs, d
 
 
 def approx_solutions(t: CirclePoint, omega: CirclePoint, mu: float, m: int,
-                     l: int, p_max: int, sign) -> List[ApproxSolution]:
-    """All p of the requested sign with |p| <= p_max, p = l (mod m) and
-    ||t + p*omega|| < |p|^(-mu), sorted by |p|.
+                     l: int, p_max: int, sign: int) -> List[ApproxSolution]:
+    """All p of the requested sign (+1 or -1) with |p| <= p_max,
+    p = l (mod m) and ||t + p*omega|| < |p|^(-mu), sorted by |p|.
 
     The threshold exponent mu may be any real >= 2^-19, the input range
     the scan is validated over (the sets W(omega, mu) of the dimension
     side use mu > 1; the billiard schedules use mu < 1).  The scan's
     soundness holds for any mu > 0, so the range can be widened as a
     declared input change.
+
+    The scan and its power_floor thresholds work at the grid's E bits (see
+    _grid), so a t or omega far below 2^-precision_bits, such as a tiny
+    target angle, costs more than its precision suggests.
     """
     if not mu >= 2 ** -19:
         raise ValueError(f"mu must be >= 2^-19, got {mu}")
@@ -105,22 +100,25 @@ def approx_solutions(t: CirclePoint, omega: CirclePoint, mu: float, m: int,
         raise ValueError("need 0 <= l < m")
     if p_max < m:
         raise ValueError("p_max must be at least m")
-    s = _normalize_sign(sign)
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
     bits = min(t.precision_bits, omega.precision_bits)
-    # |p| must satisfy s*|p| = l (mod m)
-    residue = l % m if s > 0 else (-l) % m
+    T, W, E = _grid(t, omega)
+    # |p| must satisfy sign*|p| = l (mod m)
+    residue = l % m if sign > 0 else (-l) % m
     with mp.workprec(bits + 32):
         mu_m = mpf(mu)
 
+    # power_floor may sit one below the exact floor, which a grid distance
+    # below |p|^-mu never exceeds
     out: List[ApproxSolution] = []
-    for p_abs in _candidates(t, omega, s, m, residue, p_max,
-                             lambda p: power_floor(p, mu_m, bits)):
-        p = s * p_abs
-        d = _exact_distance(t.value, omega.value, p, bits)
+    for p_abs, d in _hits(T, W, E, sign, m, residue, p_max,
+                          lambda p: power_floor(p, mu_m, E) + 1):
+        distance = from_fixed(d, E)
         with mp.workprec(bits + 32):
-            hit = d < mpf(p_abs) ** (-mu_m)
+            hit = distance < mpf(p_abs) ** (-mu_m)
         if hit:
-            out.append(ApproxSolution(p=p, residue=p % m, distance=d))
+            out.append(ApproxSolution(p=sign * p_abs, distance=distance))
     return out
 
 
@@ -139,26 +137,22 @@ def minkowski_solutions(t: CirclePoint, omega: CirclePoint,
     if detect_rational_angle(omega) is not None:
         warnings.warn("rotation number is rational at working precision; "
                       "orbit distances are eventually periodic", RationalRotation)
-    floor_thr = mpf(2) ** (-(bits // 2))
-    floor_fp = 1 << (bits - bits // 2)
-
-    # One candidate stream per sign covers both tests: the allowance is the
-    # larger of the orbit floor and the Minkowski threshold, and never
-    # increases with |p|.
+    T, W, E = _grid(t, omega)
+    # A grid distance d is below 2^-(bits//2) iff d <= orbit, and below
+    # 1/(4|p|) iff 4*|p|*d < 2^E: one allowance per sign decides both
+    # tests exactly, and never increases with |p|.
+    orbit = max((1 << E >> bits // 2) - 1, 0)
     orbit_hits: List[int] = []
     out: List[ApproxSolution] = []
     for s in (1, -1):
-        for p_abs in _candidates(
-                t, omega, s, 1, 0, p_max,
-                lambda p_abs: max(floor_fp, (1 << bits) // (4 * p_abs))):
-            p = s * p_abs
-            d = _exact_distance(t.value, omega.value, p, bits)
-            if d < floor_thr:
-                orbit_hits.append(p)
-                continue
-            with mp.workprec(bits + 32):
-                if d < mpf(1) / (4 * p_abs):
-                    out.append(ApproxSolution(p=p, residue=0, distance=d))
+        for p_abs, d in _hits(
+                T, W, E, s, 1, 0, p_max,
+                lambda p_abs: max(orbit, ((1 << E) - 1) // (4 * p_abs))):
+            if d <= orbit:
+                orbit_hits.append(s * p_abs)
+            else:
+                out.append(ApproxSolution(p=s * p_abs,
+                                          distance=from_fixed(d, E)))
     if orbit_hits:
         nearest = min(orbit_hits, key=abs)
         raise OrbitPoint(f"t + {nearest}*omega is within 2^-{bits // 2} of 0: "
@@ -190,8 +184,9 @@ def ubiquity_deficiency(omega: CirclePoint, m: int, l: int, N: int,
     the circle as soon as 2*rho*q >= 1; that shortcut is exact and makes
     large-N calls cheap.  Otherwise families are subtracted largest-q
     first with an early exit once nothing remains.  Each arc is rounded
-    inward (the floors of its center and of rho, less 1 ulp), so it lies
-    inside its real arc and the deficiency is an upper bound."""
+    inward (the exact floor of its center, and the floor of rho less 1
+    ulp), so it lies inside its real arc and the deficiency is an upper
+    bound."""
     if N < 1 or K <= 0 or eps <= 0:
         raise ValueError("need N >= 1, K > 0, eps > 0")
     bits = omega.precision_bits
@@ -200,18 +195,20 @@ def ubiquity_deficiency(omega: CirclePoint, m: int, l: int, N: int,
         q_top = N * m + l
         if q_top >= 1 and 2 * rho * q_top >= 1:
             return mpf(0)
-        w = mpf(omega.value)
-        half = to_fixed(rho, bits) - 1
-        complement = IntervalUnion.make([(0, 1 << bits)], bits)
-        for k in range(N, 0, -1):
-            q = k * m + l
-            if q < 1:
-                continue
-            pairs: List[Tuple[int, int]] = []
-            for i in range(q):
-                pairs.extend(
-                    circle_pairs(to_fixed((w + i) / q, bits), half, bits))
-            complement = complement.subtract(IntervalUnion.make(pairs, bits))
-            if not complement:
-                return mpf(0)
-        return complement.total_length
+    w = mpf_to_fraction(omega.value)
+    num, den = w.numerator, w.denominator
+    half = to_fixed(rho, bits) - 1
+    complement = IntervalUnion.make([(0, 1 << bits)], bits)
+    for k in range(N, 0, -1):
+        q = k * m + l
+        if q < 1:
+            continue
+        pairs: List[Tuple[int, int]] = []
+        for i in range(q):
+            # floor((omega + i)/q * 2^bits), exactly
+            center = ((num + i * den) << bits) // (q * den)
+            pairs.extend(circle_pairs(center, half, bits))
+        complement = complement.subtract(IntervalUnion.make(pairs, bits))
+        if not complement:
+            return mpf(0)
+    return complement.total_length
