@@ -11,9 +11,12 @@ beam a signed integer level relative to its base direction.
 
 Beam positions are carried as fixed-point integers at the polygon's
 precision, so every traced child interval is an exact isometric image of
-its source interval.  Vertex shadows and reflection offsets are quantized
+its source interval.  Vertex shadows and reflection offsets are computed
 once per direction, in a cached frame, and each (direction, source side)
-cuts its cached transit table from that frame.  Reflecting
+cuts its cached transit table from that frame.  The vertices, cos and sin
+alpha and the direction's cos and sin lie on exact dyadic grids, so each
+frame integer is the exact floor of an integer product; the direction and
+its cos and sin are the tracer's only mpf work.  Reflecting
 in a side's line, of unit direction u and height h = v.rot90(u) for its
 vertices v, sends the offset c of a ray of direction d to delta - c with
 delta = 2*(d.u)*h, wherever the ray hits; so delta = 0 exactly on a side
@@ -57,6 +60,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
@@ -65,7 +69,7 @@ from mpmath.libmp import mpf_cos_sin
 from .circle import CirclePoint, detect_rational_angle, eval_number
 from .errors import (DegenerateDirection, NotGeneralizedParallelogram,
                      RationalAngle)
-from .fixedpoint import to_fixed
+from .fixedpoint import on_grid
 from .intervals import DEFAULT_PRECISION, IntervalUnion
 
 _LAUNCH = -1  # pseudo source-side index: beam resting on a cross-section
@@ -306,11 +310,12 @@ class _Table:
     target's side class as an int (0 BASE, 1 SLANT).  Launch tables
     also keep the uncarved (lo, hi, chords) cells in ``raw_cells``, their
     largest chord count in ``max_chords`` (which the dynamic operations
-    check) and the unrounded section width in ``width_exact``; no runner
-    reads the other two, but the table digests in ``tests/golden.json``
-    pin all three.
-    Ordered by a_a + (c - p_a)(a_b - a_a)/(p_b - p_a), the sides whose
-    span of p = v.n holds a cell's midpoint c are its line's crossings.
+    check) and the section width in ``width_exact``, the span of the mpf
+    vertex projections at P + 64 bits; no runner reads the other two, but
+    the table digests in ``tests/golden.json`` pin all three.
+    Ordered by a_a + (c - p_a)(a_b - a_a)/(p_b - p_a), compared as exact
+    integers, the sides whose span of p = v.n holds a cell's midpoint c
+    are its line's crossings.
     """
 
     __slots__ = ("dom_lo", "dom_hi", "los", "his", "targets", "deltas",
@@ -380,19 +385,28 @@ class _Tracer:
         self.b_mod = q.return_modulus
         self.classes_int = tuple(0 if c is SideClass.BASE else 1
                                  for c in q.side_classes)
-        self.gtol = mpf(2) ** (-(self.P // 2))  # degenerate-direction bound
-        # the height h of each side's line, taken at the side's lower vertex
+        # Exact grids: cos and sin of alpha (A/2^ea), the vertices (V/2^ev)
+        # and the height h of each side's line, taken at the side's lower
+        # vertex, on the grid 2^-(ev + ea).
         with mp.workprec(self.P + 64):
-            self.cos_a, self.sin_a = mp.cos(self.alpha), mp.sin(self.alpha)
-            self.heights = [vy * self.cos_a - vx * self.sin_a if cls else vy
-                            for i, cls in enumerate(self.classes_int)
-                            for vx, vy in [min(q.side(i), key=lambda v: v[1])]]
+            self.ea, (ca, sa) = on_grid((mp.cos(self.alpha),
+                                         mp.sin(self.alpha)))
+        self.ev, flat = on_grid([c for v in q.vertices for c in v])
+        self.verts = verts = list(zip(flat[::2], flat[1::2]))
+        self.cos_sin = ca, sa
+        self.heights = []
+        for i, cls in enumerate(self.classes_int):
+            vx, vy = min(verts[i], verts[(i + 1) % len(verts)],
+                         key=lambda v: v[1])
+            self.heights.append(vy * ca - vx * sa if cls else vy << self.ea)
         # transit tables under (odd, n, side), pair tables under (n, side);
         # the frames of their directions under (odd, n)
         self.tables: Dict[tuple, object] = {}
         self.frames: Dict[Tuple[int, int], tuple] = {}
-        # work done by trace_states (no report shows it)
-        self.counts = dict.fromkeys(("plain", "jumps", "jumped", "records"), 0)
+        # work done: frames, transit and pair tables built, cache
+        # evictions, and trace_states' steps (no report shows it)
+        self.counts = dict.fromkeys(("frames", "transit", "pairs", "evictions",
+                                     "plain", "jumps", "jumped", "records"), 0)
 
     # -- directions ---------------------------------------------------
 
@@ -408,6 +422,7 @@ class _Tracer:
         tbl = self.tables.get((odd, n, side))
         if tbl is None:
             tbl = self._store((odd, n, side), self._build_table(odd, n, side))
+            self.counts["transit"] += 1
         return tbl
 
     def _store(self, key, table):
@@ -416,47 +431,58 @@ class _Tracer:
         if len(self.tables) > _TABLE_CACHE_LIMIT:
             self.tables.clear()
             self.frames.clear()
+            self.counts["evictions"] += 1
         self.tables[key] = table
         return table
 
     def _frame(self, odd: int, n: int):
-        """(phi, proj_i, spans, width_exact, deltas) of the direction after
-        a reflection count of parity ``odd`` at level ``n``, computed once
+        """(phi, proj_i, spans, (dx, dy), deltas) of the direction after a
+        reflection count of parity ``odd`` at level ``n``, computed once
         for all of its transit tables: the direction phi, the fixed-point
         projections p = v.n of the vertices, each side's (p_a, p_b, a_a,
-        a_b) with a = v.d, the exact launch width and each side's
-        reflection offset delta.  A degenerate direction is not kept, so
-        it raises again on every build."""
+        a_b) with a = v.d, the direction's cos and sin as mpfs, and each
+        side's reflection offset delta.  A degenerate direction is not
+        kept, so it raises again on every build.
+
+        phi and its cos and sin, rounded to nearest at P + 64 bits, are
+        the frame's only mpf work.  The cos and sin, the vertices, cos and
+        sin alpha and the side heights all lie on exact dyadic grids, so
+        each integer here is the exact floor of an exact product of those
+        inputs, taken by an arithmetic shift; it can differ from the floor
+        of the product rounded at P + 64 bits only when the product lies
+        within about 2^-64 ulp of a grid point."""
         frame = self.frames.get((odd, n))
         if frame is not None:
             return frame
         P = self.P
-        with mp.workprec(P + 64):
-            phi = self._phi(odd, n)
-            # mp.cos and mp.sin, rounded to nearest, from one call
-            dx, dy = map(mp.make_mpf, mpf_cos_sin(phi._mpf_, P + 64, "n"))
-            # components of the direction along and across each side class
-            along = (dx, dx * self.cos_a + dy * self.sin_a)
-            if (abs(dy) < self.gtol
-                    or abs(dy * self.cos_a - dx * self.sin_a) < self.gtol):
-                raise DegenerateDirection(
-                    f"direction {mp.nstr(phi, 12)} (level offset {n}) is "
-                    f"parallel to a side class within the precision guard")
-            nx, ny = -dy, dx
-            verts = self.q.vertices
-            proj = [vx * nx + vy * ny for vx, vy in verts]
-            proj_i = [to_fixed(p, P) for p in proj]
-            along_i = [to_fixed(vx * dx + vy * dy, P) for vx, vy in verts]
-            spans = list(zip(proj_i, proj_i[1:] + proj_i[:1],
-                             along_i, along_i[1:] + along_i[:1]))
-            deltas = [to_fixed(2 * along[cls] * h, P)
-                      for cls, h in zip(self.classes_int, self.heights)]
-            frame = (phi, proj_i, spans, max(proj) - min(proj), deltas)
-        self.frames[odd, n] = frame
+        phi = self._phi(odd, n)
+        dxy = [mp.make_mpf(v) for v in mpf_cos_sin(phi._mpf_, P + 64, "n")]
+        ed, (dx, dy) = on_grid(dxy, P + 1)
+        ca, sa = self.cos_sin
+        # d.u along each side class, on the grid 2^-(ed + ea)
+        ea = self.ea
+        along = (dx << ea, dx * ca + dy * sa)
+        # |dy| and |d x u| below 2^-(P//2), on their grids
+        if ((abs(dy) << P // 2) < (1 << ed)
+                or (abs(dy * ca - dx * sa) << P // 2) < (1 << ed + ea)):
+            raise DegenerateDirection(
+                f"direction {mp.nstr(phi, 12)} (level offset {n}) is "
+                f"parallel to a side class within the precision guard")
+        shift = self.ev + ed - P
+        proj_i = [(vy * dx - vx * dy) >> shift for vx, vy in self.verts]
+        along_i = [(vx * dx + vy * dy) >> shift for vx, vy in self.verts]
+        spans = list(zip(proj_i, proj_i[1:] + proj_i[:1],
+                         along_i, along_i[1:] + along_i[:1]))
+        # delta = 2*along*h on the grid 2^-(ed + 2*ea + ev)
+        shift = ed + 2 * ea + self.ev - P - 1
+        deltas = [(along[cls] * h) >> shift
+                  for cls, h in zip(self.classes_int, self.heights)]
+        frame = self.frames[odd, n] = (phi, proj_i, spans, dxy, deltas)
+        self.counts["frames"] += 1
         return frame
 
     def _build_table(self, odd: int, n: int, side: int) -> _Table:
-        phi, proj_i, spans, width_exact, deltas = self._frame(odd, n)
+        phi, proj_i, spans, dxy, deltas = self._frame(odd, n)
         m = len(proj_i)
         if side == _LAUNCH:
             dom_lo, dom_hi = min(proj_i), max(proj_i)
@@ -472,11 +498,16 @@ class _Tracer:
             # No vertex projects inside a cell, so each side crossed at
             # its midpoint c is a sign change of p - c around the
             # vertex cycle: their number is even, and at least two.
+            # Each is ordered by its a_a + (c - p_a)(a_b - a_a)/(p_b - p_a)
+            # times 2*S, S the product of the crossings' |p_b - p_a|.
             c2 = lo_i + hi_i  # 2c
+            cross = [(s2, pa, pb, aa, ab)
+                     for s2, (pa, pb, aa, ab) in enumerate(spans)
+                     if (2 * pa < c2) != (2 * pb < c2)]
+            S = prod(abs(pb - pa) for _, pa, pb, _, _ in cross)
             order = [s2 for _, s2 in sorted(
-                (aa + Fraction((c2 - 2 * pa) * (ab - aa), 2 * (pb - pa)),
-                 s2) for s2, (pa, pb, aa, ab) in enumerate(spans)
-                if (2 * pa < c2) != (2 * pb < c2))]
+                (2 * aa * S + (c2 - 2 * pa) * (ab - aa) * (S // (pb - pa)), s2)
+                for s2, pa, pb, aa, ab in cross)]
             if side == _LAUNCH:
                 return order[1], len(order) // 2
             k = order.index(side) + 1
@@ -499,7 +530,10 @@ class _Tracer:
         if side == _LAUNCH:
             tbl.raw_cells = [(lo, hi, ch) for lo, hi, _, ch in raw]
             tbl.max_chords = max((ch for _, _, _, ch in raw), default=1)
-            tbl.width_exact = width_exact
+            with mp.workprec(self.P + 64):
+                nx, ny = -dxy[1], dxy[0]
+                proj = [vx * nx + vy * ny for vx, vy in self.q.vertices]
+                tbl.width_exact = max(proj) - min(proj)
 
         # Coalesce cells sharing a target: the transit map is
         # continuous across a vertex shadow that does not change the
@@ -596,6 +630,7 @@ class _Tracer:
         pair = self.tables.get(key)
         if pair is None:
             pair = self._store(key, self._build_pair(*key))
+            self.counts["pairs"] += 1
         return pair
 
     def launch_span(self) -> Tuple[int, int]:

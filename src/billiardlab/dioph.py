@@ -22,7 +22,7 @@ from mpmath import mp, mpf
 from .circle import CirclePoint, detect_rational_angle
 from .errors import OrbitPoint, RationalRotation
 from .fixedpoint import (arc_hits, from_fixed, index_range, mpf_to_fraction,
-                         power_floor, to_fixed)
+                         on_grid, power_floor, to_fixed)
 from .intervals import IntervalUnion, circle_pairs
 
 
@@ -43,12 +43,12 @@ def _grid(t: CirclePoint, omega: CirclePoint) -> Tuple[int, int, int]:
     precision_bits + 16 mantissa bits, so its exponent is at most
     precision_bits + 15 - floor(log2 v).  Every integer the scans build on
     this grid is E bits wide, so their cost grows with log2(1/v) of the
-    smaller nonzero value, not with precision_bits alone."""
-    ft, fw = mpf_to_fraction(t.value), mpf_to_fraction(omega.value)
-    et = ft.denominator.bit_length() - 1
-    ew = fw.denominator.bit_length() - 1
-    E = max(et, ew)
-    return ft.numerator << (E - et), fw.numerator << (E - ew), E
+    smaller nonzero value, not with precision_bits alone.  thm1_cover
+    therefore refuses, at config time, a nonzero target below
+    2^-precision_bits, which keeps its grids within 2*precision_bits + 15
+    bits."""
+    E, (T, W) = on_grid((t.value, omega.value))
+    return T, W, E
 
 
 def _hits(T: int, W: int, E: int, sign: int, m: int, residue: int,

@@ -30,6 +30,20 @@ def mpf_to_fraction(x) -> Fraction:
     return Fraction(num, 1 << -exp)
 
 
+def on_grid(values, least: int = 0) -> Tuple[int, List[int]]:
+    """(E, ints) with values[i] = ints[i] / 2**E exactly, for finite mpfs:
+    E is the least exponent >= ``least`` whose grid holds them all, read
+    off their mantissas without rounding (every mpf is dyadic)."""
+    parts = []
+    for v in values:
+        sign, man, exp, _ = v._mpf_
+        if not man and exp:
+            raise ValueError(f"non-finite value {v}")
+        parts.append((-int(man) if sign else int(man), exp))
+    E = max([least] + [-exp for man, exp in parts if man])
+    return E, [man << (E + exp) for man, exp in parts]
+
+
 def to_fixed(x, bits: int) -> int:
     """floor(x * 2**bits) for an mpf or int x (any value mpf() accepts,
     which a Fraction is not), from x rounded to bits + 64 bits.  Scaling

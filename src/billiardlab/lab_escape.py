@@ -58,9 +58,31 @@ _SCHEMA: Dict[str, Dict[str, Tuple[Any, Check]]] = {
 }
 
 
+def _thm1_points(theta, alpha: mpf, bits: int):
+    """(theta mod 2*pi, t_up, t_down, omega) of thm1_cover: the targets
+    (theta mod pi)/pi and ((theta - alpha) mod pi)/pi of a ray angle
+    ``theta`` (a number spec) and the rotation number (2*alpha mod pi)/pi."""
+    with mp.workprec(bits + 16):
+        theta = eval_number(theta, bits) % (2 * mp.pi)
+        return (theta, angle_point(theta, bits),
+                angle_point(theta - alpha, bits), angle_point(2 * alpha, bits))
+
+
 def _check_across(opts: Mapping[str, Any]) -> None:
     """The rules that tie one option to another."""
     name = opts["experiment"]
+    if name == "thm1_cover":
+        # A target t scans on a grid of up to bits + 15 - log2(t) bits
+        # (dioph._grid), so a tiny nonzero one would cost without bound.
+        bits = opts["precision_bits"]
+        alpha = eval_number(opts["polygon"]["alpha"], bits + 48)
+        _, t_up, t_down, _ = _thm1_points(opts["theta"], alpha, bits)
+        for side, t in (("up", t_up), ("down", t_down)):
+            if 0 < t.value < mpf(2) ** -bits:
+                raise ConfigError(
+                    f"theta gives the {side} target {mp.nstr(t.value, 6)}, "
+                    f"nonzero and below 2^-{bits}; a thm1 target must be 0 "
+                    f"or at least 2^-precision_bits")
     # the Hausdorff-sum exponent the run derives must lie in (0, 1]
     if name == "thm1_cover" and opts["s"] is None and 0.5 + opts["eps"] > 1:
         raise ConfigError(f"s = 0.5 + eps must be <= 1 when s is null, "
@@ -167,11 +189,7 @@ def run_thm1(cfg: ExperimentConfig) -> RunReport:
         warnings.warn(msg, UserWarning)
         notes.append("warning: " + msg)
     s = float(cfg.s) if cfg.s is not None else 0.5 + eps
-    with mp.workprec(bits + 16):
-        theta = eval_number(cfg.theta, bits) % (2 * mp.pi)
-        t_up = angle_point(theta, bits)
-        t_down = angle_point(theta - q.alpha, bits)
-        om = angle_point(2 * q.alpha, bits)
+    theta, t_up, t_down, om = _thm1_points(cfg.theta, q.alpha, bits)
     side_specs = (("up", t_up, +1), ("down", t_down, -1))
     rows: List[str] = []
     sides: Dict[str, Any] = {}

@@ -6,12 +6,17 @@ match plain geometry for dozens of reflections.  Everything else is
 checked against exact conservation laws and closed-form projections.
 """
 
+import functools
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_cos_sin
 
 from billiardlab import billiard as B
 from billiardlab.billiard import _LAUNCH, _Tracer, SideClass
@@ -19,14 +24,14 @@ from billiardlab.circle import eval_number
 from billiardlab.errors import (DegenerateDirection,
                                 NotGeneralizedParallelogram, RationalAngle)
 from billiardlab.experiments import ExperimentConfig, run_experiment
-from billiardlab.fixedpoint import from_fixed
+from billiardlab.fixedpoint import from_fixed, mpf_to_fraction, to_fixed
 
 
 def unit_rhombus(alpha="1.0"):
     return B.rhombus(alpha, 1)
 
 
-def staircase(steps: int):
+def staircase(steps: int, precision_bits: int = 256):
     """Non-convex staircase of ``steps`` unit-height slabs, slant angle
     1.0: the bottom slab has base ``steps``, each slab above is one
     shorter at its right end."""
@@ -36,7 +41,7 @@ def staircase(steps: int):
                   (f"{steps - k}+{k}*cos(1)", f"{k}*sin(1)")]
     verts += [(f"1+{steps}*cos(1)", f"{steps}*sin(1)"),
               (f"{steps}*cos(1)", f"{steps}*sin(1)")]
-    return B.polygon_from_vertices(verts, "1.0")
+    return B.polygon_from_vertices(verts, "1.0", precision_bits)
 
 
 def l_shape():
@@ -571,6 +576,117 @@ def test_offsets_vanish_on_sides_through_origin(shape, theta):
     assert seen == {0, 1}
 
 
+FRAME_POLYGONS = {  # name: (factory of precision_bits, alpha spec)
+    "golden_rhombus": (lambda bits: B.rhombus("pi*(sqrt(5)-1)/4", 1, bits),
+                       "pi*(sqrt(5)-1)/4"),
+    "pi3_rhombus": (lambda bits: B.rhombus("pi/3", 1, bits), "pi/3"),
+    "irrational_parallelogram": (
+        lambda bits: B.parallelogram("0.7", "sqrt(2)", "pi/3", bits), "0.7"),
+    "l_shape": (lambda bits: staircase(2, bits), "1.0"),
+    "staircase3": (lambda bits: staircase(3, bits), "1.0"),
+}
+# directions with a tiny dx, a tiny dy, or a tiny component across the
+# slant sides ({alpha} + ...), degenerate at some precisions only, and on
+# either side of the guard 2^-(P//2) ({half} = P//2) of the degeneracy test
+SPECIAL_THETAS = ("pi/2 + 1e-30", "3*pi/2 - 2**-200", "1e-25", "pi - 1e-60",
+                  "{alpha} + 1e-40", "{alpha} + pi - 1e-100", "pi/2",
+                  "0.75*2**-{half}", "1.5*2**-{half}",
+                  "{alpha} + 0.75*2**-{half}", "{alpha} - 1.5*2**-{half}")
+
+
+@functools.lru_cache(maxsize=None)
+def frame_polygon(name, bits):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the pi/3 rhombus is rational
+        return FRAME_POLYGONS[name][0](bits)
+
+
+def mpf_frame(tracer, odd, n):
+    """The frame of a direction as it was built in mpf before its integer
+    form, each product rounded at P + 64 bits before its floor, and the
+    exact values it floored: ((proj_i, along_i, deltas), (proj, along,
+    offsets)) with the exact values as Fractions of the rounded inputs
+    (vertices, cos and sin alpha, cos and sin phi); None for a direction
+    refused as degenerate."""
+    q, P = tracer.q, tracer.P
+    phi = tracer._phi(odd, n)
+    with mp.workprec(P + 64):
+        cos_a, sin_a = mp.cos(q.alpha), mp.sin(q.alpha)
+        lower = [min(q.side(i), key=lambda v: v[1])
+                 for i in range(len(q.vertices))]
+        heights = [vy * cos_a - vx * sin_a if cls is SideClass.SLANT else vy
+                   for cls, (vx, vy) in zip(q.side_classes, lower)]
+        dx, dy = map(mp.make_mpf, mpf_cos_sin(phi._mpf_, P + 64, "n"))
+        along = {SideClass.BASE: dx, SideClass.SLANT: dx * cos_a + dy * sin_a}
+        gtol = mpf(2) ** (-(P // 2))
+        if abs(dy) < gtol or abs(dy * cos_a - dx * sin_a) < gtol:
+            return None
+        nx, ny = -dy, dx
+        proj_i = [to_fixed(vx * nx + vy * ny, P) for vx, vy in q.vertices]
+        along_i = [to_fixed(vx * dx + vy * dy, P) for vx, vy in q.vertices]
+        deltas = [to_fixed(2 * along[cls] * h, P)
+                  for cls, h in zip(q.side_classes, heights)]
+    F = mpf_to_fraction
+    dx, dy, ca, sa = F(dx), F(dy), F(cos_a), F(sin_a)
+    verts = [(F(vx), F(vy)) for vx, vy in q.vertices]
+    exact_along = {SideClass.BASE: dx, SideClass.SLANT: dx * ca + dy * sa}
+    offsets = [2 * exact_along[cls] * (F(vy) * ca - F(vx) * sa
+                                       if cls is SideClass.SLANT else F(vy))
+               for cls, (vx, vy) in zip(q.side_classes, lower)]
+    return ((proj_i, along_i, deltas),
+            ([vy * dx - vx * dy for vx, vy in verts],
+             [vx * dx + vy * dy for vx, vy in verts], offsets))
+
+
+def check_frame(poly, bits, theta, odd, n):
+    """The integer frame of a direction is the exact floor of each exact
+    product of its rounded inputs.  It equals the mpf frame, degenerate or
+    not, except where a product lies within 2^-56 ulp of the grid, and
+    every side through the origin has offset 0."""
+    q = frame_polygon(poly, bits)
+    tracer = _Tracer(q, theta.format(alpha=FRAME_POLYGONS[poly][1],
+                                     half=bits // 2))
+    ref = mpf_frame(tracer, odd, n)
+    if ref is None:
+        with pytest.raises(DegenerateDirection):
+            tracer._frame(odd, n)
+        return False
+    _, proj_i, spans, _, deltas = tracer._frame(odd, n)
+    along_i = [a for _, _, a, _ in spans]
+    scale = 1 << bits
+    for got, want, exact in zip((proj_i, along_i, deltas), *ref):
+        for g, w, x in zip(got, want, exact):
+            assert g == math.floor(x * scale)
+            near = abs(x * scale - round(x * scale)) < Fraction(1, 1 << 56)
+            assert g == w or near
+    assert spans == list(zip(proj_i, proj_i[1:] + proj_i[:1],
+                             along_i, along_i[1:] + along_i[:1]))
+    vs = q.vertices
+    for i, delta in enumerate(deltas):
+        if (0, 0) in (vs[i], vs[(i + 1) % len(vs)]):
+            assert delta == 0
+    return True
+
+
+@given(poly=st.sampled_from(sorted(FRAME_POLYGONS)),
+       bits=st.sampled_from([64, 256, 512, 1024]),
+       theta=st.one_of(st.floats(0, 6.3).map(repr),
+                       st.sampled_from(SPECIAL_THETAS)),
+       odd=st.integers(0, 1), n=st.integers(-5, 5))
+@settings(max_examples=300, deadline=None)
+def test_integer_frames_match_mpf_frames(poly, bits, theta, odd, n):
+    check_frame(poly, bits, theta, odd, n)
+
+
+def test_integer_frames_match_mpf_frames_on_special_directions():
+    # Every special direction on every polygon and grid, at level 0 where
+    # its tiny component stays tiny: some are degenerate, some not.
+    kept = {check_frame(poly, bits, theta, odd, 0)
+            for poly in FRAME_POLYGONS for bits in (64, 256, 512, 1024)
+            for theta in SPECIAL_THETAS for odd in (0, 1)}
+    assert kept == {True, False}
+
+
 def _reflection_by_reflection(tracer, states, n_cap, reflection_cap):
     """Reference stepper: one ``_advance`` per reflection, odd children
     back on the stack, each section child classified on arrival."""
@@ -1044,11 +1160,9 @@ def test_macro_steps_survive_cache_eviction(monkeypatch):
     assert tracer.counts["records"] > 0 and tracer.counts["jumps"] > 0
 
 
-def test_counts_add_up_to_the_plain_single_cell_steps(monkeypatch):
-    # On each default config the plain steps and the steps that jumps skip
-    # add up to the single-cell pair steps of stepping without macro-steps,
-    # so each ray of perp_orbits is stepped exactly once, and a second run
-    # counts exactly the same.
+def default_counts(monkeypatch, name):
+    """The counts of every tracer of two default runs of ``name``, per run;
+    each must count exactly what the other does."""
     tracers = []
 
     class RecordingTracer(_Tracer):
@@ -1057,19 +1171,67 @@ def test_counts_add_up_to_the_plain_single_cell_steps(monkeypatch):
             tracers.append(self)
 
     monkeypatch.setattr(B, "_Tracer", RecordingTracer)
+    runs = []
+    for _ in range(2):
+        tracers.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_experiment(ExperimentConfig.from_json_obj({}, name))
+        runs.append([t.counts for t in tracers])
+    assert runs[0] == runs[1], name
+    return {k: sum(c[k] for c in runs[0]) for k in runs[0][0]}
+
+
+def test_counts_add_up_to_the_plain_single_cell_steps(monkeypatch):
+    # On each default config the plain steps and the steps that jumps skip
+    # add up to the single-cell pair steps of stepping without macro-steps,
+    # so each ray of perp_orbits is stepped exactly once, and a second run
+    # counts exactly the same.
     for name, steps in [("thm1_cover", 260022), ("thm2_cover", 32387),
                         ("perp_orbits", 4504)]:
-        runs = []
-        for _ in range(2):
-            tracers.clear()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                run_experiment(ExperimentConfig.from_json_obj({}, name))
-            runs.append([t.counts for t in tracers])
-        assert runs[0] == runs[1], name
-        total = {k: sum(c[k] for c in runs[0]) for k in runs[0][0]}
+        total = default_counts(monkeypatch, name)
         assert total["plain"] + total["jumped"] == steps, name
         assert total["jumps"] > 0 and total["records"] > 0, name
+
+
+@pytest.mark.parametrize("name, builds", [
+    ("thm1_cover", (128, 248, 124, 0)), ("thm2_cover", (53, 96, 46, 0)),
+    ("perp_orbits", (8, 15, 7, 0))])
+def test_default_build_counts(monkeypatch, name, builds):
+    # frames, transit and pair tables built, and cache evictions, summed
+    # over a default run's tracers; a second run counts the same
+    total = default_counts(monkeypatch, name)
+    assert tuple(total[k] for k in ("frames", "transit", "pairs",
+                                    "evictions")) == builds
+
+
+def test_counts_tally_rebuilds_after_evictions(monkeypatch):
+    # Under a tiny cache limit every eviction is counted, and so is each
+    # frame, transit table and pair table built again after one.
+    q = B.rhombus("pi*(sqrt(5)-1)/4", 1, precision_bits=64)
+    builds = {"_frame": 0, "_build_table": 0, "_build_pair": 0}
+
+    def counting(name):
+        build = getattr(_Tracer, name)
+
+        def counting_build(self, *key):
+            if name != "_frame" or key not in self.frames:
+                builds[name] += 1
+            return build(self, *key)
+        return counting_build
+
+    for name in builds:
+        monkeypatch.setattr(_Tracer, name, counting(name))
+    monkeypatch.setattr(B, "_TABLE_CACHE_LIMIT", 5)
+    tracer = _Tracer(q, "0.3")
+    lo, hi = tracer.launch_span()
+    tracer.trace_states([(_LAUNCH, lo, hi, 0, 0, 0)], n_cap=4,
+                        reflection_cap=1000)
+    counts = tracer.counts
+    assert counts["evictions"] > 0
+    assert (counts["frames"], counts["transit"], counts["pairs"]) == (
+        builds["_frame"], builds["_build_table"], builds["_build_pair"])
+    assert counts["frames"] > len(tracer.frames)
 
 
 @pytest.mark.parametrize("ns", [[], [0, 2], [2, 2], [3, 1]])

@@ -7,6 +7,7 @@ import dataclasses
 import importlib
 import json
 import pickle
+import time
 import warnings
 from pathlib import Path
 
@@ -122,6 +123,23 @@ def test_declared_experiment_must_match():
 def test_invalid_values_rejected(experiment, options):
     with pytest.raises(ConfigError):
         make_cfg(experiment, **options)
+
+
+@pytest.mark.parametrize("theta, side", [
+    ("1e-30000", "up"), ("2**-300", "up"), ("1e-70*2**-256", "up"),
+    ("pi*(sqrt(5)-1)/4 + 1e-79", "down")])
+def test_tiny_thm1_targets_fail_at_config_time(theta, side):
+    # The scan grid widens with log2(1/t) of a nonzero target t, so one
+    # below 2^-precision_bits is refused before any scan; 1e-30000 once
+    # ran a 38 s approx_solutions call.
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=f"theta gives the {side} target"):
+        make_cfg("thm1_cover", theta=theta)
+    assert time.perf_counter() - start < 1
+    # targets of 0 and of at least 2^-precision_bits are accepted
+    make_cfg("thm1_cover", theta=0)
+    make_cfg("thm1_cover", theta="pi*2**-256")
+    make_cfg("thm1_cover", theta="1e-90", precision_bits=512)
 
 
 @pytest.mark.parametrize("shrink", [0, 1.5])

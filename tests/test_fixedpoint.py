@@ -12,7 +12,8 @@ from mpmath.libmp import from_man_exp
 
 from billiardlab.fixedpoint import (arc_hits, count_arc, count_arcs, first_hit,
                                    floor_sum, from_fixed, index_range,
-                                   mpf_to_fraction, power_floor, to_fixed)
+                                   mpf_to_fraction, on_grid, power_floor,
+                                   to_fixed)
 
 
 def brute_floor_sum(n, m, a, b):
@@ -97,6 +98,28 @@ def test_to_fixed_refuses_a_fraction_as_mpf_does(x, bits):
 def test_to_fixed_rejects_non_finite_values(value):
     with pytest.raises(ValueError):
         to_fixed(mpf(value), 64)
+
+
+@given(st.lists(st.tuples(st.integers(-(1 << 300), 1 << 300),
+                          st.integers(-400, 400)), max_size=5),
+       st.integers(0, 500))
+@example([], 0)
+@example([(0, 7)], 3)
+@example([(3 << 10, -4), (-5, 2)], 0)
+@settings(max_examples=200)
+def test_on_grid_is_exact_on_the_least_grid(parts, least):
+    values = [from_fixed(n, -e) for n, e in parts]  # n * 2^e
+    E, ints = on_grid(values, least)
+    assert [Fraction(k, 1 << E) for k in ints] == list(map(mpf_to_fraction,
+                                                          values))
+    # the least such grid: coarser than E only if E is the floor ``least``
+    assert E == least or any(k % 2 for k in ints)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_on_grid_rejects_non_finite_values(value):
+    with pytest.raises(ValueError):
+        on_grid([mpf(1), mpf(value)])
 
 
 @given(st.integers(-(1 << 8192), 1 << 8192), st.integers(0, 8192))

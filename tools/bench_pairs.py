@@ -1,6 +1,7 @@
 """Compare a revision with the working tree in alternating benchmark runs.
 
     python3 tools/bench_pairs.py REV [--workload W] [--pairs N] [--seconds S]
+                                     [--seed N]
 
 Exports ``REV`` with ``git archive`` into a new temporary directory and
 copies this checkout's working tree (the files git lists, tracked or not
@@ -10,7 +11,9 @@ from fresh directories of the same kind.  It then runs ``bench/run.py
 ``--pairs`` times per workload.  The side that runs first alternates from
 pair to pair, so a drift in host speed favours neither.
 ``--workload`` may be repeated; by default every workload that
-``BENCHMARK.json`` declares is run.
+``BENCHMARK.json`` declares is run.  ``--seed`` is passed on to
+``bench/run.py`` (its default seed when not given), so that a claim can be
+checked on a seed other than the one it was measured on.
 
 For each workload and each end-to-end metric of ``BENCHMARK.json`` it
 prints, for the revision's and for the change's run values, the median
@@ -30,6 +33,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 # bench_record.py measures in a directory named like the "rev" side here,
@@ -37,11 +41,13 @@ ROOT = Path(__file__).resolve().parent.parent
 TMP_PREFIX = "bench_pairs_"
 
 
-def bench_run(tree: Path, workload: str, seconds: float) -> dict:
+def bench_run(tree: Path, workload: str, seconds: float,
+              seed: Optional[int]) -> dict:
     """The result line of one ``bench/run.py --trace 0`` run in ``tree``."""
+    seed_args = [] if seed is None else ["--seed", str(seed)]
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--trace",
-         "0", "--seconds", str(seconds)],
+         "0", "--seconds", str(seconds), *seed_args],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
@@ -89,6 +95,7 @@ def main() -> int:
     parser.add_argument("--workload", action="append")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8)
+    parser.add_argument("--seed", type=int)
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be positive")
@@ -112,7 +119,8 @@ def main() -> int:
                 order = ("rev", "change") if k % 2 == 0 else ("change", "rev")
                 for side in order:
                     try:
-                        result = bench_run(sides[side], name, args.seconds)
+                        result = bench_run(sides[side], name, args.seconds,
+                                           args.seed)
                     except RuntimeError as exc:
                         print(f"bench_pairs: {exc}", file=sys.stderr)
                         return 1
