@@ -5,10 +5,11 @@ denominators: level k keeps the intervals of half-width (2|n_k|)^(-mu)/2
 centered on lattice orbit points (m*p + k)*omega that are completely
 contained in a level-(k-1) interval, and splits each parent's mass
 uniformly among its retained children.  All counting and containment is
-done in exact fixed-point integer arithmetic (shifted windows of one count
-per residue class count the children of parents centered on orbit points,
-orbit-hit walks enumerate them), so level counts and masses are exact even
-when a level is far too large to enumerate; representative drift is
+done in exact fixed-point integer arithmetic, so level counts and masses
+are exact even when a level is far too large to enumerate: the children
+of parents centered on orbit points are counted by one count per residue
+class, shifted per parent by the hits of two windows walked once for all
+parents, and enumerated by orbit-hit walks.  Representative drift is
 absorbed by per-level guard bands and any interval whose containment is
 ambiguous at the guard is discarded, keeping every reported quantity a
 certified lower-bound object.
@@ -429,9 +430,9 @@ def build_hierarchy(omega: CirclePoint, mu, m: int,
 
     A level, level 1 included, is stored with its intervals when it fits
     both caps; the deepest level may instead carry exact per-parent child
-    counts and masses, by shifted windows of one count per residue class
-    (an intermediate level that does not fit raises CapTooSmall, since its
-    children would need the geometry).
+    counts and masses, by one count per residue class shifted by shared
+    window hits (an intermediate level that does not fit raises
+    CapTooSmall, since its children would need the geometry).
     Masses split each parent's mass uniformly among its retained
     children, so they sum to exactly 1 at every level.
     """

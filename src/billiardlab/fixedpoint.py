@@ -9,6 +9,7 @@ original real inputs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -132,20 +133,37 @@ def count_arcs(w: int, scale: int, m: int, res: int, p_lo: int, p_hi: int,
                js: Sequence[int], allow: int) -> List[int]:
     """[count_arc(w, scale, m, res, p_lo, p_hi, j*w mod scale, allow) for j
     in js].  With d = j // m, the count around j*w is the count around 0 of
-    residue res - j mod m over [p_lo - d, p_hi - d], by translation
-    invariance: one full count per residue class at the least shift d0,
-    then per j two windows of d - d0 indices, where the ranges' ends differ."""
+    residue r = res - j mod m over [p_lo - d, p_hi - d], by translation
+    invariance.  Per residue class r, one full count at the least shift d0,
+    and with d1 the greatest shift, the hits of the two longest windows,
+    [p_lo - d1, p_lo - d0 - 1] and [p_hi - d1 + 1, p_hi - d0]; each j adds
+    the left hits >= p_lo - d and takes off the right hits >= p_hi - d + 1,
+    one bisection each.
+
+    A window walk costs one first_hit per hit, plus one for the miss that
+    ends it, and a window of L = d1 - d0 indices holds about
+    L*(2*allow + 1)/scale hits.  For Cantor parents, L is at most their
+    index spread over m and allow at most a parent half-width plus its
+    guard, so for mu > 1 a window holds under one hit on average."""
     if p_hi < p_lo:
         return [0] * len(js)
+    if 2 * allow + 1 >= scale:
+        return [p_hi - p_lo + 1] * len(js)
     d0 = min(js, default=0) // m
-    ref, out = {}, []
+    d1 = max(js, default=0) // m
+    classes, out = {}, []
     for j in js:
         d, r = j // m, res - j % m
-        if r not in ref:
-            ref[r] = count_arc(w, scale, m, r, p_lo - d0, p_hi - d0, 0, allow)
-        left = count_arc(w, scale, m, r, p_lo - d, p_lo - d0 - 1, 0, allow)
-        right = count_arc(w, scale, m, r, p_hi - d + 1, p_hi - d0, 0, allow)
-        out.append(ref[r] + left - right)
+        if r not in classes:
+            classes[r] = (
+                count_arc(w, scale, m, r, p_lo - d0, p_hi - d0, 0, allow),
+                list(arc_hits(w, scale, m, r, p_lo - d1, p_lo - d0 - 1, 0,
+                              allow)),
+                list(arc_hits(w, scale, m, r, p_hi - d1 + 1, p_hi - d0, 0,
+                              allow)))
+        ref, left, right = classes[r]
+        out.append(ref + len(left) - bisect_left(left, p_lo - d)
+                   - len(right) + bisect_left(right, p_hi - d + 1))
     return out
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from billiardlab import cantor
+from billiardlab import cantor, fixedpoint
 from billiardlab.cantor import (DEFAULT_MATERIALIZE_CAP, DEFAULT_SCAN_CAP,
                                 LevelInterval, _Builder, build_hierarchy,
                                 local_dimension_report, select_sequence,
@@ -16,7 +16,8 @@ from billiardlab.cantor import (DEFAULT_MATERIALIZE_CAP, DEFAULT_SCAN_CAP,
 from billiardlab.circle import CirclePoint, continued_fraction
 from billiardlab.dimension import dim_lb_estimate
 from billiardlab.errors import CapTooSmall, DepthUnreachable, EmptyLevel
-from billiardlab.fixedpoint import from_fixed
+from billiardlab.fixedpoint import (count_arc, count_arcs, from_fixed,
+                                    index_range)
 
 BITS = 192
 
@@ -430,6 +431,133 @@ def test_root_level_obeys_both_caps(caps):
         {"parent_center": None, "child_count": 14, "child_mass": "1/14"}]
     with pytest.raises(CapTooSmall):
         build_hierarchy(golden(), 2, 1, [13, -987], **caps)
+
+
+# ---------------------------------------------------------------------------
+# per-parent child counts at Cantor scale
+# ---------------------------------------------------------------------------
+
+DEEP = {  # name: (omega, bits, the sequence select_sequence picks at depth 4)
+    "golden512": ("(sqrt(5)-1)/2", 512,
+                  (1, -2, 1597, -150804340016807970735635273952047185)),
+    "e1024": ("e-2", 1024,
+              (1, -3, 190435,
+               -5085525453460186301777867529962655859538011626631066055111)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(DEEP))
+def deep_builder(request):
+    """A builder holding levels 1-3 of a depth-4 sequence, and that
+    sequence's level-4 entry."""
+    omega, bits, seq = DEEP[request.param]
+    b = _Builder(continued_fraction(CirclePoint.make(omega, bits),
+                                    max_depth=2048),
+                 2, 1, DEFAULT_SCAN_CAP, DEFAULT_MATERIALIZE_CAP)
+    for k, n in enumerate(seq[:3], 1):
+        b.extend(n, k, final=False)
+    return b, seq[3]
+
+
+def _per_parent(b, m, res, p_lo, p_hi, js, allow):
+    return [count_arc(b.w, b.scale, m, res, p_lo, p_hi, j * b.w % b.scale,
+                      allow) for j in js]
+
+
+def test_count_arcs_is_count_arc_at_cantor_scale(deep_builder):
+    # the 200 (golden ratio, 512 bits) or 10,580 (e - 2, 1,024 bits)
+    # level-3 parents against level-4 index ranges near 10^35 or 10^58, at
+    # the allowances extend and well_holds pass and at a wider one whose
+    # windows hold hits.  An oracle count in the deep case is two floor
+    # sums on 10^58-sized ranges, so there it checks every twentieth parent
+    # and the two that set the window ends, at fewer classes and
+    # allowances.
+    b, n = deep_builder
+    js = [iv.j for iv in b.levels[-1].intervals]
+    assert len(js) in (200, 10580)
+    q = abs(n)
+    half, g, parent_half = b.half_fp(q), b.guard(q), b.levels[-1].half_fp
+    if len(js) == 200:
+        checked = range(len(js))
+        classes = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+        allows = (parent_half - half - g, parent_half - half + g, half + g,
+                  half - g, b.scale >> 14)
+    else:
+        checked = sorted({*range(0, len(js), 20), js.index(min(js)),
+                          js.index(max(js))})
+        classes = ((1, 0), (2, 1), (3, 2))
+        allows = (parent_half - half - g, b.scale >> 14)
+    lo, hi = sorted((n, 2 * n))
+    for m, res in classes:
+        p_lo, p_hi = index_range(lo, hi, m, res)
+        assert 10**34 < abs(p_lo) < 10**59
+        for allow in allows:
+            got = count_arcs(b.w, b.scale, m, res, p_lo, p_hi, js, allow)
+            assert [got[i] for i in checked] == _per_parent(
+                b, m, res, p_lo, p_hi, [js[i] for i in checked], allow)
+
+
+def test_count_arcs_at_cantor_scale_counts_hits_on_window_ends(deep_builder):
+    # Parents j = m*e + res + x, for e one of the range ends and x a
+    # level-3 index or 0: the parent x = 0 sees the point p = e itself
+    # exactly at its centre, so the hit falls on the first or last index
+    # of a window or of the reference range, and one index outside them.
+    b, n = deep_builder
+    xs = [0] + [iv.j for iv in b.levels[-1].intervals][:100]
+    allow = b.levels[-1].half_fp - b.half_fp(abs(n)) - b.guard(abs(n))
+    lo, hi = sorted((n, 2 * n))
+    for m, res in ((1, 0), (2, 1), (3, 2)):
+        p_lo, p_hi = index_range(lo, hi, m, res)
+        for end in (p_lo - 1, p_lo, p_hi, p_hi + 1):
+            for xs_ in (xs, [-x for x in xs]):
+                js = [m * end + res + x for x in xs_]
+                got = count_arcs(b.w, b.scale, m, res, p_lo, p_hi, js, allow)
+                assert got == _per_parent(b, m, res, p_lo, p_hi, js, allow)
+
+
+def test_count_arcs_edges_at_cantor_scale(deep_builder, monkeypatch):
+    # the whole circle counts every index without a window walk, which
+    # for parents 10^40 apart would list 10^40 indices; a negative
+    # allowance or an empty range counts nothing, and no parents give no
+    # counts
+    b, n = deep_builder
+    w, scale = b.w, b.scale
+    js = [iv.j for iv in b.levels[-1].intervals][:50] + [10**40, -10**40]
+    lo, hi = sorted((n, 2 * n))
+    p_lo, p_hi = index_range(lo, hi, 2, 1)
+    with monkeypatch.context() as mp_:
+        mp_.setattr(fixedpoint, "arc_hits", None)
+        for allow in (scale // 2, scale):
+            assert count_arcs(w, scale, 2, 1, p_lo, p_hi, js, allow) == [
+                p_hi - p_lo + 1] * len(js)
+    assert count_arcs(w, scale, 2, 1, p_lo, p_hi, js, -1) == [0] * len(js)
+    assert count_arcs(w, scale, 2, 1, p_lo, p_lo - 1, js, scale) == [0] * len(js)
+    assert count_arcs(w, scale, 2, 1, p_lo, p_lo - 1, js, 0) == [0] * len(js)
+    assert count_arcs(w, scale, 2, 1, p_lo, p_hi, [], 0) == []
+
+
+PINNED_WORK = {  # name: (floor_sum calls, first_hit calls) of select_sequence
+    "golden512": (24, 230),
+    "e1024": (24, 10610),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WORK))
+def test_select_sequence_work_is_pinned(name, monkeypatch):
+    # two floor sums per residue class in each count_arcs call, and window
+    # hits in place of per-parent counts; the same on a second run
+    omega, bits, seq = DEEP[name]
+    calls = {"floor_sum": 0, "first_hit": 0}
+    for fn in calls:
+        def counted(*args, _fn=getattr(fixedpoint, fn), _name=fn):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(fixedpoint, fn, counted)
+    cf = continued_fraction(CirclePoint.make(omega, bits), max_depth=2048)
+    for _ in range(2):
+        calls.update(floor_sum=0, first_hit=0)
+        assert select_sequence(cf, 2, 1, 4, 0.1).sequence == seq
+        assert (calls["floor_sum"], calls["first_hit"]) == PINNED_WORK[name]
 
 
 # ---------------------------------------------------------------------------

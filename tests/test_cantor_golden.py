@@ -3,9 +3,10 @@ must write reports whose SHA-256 digests match ``golden.json``, or raise
 the exception class and message recorded there.  The bench digests cover
 only the default configs.  The ``cantor_dim`` configs also reach other
 rotation numbers, another exponent, a stored level over three residue
-classes, and the scan cap; the others reach a finer ``thm1_cover`` grid,
-a ``thm2_cover`` parallelogram, ``perp_orbits`` on an irrational rhombus,
-and the family subtraction of ``ubiquity`` with its failing verdict.
+classes, the scan cap, and a counted level under 10,580 parents at 1,024
+bits; the others reach a finer ``thm1_cover`` grid, a ``thm2_cover``
+parallelogram, ``perp_orbits`` on an irrational rhombus, and the family
+subtraction of ``ubiquity`` with its failing verdict.
 
 The same file holds digests of a library output that no report shows:
 every transit table (or the exception its build raises) of five polygons,
@@ -40,6 +41,8 @@ CONFIGS = {  # name: (experiment, overrides)
     "sqrt2_depth3": ("cantor_dim", {"omega": "sqrt(2)-1", "depth": 3}),
     "sqrt3_depth3": ("cantor_dim", {"omega": "sqrt(3)-1", "depth": 3}),
     "e_depth3": ("cantor_dim", {"omega": "e-2", "depth": 3}),
+    "e_depth4_bits1024": ("cantor_dim", {"omega": "e-2", "depth": 4,
+                                         "precision_bits": 1024}),
     "mu3_depth3": ("cantor_dim", {"mu": 3.0, "depth": 3}),
     "m3_depth2": ("cantor_dim", {"m": 3, "depth": 2}),
     "m3_depth3": ("cantor_dim", {"m": 3, "depth": 3}),           # DepthUnreachable
