@@ -12,6 +12,7 @@ Subpackage map:
 - ``billiard``   polygons, the beam tracer, escape sets, perpendicular orbits
 - ``dimension``  box counting, slope fits and escape-set covers
 - ``rng``        the seeded generator of the experiments (numpy-free)
+- ``records``    the frozen slotted base of the record types
 - ``experiments``  what the experiments share: the config schema, the
                  report type and ``write_report``, and the table of runner
                  modules (``lab`` entry point in ``cli``)

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import prod
@@ -71,6 +70,7 @@ from .errors import (DegenerateDirection, NotGeneralizedParallelogram,
                      RationalAngle)
 from .fixedpoint import on_grid
 from .intervals import DEFAULT_PRECISION, IntervalUnion
+from .records import Frozen, init_field, same_fields
 
 _LAUNCH = -1  # pseudo source-side index: beam resting on a cross-section
 
@@ -91,8 +91,7 @@ class SideClass(Enum):
     SLANT = "slant"  # parallel to (cos alpha, sin alpha)
 
 
-@dataclass(frozen=True)
-class GeneralizedParallelogram:
+class GeneralizedParallelogram(Frozen):
     """Simple polygon whose sides are parallel to the x-axis or to alpha.
 
     ``vertices`` are stored counterclockwise; ``side_classes[i]`` tags the
@@ -101,11 +100,18 @@ class GeneralizedParallelogram:
     working precision, else None.
     """
 
-    vertices: Tuple[Tuple[mpf, mpf], ...]
-    alpha: mpf
-    side_classes: Tuple[SideClass, ...]
-    alpha_rational: Optional[Fraction]
-    precision_bits: int = DEFAULT_PRECISION
+    __slots__ = ("vertices", "alpha", "side_classes", "alpha_rational",
+                 "precision_bits")
+
+    def __init__(self, vertices: Tuple[Tuple[mpf, mpf], ...], alpha: mpf,
+                 side_classes: Tuple[SideClass, ...],
+                 alpha_rational: Optional[Fraction],
+                 precision_bits: int = DEFAULT_PRECISION):
+        init_field(self, "vertices", vertices)
+        init_field(self, "alpha", alpha)
+        init_field(self, "side_classes", side_classes)
+        init_field(self, "alpha_rational", alpha_rational)
+        init_field(self, "precision_bits", precision_bits)
 
     def side(self, i: int) -> Tuple[Tuple[mpf, mpf], Tuple[mpf, mpf]]:
         return self.vertices[i], self.vertices[(i + 1) % len(self.vertices)]
@@ -805,8 +811,7 @@ class _Tracer:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EscapeReport:
+class EscapeReport(Frozen):
     """Bookkeeping for one escape-set computation.
 
     ``j_N`` counts the terminal partition intervals produced by tracing
@@ -817,10 +822,16 @@ class EscapeReport:
     excluded from both the returned and escaped tallies).
     """
 
-    N: int
-    j_N: int
-    gate_width: mpf
-    uncertain: IntervalUnion
+    __slots__ = ("N", "j_N", "gate_width", "uncertain")
+
+    def __init__(self, N: int, j_N: int, gate_width: mpf,
+                 uncertain: IntervalUnion):
+        init_field(self, "N", N)
+        init_field(self, "j_N", j_N)
+        init_field(self, "gate_width", gate_width)
+        init_field(self, "uncertain", uncertain)
+
+    __eq__ = same_fields
 
 
 def escape_sets(q: GeneralizedParallelogram, theta, ns: Sequence[int],

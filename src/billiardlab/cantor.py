@@ -18,7 +18,6 @@ certified lower-bound object.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -30,6 +29,7 @@ from .errors import CapTooSmall, DepthUnreachable, EmptyLevel
 from .fixedpoint import (arc_hits, count_arcs, from_fixed, index_range,
                          power_floor, to_fixed)
 from .intervals import IntervalUnion, _dps_for, circle_pairs, fmt
+from .records import Frozen, init_field, same_fields
 
 __all__ = [
     "CantorHierarchy",
@@ -51,19 +51,22 @@ def _schedule_sign(k: int, m: int) -> int:
     return 1 if ((k - 1) % (2 * m)) <= m - 1 else -1
 
 
-@dataclass(frozen=True)
-class LevelInterval:
+class LevelInterval(Frozen):
     """One retained interval: center = frac(j * omega), width shared by
     the whole level, mass an exact rational."""
 
-    j: int
-    center_fp: int
-    mass: Fraction
-    parent: int
+    __slots__ = ("j", "center_fp", "mass", "parent")
+
+    def __init__(self, j: int, center_fp: int, mass: Fraction, parent: int):
+        init_field(self, "j", j)
+        init_field(self, "center_fp", center_fp)
+        init_field(self, "mass", mass)
+        init_field(self, "parent", parent)
+
+    __eq__ = same_fields
 
 
-@dataclass(frozen=True)
-class HierarchyLevel:
+class HierarchyLevel(Frozen):
     """Level k of a hierarchy.
 
     A materialized level stores its intervals sorted by center; a counted
@@ -75,14 +78,24 @@ class HierarchyLevel:
     at the guard band.
     """
 
-    k: int
-    n_k: int
-    half_fp: int
-    count: int
-    intervals: Optional[Tuple[LevelInterval, ...]]
-    child_counts: Optional[Tuple[int, ...]] = None
-    child_mass: Optional[Tuple[Fraction, ...]] = None
-    ambiguous: int = 0
+    __slots__ = ("k", "n_k", "half_fp", "count", "intervals", "child_counts",
+                 "child_mass", "ambiguous")
+
+    def __init__(self, k: int, n_k: int, half_fp: int, count: int,
+                 intervals: Optional[Tuple[LevelInterval, ...]],
+                 child_counts: Optional[Tuple[int, ...]] = None,
+                 child_mass: Optional[Tuple[Fraction, ...]] = None,
+                 ambiguous: int = 0):
+        init_field(self, "k", k)
+        init_field(self, "n_k", n_k)
+        init_field(self, "half_fp", half_fp)
+        init_field(self, "count", count)
+        init_field(self, "intervals", intervals)
+        init_field(self, "child_counts", child_counts)
+        init_field(self, "child_mass", child_mass)
+        init_field(self, "ambiguous", ambiguous)
+
+    __eq__ = same_fields
 
     @property
     def materialized(self) -> bool:
@@ -100,18 +113,24 @@ class HierarchyLevel:
                    Fraction(0))
 
 
-@dataclass(frozen=True)
-class CantorHierarchy:
+class CantorHierarchy(Frozen):
     """A nested mass-carrying interval hierarchy over a circle rotation,
     with the validated continued fraction of omega it was built from."""
 
-    cf: ContinuedFractionExpansion
-    mu: mpf
-    m: int
-    sequence: Tuple[int, ...]
-    levels: Tuple[HierarchyLevel, ...]
-    residue_schedule: Tuple[Tuple[int, int], ...]
-    precision_bits: int
+    __slots__ = ("cf", "mu", "m", "sequence", "levels", "residue_schedule",
+                 "precision_bits")
+
+    def __init__(self, cf: ContinuedFractionExpansion, mu: mpf, m: int,
+                 sequence: Tuple[int, ...], levels: Tuple[HierarchyLevel, ...],
+                 residue_schedule: Tuple[Tuple[int, int], ...],
+                 precision_bits: int):
+        init_field(self, "cf", cf)
+        init_field(self, "mu", mu)
+        init_field(self, "m", m)
+        init_field(self, "sequence", sequence)
+        init_field(self, "levels", levels)
+        init_field(self, "residue_schedule", residue_schedule)
+        init_field(self, "precision_bits", precision_bits)
 
     @property
     def depth(self) -> int:

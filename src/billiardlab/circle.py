@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import ast
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Tuple, Union
 
@@ -21,6 +20,7 @@ from mpmath import mp, mpf
 from .errors import DepthExceeded, RationalDetected
 from .fixedpoint import from_fixed, to_fixed
 from .intervals import DEFAULT_PRECISION
+from .records import Frozen, init_field
 
 NumberLike = Union[int, float, str, Fraction, mpf]
 
@@ -116,22 +116,21 @@ def _eval_spec(x: NumberLike):
     return mpf(x)
 
 
-@dataclass(frozen=True)
-class CirclePoint:
+class CirclePoint(Frozen):
     """A point on the circle R/Z: value in [0, 1) at a tagged precision."""
 
-    value: mpf
-    precision_bits: int = DEFAULT_PRECISION
+    __slots__ = ("value", "precision_bits")
 
-    def __post_init__(self):
-        if self.precision_bits <= 0:
+    def __init__(self, value: mpf, precision_bits: int = DEFAULT_PRECISION):
+        if precision_bits <= 0:
             raise ValueError("precision_bits must be positive")
-        with mp.workprec(self.precision_bits + 16):
-            v = mpf(self.value)
+        with mp.workprec(precision_bits + 16):
+            v = mpf(value)
             v = v - mp.floor(v)
             if v >= 1:  # guard against rounding at the wrap point
                 v = mpf(0)
-        object.__setattr__(self, "value", v)
+        init_field(self, "value", v)
+        init_field(self, "precision_bits", precision_bits)
 
     @classmethod
     def make(cls, x: NumberLike, precision_bits: int = DEFAULT_PRECISION) -> "CirclePoint":
@@ -147,8 +146,7 @@ def angle_point(x: mpf, precision_bits: int) -> CirclePoint:
         return CirclePoint((x % mp.pi) / mp.pi, precision_bits)
 
 
-@dataclass(frozen=True)
-class ContinuedFractionExpansion:
+class ContinuedFractionExpansion(Frozen):
     """Validated continued fraction of a circle point.
 
     ``partial_quotients`` and ``convergents`` are certified up to
@@ -156,10 +154,14 @@ class ContinuedFractionExpansion:
     endpoints of the stored value's uncertainty interval agree on it.
     """
 
-    omega: CirclePoint
-    partial_quotients: List[int] = field(default_factory=list)
-    convergents: List[Tuple[int, int]] = field(default_factory=list)
-    validated_depth: int = 0
+    __slots__ = ("omega", "partial_quotients", "convergents", "validated_depth")
+
+    def __init__(self, omega: CirclePoint, partial_quotients: List[int],
+                 convergents: List[Tuple[int, int]], validated_depth: int):
+        init_field(self, "omega", omega)
+        init_field(self, "partial_quotients", partial_quotients)
+        init_field(self, "convergents", convergents)
+        init_field(self, "validated_depth", validated_depth)
 
     def denominator(self, r: int) -> int:
         """q_r, 1-indexed."""

@@ -7,7 +7,6 @@ billiard escape sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -16,19 +15,23 @@ from mpmath import mp, mpf
 from .errors import InsufficientScales
 from .fixedpoint import from_fixed, mpf_to_fraction
 from .intervals import IntervalUnion
+from .records import Frozen, init_field
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(Frozen):
     """One covering record: N(epsilon) pieces of length 2*epsilon, the
     covering sum count*epsilon^s, and the single-scale dimension estimate
     log(count)/log(1/epsilon) (None for an empty set)."""
 
-    scale: mpf
-    count: int
-    s: float
-    sum: mpf
-    dim_estimate: Optional[mpf]
+    __slots__ = ("scale", "count", "s", "sum", "dim_estimate")
+
+    def __init__(self, scale: mpf, count: int, s: float, sum: mpf,
+                 dim_estimate: Optional[mpf]):
+        init_field(self, "scale", scale)
+        init_field(self, "count", count)
+        init_field(self, "s", s)
+        init_field(self, "sum", sum)
+        init_field(self, "dim_estimate", dim_estimate)
 
 
 def box_count(cover_set: IntervalUnion, epsilon, s: float = 1.0) -> CoverReport:
@@ -60,15 +63,18 @@ def box_count(cover_set: IntervalUnion, epsilon, s: float = 1.0) -> CoverReport:
         return CoverReport(scale=eps, count=count, s=s, sum=total, dim_estimate=dim)
 
 
-@dataclass(frozen=True)
-class DimensionFit:
+class DimensionFit(Frozen):
     """Least-squares slope of log N(eps) against log(1/eps), with the
     per-scale residuals and the underlying cover reports."""
 
-    slope: mpf
-    intercept: mpf
-    residuals: Tuple[mpf, ...]
-    reports: Tuple[CoverReport, ...]
+    __slots__ = ("slope", "intercept", "residuals", "reports")
+
+    def __init__(self, slope: mpf, intercept: mpf, residuals: Tuple[mpf, ...],
+                 reports: Tuple[CoverReport, ...]):
+        init_field(self, "slope", slope)
+        init_field(self, "intercept", intercept)
+        init_field(self, "residuals", residuals)
+        init_field(self, "reports", reports)
 
 
 def dim_lb_estimate(scale_sets: Sequence[Tuple[object, IntervalUnion]]) -> DimensionFit:
@@ -101,14 +107,17 @@ def dim_lb_estimate(scale_sets: Sequence[Tuple[object, IntervalUnion]]) -> Dimen
                         residuals=residuals, reports=tuple(reports))
 
 
-@dataclass(frozen=True)
-class AverageCoverReport:
+class AverageCoverReport(Frozen):
     """Result of covering j intervals by pieces of the average length."""
 
-    count: int
-    bound_3n_ok: bool
-    piece_length: mpf
-    pieces_per_interval: Tuple[int, ...]
+    __slots__ = ("count", "bound_3n_ok", "piece_length", "pieces_per_interval")
+
+    def __init__(self, count: int, bound_3n_ok: bool, piece_length: mpf,
+                 pieces_per_interval: Tuple[int, ...]):
+        init_field(self, "count", count)
+        init_field(self, "bound_3n_ok", bound_3n_ok)
+        init_field(self, "piece_length", piece_length)
+        init_field(self, "pieces_per_interval", pieces_per_interval)
 
 
 def average_length_cover(lengths: Sequence, budget_length) -> AverageCoverReport:

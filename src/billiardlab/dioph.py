@@ -14,7 +14,6 @@ its exact grid distance meets its own allowance.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Iterator, List, Tuple
 
 from mpmath import mp, mpf
@@ -24,15 +23,18 @@ from .errors import OrbitPoint, RationalRotation
 from .fixedpoint import (arc_hits, from_fixed, index_range, mpf_to_fraction,
                          on_grid, power_floor, to_fixed)
 from .intervals import IntervalUnion, circle_pairs
+from .records import Frozen, init_field
 
 
-@dataclass(frozen=True)
-class ApproxSolution:
+class ApproxSolution(Frozen):
     """One solution of ||t + p*omega|| < threshold(|p|), with its exact
     distance."""
 
-    p: int
-    distance: mpf
+    __slots__ = ("p", "distance")
+
+    def __init__(self, p: int, distance: mpf):
+        init_field(self, "p", p)
+        init_field(self, "distance", distance)
 
 
 def _grid(t: CirclePoint, omega: CirclePoint) -> Tuple[int, int, int]:

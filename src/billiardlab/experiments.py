@@ -12,6 +12,8 @@ and seed produces byte-identical files.
 This module holds what the experiments share.  Each runner lives in the
 module that :data:`EXPERIMENTS` names, which validating a configuration
 imports, so a run compiles only the library modules its experiment uses.
+The record types, :class:`RunReport` among them, are plain slotted
+classes, so set-up imports neither ``dataclasses`` nor ``inspect``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import copy
 import importlib
 import json
 import os
-from dataclasses import dataclass, field
 from types import ModuleType
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -256,16 +257,20 @@ def apply_overrides(obj: Dict[str, Any], overrides: Sequence[str]) -> Dict[str, 
 # report plumbing
 # --------------------------------------------------------------------------
 
-@dataclass
 class RunReport:
     """Outcome of one experiment run, ready for serialization."""
 
-    experiment: str
-    violations: List[str]
-    notes: List[str]
-    tables: Dict[str, Tuple[str, List[str]]]
-    data: Dict[str, Any]
-    config: ExperimentConfig = field(repr=False)
+    __slots__ = ("experiment", "violations", "notes", "tables", "data", "config")
+
+    def __init__(self, experiment: str, violations: List[str], notes: List[str],
+                 tables: Dict[str, Tuple[str, List[str]]], data: Dict[str, Any],
+                 config: ExperimentConfig):
+        self.experiment = experiment
+        self.violations = violations
+        self.notes = notes
+        self.tables = tables
+        self.data = data
+        self.config = config
 
     @property
     def passed(self) -> bool:

@@ -12,13 +12,13 @@ different grids raise ValueError.  Intervals may live on the unit circle
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, List, Tuple
 
 from mpmath import mp, mpf
 
 from .fixedpoint import from_fixed
+from .records import Frozen, init_field, same_fields
 
 Pair = Tuple[int, int]
 
@@ -57,13 +57,18 @@ def circle_pairs(center: int, half: int, bits: int) -> List[Pair]:
     return [(lo, hi)]
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
+class IntervalUnion(Frozen):
     """Sorted union of pairwise-disjoint open intervals (lo, hi) on the
     2**-precision_bits grid."""
 
-    intervals: Tuple[Pair, ...]
-    precision_bits: int = DEFAULT_PRECISION
+    __slots__ = ("intervals", "precision_bits")
+
+    def __init__(self, intervals: Tuple[Pair, ...],
+                 precision_bits: int = DEFAULT_PRECISION):
+        init_field(self, "intervals", intervals)
+        init_field(self, "precision_bits", precision_bits)
+
+    __eq__ = same_fields
 
     # -- construction -------------------------------------------------
 

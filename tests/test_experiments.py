@@ -3,7 +3,6 @@ overrides, the two-sided target construction, escape-cover schedules, the
 seven runners, deterministic report files, and process exit codes."""
 
 import copy
-import dataclasses
 import importlib
 import json
 import pickle
@@ -208,7 +207,7 @@ def test_configs_and_reports_copy_and_pickle():
         assert twin.n_values == [10, 20, 40]
     report = RunReport(experiment="ubiquity", violations=[], notes=["n"],
                        tables={}, data={"x": 1}, config=cfg)
-    assert dataclasses.asdict(report)["config"].to_json_obj() == obj
+    assert report.config is cfg and report.config.to_json_obj() == obj
     again = pickle.loads(pickle.dumps(report))
     assert again.config.to_json_obj() == obj and again.data == {"x": 1}
 

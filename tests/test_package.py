@@ -1,9 +1,10 @@
 """Package-level guards: the public exports exist, no library module
 hands a string to ``eval`` or ``exec``, none sets the global mpmath
 precision (reports must not depend on the ambient context), the
-``lab`` runtime does not load numpy, an experiment loads only the
-modules it uses, no module nears the parser's token cliff, and the
-bench tracer still finds the library names it wraps."""
+``lab`` runtime loads neither numpy nor ``dataclasses`` and ``inspect``,
+an experiment loads only the modules it uses, no module nears the
+parser's token cliff, and the bench tracer still finds the library names
+it wraps."""
 
 import ast
 import os
@@ -65,6 +66,20 @@ def test_lab_runtime_does_not_import_numpy():
              "assert {f'billiardlab.{m}' for m in EXPERIMENTS.values()} "
              "<= set(sys.modules)\n"
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    assert _run_probe(probe) == "[]"
+
+
+def test_lab_runtime_does_not_import_dataclasses_or_inspect():
+    # The records are plain slotted classes, so set-up and a run skip
+    # dataclasses and the inspect, dis and tokenize modules it loads.
+    probe = ("import sys, billiardlab.cli\n"
+             "from billiardlab.experiments import (EXPERIMENTS, ExperimentConfig,\n"
+             "                                     run_experiment)\n"
+             "for name in EXPERIMENTS:\n"
+             "    ExperimentConfig.from_json_obj({}, name)\n"
+             "assert run_experiment(ExperimentConfig.from_json_obj(\n"
+             "    {}, 'minkowski_scan')).passed\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     assert _run_probe(probe) == "[]"
 
 

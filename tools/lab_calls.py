@@ -8,9 +8,10 @@ in process once for each of the seven experiments, with ``{}`` as the
 config, from a new temporary working directory (so the reports are
 written under its default ``out_dir``).  It then compiles every module
 under ``src/billiardlab/`` and prints, as ``file:line qualname``, each
-function and method whose code the hook never saw entered.  A function
-nested in one that was never called is not listed on its own; lambdas,
-comprehensions and the code that dataclasses generate are not listed.
+function and method whose code the hook never saw entered, the records'
+``__init__``, ``__eq__`` and other dunders among them.  A function
+nested in one that was never called is not listed on its own; lambdas
+and comprehensions are not listed.
 """
 
 from __future__ import annotations
