@@ -23,11 +23,11 @@ from typing import List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
-from .circle import (CirclePoint, ContinuedFractionExpansion, _orbit_gap_fp,
+from .circle import (CirclePoint, ContinuedFractionExpansion,
                      continued_fraction, eval_number, three_distance_bounds)
 from .errors import CapTooSmall, DepthUnreachable, EmptyLevel
 from .fixedpoint import (arc_hits, count_arcs, from_fixed, index_range,
-                         power_floor, to_fixed)
+                         power_floor)
 from .intervals import IntervalUnion, _dps_for, circle_pairs, fmt
 from .records import Frozen, init_field, same_fields
 
@@ -220,7 +220,7 @@ class _Builder:
         self.cf = cf
         self.bits = bits
         self.scale = 1 << bits
-        self.w = to_fixed(cf.omega.value, bits)
+        self.w = cf.w
         with mp.workprec(bits + 16):
             self.mu = eval_number(mu, bits)
             if not self.mu > 1:
@@ -267,7 +267,7 @@ class _Builder:
     def disjoint_ok(self, n_abs: int) -> bool:
         """Certify that distinct lattice centers at this level are farther
         apart than a full interval plus both guard bands."""
-        return (_orbit_gap_fp(self.cf, n_abs)
+        return (self.cf.orbit_gap(n_abs)
                 > 2 * (self.half_fp(n_abs) + self.guard(n_abs)))
 
     def well_holds(self, n_signed: int, k: int) -> bool:

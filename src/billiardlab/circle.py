@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import operator
+from bisect import bisect_right
 from fractions import Fraction
 from typing import List, Tuple, Union
 
@@ -152,15 +153,22 @@ class ContinuedFractionExpansion(Frozen):
     ``partial_quotients`` and ``convergents`` are certified up to
     ``validated_depth``: a quotient counts as validated only when both
     endpoints of the stored value's uncertainty interval agree on it.
+    ``w`` is the stored omega on the grid, floor(omega * 2^P) at
+    P = precision_bits, and ``gaps[r-1]`` is ||q_r * w/2^P|| * 2^P, an
+    integer, for each validated convergent.
     """
 
-    __slots__ = ("omega", "partial_quotients", "convergents", "validated_depth")
+    __slots__ = ("omega", "w", "partial_quotients", "convergents", "gaps",
+                 "validated_depth")
 
-    def __init__(self, omega: CirclePoint, partial_quotients: List[int],
-                 convergents: List[Tuple[int, int]], validated_depth: int):
+    def __init__(self, omega: CirclePoint, w: int, partial_quotients: List[int],
+                 convergents: List[Tuple[int, int]], gaps: List[int],
+                 validated_depth: int):
         init_field(self, "omega", omega)
+        init_field(self, "w", w)
         init_field(self, "partial_quotients", partial_quotients)
         init_field(self, "convergents", convergents)
+        init_field(self, "gaps", gaps)
         init_field(self, "validated_depth", validated_depth)
 
     def denominator(self, r: int) -> int:
@@ -168,6 +176,27 @@ class ContinuedFractionExpansion(Frozen):
         if not (1 <= r <= self.validated_depth):
             raise DepthExceeded(f"r={r} exceeds validated depth {self.validated_depth}")
         return self.convergents[r - 1][1]
+
+    def orbit_gap(self, n: int) -> int:
+        """min over 1 <= d <= n of ||d * w/2^P|| * 2^P, an integer.
+
+        After validated step r the lo-endpoint remainder b_r of the Euclid
+        run on (2^P, w) is |q_r*w - p_r*2^P|.  Each remainder is below
+        half the number it was divided into, so b_r < 2^(P-1) and
+        b_r = ||q_r*omega|| * 2^P exactly; the b_r decrease.  By best
+        approximation ||d*omega|| >= ||q_r*omega|| for q_r <= d < q_(r+1),
+        so the minimum is b_r for the largest validated q_r <= n.  Below
+        q_1 = a_1 it is the q_0 = 1 term min(w, 2^P - w): if a_1 >= 2 then
+        omega <= 1/2 and d*omega <= 1 - omega for every d < a_1.  Past the
+        last validated q_R the value stays b_R, exact while n is below the
+        next denominator of the stored omega.
+        """
+        if n < 1:
+            raise ValueError("n must be at least 1")
+        r = bisect_right(self.convergents, n, key=lambda pq: pq[1])
+        if r:
+            return self.gaps[r - 1]
+        return min(self.w, (1 << self.omega.precision_bits) - self.w)
 
 
 def continued_fraction(omega: CirclePoint, max_depth: int = 64) -> ContinuedFractionExpansion:
@@ -197,6 +226,7 @@ def continued_fraction(omega: CirclePoint, max_depth: int = 64) -> ContinuedFrac
     a_hi, b_hi = scale, w + 1
     quotients: List[int] = []
     convergents: List[Tuple[int, int]] = []
+    gaps: List[int] = []
     p_prev, q_prev = 1, 0  # conventions p_{-1}=1, q_{-1}=0, p_0=0, q_0=1
     p_cur, q_cur = 0, 1
     while len(quotients) < max_depth:
@@ -220,40 +250,35 @@ def continued_fraction(omega: CirclePoint, max_depth: int = 64) -> ContinuedFrac
         p_prev, p_cur = p_cur, q_lo * p_cur + p_prev
         q_prev, q_cur = q_cur, q_lo * q_cur + q_prev
         convergents.append((p_cur, q_cur))
+        gaps.append(r_lo)
         a_lo, b_lo = b_lo, r_lo
         a_hi, b_hi = b_hi, r_hi
 
     return ContinuedFractionExpansion(
         omega=omega,
+        w=w,
         partial_quotients=quotients,
         convergents=convergents,
+        gaps=gaps,
         validated_depth=len(quotients),
     )
 
 
-def three_distance_gap(cf: ContinuedFractionExpansion, r: int) -> mpf:
-    """Exact minimum of d(p1*omega, p2*omega) over n <= p1 < p2 <= 2n, n = q_r.
-
-    The differences p2 - p1 cover 1..n, so the minimum is
-    min_{1<=d<=n} ||d*omega||.  Since n = q_r < q_(r+1), best
-    approximation puts it at d = q_r, which min_orbit_distance returns.
-    The identity holds exactly for the stored fixed-point omega, whose
-    continued fraction shares the validated convergents.
-    """
-    return min_orbit_distance(cf, cf.denominator(r))
-
-
 def three_distance_bounds(cf: ContinuedFractionExpansion, r: int) -> tuple:
-    """(gap, claimed, claimed_ok, classical, classical_ok) at q = q_r: gap is
-    three_distance_gap(cf, r); the published 1/(q + 2) and the classical
-    1/(q_(r+1) + q) (None, as its verdict, at the last validated r) are
-    rounded at P + 16 bits for printing.  A verdict compares integers,
-    gap*2^P*d >= 2^P, which agrees with the rounded comparison: a P-bit gap
-    other than 1/d differs from it by 1/(d*2^P) or more, above its rounding."""
+    """(gap, claimed, claimed_ok, classical, classical_ok) at n = q_r.
+
+    gap is the exact minimum of d(p1*omega, p2*omega) over
+    n <= p1 < p2 <= 2n.  The differences p2 - p1 cover 1..n, so it is
+    cf.orbit_gap(n), which is cf.gaps[r-1]; it holds exactly for the stored
+    fixed-point omega, whose continued fraction shares the validated
+    convergents.  The published 1/(n + 2) and the classical 1/(q_(r+1) + n)
+    (None, as its verdict, at the last validated r) are rounded at P + 16
+    bits for printing.  A verdict compares integers, gap*2^P*d >= 2^P, which
+    agrees with the rounded comparison: a P-bit gap other than 1/d differs
+    from it by 1/(d*2^P) or more, above its rounding."""
     bits = cf.omega.precision_bits
     q = cf.denominator(r)
-    gap = three_distance_gap(cf, r)
-    gap_fp = to_fixed(gap, bits)  # exact: gap is a P-bit dyadic
+    gap_fp = cf.gaps[r - 1]
 
     def bound(d: int) -> tuple:  # 1/d, and whether gap >= 1/d
         with mp.workprec(bits + 16):
@@ -261,7 +286,7 @@ def three_distance_bounds(cf: ContinuedFractionExpansion, r: int) -> tuple:
 
     classical = ((None, None) if r == cf.validated_depth
                  else bound(cf.denominator(r + 1) + q))
-    return (gap, *bound(q + 2), *classical)
+    return (from_fixed(gap_fp, bits), *bound(q + 2), *classical)
 
 
 def detect_rational_angle(point: CirclePoint) -> Union[Fraction, None]:
@@ -302,30 +327,3 @@ def detect_rational_angle(point: CirclePoint) -> Union[Fraction, None]:
             return None
         return Fraction(p_cur, q_cur)
     return None
-
-
-def min_orbit_distance(cf: ContinuedFractionExpansion, n: int) -> mpf:
-    """Exact min over 1 <= d <= n of ||d*omega||: equals ||q_r*omega|| for
-    the largest validated convergent denominator q_r <= n, or q_0 = 1.
-
-    For n < q_1 = a_1 the q_0 term is exact: if a_1 >= 2 then omega <= 1/2
-    and d*omega <= 1 - omega for every d < a_1.  This holds exactly for the
-    fixed-point omega too, whose first quotient is the validated a_1.
-    """
-    return from_fixed(_orbit_gap_fp(cf, n), cf.omega.precision_bits)
-
-
-def _orbit_gap_fp(cf: ContinuedFractionExpansion, n: int) -> int:
-    """min_orbit_distance(cf, n) * 2^precision_bits, an integer."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    bits = cf.omega.precision_bits
-    scale = 1 << bits
-    w = to_fixed(cf.omega.value, bits)
-    best = min(w, scale - w)
-    for _, q in cf.convergents:
-        if q > n:
-            break
-        d = (q * w) % scale
-        best = min(best, d, scale - d)
-    return best

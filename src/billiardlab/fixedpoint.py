@@ -17,20 +17,6 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
 
 
-def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of a finite mpf (every mpf is dyadic); an mpf
-    is read as it is, not rounded to the working precision first."""
-    v = x if isinstance(x, mpf) else mpf(x)
-    sign, man, exp, _ = v._mpf_
-    man = int(man)
-    if man == 0 and exp != 0:
-        raise ValueError(f"non-finite value {v}")
-    num = -man if sign else man
-    if exp >= 0:
-        return Fraction(num << exp, 1)
-    return Fraction(num, 1 << -exp)
-
-
 def on_grid(values, least: int = 0) -> Tuple[int, List[int]]:
     """(E, ints) with values[i] = ints[i] / 2**E exactly, for finite mpfs:
     E is the least exponent >= ``least`` whose grid holds them all, read
@@ -43,6 +29,13 @@ def on_grid(values, least: int = 0) -> Tuple[int, List[int]]:
         parts.append((-int(man) if sign else int(man), exp))
     E = max([least] + [-exp for man, exp in parts if man])
     return E, [man << (E + exp) for man, exp in parts]
+
+
+def mpf_to_fraction(x) -> Fraction:
+    """Exact rational value of a finite mpf (every mpf is dyadic); an mpf
+    is read as it is, not rounded to the working precision first."""
+    E, (num,) = on_grid([x if isinstance(x, mpf) else mpf(x)])
+    return Fraction(num, 1 << E)
 
 
 def to_fixed(x, bits: int) -> int:

@@ -22,7 +22,7 @@ from .errors import ConfigError, ScheduleNotFound
 from .experiments import (_ANGLE, _BITS, _COUNT, _INF, _UNIT, Check,
                           ExperimentConfig, RunReport, _expr, _optional,
                           _polygon, _real)
-from .fixedpoint import mpf_to_fraction, power_floor, to_fixed
+from .fixedpoint import mpf_to_fraction, power_floor
 from .intervals import _dps_for, fmt
 
 __all__ = ["construct_twosided_target", "run_thm1", "run_thm2"]
@@ -268,8 +268,8 @@ def construct_twosided_target(omega: CirclePoint, mu: float,
         raise ValueError("mu must be >= 1")
     bits = omega.precision_bits
     scale = 1 << bits
-    w = to_fixed(omega.value, bits)
     cf = continued_fraction(omega, max_depth=2048)
+    w = cf.w
     with mp.workprec(bits + 64):
         mu_m = mpf(mu)
         p = 3
@@ -283,13 +283,10 @@ def construct_twosided_target(omega: CirclePoint, mu: float,
             sign = -sign
             target = h // 3
             D = None
-            for _, qd in cf.convergents:
-                if qd % 2 == 1 and qd > 2 * p:
-                    dd = (qd * w) % scale
-                    dd = min(dd, scale - dd)
-                    if dd <= target:
-                        D = qd
-                        break
+            for (_, qd), gap in zip(cf.convergents, cf.gaps):
+                if qd % 2 == 1 and qd > 2 * p and gap <= target:
+                    D = qd
+                    break
             if D is None:
                 raise ScheduleNotFound(
                     f"no odd denominator jump below {target}/2^{bits} within "

@@ -6,6 +6,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from billiardlab.circle import (
@@ -15,9 +17,7 @@ from billiardlab.circle import (
     continued_fraction,
     detect_rational_angle,
     eval_number,
-    min_orbit_distance,
     three_distance_bounds,
-    three_distance_gap,
 )
 from billiardlab.billiard import rhombus
 from billiardlab.errors import DepthExceeded, RationalAngle, RationalDetected
@@ -175,7 +175,7 @@ def brute_gap(w: mpf, n: int) -> mpf:
 def test_gap_matches_brute_force(fixture, r):
     point = CirclePoint.make(fixture)
     cf = continued_fraction(point, max_depth=12)
-    gap = three_distance_gap(cf, r)
+    gap = three_distance_bounds(cf, r)[0]
     with mp.workprec(280):
         assert abs(gap - brute_gap(point.value, cf.denominator(r))) < mpf(2) ** -240
 
@@ -183,7 +183,7 @@ def test_gap_matches_brute_force(fixture, r):
 def test_gap_single_pair_case():
     cf = continued_fraction(CirclePoint.make(GOLDEN), max_depth=5)
     assert cf.denominator(1) == 1
-    gap = three_distance_gap(cf, 1)
+    gap = three_distance_bounds(cf, 1)[0]
     point = CirclePoint.make(GOLDEN)
     with mp.workprec(280):
         assert abs(gap - brute_gap(point.value, 1)) < mpf(2) ** -240
@@ -196,9 +196,10 @@ def test_gap_equals_smallest_orbit_distance_up_to_2n():
     cf = continued_fraction(point, max_depth=16)
     for r in (2, 5, 8, 11):
         n = cf.denominator(r)
-        gap = three_distance_gap(cf, r)
+        gap = three_distance_bounds(cf, r)[0]
+        orbit = from_fixed(cf.orbit_gap(n), point.precision_bits)
         with mp.workprec(280):
-            assert abs(gap - min_orbit_distance(cf, n)) < mpf(2) ** -240
+            assert abs(gap - orbit) < mpf(2) ** -240
 
 
 def test_gap_true_lower_bound_from_convergents():
@@ -208,7 +209,7 @@ def test_gap_true_lower_bound_from_convergents():
     cf = continued_fraction(point, max_depth=20)
     for r in range(1, 15):
         n = cf.denominator(r)
-        gap = three_distance_gap(cf, r)
+        gap = three_distance_bounds(cf, r)[0]
         assert gap > mpf(1) / (cf.denominator(r + 1) + n)
 
 
@@ -236,7 +237,7 @@ def test_gap_identity_exact_on_default_audit_rows():
         for r in range(1, cf.validated_depth):
             if cf.denominator(r) > 100000:
                 break
-            assert three_distance_gap(cf, r) == sorted_gap(cf, r), (spec, r)
+            assert three_distance_bounds(cf, r)[0] == sorted_gap(cf, r), (spec, r)
             rows += 1
     assert rows == 37
 
@@ -251,7 +252,7 @@ def test_three_distance_bounds_verdicts_match_rounded_comparison(spec, bits):
         q = cf.denominator(r)
         gap, claimed, claimed_ok, classical, classical_ok = \
             three_distance_bounds(cf, r)
-        assert gap == three_distance_gap(cf, r)
+        assert gap == from_fixed(cf.orbit_gap(q), bits)
         exact = mpf_to_fraction(gap)
         with mp.workprec(bits + 16):
             assert claimed == mpf(1) / (q + 2)
@@ -269,13 +270,14 @@ def test_three_distance_bounds_verdicts_match_rounded_comparison(spec, bits):
 def _first_terms(spec, bits):
     """Expansion of spec at bits, or, where continued_fraction finds spec
     rational at working precision (0.1), the fixed-point value's own first
-    quotient scale // w."""
+    Euclid step: quotient a1 = scale // w and remainder scale % w."""
     point = CirclePoint.make(spec, bits)
     try:
         return continued_fraction(point, max_depth=4)
     except RationalDetected:
-        a1 = (1 << bits) // to_fixed(point.value, bits)
-        return ContinuedFractionExpansion(point, [a1], [(1, a1)], 1)
+        w = to_fixed(point.value, bits)
+        a1, b1 = divmod(1 << bits, w)
+        return ContinuedFractionExpansion(point, w, [a1], [(1, a1)], [b1], 1)
 
 
 @pytest.mark.parametrize("bits", [64, 256])
@@ -289,19 +291,38 @@ def test_min_orbit_distance_matches_brute_force(spec, bits):
     for n in range(1, cf.denominator(1) + 6):
         d = (n * w) % scale
         best = min(best, d, scale - d)
-        assert min_orbit_distance(cf, n) == from_fixed(best, bits), n
+        assert cf.orbit_gap(n) == best, n
 
 
 def test_min_orbit_distance_needs_positive_n():
     cf = continued_fraction(CirclePoint.make(GOLDEN), max_depth=5)
     with pytest.raises(ValueError):
-        min_orbit_distance(cf, 0)
+        cf.orbit_gap(0)
 
 
 def test_gap_depth_guard():
     cf = continued_fraction(CirclePoint.make(GOLDEN), max_depth=5)
     with pytest.raises(DepthExceeded):
-        three_distance_gap(cf, 6)
+        three_distance_bounds(cf, 6)
+
+
+@given(data=st.data(), bits=st.integers(64, 1024))
+@settings(max_examples=200, deadline=None)
+def test_stored_gaps_are_the_folded_orbit_distances(data, bits):
+    # each stored gap is ||q_r * omega|| * 2^P, computed by folding
+    # (q_r * w) mod 2^P, for a dyadic omega = w / 2^P on the grid
+    scale = 1 << bits
+    w = data.draw(st.integers(1, scale - 1))
+    try:
+        cf = continued_fraction(CirclePoint(from_fixed(w, bits), bits),
+                                max_depth=2048)
+    except RationalDetected:
+        assume(False)
+    assert cf.w == w
+    assert len(cf.gaps) == cf.validated_depth
+    for (_, q), gap in zip(cf.convergents, cf.gaps):
+        d = (q * w) % scale
+        assert gap == min(d, scale - d), q
 
 
 # -- the angle-to-circle map ----------------------------------------------

@@ -110,6 +110,6 @@ def test_circle_point_normalizes_into_the_unit_interval():
 
 def test_expansion_keeps_its_lists():
     point = _golden()
-    cf = ContinuedFractionExpansion(point, [1], [(0, 1)], 1)
-    assert (cf.omega, cf.partial_quotients, cf.convergents,
-            cf.validated_depth) == (point, [1], [(0, 1)], 1)
+    cf = ContinuedFractionExpansion(point, 5, [1], [(0, 1)], [3], 1)
+    assert (cf.omega, cf.w, cf.partial_quotients, cf.convergents, cf.gaps,
+            cf.validated_depth) == (point, 5, [1], [(0, 1)], [3], 1)
