@@ -71,7 +71,7 @@ from .circle import CirclePoint, detect_rational_angle, eval_number
 from .errors import (DegenerateDirection, NotGeneralizedParallelogram,
                      RationalAngle)
 from .fixedpoint import on_grid
-from .intervals import DEFAULT_PRECISION, IntervalUnion
+from .intervals import DEFAULT_PRECISION, IntervalUnion, fmt
 from .records import Frozen, init_field, same_fields
 
 _LAUNCH = -1  # pseudo source-side index: beam resting on a cross-section
@@ -156,7 +156,7 @@ def _classify_sides(verts, alpha, bits):
         else:
             raise NotGeneralizedParallelogram(
                 f"side {i} is parallel neither to the x-axis nor to "
-                f"direction alpha={mp.nstr(alpha, 12)}")
+                f"direction alpha={fmt(alpha, 12)}")
     return tuple(classes)
 
 

@@ -52,15 +52,14 @@ def _schedule_sign(k: int, m: int) -> int:
 
 
 class LevelInterval(Frozen):
-    """One retained interval: center = frac(j * omega), width shared by
-    the whole level, mass an exact rational."""
+    """One stored interval: center frac(j * omega) in fixed point, and its
+    parent's index; the level holds its width and ``child_mass[parent]``."""
 
-    __slots__ = ("j", "center_fp", "mass", "parent")
+    __slots__ = ("j", "center_fp", "parent")
 
-    def __init__(self, j: int, center_fp: int, mass: Fraction, parent: int):
+    def __init__(self, j: int, center_fp: int, parent: int):
         init_field(self, "j", j)
         init_field(self, "center_fp", center_fp)
-        init_field(self, "mass", mass)
         init_field(self, "parent", parent)
 
     __eq__ = same_fields
@@ -69,27 +68,25 @@ class LevelInterval(Frozen):
 class HierarchyLevel(Frozen):
     """Level k of a hierarchy.
 
-    A materialized level stores its intervals sorted by center; a counted
-    level (too large to scan or to store) stores exact per-parent child
-    counts and the mass carried by each child of that parent, aligned with
-    the previous level's interval tuple (level 1's one parent is the whole
-    circle).  ``ambiguous`` counts candidate
-    children discarded because their containment could not be certified
-    at the guard band.
+    Every level stores its exact per-parent child counts and the mass
+    each child of that parent carries, aligned with the previous level's
+    interval tuple (level 1's one parent is the whole circle).  A stored
+    level also keeps its intervals sorted by center; a counted level (too
+    large to scan or to store) has ``intervals`` None.  ``ambiguous``
+    counts candidate children discarded because their containment could
+    not be certified at the guard band.
     """
 
-    __slots__ = ("k", "n_k", "half_fp", "count", "intervals", "child_counts",
+    __slots__ = ("k", "n_k", "half_fp", "intervals", "child_counts",
                  "child_mass", "ambiguous")
 
-    def __init__(self, k: int, n_k: int, half_fp: int, count: int,
+    def __init__(self, k: int, n_k: int, half_fp: int,
                  intervals: Optional[Tuple[LevelInterval, ...]],
-                 child_counts: Optional[Tuple[int, ...]] = None,
-                 child_mass: Optional[Tuple[Fraction, ...]] = None,
-                 ambiguous: int = 0):
+                 child_counts: Tuple[int, ...],
+                 child_mass: Tuple[Fraction, ...], ambiguous: int = 0):
         init_field(self, "k", k)
         init_field(self, "n_k", n_k)
         init_field(self, "half_fp", half_fp)
-        init_field(self, "count", count)
         init_field(self, "intervals", intervals)
         init_field(self, "child_counts", child_counts)
         init_field(self, "child_mass", child_mass)
@@ -101,14 +98,14 @@ class HierarchyLevel(Frozen):
     def materialized(self) -> bool:
         return self.intervals is not None
 
+    @property
+    def count(self) -> int:
+        return sum(self.child_counts)
+
     def max_mass(self) -> Fraction:
-        if self.intervals is not None:
-            return max(iv.mass for iv in self.intervals)
         return max(self.child_mass)
 
     def mass_total(self) -> Fraction:
-        if self.intervals is not None:
-            return sum((iv.mass for iv in self.intervals), Fraction(0))
         return sum((c * w for c, w in zip(self.child_counts, self.child_mass)),
                    Fraction(0))
 
@@ -117,40 +114,36 @@ class CantorHierarchy(Frozen):
     """A nested mass-carrying interval hierarchy over a circle rotation,
     with the validated continued fraction of omega it was built from."""
 
-    __slots__ = ("cf", "mu", "m", "sequence", "levels", "residue_schedule",
-                 "precision_bits")
+    __slots__ = ("cf", "mu", "m", "levels")
 
     def __init__(self, cf: ContinuedFractionExpansion, mu: mpf, m: int,
-                 sequence: Tuple[int, ...], levels: Tuple[HierarchyLevel, ...],
-                 residue_schedule: Tuple[Tuple[int, int], ...],
-                 precision_bits: int):
+                 levels: Tuple[HierarchyLevel, ...]):
         init_field(self, "cf", cf)
         init_field(self, "mu", mu)
         init_field(self, "m", m)
-        init_field(self, "sequence", sequence)
         init_field(self, "levels", levels)
-        init_field(self, "residue_schedule", residue_schedule)
-        init_field(self, "precision_bits", precision_bits)
 
     @property
     def depth(self) -> int:
         return len(self.levels)
 
+    @property
+    def sequence(self) -> Tuple[int, ...]:
+        return tuple(lev.n_k for lev in self.levels)
+
+    @property
+    def residue_schedule(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple((lev.k % self.m, _schedule_sign(lev.k, self.m))
+                     for lev in self.levels)
+
+    @property
+    def precision_bits(self) -> int:
+        return self.cf.omega.precision_bits
+
     def level(self, k: int) -> HierarchyLevel:
         if not (1 <= k <= self.depth):
             raise ValueError(f"level {k} outside 1..{self.depth}")
         return self.levels[k - 1]
-
-    def children_per_parent(self, k: int) -> Tuple[int, ...]:
-        """Child counts of level k grouped by level-(k-1) parent."""
-        lev = self.level(k)
-        if lev.child_counts is not None:
-            return lev.child_counts
-        n_parents = 1 if k == 1 else self.levels[k - 2].count
-        out = [0] * n_parents
-        for iv in lev.intervals:
-            out[iv.parent] += 1
-        return tuple(out)
 
     def level_union(self, k: int) -> IntervalUnion:
         """The level's intervals as an interval union on [0, 1), wrapped
@@ -187,7 +180,7 @@ class CantorHierarchy(Frozen):
                 entry["intervals"] = [
                     {"center": fmt(from_fixed(iv.center_fp, bits), digits),
                      "half_width": h,
-                     "mass": str(iv.mass)}
+                     "mass": str(lev.child_mass[iv.parent])}
                     for iv in lev.intervals]
             else:
                 # level 1's one parent is the whole circle, which has no center
@@ -296,8 +289,8 @@ class _Builder:
 
     def extend(self, n_signed: int, k: int, *, final: bool) -> None:
         """Append level k for n_k = n_signed: exact per-parent child counts
-        by count_arcs first, then the parent arcs' orbit hits if the level
-        fits both caps, else the counts if it is final, else CapTooSmall.
+        and masses by count_arcs, then the parent arcs' orbit hits if the
+        level fits both caps; else no intervals if final, else CapTooSmall.
         Raises EmptyLevel if some parent would keep no certified child; the
         builder is unchanged on any raise."""
         q = abs(n_signed)
@@ -322,64 +315,51 @@ class _Builder:
             js, masses, allow = [0], [Fraction(1)], self.scale
         else:
             js = [iv.j for iv in parent.intervals]
-            masses = [iv.mass for iv in parent.intervals]
+            masses = [parent.child_mass[iv.parent] for iv in parent.intervals]
             allow = parent.half_fp - half - g
         counts = count_arcs(self.w, self.scale, self.m, res, p_lo, p_hi, js,
                             allow)
         if 0 in counts:
             raise EmptyLevel(f"parent {counts.index(0)} at level {k} keeps "
                              "no certified children")
+        total = sum(counts)
         # the loose arcs of distinct parents are disjoint, so each uncertain
         # candidate is tallied once
         ambiguous = sum(count_arcs(self.w, self.scale, self.m, res, p_lo, p_hi,
-                                   js, allow + 2 * g)) - sum(counts)
-        masses = [mass / n for mass, n in zip(masses, counts)]
-        total = sum(counts)
-
+                                   js, allow + 2 * g)) - total
+        intervals = None
         if n_pts <= self.scan_cap and total <= self.materialize_cap:
             centers = [j * self.w % self.scale for j in js]
-            intervals = self._scan(res, p_lo, p_hi, centers, allow, masses)
-            level = HierarchyLevel(
-                k=k, n_k=n_signed, half_fp=half, count=len(intervals),
-                intervals=intervals, ambiguous=ambiguous)
-        elif final:
-            level = HierarchyLevel(
-                k=k, n_k=n_signed, half_fp=half, count=total, intervals=None,
-                child_counts=tuple(counts), child_mass=tuple(masses),
-                ambiguous=ambiguous)
-        else:
+            intervals = self._scan(res, p_lo, p_hi, centers, allow)
+        elif not final:
             raise CapTooSmall(
                 f"level {k} retains {total} intervals, above "
                 f"materialize_cap={self.materialize_cap}, and deeper "
                 "levels require a materialized parent")
-        self.levels.append(level)
+        self.levels.append(HierarchyLevel(
+            k=k, n_k=n_signed, half_fp=half, intervals=intervals,
+            child_counts=tuple(counts),
+            child_mass=tuple(mass / n for mass, n in zip(masses, counts)),
+            ambiguous=ambiguous))
 
-    def _scan(self, res, p_lo, p_hi, centers, allow, masses):
+    def _scan(self, res, p_lo, p_hi, centers, allow):
         """The lattice points within `allow` of a parent center, found by
-        walking each parent arc's orbit hits; each becomes an interval
-        carrying that parent's per-child mass.  The parent arcs are
-        disjoint, so no point has two parents.  Returned sorted by
-        center."""
+        walking each parent arc's orbit hits, each with the index of its
+        parent.  The parent arcs are disjoint, so no point has two
+        parents.  Returned sorted by center."""
         scale, m, w = self.scale, self.m, self.w
         children = []
         for i, c in enumerate(centers):
             for p in arc_hits(w, scale, m, res, p_lo, p_hi, c, allow):
                 j = m * p + res
-                children.append(LevelInterval(
-                    j=j, center_fp=j * w % scale, mass=masses[i], parent=i))
+                children.append(LevelInterval(j=j, center_fp=j * w % scale,
+                                              parent=i))
         children.sort(key=lambda iv: iv.center_fp)
         return tuple(children)
 
     def hierarchy(self) -> CantorHierarchy:
         """The levels built so far, as a hierarchy."""
-        return CantorHierarchy(
-            cf=self.cf, mu=self.mu, m=self.m,
-            sequence=tuple(lev.n_k for lev in self.levels),
-            levels=tuple(self.levels),
-            residue_schedule=tuple((lev.k % self.m,
-                                    _schedule_sign(lev.k, self.m))
-                                   for lev in self.levels),
-            precision_bits=self.bits)
+        return CantorHierarchy(self.cf, self.mu, self.m, tuple(self.levels))
 
 
 def select_sequence(cf: ContinuedFractionExpansion, mu, m: int, depth: int,
@@ -447,11 +427,11 @@ def build_hierarchy(omega: CirclePoint, mu, m: int,
                     ) -> CantorHierarchy:
     """Materialize the mass-carrying hierarchy for a selected sequence.
 
-    A level, level 1 included, is stored with its intervals when it fits
-    both caps; the deepest level may instead carry exact per-parent child
-    counts and masses, by one count per residue class shifted by shared
-    window hits (an intermediate level that does not fit raises
-    CapTooSmall, since its children would need the geometry).
+    Every level carries exact per-parent child counts and masses, by one
+    count per residue class shifted by shared window hits, and stores its
+    intervals when it fits both caps; only the deepest level may go without
+    them (an intermediate level that does not fit raises CapTooSmall,
+    since its children would need the geometry).
     Masses split each parent's mass uniformly among its retained
     children, so they sum to exactly 1 at every level.
     """
@@ -486,7 +466,8 @@ def build_hierarchy(omega: CirclePoint, mu, m: int,
 
 def local_dimension_report(h: CantorHierarchy) -> List[Tuple[int, mpf]]:
     """Per-level minimum of log(mass)/log(length) over the level's
-    intervals; the deepest entry is the headline dimension lower bound.
+    intervals; the deepest entry is a dimension estimate, not a certified
+    lower bound (ROADMAP item 5: depth 3 reads 0.328 against a 0.4 floor).
 
     All intervals at one level share the exact length (2|n_k|)^(-mu), so
     the minimum ratio is attained by the heaviest interval.

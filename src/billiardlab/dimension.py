@@ -160,8 +160,6 @@ def escape_cover(f_n: IntervalUnion, gate_width) -> Tuple[int, mpf]:
     # mpf() rounds each exact length to the ambient 53 bits, which the
     # report digests still depend on (ROADMAP item 4).
     lengths = [mpf(from_fixed(hi - lo, f_n.precision_bits)) for lo, hi in f_n]
-    if not lengths:
-        return 0, mpf(0)
     with mp.workprec(f_n.precision_bits + 16):
         cover = average_length_cover(lengths, max(gate_width, sum(lengths)))
     return cover.count, cover.piece_length

@@ -80,7 +80,7 @@ def _check_across(opts: Mapping[str, Any]) -> None:
         for side, t in (("up", t_up), ("down", t_down)):
             if 0 < t.value < mpf(2) ** -bits:
                 raise ConfigError(
-                    f"theta gives the {side} target {mp.nstr(t.value, 6)}, "
+                    f"theta gives the {side} target {fmt(t.value, 6)}, "
                     f"nonzero and below 2^-{bits}; a thm1 target must be 0 "
                     f"or at least 2^-precision_bits")
     # the Hausdorff-sum exponent the run derives must lie in (0, 1]

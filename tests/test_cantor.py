@@ -126,7 +126,7 @@ def _assert_matches_oracle(omega_cp, mu, m, depth, margin):
             assert lev.ambiguous == 0
             for iv, (oc, omass) in zip(lev.intervals, olev):
                 assert abs(from_fixed(iv.center_fp, bits) - oc) < tol
-                assert iv.mass == omass
+                assert lev.child_mass[iv.parent] == omass
     return h
 
 
@@ -207,20 +207,22 @@ def _check_invariants(h):
         assert lev.mass_total() == 1
     for k in range(2, h.depth + 1):
         lev, par = h.levels[k - 1], h.levels[k - 2]
-        counts = h.children_per_parent(k)
+        counts = lev.child_counts
         assert len(counts) == par.count
         assert all(c >= 1 for c in counts)
         assert sum(counts) == lev.count
         if lev.intervals is not None:
             for iv in lev.intervals:
                 p = par.intervals[iv.parent]
-                assert iv.mass == p.mass / counts[iv.parent]
+                assert lev.child_mass[iv.parent] == \
+                    par.child_mass[p.parent] / counts[iv.parent]
                 d = (iv.center_fp - p.center_fp) % scale
                 d = min(d, scale - d)
                 assert d <= par.half_fp - lev.half_fp
         else:
             for i, c in enumerate(counts):
-                assert lev.child_mass[i] == par.intervals[i].mass / c
+                p = par.intervals[i]
+                assert lev.child_mass[i] == par.child_mass[p.parent] / c
     materialized = [k for k in range(1, h.depth + 1)
                     if h.levels[k - 1].intervals is not None]
     for a, b in zip(materialized, materialized[1:]):
@@ -241,7 +243,7 @@ def test_two_level_structure_exact(golden_h3):
         for lev, js in ((lv1, (2, 1)), (lv2, (-3, -4))):
             for iv, j in zip(lev.intervals, js):
                 assert abs(from_fixed(iv.center_fp, bits) - (j * om) % 1) < tol
-                assert iv.mass == Fraction(1, 2)
+                assert lev.child_mass[iv.parent] == Fraction(1, 2)
 
 
 def test_hierarchy_invariants_hold(golden_h3):
@@ -355,14 +357,11 @@ def test_counted_final_level_matches_enumerated():
     h_cnt = build_hierarchy(om, 2, 1, seq, scan_cap=500)
     assert [lev.materialized for lev in h_full.levels] == [True] * 4
     assert [lev.materialized for lev in h_cnt.levels] == [True] * 3 + [False]
-    for k in range(1, 5):
-        assert h_full.children_per_parent(k) == h_cnt.children_per_parent(k)
+    for lev_f, lev_c in zip(h_full.levels, h_cnt.levels):
+        assert lev_f.child_counts == lev_c.child_counts
     last_f, last_c = h_full.levels[-1], h_cnt.levels[-1]
     assert last_c.ambiguous == 0
-    masses = {}
-    for iv in last_f.intervals:
-        masses[iv.parent] = iv.mass
-    assert tuple(masses[i] for i in sorted(masses)) == last_c.child_mass
+    assert last_f.child_mass == last_c.child_mass
     _check_invariants(h_cnt)
 
 
@@ -376,9 +375,8 @@ def test_scan_walks_exactly_the_points_a_full_scan_keeps():
     res, p_lo, p_hi = b._lattice(4181, 3)
     parent = b.levels[-1]
     centers = [iv.center_fp for iv in parent.intervals]
-    masses = [Fraction(1, i + 2) for i in range(len(centers))]
     allow = parent.half_fp - b.half_fp(4181) - b.guard(4181)
-    got = b._scan(res, p_lo, p_hi, centers, allow, masses)
+    got = b._scan(res, p_lo, p_hi, centers, allow)
 
     scale = b.scale
     expected = []
@@ -389,9 +387,7 @@ def test_scan_walks_exactly_the_points_a_full_scan_keeps():
                   if min((c - pc) % scale, (pc - c) % scale) <= allow]
         assert len(owners) <= 1
         if owners:
-            expected.append(LevelInterval(j=j, center_fp=c,
-                                          mass=masses[owners[0]],
-                                          parent=owners[0]))
+            expected.append(LevelInterval(j=j, center_fp=c, parent=owners[0]))
     expected.sort(key=lambda iv: iv.center_fp)
     assert p_hi - p_lo + 1 == 4182 and len(centers) == 3
     assert got == tuple(expected)
@@ -404,7 +400,7 @@ def test_materialize_cap_collapses_to_counts():
     h_cnt = build_hierarchy(om, 2, 1, [1, -2, 1597], materialize_cap=100)
     assert not h_cnt.levels[-1].materialized
     assert h_cnt.levels[-1].count == 200
-    assert h_cnt.children_per_parent(3) == h_ref.children_per_parent(3)
+    assert h_cnt.levels[2].child_counts == h_ref.levels[2].child_counts
     _check_invariants(h_cnt)
 
 
@@ -425,7 +421,7 @@ def test_root_level_obeys_both_caps(caps):
     h = build_hierarchy(golden(), 2, 1, [13], **caps)
     root = h.levels[0]
     assert not root.materialized and root.count == 14
-    assert root.child_counts == (14,) == h.children_per_parent(1)
+    assert root.child_counts == (14,)
     assert root.child_mass == (Fraction(1, 14),)
     assert h.to_json_obj()["levels"][0]["per_parent"] == [
         {"parent_center": None, "child_count": 14, "child_mass": "1/14"}]
@@ -534,6 +530,33 @@ def test_count_arcs_edges_at_cantor_scale(deep_builder, monkeypatch):
     assert count_arcs(w, scale, 2, 1, p_lo, p_lo - 1, js, scale) == [0] * len(js)
     assert count_arcs(w, scale, 2, 1, p_lo, p_lo - 1, js, 0) == [0] * len(js)
     assert count_arcs(w, scale, 2, 1, p_lo, p_hi, [], 0) == []
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_every_level_keeps_its_per_parent_counts_and_masses(name):
+    # golden512 is the cantor_dim default run.  On every level, stored or
+    # counted, the count is the per-parent counts' sum, a stored level's
+    # intervals tally to those counts, each parent's mass is split evenly
+    # among its children, and the masses sum to 1.
+    omega, bits, seq = DEEP[name]
+    cf = continued_fraction(CirclePoint.make(omega, bits), max_depth=2048)
+    h = select_sequence(cf, 2, 1, 4, 0.1)
+    assert h.sequence == seq
+    assert [lev.materialized for lev in h.levels] == [True] * 3 + [False]
+    parent_mass = [Fraction(1)]
+    for lev in h.levels:
+        assert lev.count == sum(lev.child_counts)
+        assert len(lev.child_counts) == len(lev.child_mass) == len(parent_mass)
+        if lev.materialized:
+            tally = [0] * len(parent_mass)
+            for iv in lev.intervals:
+                tally[iv.parent] += 1
+            assert tuple(tally) == lev.child_counts
+        for c, w, pm in zip(lev.child_counts, lev.child_mass, parent_mass):
+            assert c * w == pm
+        assert lev.mass_total() == 1
+        if lev.materialized:
+            parent_mass = [lev.child_mass[iv.parent] for iv in lev.intervals]
 
 
 PINNED_WORK = {  # name: (floor_sum calls, first_hit calls) of select_sequence

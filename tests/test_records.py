@@ -28,7 +28,8 @@ def _frozen_records():
     point = _golden()
     union = IntervalUnion(((1, 3), (5, 8)), 8)
     cover = CoverReport(mpf(0.25), 3, 1.0, mpf(0.75), None)
-    level = HierarchyLevel(1, 1, 4, 1, (LevelInterval(0, 0, Fraction(1), 0),))
+    level = HierarchyLevel(1, 1, 4, (LevelInterval(0, 0, 0),), (1,),
+                           (Fraction(1),))
     return [
         union,
         point,
