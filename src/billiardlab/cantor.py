@@ -289,8 +289,9 @@ class _Builder:
 
     def extend(self, n_signed: int, k: int, *, final: bool) -> None:
         """Append level k for n_k = n_signed: exact per-parent child counts
-        and masses by count_arcs, then the parent arcs' orbit hits if the
-        level fits both caps; else no intervals if final, else CapTooSmall.
+        and masses by count_arcs, then, if the level fits both caps, the
+        parent arcs' orbit hits, checked to tally to those counts; else no
+        intervals if final, else CapTooSmall.
         Raises EmptyLevel if some parent would keep no certified child; the
         builder is unchanged on any raise."""
         q = abs(n_signed)
@@ -331,6 +332,11 @@ class _Builder:
         if n_pts <= self.scan_cap and total <= self.materialize_cap:
             centers = [j * self.w % self.scale for j in js]
             intervals = self._scan(res, p_lo, p_hi, centers, allow)
+            tally = [0] * len(counts)
+            for iv in intervals:
+                tally[iv.parent] += 1
+            if tally != counts:
+                raise AssertionError(f"level {k}: scan disagrees with counts")
         elif not final:
             raise CapTooSmall(
                 f"level {k} retains {total} intervals, above "

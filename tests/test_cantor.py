@@ -122,7 +122,7 @@ def _assert_matches_oracle(omega_cp, mu, m, depth, margin):
     with mp.workprec(bits + 32):
         tol = mpf(2) ** (-bits + 48)
         for lev, olev in zip(h.levels, oracle_levels):
-            assert lev.count == len(olev)
+            assert lev.count == len(lev.intervals) == len(olev)
             assert lev.ambiguous == 0
             for iv, (oc, omass) in zip(lev.intervals, olev):
                 assert abs(from_fixed(iv.center_fp, bits) - oc) < tol
@@ -201,28 +201,37 @@ def test_select_depth_unreachable_on_truncated_expansion():
 # construction invariants
 # ---------------------------------------------------------------------------
 
+def _tally(lev):
+    """Per-parent count of a stored level's intervals."""
+    out = [0] * len(lev.child_counts)
+    for iv in lev.intervals:
+        out[iv.parent] += 1
+    return tuple(out)
+
+
 def _check_invariants(h):
+    # Level by level: each parent's mass splits evenly among its children,
+    # a stored level's intervals tally to its counts and lie inside their
+    # parents, and only the deepest level may be counted.
     scale = 1 << h.precision_bits
-    for lev in h.levels:
-        assert lev.mass_total() == 1
-    for k in range(2, h.depth + 1):
-        lev, par = h.levels[k - 1], h.levels[k - 2]
+    parent_mass = [Fraction(1)]   # level 1's one parent is the whole circle
+    for k, lev in enumerate(h.levels, 1):
         counts = lev.child_counts
-        assert len(counts) == par.count
+        assert len(counts) == len(lev.child_mass) == len(parent_mass)
         assert all(c >= 1 for c in counts)
-        assert sum(counts) == lev.count
-        if lev.intervals is not None:
+        for c, w, pm in zip(counts, lev.child_mass, parent_mass):
+            assert c * w == pm
+        assert lev.mass_total() == 1
+        if lev.intervals is None:
+            assert k == h.depth
+            continue
+        assert _tally(lev) == counts
+        if k > 1:
+            par = h.levels[k - 2]
             for iv in lev.intervals:
-                p = par.intervals[iv.parent]
-                assert lev.child_mass[iv.parent] == \
-                    par.child_mass[p.parent] / counts[iv.parent]
-                d = (iv.center_fp - p.center_fp) % scale
-                d = min(d, scale - d)
-                assert d <= par.half_fp - lev.half_fp
-        else:
-            for i, c in enumerate(counts):
-                p = par.intervals[i]
-                assert lev.child_mass[i] == par.child_mass[p.parent] / c
+                d = (iv.center_fp - par.intervals[iv.parent].center_fp) % scale
+                assert min(d, scale - d) <= par.half_fp - lev.half_fp
+        parent_mass = [lev.child_mass[iv.parent] for iv in lev.intervals]
     materialized = [k for k in range(1, h.depth + 1)
                     if h.levels[k - 1].intervals is not None]
     for a, b in zip(materialized, materialized[1:]):
@@ -358,7 +367,7 @@ def test_counted_final_level_matches_enumerated():
     assert [lev.materialized for lev in h_full.levels] == [True] * 4
     assert [lev.materialized for lev in h_cnt.levels] == [True] * 3 + [False]
     for lev_f, lev_c in zip(h_full.levels, h_cnt.levels):
-        assert lev_f.child_counts == lev_c.child_counts
+        assert _tally(lev_f) == lev_c.child_counts
     last_f, last_c = h_full.levels[-1], h_cnt.levels[-1]
     assert last_c.ambiguous == 0
     assert last_f.child_mass == last_c.child_mass
@@ -400,7 +409,7 @@ def test_materialize_cap_collapses_to_counts():
     h_cnt = build_hierarchy(om, 2, 1, [1, -2, 1597], materialize_cap=100)
     assert not h_cnt.levels[-1].materialized
     assert h_cnt.levels[-1].count == 200
-    assert h_cnt.levels[2].child_counts == h_ref.levels[2].child_counts
+    assert h_cnt.levels[2].child_counts == _tally(h_ref.levels[2])
     _check_invariants(h_cnt)
 
 
@@ -534,29 +543,15 @@ def test_count_arcs_edges_at_cantor_scale(deep_builder, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(DEEP))
 def test_every_level_keeps_its_per_parent_counts_and_masses(name):
-    # golden512 is the cantor_dim default run.  On every level, stored or
-    # counted, the count is the per-parent counts' sum, a stored level's
-    # intervals tally to those counts, each parent's mass is split evenly
-    # among its children, and the masses sum to 1.
+    # golden512 is the cantor_dim default run.  Stored or counted, every
+    # level splits its parents' masses over its per-parent counts, and a
+    # stored level's intervals tally to those counts (_check_invariants).
     omega, bits, seq = DEEP[name]
     cf = continued_fraction(CirclePoint.make(omega, bits), max_depth=2048)
     h = select_sequence(cf, 2, 1, 4, 0.1)
     assert h.sequence == seq
     assert [lev.materialized for lev in h.levels] == [True] * 3 + [False]
-    parent_mass = [Fraction(1)]
-    for lev in h.levels:
-        assert lev.count == sum(lev.child_counts)
-        assert len(lev.child_counts) == len(lev.child_mass) == len(parent_mass)
-        if lev.materialized:
-            tally = [0] * len(parent_mass)
-            for iv in lev.intervals:
-                tally[iv.parent] += 1
-            assert tuple(tally) == lev.child_counts
-        for c, w, pm in zip(lev.child_counts, lev.child_mass, parent_mass):
-            assert c * w == pm
-        assert lev.mass_total() == 1
-        if lev.materialized:
-            parent_mass = [lev.child_mass[iv.parent] for iv in lev.intervals]
+    _check_invariants(h)
 
 
 PINNED_WORK = {  # name: (floor_sum calls, first_hit calls) of select_sequence
