@@ -60,7 +60,6 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from enum import Enum
-from fractions import Fraction
 from math import prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -72,7 +71,7 @@ from .errors import (DegenerateDirection, NotGeneralizedParallelogram,
                      RationalAngle)
 from .fixedpoint import on_grid
 from .intervals import DEFAULT_PRECISION, IntervalUnion, fmt
-from .records import Frozen, init_field, same_fields
+from .records import Frozen, same_fields
 
 _LAUNCH = -1  # pseudo source-side index: beam resting on a cross-section
 
@@ -104,16 +103,6 @@ class GeneralizedParallelogram(Frozen):
 
     __slots__ = ("vertices", "alpha", "side_classes", "alpha_rational",
                  "precision_bits")
-
-    def __init__(self, vertices: Tuple[Tuple[mpf, mpf], ...], alpha: mpf,
-                 side_classes: Tuple[SideClass, ...],
-                 alpha_rational: Optional[Fraction],
-                 precision_bits: int = DEFAULT_PRECISION):
-        init_field(self, "vertices", vertices)
-        init_field(self, "alpha", alpha)
-        init_field(self, "side_classes", side_classes)
-        init_field(self, "alpha_rational", alpha_rational)
-        init_field(self, "precision_bits", precision_bits)
 
     def side(self, i: int) -> Tuple[Tuple[mpf, mpf], Tuple[mpf, mpf]]:
         return self.vertices[i], self.vertices[(i + 1) % len(self.vertices)]
@@ -227,9 +216,8 @@ def _finish_polygon(verts, alpha, bits) -> GeneralizedParallelogram:
         warnings.warn(RationalAngle(
             f"alpha = {rational} * pi is a rational angle; the direction "
             f"group is finite and every beam eventually repeats"))
-    return GeneralizedParallelogram(
-        vertices=tuple(verts), alpha=alpha, side_classes=classes,
-        alpha_rational=rational, precision_bits=bits)
+    return GeneralizedParallelogram(tuple(verts), alpha, classes, rational,
+                                    bits)
 
 
 def rhombus(alpha, side=1, precision_bits: int = DEFAULT_PRECISION,
@@ -476,7 +464,7 @@ class _Tracer:
         if ((abs(dy) << P // 2) < (1 << ed)
                 or (abs(dy * ca - dx * sa) << P // 2) < (1 << ed + ea)):
             raise DegenerateDirection(
-                f"direction {mp.nstr(phi, 12)} (level offset {n}) is "
+                f"direction {fmt(phi, 12)} (level offset {n}) is "
                 f"parallel to a side class within the precision guard")
         shift = self.ev + ed - P
         proj_i = [(vy * dx - vx * dy) >> shift for vx, vy in self.verts]
@@ -502,7 +490,7 @@ class _Tracer:
             if dom_lo >= dom_hi:
                 raise DegenerateDirection(
                     f"side {side} collapses in the direction "
-                    f"{mp.nstr(phi, 12)} perpendicular frame")
+                    f"{fmt(phi, 12)} perpendicular frame")
 
         def outcome(lo_i, hi_i):
             # No vertex projects inside a cell, so each side crossed at
@@ -828,13 +816,6 @@ class EscapeReport(Frozen):
 
     __slots__ = ("N", "j_N", "gate_width", "uncertain")
 
-    def __init__(self, N: int, j_N: int, gate_width: mpf,
-                 uncertain: IntervalUnion):
-        init_field(self, "N", N)
-        init_field(self, "j_N", j_N)
-        init_field(self, "gate_width", gate_width)
-        init_field(self, "uncertain", uncertain)
-
     __eq__ = same_fields
 
 
@@ -877,9 +858,8 @@ def escape_sets(q: GeneralizedParallelogram, theta, ns: Sequence[int],
         gate_width = tracer.source_union(
             g_d if variant == "down" else g_u).total_length
         yield tracer.source_union(out["escaped"]), EscapeReport(
-            N=N, j_N=n_returned + len(out["escaped"]) + len(active),
-            gate_width=gate_width,
-            uncertain=tracer.source_union(slivers + active))
+            N, n_returned + len(out["escaped"]) + len(active), gate_width,
+            tracer.source_union(slivers + active))
 
         # An escaped state sits at level -+(N+1), inside every later cap,
         # where a single deeper trace would have gone on from it: to the

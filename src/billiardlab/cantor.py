@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from mpmath import mp, mpf
 
@@ -29,7 +29,7 @@ from .errors import CapTooSmall, DepthUnreachable, EmptyLevel
 from .fixedpoint import (arc_hits, count_arcs, from_fixed, index_range,
                          power_floor)
 from .intervals import IntervalUnion, _dps_for, circle_pairs, fmt
-from .records import Frozen, init_field, same_fields
+from .records import Frozen, same_fields
 
 __all__ = [
     "CantorHierarchy",
@@ -57,11 +57,6 @@ class LevelInterval(Frozen):
 
     __slots__ = ("j", "center_fp", "parent")
 
-    def __init__(self, j: int, center_fp: int, parent: int):
-        init_field(self, "j", j)
-        init_field(self, "center_fp", center_fp)
-        init_field(self, "parent", parent)
-
     __eq__ = same_fields
 
 
@@ -79,18 +74,6 @@ class HierarchyLevel(Frozen):
 
     __slots__ = ("k", "n_k", "half_fp", "intervals", "child_counts",
                  "child_mass", "ambiguous")
-
-    def __init__(self, k: int, n_k: int, half_fp: int,
-                 intervals: Optional[Tuple[LevelInterval, ...]],
-                 child_counts: Tuple[int, ...],
-                 child_mass: Tuple[Fraction, ...], ambiguous: int = 0):
-        init_field(self, "k", k)
-        init_field(self, "n_k", n_k)
-        init_field(self, "half_fp", half_fp)
-        init_field(self, "intervals", intervals)
-        init_field(self, "child_counts", child_counts)
-        init_field(self, "child_mass", child_mass)
-        init_field(self, "ambiguous", ambiguous)
 
     __eq__ = same_fields
 
@@ -115,13 +98,6 @@ class CantorHierarchy(Frozen):
     with the validated continued fraction of omega it was built from."""
 
     __slots__ = ("cf", "mu", "m", "levels")
-
-    def __init__(self, cf: ContinuedFractionExpansion, mu: mpf, m: int,
-                 levels: Tuple[HierarchyLevel, ...]):
-        init_field(self, "cf", cf)
-        init_field(self, "mu", mu)
-        init_field(self, "m", m)
-        init_field(self, "levels", levels)
 
     @property
     def depth(self) -> int:
@@ -343,10 +319,8 @@ class _Builder:
                 f"materialize_cap={self.materialize_cap}, and deeper "
                 "levels require a materialized parent")
         self.levels.append(HierarchyLevel(
-            k=k, n_k=n_signed, half_fp=half, intervals=intervals,
-            child_counts=tuple(counts),
-            child_mass=tuple(mass / n for mass, n in zip(masses, counts)),
-            ambiguous=ambiguous))
+            k, n_signed, half, intervals, tuple(counts),
+            tuple(mass / n for mass, n in zip(masses, counts)), ambiguous))
 
     def _scan(self, res, p_lo, p_hi, centers, allow):
         """The lattice points within `allow` of a parent center, found by
@@ -358,8 +332,7 @@ class _Builder:
         for i, c in enumerate(centers):
             for p in arc_hits(w, scale, m, res, p_lo, p_hi, c, allow):
                 j = m * p + res
-                children.append(LevelInterval(j=j, center_fp=j * w % scale,
-                                              parent=i))
+                children.append(LevelInterval(j, j * w % scale, i))
         children.sort(key=lambda iv: iv.center_fp)
         return tuple(children)
 

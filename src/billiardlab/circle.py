@@ -21,7 +21,7 @@ from mpmath import mp, mpf
 from .errors import DepthExceeded, RationalDetected
 from .fixedpoint import from_fixed, to_fixed
 from .intervals import DEFAULT_PRECISION
-from .records import Frozen, init_field
+from .records import Frozen
 
 NumberLike = Union[int, float, str, Fraction, mpf]
 
@@ -130,8 +130,7 @@ class CirclePoint(Frozen):
             v = v - mp.floor(v)
             if v >= 1:  # guard against rounding at the wrap point
                 v = mpf(0)
-        init_field(self, "value", v)
-        init_field(self, "precision_bits", precision_bits)
+        super().__init__(v, precision_bits)
 
     @classmethod
     def make(cls, x: NumberLike, precision_bits: int = DEFAULT_PRECISION) -> "CirclePoint":
@@ -160,16 +159,6 @@ class ContinuedFractionExpansion(Frozen):
 
     __slots__ = ("omega", "w", "partial_quotients", "convergents", "gaps",
                  "validated_depth")
-
-    def __init__(self, omega: CirclePoint, w: int, partial_quotients: List[int],
-                 convergents: List[Tuple[int, int]], gaps: List[int],
-                 validated_depth: int):
-        init_field(self, "omega", omega)
-        init_field(self, "w", w)
-        init_field(self, "partial_quotients", partial_quotients)
-        init_field(self, "convergents", convergents)
-        init_field(self, "gaps", gaps)
-        init_field(self, "validated_depth", validated_depth)
 
     def denominator(self, r: int) -> int:
         """q_r, 1-indexed."""
@@ -254,14 +243,8 @@ def continued_fraction(omega: CirclePoint, max_depth: int = 64) -> ContinuedFrac
         a_lo, b_lo = b_lo, r_lo
         a_hi, b_hi = b_hi, r_hi
 
-    return ContinuedFractionExpansion(
-        omega=omega,
-        w=w,
-        partial_quotients=quotients,
-        convergents=convergents,
-        gaps=gaps,
-        validated_depth=len(quotients),
-    )
+    return ContinuedFractionExpansion(omega, w, quotients, convergents, gaps,
+                                      len(quotients))
 
 
 def three_distance_bounds(cf: ContinuedFractionExpansion, r: int) -> tuple:
@@ -291,39 +274,37 @@ def three_distance_bounds(cf: ContinuedFractionExpansion, r: int) -> tuple:
 
 def detect_rational_angle(point: CirclePoint) -> Union[Fraction, None]:
     """Return p/q if the point is rational with denominator at most 2^24 at
-    working precision.
+    working precision, else None.
 
-    Used to recognize rational multiples of pi (alpha/pi, omega, ...): runs
-    the validated continued fraction and reports the last convergent before
-    a quotient blow-up.  Returns None for irrational-at-precision inputs.
+    Used to recognize rational multiples of pi (alpha/pi, omega, ...).  A
+    single-endpoint Euclid run on the stored value, cut at the first
+    quotient blow-up, gives the candidate: the convergent just before the
+    cut (possibly in its trailing-1 form, which Fraction normalizes).
+    Convergent denominators only grow, so the run returns None as soon as
+    one exceeds 2^24.  A candidate other than 0/1 is returned only if the
+    validated continued fraction, to depth 256, detects rationality.
     """
     bits = point.precision_bits
     w = to_fixed(point.value, bits)
     if w == 0:
         return Fraction(0)
+    max_den = 1 << 24
+    cut = max(1 << (bits // 4), 2 * max_den)
+    a, b = 1 << bits, w
+    p_prev, q_prev, p_cur, q_cur = 1, 0, 0, 1
+    while b > 0:
+        q, r = divmod(a, b)
+        if q >= cut:
+            break
+        p_prev, p_cur = p_cur, q * p_cur + p_prev
+        q_prev, q_cur = q_cur, q * q_cur + q_prev
+        if q_cur > max_den:
+            return None
+        a, b = b, r
+    if q_cur == 1 and p_cur == 0:
+        return None
     try:
         continued_fraction(point, max_depth=256)
     except RationalDetected:
-        # Re-run a single-endpoint Euclid and cut at the quotient blow-up:
-        # the convergent just before the cut is the detected rational
-        # (possibly in its trailing-1 form, which Fraction normalizes).
-        max_den = 1 << 24
-        cut = max(1 << (bits // 4), 2 * max_den)
-        quotients = []
-        a, b = 1 << bits, w
-        while b > 0:
-            q, r = divmod(a, b)
-            if q >= cut:
-                break
-            quotients.append(q)
-            a, b = b, r
-        p_prev, q_prev, p_cur, q_cur = 1, 0, 0, 1
-        for q in quotients:
-            p_prev, p_cur = p_cur, q * p_cur + p_prev
-            q_prev, q_cur = q_cur, q * q_cur + q_prev
-        if q_cur == 1 and p_cur == 0:
-            return None
-        if q_cur > max_den:
-            return None
         return Fraction(p_cur, q_cur)
     return None

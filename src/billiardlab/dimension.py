@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from mpmath import mp, mpf
 
 from .errors import InsufficientScales
 from .fixedpoint import from_fixed, mpf_to_fraction
 from .intervals import IntervalUnion
-from .records import Frozen, init_field
+from .records import Frozen
 
 
 class CoverReport(Frozen):
@@ -24,14 +24,6 @@ class CoverReport(Frozen):
     log(count)/log(1/epsilon) (None for an empty set)."""
 
     __slots__ = ("scale", "count", "s", "sum", "dim_estimate")
-
-    def __init__(self, scale: mpf, count: int, s: float, sum: mpf,
-                 dim_estimate: Optional[mpf]):
-        init_field(self, "scale", scale)
-        init_field(self, "count", count)
-        init_field(self, "s", s)
-        init_field(self, "sum", sum)
-        init_field(self, "dim_estimate", dim_estimate)
 
 
 def box_count(cover_set: IntervalUnion, epsilon, s: float = 1.0) -> CoverReport:
@@ -60,7 +52,7 @@ def box_count(cover_set: IntervalUnion, epsilon, s: float = 1.0) -> CoverReport:
             dim = None
         else:
             dim = mp.log(count) / mp.log(1 / eps) if count > 1 else mpf(0)
-        return CoverReport(scale=eps, count=count, s=s, sum=total, dim_estimate=dim)
+        return CoverReport(eps, count, s, total, dim)
 
 
 class DimensionFit(Frozen):
@@ -68,13 +60,6 @@ class DimensionFit(Frozen):
     per-scale residuals and the underlying cover reports."""
 
     __slots__ = ("slope", "intercept", "residuals", "reports")
-
-    def __init__(self, slope: mpf, intercept: mpf, residuals: Tuple[mpf, ...],
-                 reports: Tuple[CoverReport, ...]):
-        init_field(self, "slope", slope)
-        init_field(self, "intercept", intercept)
-        init_field(self, "residuals", residuals)
-        init_field(self, "reports", reports)
 
 
 def dim_lb_estimate(scale_sets: Sequence[Tuple[object, IntervalUnion]]) -> DimensionFit:
@@ -103,21 +88,13 @@ def dim_lb_estimate(scale_sets: Sequence[Tuple[object, IntervalUnion]]) -> Dimen
         slope = sxy / sxx
         intercept = ybar - slope * xbar
         residuals = tuple(y - (slope * x + intercept) for x, y in zip(xs, ys))
-    return DimensionFit(slope=slope, intercept=intercept,
-                        residuals=residuals, reports=tuple(reports))
+    return DimensionFit(slope, intercept, residuals, tuple(reports))
 
 
 class AverageCoverReport(Frozen):
     """Result of covering j intervals by pieces of the average length."""
 
     __slots__ = ("count", "bound_3n_ok", "piece_length", "pieces_per_interval")
-
-    def __init__(self, count: int, bound_3n_ok: bool, piece_length: mpf,
-                 pieces_per_interval: Tuple[int, ...]):
-        init_field(self, "count", count)
-        init_field(self, "bound_3n_ok", bound_3n_ok)
-        init_field(self, "piece_length", piece_length)
-        init_field(self, "pieces_per_interval", pieces_per_interval)
 
 
 def average_length_cover(lengths: Sequence, budget_length) -> AverageCoverReport:
@@ -149,8 +126,7 @@ def average_length_cover(lengths: Sequence, budget_length) -> AverageCoverReport
     count = sum(per)
     with mp.workprec(96):
         piece = mpf(budget.numerator) / budget.denominator / j
-    return AverageCoverReport(count=count, bound_3n_ok=count <= 3 * j,
-                              piece_length=piece, pieces_per_interval=per)
+    return AverageCoverReport(count, count <= 3 * j, piece, per)
 
 
 def escape_cover(f_n: IntervalUnion, gate_width) -> Tuple[int, mpf]:

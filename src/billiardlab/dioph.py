@@ -23,7 +23,7 @@ from .errors import OrbitPoint, RationalRotation
 from .fixedpoint import (arc_hits, from_fixed, index_range, mpf_to_fraction,
                          on_grid, power_floor, to_fixed)
 from .intervals import IntervalUnion, circle_pairs
-from .records import Frozen, init_field
+from .records import Frozen
 
 
 class ApproxSolution(Frozen):
@@ -31,10 +31,6 @@ class ApproxSolution(Frozen):
     distance."""
 
     __slots__ = ("p", "distance")
-
-    def __init__(self, p: int, distance: mpf):
-        init_field(self, "p", p)
-        init_field(self, "distance", distance)
 
 
 def _grid(t: CirclePoint, omega: CirclePoint) -> Tuple[int, int, int]:
@@ -120,7 +116,7 @@ def approx_solutions(t: CirclePoint, omega: CirclePoint, mu: float, m: int,
         with mp.workprec(bits + 32):
             hit = distance < mpf(p_abs) ** (-mu_m)
         if hit:
-            out.append(ApproxSolution(p=sign * p_abs, distance=distance))
+            out.append(ApproxSolution(sign * p_abs, distance))
     return out
 
 
@@ -153,8 +149,7 @@ def minkowski_solutions(t: CirclePoint, omega: CirclePoint,
             if d <= orbit:
                 orbit_hits.append(s * p_abs)
             else:
-                out.append(ApproxSolution(p=s * p_abs,
-                                          distance=from_fixed(d, E)))
+                out.append(ApproxSolution(s * p_abs, from_fixed(d, E)))
     if orbit_hits:
         nearest = min(orbit_hits, key=abs)
         raise OrbitPoint(f"t + {nearest}*omega is within 2^-{bits // 2} of 0: "

@@ -13,7 +13,9 @@ This module holds what the experiments share.  Each runner lives in the
 module that :data:`EXPERIMENTS` names, which validating a configuration
 imports, so a run compiles only the library modules its experiment uses.
 The record types, :class:`RunReport` among them, are plain slotted
-classes, so set-up imports neither ``dataclasses`` nor ``inspect``.
+classes: the frozen ones name their fields once, in ``__slots__``, and
+share the constructor of :class:`billiardlab.records.Frozen`, so set-up
+imports neither ``dataclasses`` nor ``inspect``.
 """
 
 from __future__ import annotations

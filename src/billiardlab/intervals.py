@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, List, Tuple
 from mpmath import mp, mpf
 
 from .fixedpoint import from_fixed
-from .records import Frozen, init_field, same_fields
+from .records import Frozen, same_fields
 
 Pair = Tuple[int, int]
 
@@ -62,11 +62,6 @@ class IntervalUnion(Frozen):
     2**-precision_bits grid."""
 
     __slots__ = ("intervals", "precision_bits")
-
-    def __init__(self, intervals: Tuple[Pair, ...],
-                 precision_bits: int = DEFAULT_PRECISION):
-        init_field(self, "intervals", intervals)
-        init_field(self, "precision_bits", precision_bits)
 
     __eq__ = same_fields
 

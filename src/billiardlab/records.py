@@ -1,15 +1,12 @@
 """The base of the library's immutable records.
 
-A record is a plain class with ``__slots__`` and a hand-written
-``__init__`` that stores each field once through :data:`init_field`.
-Records that are compared take :func:`same_fields` as their ``__eq__``;
-the others compare by identity.
+A record is a plain class that names its fields once, in ``__slots__``,
+and is built by :class:`Frozen`'s constructor from one positional value
+per field.  Records that are compared take :func:`same_fields` as their
+``__eq__``; the others compare by identity.
 """
 
 from __future__ import annotations
-
-#: Stores a field from ``__init__``, past the refusing ``__setattr__``.
-init_field = object.__setattr__
 
 
 def same_fields(self, other):
@@ -22,14 +19,24 @@ def same_fields(self, other):
 
 
 class Frozen:
-    """A record whose fields, the names in ``__slots__``, are never
-    reassigned or deleted after ``__init__``.
+    """A record whose fields, the names in its own ``__slots__``, are set
+    once by the constructor and never reassigned or deleted.
 
-    ``__slots__`` lists the fields in the order of the ``__init__``
-    parameters, so copy and pickle rebuild a record by calling its class
-    with the stored fields."""
+    The constructor takes exactly one positional value per field, in
+    ``__slots__`` order, and raises TypeError for any other number.  A
+    record that validates its values first (``CirclePoint``) passes the
+    results on through ``super().__init__``.  Copy and pickle rebuild a
+    record by calling its class with the stored fields."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} "
+                            f"fields ({', '.join(names)}), got {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def _refuse(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is frozen: cannot set "

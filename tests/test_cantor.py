@@ -396,7 +396,7 @@ def test_scan_walks_exactly_the_points_a_full_scan_keeps():
                   if min((c - pc) % scale, (pc - c) % scale) <= allow]
         assert len(owners) <= 1
         if owners:
-            expected.append(LevelInterval(j=j, center_fp=c, parent=owners[0]))
+            expected.append(LevelInterval(j, c, owners[0]))
     expected.sort(key=lambda iv: iv.center_fp)
     assert p_hi - p_lo + 1 == 4182 and len(centers) == 3
     assert got == tuple(expected)

@@ -157,6 +157,57 @@ def test_detect_rational_angle():
     assert detect_rational_angle(CirclePoint(0, 256)) == 0
 
 
+def detect_rational_angle_reference(point):
+    """detect_rational_angle as first written: the two-endpoint validated
+    continued fraction on every call, then, if it detects rationality, a
+    second single-endpoint Euclid run cut at the quotient blow-up."""
+    bits = point.precision_bits
+    w = to_fixed(point.value, bits)
+    if w == 0:
+        return Fraction(0)
+    try:
+        continued_fraction(point, max_depth=256)
+    except RationalDetected:
+        max_den = 1 << 24
+        cut = max(1 << (bits // 4), 2 * max_den)
+        quotients = []
+        a, b = 1 << bits, w
+        while b > 0:
+            q, r = divmod(a, b)
+            if q >= cut:
+                break
+            quotients.append(q)
+            a, b = b, r
+        p_prev, q_prev, p_cur, q_cur = 1, 0, 0, 1
+        for q in quotients:
+            p_prev, p_cur = p_cur, q * p_cur + p_prev
+            q_prev, q_cur = q_cur, q * q_cur + q_prev
+        if q_cur == 1 and p_cur == 0:
+            return None
+        if q_cur > max_den:
+            return None
+        return Fraction(p_cur, q_cur)
+    return None
+
+
+@given(data=st.data(), bits=st.integers(64, 1024))
+@settings(max_examples=300, deadline=None)
+def test_detect_rational_angle_matches_reference(data, bits):
+    # grid points w/2^P: uniform ones, and ones within 2^k grid units of
+    # p/q for denominators on both sides of the 2^24 cap
+    scale = 1 << bits
+    if data.draw(st.booleans()):
+        w = data.draw(st.integers(0, scale - 1))
+    else:
+        q = data.draw(st.one_of(st.integers(1, 100), st.integers(1 << 23, 1 << 26)))
+        p = data.draw(st.integers(0, q))
+        k = data.draw(st.one_of(st.integers(0, 2), st.integers(0, bits // 2 + 8)))
+        w = (p * scale // q + data.draw(st.integers(-(1 << k), 1 << k))) % scale
+    point = CirclePoint(from_fixed(w, bits), bits)
+    assert to_fixed(point.value, bits) == w
+    assert detect_rational_angle(point) == detect_rational_angle_reference(point)
+
+
 # -- three-distance gaps ---------------------------------------------------
 
 def brute_gap(w: mpf, n: int) -> mpf:

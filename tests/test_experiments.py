@@ -357,8 +357,7 @@ def test_schedule_shrink_test_is_exact(monkeypatch):
     # (1/8 + 2^-121 -> 1/8) would drop the second level.
     with mp.workprec(256):
         best = mpf(1) / 4 + mpf(2) ** -120
-        sols = [ApproxSolution(p=10, distance=best),
-                ApproxSolution(p=20, distance=best / 2)]
+        sols = [ApproxSolution(10, best), ApproxSolution(20, best / 2)]
     monkeypatch.setattr(lab_escape, "approx_solutions",
                         lambda *args: sols)
     t_up, _, om = schedule_inputs()

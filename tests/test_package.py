@@ -1,6 +1,7 @@
 """Package-level guards: the public exports exist, no library module
-hands a string to ``eval`` or ``exec``, none sets the global mpmath
-precision (reports must not depend on the ambient context), the
+hands a string to ``eval`` or ``exec``, only ``intervals.fmt`` calls
+``nstr``, none sets the global mpmath precision (reports must not
+depend on the ambient context), the
 ``lab`` runtime loads neither numpy nor ``dataclasses`` and ``inspect``,
 an experiment loads only the modules it uses, no module nears the
 parser's token cliff, and the bench tracer still finds the library names
@@ -22,18 +23,36 @@ def _library_nodes():
             yield path.name, node
 
 
+def _called_name(node):
+    """The name a call calls: ``f`` in ``f(...)`` and in ``m.f(...)``."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def test_exports_resolve_and_no_eval_or_exec():
     missing = [name for name in billiardlab.__all__ if not hasattr(billiardlab, name)]
     assert not missing
 
     offenders = []
     for fname, node in _library_nodes():
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name in ("eval", "exec"):
+        if isinstance(node, ast.Call) and _called_name(node) in ("eval", "exec"):
             offenders.append(f"{fname}:{node.lineno}")
+    assert not offenders
+
+
+def test_only_fmt_calls_nstr():
+    # intervals.fmt is the one decimal rendering of a number
+    offenders = []
+    for path in sorted(Path(billiardlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for fmt in ast.walk(tree)
+                   if path.name == "intervals.py"
+                   and isinstance(fmt, ast.FunctionDef) and fmt.name == "fmt"
+                   for node in ast.walk(fmt)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and id(node) not in allowed
+                    and _called_name(node) == "nstr"):
+                offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders
 
 

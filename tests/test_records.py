@@ -1,6 +1,6 @@
 """The library's record types: plain slotted classes whose frozen fields
-refuse assignment and deletion, and which copy and pickle rebuild with
-equal fields."""
+refuse assignment and deletion, built by one constructor from one value
+per field, and which copy and pickle rebuild with equal fields."""
 
 import copy
 import pickle
@@ -29,7 +29,7 @@ def _frozen_records():
     union = IntervalUnion(((1, 3), (5, 8)), 8)
     cover = CoverReport(mpf(0.25), 3, 1.0, mpf(0.75), None)
     level = HierarchyLevel(1, 1, 4, (LevelInterval(0, 0, 0),), (1,),
-                           (Fraction(1),))
+                           (Fraction(1),), 0)
     return [
         union,
         point,
@@ -61,6 +61,28 @@ def test_every_record_is_a_slotted_frozen_class():
         with pytest.raises(AttributeError):
             record.extra = 1
         assert getattr(record, name) is kept and not hasattr(record, "__dict__")
+
+
+def test_only_circle_point_defines_its_own_init():
+    assert [cls for cls in Frozen.__subclasses__()
+            if "__init__" in vars(cls)] == [CirclePoint]
+
+
+def test_every_record_refuses_a_wrong_number_of_fields():
+    for record in _frozen_records():
+        cls = type(record)
+        values = [getattr(record, name) for name in cls.__slots__]
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        with pytest.raises(TypeError):
+            cls()
+        if cls is CirclePoint:  # precision_bits has a default
+            continue
+        with pytest.raises(TypeError, match=", ".join(cls.__slots__)):
+            cls(*values[:-1])
+        twin = cls(*values)
+        assert all(getattr(twin, name) is value
+                   for name, value in zip(cls.__slots__, values))
 
 
 def _fields(x):
