@@ -28,7 +28,7 @@ from .circle import (CirclePoint, ContinuedFractionExpansion,
 from .errors import CapTooSmall, DepthUnreachable, EmptyLevel
 from .fixedpoint import (arc_hits, count_arcs, from_fixed, index_range,
                          power_floor)
-from .intervals import IntervalUnion, _dps_for, circle_pairs, fmt
+from .intervals import IntervalUnion, _dps_for, circle_pairs, fmt, fmt_fixed
 from .records import Frozen, same_fields
 
 __all__ = [
@@ -152,9 +152,9 @@ class CantorHierarchy(Frozen):
                 "ambiguous_discarded": lev.ambiguous,
             }
             if lev.intervals is not None:
-                h = fmt(from_fixed(lev.half_fp, bits), digits)
+                h = fmt_fixed(lev.half_fp, bits, digits)
                 entry["intervals"] = [
-                    {"center": fmt(from_fixed(iv.center_fp, bits), digits),
+                    {"center": fmt_fixed(iv.center_fp, bits, digits),
                      "half_width": h,
                      "mass": str(lev.child_mass[iv.parent])}
                     for iv in lev.intervals]
@@ -163,7 +163,7 @@ class CantorHierarchy(Frozen):
                 parents = self.levels[i - 1].intervals if i else (None,)
                 entry["per_parent"] = [
                     {"parent_center": None if p is None
-                     else fmt(from_fixed(p.center_fp, bits), digits),
+                     else fmt_fixed(p.center_fp, bits, digits),
                      "child_count": c,
                      "child_mass": str(w)}
                     for p, c, w in zip(parents, lev.child_counts, lev.child_mass)]

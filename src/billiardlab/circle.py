@@ -52,10 +52,12 @@ _EVAL_OPERATORS = {
 _MAX_MAG = 1024
 
 
-def _bounded(value, spec: str):
+def _bounded(value, spec: NumberLike):
+    """value, unless its magnitude reaches 2**_MAX_MAG; the spec is
+    rendered as text only for the error."""
     if mp.mag(value) > _MAX_MAG:
-        raise ValueError(f"number spec {spec[:80]!r} has a value of magnitude "
-                         f"2**{_MAX_MAG} or more")
+        raise ValueError(f"number spec {str(spec)[:80]!r} has a value of "
+                         f"magnitude 2**{_MAX_MAG} or more")
     return value
 
 
@@ -98,7 +100,7 @@ def eval_number(x: NumberLike, precision_bits: int = DEFAULT_PRECISION) -> mpf:
         value = _eval_spec(x)
     if not isinstance(value, mpf) or not mp.isfinite(value):
         raise ValueError(f"number spec {str(x)[:80]!r} is not a finite real")
-    return _bounded(value, str(x))
+    return _bounded(value, x)
 
 
 def _eval_spec(x: NumberLike):

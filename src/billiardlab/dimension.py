@@ -103,7 +103,8 @@ def average_length_cover(lengths: Sequence, budget_length) -> AverageCoverReport
     count = sum_k (floor(a_k * j / sum(a)) + 1), evaluated on integer
     numerators over one common denominator so floor ties cannot flip with
     rounding; ints and Fractions are taken as exact, anything else through
-    its exact mpf value.  The packing bound asserts count <= 3j.  Each
+    its exact mpf value.  Lengths that are all ints are their own
+    numerators over 1.  The packing bound asserts count <= 3j.  Each
     interval k fits inside its floor(a_k*j/sum)+1 pieces because
     budget >= sum(a)."""
     j = len(lengths)
@@ -113,10 +114,13 @@ def average_length_cover(lengths: Sequence, budget_length) -> AverageCoverReport
     def exact(x):
         return x if isinstance(x, (int, Fraction)) else mpf_to_fraction(x)
 
-    fracs = [exact(a) for a in lengths]
-    den = math.lcm(*(a.denominator for a in fracs))
-    nums = [a.numerator * (den // a.denominator) for a in fracs]
-    if any(n <= 0 for n in nums):
+    if set(map(type, lengths)) == {int}:
+        den, nums = 1, lengths
+    else:
+        fracs = [exact(a) for a in lengths]
+        den = math.lcm(*(a.denominator for a in fracs))
+        nums = [a.numerator * (den // a.denominator) for a in fracs]
+    if min(nums) <= 0:
         raise ValueError("interval lengths must be positive")
     total = sum(nums)
     budget = exact(budget_length)

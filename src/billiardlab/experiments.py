@@ -24,6 +24,9 @@ import copy
 import importlib
 import json
 import os
+from functools import lru_cache
+from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from types import ModuleType
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -279,8 +282,75 @@ class RunReport:
         return not self.violations
 
 
+@lru_cache(maxsize=None)
+def _c_encoder(depth: int) -> Callable[[Any, int], List[str]]:
+    """json's C encoder for a scalar, or for a container of scalars whose
+    items sit ``depth`` levels deep: its item separator carries their
+    indentation.  One is kept per nesting depth."""
+    return c_make_encoder(None, json.JSONEncoder().default,
+                          encode_basestring_ascii, None, ": ",
+                          ",\n" + "  " * depth, True, False, True)
+
+
+def _flat_text(o: Any, depth: int) -> Optional[str]:
+    """The text json writes for a scalar, or for a container of scalars,
+    nested ``depth`` levels deep, encoded in C; None for a container that
+    holds a container."""
+    if isinstance(o, dict):
+        values = o.values()
+    elif isinstance(o, (list, tuple)):
+        values = o
+    else:
+        return "".join(_c_encoder(depth)(o, 0))
+    if any(isinstance(v, (dict, list, tuple)) for v in values):
+        return None
+    text = "".join(_c_encoder(depth + 1)(o, 0))
+    if not values:
+        return text
+    margin = "\n" + "  " * depth
+    return text[0] + margin + "  " + text[1:-1] + margin + text[-1]
+
+
+def _dump(o: Any, write: Callable[[str], Any], depth: int = 0) -> None:
+    """Write the text ``json.dump(o, fh, sort_keys=True, indent=2)`` writes
+    for o at nesting ``depth``.  With ``indent`` set, json always takes its
+    pure-Python encoder; here containers are walked in Python and every
+    scalar, and every container of scalars, is encoded in C."""
+    text = _flat_text(o, depth)
+    if text is not None:
+        write(text)
+        return
+    is_dict = isinstance(o, dict)
+    margin = "\n" + "  " * depth
+    write("{" if is_dict else "[")
+    sep = margin + "  "
+    for key, v in sorted(o.items()) if is_dict else zip(repeat(None), o):
+        if is_dict:  # the key as json writes it, cut from ``{key: 0}``
+            sep += "".join(_c_encoder(0)({key: 0}, 0))[1:-4] + ": "
+        text = _flat_text(v, depth + 1)
+        if text is None:
+            write(sep)
+            _dump(v, write, depth + 1)
+        else:
+            write(sep + text)
+        sep = "," + margin + "  "
+    write(margin + ("}" if is_dict else "]"))
+
+
+def _write_json(obj: Any, path: str) -> None:
+    """``json.dump(obj, fh, sort_keys=True, indent=2)`` and a newline, in
+    chunks."""
+    with open(path, "w", encoding="utf-8") as fh:
+        _dump(obj, fh.write)
+        fh.write("\n")
+
+
 def write_report(report: RunReport, out_dir: str) -> List[str]:
-    """Write CSV tables, the JSON result, and the manifest; return filenames."""
+    """Write CSV tables, the JSON result, and the manifest; return filenames.
+
+    Each JSON file holds the bytes of ``json.dump(obj, fh, sort_keys=True,
+    indent=2)`` and a newline, written in chunks with every scalar encoded
+    by json's C encoder."""
     os.makedirs(out_dir, exist_ok=True)
     names: List[str] = []
     for table in sorted(report.tables):
@@ -300,9 +370,7 @@ def write_report(report: RunReport, out_dir: str) -> List[str]:
         "results": report.data,
     }
     json_name = f"{report.experiment}.json"
-    with open(os.path.join(out_dir, json_name), "w", encoding="utf-8") as fh:
-        json.dump(result_obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(result_obj, os.path.join(out_dir, json_name))
     names.append(json_name)
     manifest = {
         "experiment": report.experiment,
@@ -316,9 +384,7 @@ def write_report(report: RunReport, out_dir: str) -> List[str]:
         "outputs": sorted(names),
     }
     manifest_name = f"{report.experiment}.manifest.json"
-    with open(os.path.join(out_dir, manifest_name), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(manifest, os.path.join(out_dir, manifest_name))
     names.append(manifest_name)
     return sorted(names)
 

@@ -8,6 +8,9 @@ per field.  Records that are compared take :func:`same_fields` as their
 
 from __future__ import annotations
 
+# Bound once, not looked up for each field the constructor stores.
+_set = object.__setattr__
+
 
 def same_fields(self, other):
     """The ``__eq__`` of the records that are compared: equal when of one
@@ -36,7 +39,7 @@ class Frozen:
             raise TypeError(f"{type(self).__name__} takes {len(names)} "
                             f"fields ({', '.join(names)}), got {len(values)}")
         for name, value in zip(names, values):
-            object.__setattr__(self, name, value)
+            _set(self, name, value)
 
     def _refuse(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is frozen: cannot set "

@@ -14,7 +14,10 @@ bit:
 - ``random()``, the top 53 bits of one 64-bit draw scaled by 2**-53;
 - ``integers(low, high[, size])`` for ``high - low`` below 2**32, through
   Lemire's multiply-and-reject method on 32-bit draws, as numpy's int64
-  path takes it.
+  path takes it (Lemire, *Fast Random Integer Generation in an Interval*,
+  ACM TOMS 2019).  All ``size`` values come from one loop over local
+  variables, which leaves the state and the buffered half-word where
+  ``size`` single draws leave them.
 """
 
 from __future__ import annotations
@@ -96,27 +99,9 @@ class Generator:
         x = (self._state >> 64 ^ self._state) & _MASK64
         return (x >> rot | x << (64 - rot)) & _MASK64
 
-    def _next32(self) -> int:
-        if self._half is not None:
-            half, self._half = self._half, None
-            return half
-        x = self._next64()
-        self._half = x >> 32
-        return x & _MASK32
-
     def random(self) -> float:
         """A float in [0, 1) on the 2**-53 grid."""
         return (self._next64() >> 11) * (1.0 / 9007199254740992.0)
-
-    def _bounded(self, rng: int) -> int:
-        """A uniform integer in [0, rng] for 0 < rng < 2**32 - 1."""
-        excl = rng + 1
-        m = self._next32() * excl
-        if (m & _MASK32) < excl:
-            threshold = (_MASK32 - rng) % excl
-            while (m & _MASK32) < threshold:
-                m = self._next32() * excl
-        return m >> 32
 
     def integers(self, low: int, high: int,
                  size: Optional[int] = None) -> Union[int, List[int]]:
@@ -130,6 +115,36 @@ class Generator:
         if not 0 <= rng < _MASK32:
             raise ValueError(f"integers() reproduces 0 < high - low < 2**32, "
                              f"got low={low}, high={high}")
+        if not rng:
+            return low if size is None else [low] * size
         if size is None:
-            return low + self._bounded(rng) if rng else low
-        return [low + self._bounded(rng) if rng else low for _ in range(size)]
+            return self._bounded(low, rng, 1)[0]
+        return self._bounded(low, rng, size)
+
+    def _bounded(self, low: int, rng: int, size: int) -> List[int]:
+        """``size`` uniform integers in [low, low + rng] for 0 < rng <
+        2**32 - 1, in one loop over local variables: the PCG64 step, the
+        buffered upper half-word and Lemire's rejection inlined.  A 32-bit
+        word w gives m = w * (rng + 1), kept as low + (m >> 32) unless its
+        low half falls below 2**32 mod (rng + 1)."""
+        excl = rng + 1
+        threshold = (_MASK32 - rng) % excl
+        state, inc, half = self._state, self._inc, self._half
+        out: List[int] = []
+        append = out.append
+        while size > 0:
+            if half is None:
+                state = (state * _PCG_MULT + inc) & _MASK128
+                rot = state >> 122
+                x = (state >> 64 ^ state) & _MASK64
+                x = (x >> rot | x << (64 - rot)) & _MASK64
+                half = x >> 32
+                m = (x & _MASK32) * excl
+            else:
+                m = half * excl
+                half = None
+            if (m & _MASK32) >= threshold:
+                append(low + (m >> 32))
+                size -= 1
+        self._state, self._half = state, half
+        return out

@@ -202,6 +202,38 @@ def test_packing_count_identity(lens):
     assert average_length_cover(lens, total).count == count
 
 
+def _cover_fields(report):
+    return (report.count, report.bound_3n_ok, report.piece_length,
+            report.pieces_per_interval)
+
+
+@given(st.lists(st.integers(1, 2**64), min_size=1, max_size=60),
+       st.integers(0, 2**64))
+@settings(max_examples=300, deadline=None)
+def test_int_lengths_cover_as_their_fractions(lens, slack):
+    # The all-int path skips the common denominator; it must give what
+    # the same lengths give as Fractions, budget included.
+    budget = sum(lens) + slack
+    as_ints = average_length_cover(lens, budget)
+    as_fractions = average_length_cover([Fraction(a) for a in lens],
+                                        Fraction(budget))
+    assert _cover_fields(as_ints) == _cover_fields(as_fractions)
+    mixed = average_length_cover(lens[:-1] + [Fraction(lens[-1])], budget)
+    assert _cover_fields(mixed) == _cover_fields(as_ints)
+
+
+@pytest.mark.parametrize("lens,budget", [([3, 0, 2], 5), ([4, -1], 3),
+                                         ([2, 3], 4), ([7], 6)])
+def test_int_lengths_raise_as_their_fractions(lens, budget):
+    def message(lengths, total):
+        with pytest.raises(ValueError) as info:
+            average_length_cover(lengths, total)
+        return str(info.value)
+
+    assert message(lens, budget) == \
+        message([Fraction(a) for a in lens], Fraction(budget))
+
+
 def test_average_cover_empty():
     r = average_length_cover([], mpf(0))
     assert r.count == 0 and r.bound_3n_ok

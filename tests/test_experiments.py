@@ -4,6 +4,7 @@ seven runners, deterministic report files, and process exit codes."""
 
 import copy
 import importlib
+import io
 import json
 import pickle
 import time
@@ -11,6 +12,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from billiardlab import billiard, lab_escape, lab_perp
@@ -19,7 +22,7 @@ from billiardlab.cli import main as lab_main
 from billiardlab.dioph import ApproxSolution
 from billiardlab.errors import ConfigError, ScheduleNotFound
 from billiardlab.experiments import (EXPERIMENTS, ExperimentConfig, RunReport,
-                                     apply_overrides, run_experiment,
+                                     _dump, apply_overrides, run_experiment,
                                      write_report)
 from billiardlab.lab_escape import _deltadio_schedule, construct_twosided_target
 
@@ -670,6 +673,56 @@ def test_write_report_byte_identical_on_rerun(tmp_path):
     first = run_once()
     second = run_once()
     assert first == second
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 200, 2 ** 200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),  # non-ASCII and control characters, quotes, backslashes
+    st.sampled_from(["", "\"", "\\", "\n\t\x00\x7f", "\u00e9\u2028\U0001f600", "{", "],\n  ["]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=5),
+        st.dictionaries(st.integers(-9, 9), inner, max_size=3),
+        st.dictionaries(st.floats(allow_nan=False), inner, max_size=3)),
+    max_leaves=40)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=400, deadline=None)
+@example({"a": [], "b": {}, "c": [[], {}, ()], "d": [{"x": 1}, {"y": [2]}]})
+@example([float("inf"), float("-inf"), float("nan"), 10 ** 80, True, False, None])
+def test_report_writer_matches_json_dump(obj):
+    out = io.StringIO()
+    _dump(obj, out.write)
+    assert out.getvalue() == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_report_writer_refuses_what_json_refuses():
+    for bad in ({"a": mpf(1)}, [[1, mpf(1)]], {(1, 2): 3}, {"a": {1: 2, "b": 3}}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            _dump(bad, io.StringIO().write)
+
+
+def test_written_report_is_json_dumps_of_its_object(tmp_path):
+    data = {"nested": {"empty": {}, "list": [], "rows": [{"b": 1, "a": "\u00e9"}]},
+            "values": (float("inf"), float("nan"), 2 ** 100, None, True),
+            "text": "tab\tquote\" \u2028"}
+    cfg = make_cfg("ubiquity")
+    report = RunReport("ubiquity", ["v"], ["n"], {}, data, cfg)
+    write_report(report, str(tmp_path))
+    expected = {"experiment": "ubiquity", "passed": False, "violations": ["v"],
+                "notes": ["n"], "config": cfg.to_json_obj(), "results": data}
+    assert (tmp_path / "ubiquity.json").read_text(encoding="utf-8") == \
+        json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    manifest = json.loads((tmp_path / "ubiquity.manifest.json").read_text())
+    assert (tmp_path / "ubiquity.manifest.json").read_text() == \
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

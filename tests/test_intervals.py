@@ -1,15 +1,18 @@
 """IntervalUnion set algebra on integer grid endpoints, checked exactly
 at cell midpoints: every cell of a small grid, and the cells around each
-endpoint on a 64-bit grid."""
+endpoint on a 64-bit grid; and the integer decimal formatter against
+``mp.nstr``."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
-from billiardlab.intervals import IntervalUnion, circle_pairs
+from billiardlab.fixedpoint import from_fixed
+from billiardlab.intervals import IntervalUnion, circle_pairs, fmt, fmt_fixed
 
 BITS = 64
 ONE = 1 << BITS
@@ -173,3 +176,99 @@ def test_make_always_normalized(pairs):
     for (_, h1), (l2, _) in zip(u.intervals, u.intervals[1:]):
         assert l2 > h1
     assert u.total_length >= 0
+
+
+# -- the integer decimal formatter --------------------------------------
+
+
+def fmt_reference(x, digits=20):
+    """``fmt`` as it was before ``fmt_fixed``: the value rounded to
+    max(4*digits, 64) bits, then ``mp.nstr``."""
+    with mp.workprec(max(4 * digits, 64)):
+        return mp.nstr(mpf(x), digits, strip_zeros=True)
+
+
+DIGITS = st.sampled_from([1, 2, 3, 6, 10, 12, 15, 20, 25, 30, 80, 157, 311, 620])
+
+
+@st.composite
+def dyadics(draw):
+    """(n, bits, digits) for n / 2**bits: grid values at 64 to 8192 bits,
+    ties one bit below the rounding precision (some of them at a decimal
+    rounding point), values just below a power of ten (a carry through
+    every kept digit), and exponents around and far beyond 2**+-3500."""
+    digits = draw(DIGITS)
+    prec = max(4 * digits, 64)
+    kind = draw(st.sampled_from(["grid", "tie", "halfway", "carry", "huge"]))
+    sign = draw(st.sampled_from([1, -1]))
+    if kind == "halfway":
+        # A tie between two prec-bit neighbours m < m + 1, m even, on either
+        # side of the decimal point q.5 where the digits round: ties to
+        # even keep the lower digits, ties away would round them up.
+        q = draw(st.integers(10 ** (digits - 1), 10 ** digits - 1))
+        point = Fraction(2 * q + 1, 2) * Fraction(10) ** draw(st.integers(-60, 20))
+        num, den = point.numerator, point.denominator
+        bits = prec - num.bit_length() + den.bit_length()
+        m = (num << bits) // den if bits >= 0 else num // (den << -bits)
+        while m.bit_length() != prec:
+            bits += 1 if m.bit_length() < prec else -1
+            m = (num << bits) // den if bits >= 0 else num // (den << -bits)
+        n, bits = (m & ~1) << 1 | 1, bits + 1
+    elif kind == "grid":
+        bits = draw(st.integers(64, 8192))
+        n = draw(st.integers(0, 2 ** (bits + 8)))
+    elif kind == "tie":
+        extra = draw(st.integers(1, 64))
+        top = draw(st.integers(2 ** (prec - 1), 2 ** prec - 1))
+        n, bits = (top << extra) | 1 << (extra - 1), draw(st.integers(64, 8192))
+    elif kind == "carry":
+        bits = draw(st.integers(64, 8192))
+        k = draw(st.integers(-bits // 4, 300))
+        one = 10 ** k << bits if k >= 0 else (1 << bits) // 10 ** -k
+        n = max(one - draw(st.integers(1, 2 ** 40)), 1)
+    else:
+        bits = draw(st.one_of(st.integers(3300, 3700), st.integers(-3700, -3300),
+                              st.integers(-2 ** 40, 2 ** 40)))
+        n = draw(st.integers(1, 2 ** prec))
+    return sign * n, bits, digits
+
+
+@given(dyadics())
+@settings(max_examples=600, deadline=None)
+@example((0, 64, 20))
+@example((-1, 0, 20))
+@example((2 ** 80 - 1, 80, 20))             # 0.99999... rounds up to 1.0
+@example((0xE666666666666666 << 1 | 1, 66, 1))  # ties down to below 0.45
+@example((1, 3502, 20))                     # below 2**-3500: exponent form
+@example((1, -3600, 157))                   # beyond 2**3500
+@example((1, 2 ** 40, 6))
+@example((10 ** 30 + 1, 0, 30))             # 31 digits: switches to e+30
+@example((1, 20, 15))                       # 9.5e-7: below min_fixed
+def test_fmt_fixed_matches_nstr(case):
+    n, bits, digits = case
+    assert fmt_fixed(n, bits, digits) == fmt_reference(from_fixed(n, bits), digits)
+
+
+@given(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                 st.integers(-2 ** 200, 2 ** 200)),
+       DIGITS)
+@settings(max_examples=300, deadline=None)
+def test_fmt_of_floats_and_mpfs_matches_nstr(x, digits):
+    assert fmt(x, digits) == fmt_reference(x, digits)
+    if isinstance(x, float):
+        assert fmt(mpf(x), digits) == fmt_reference(x, digits)
+
+
+def test_fmt_fixed_switches_to_exponent_form_where_nstr_does():
+    # min_fixed = min(-(digits // 3), -5) and max_fixed = digits bound the
+    # decimal exponents written in fixed point.
+    for digits in (6, 15, 20, 30):
+        for k in range(-digits - 3, digits + 3):
+            for n, bits in ((1, 0), (7, 3), (123456789, 20)):
+                x = n * 10 ** k if k >= 0 else None
+                if x is None:
+                    n_k, bits_k = (n << (bits + 200)) // 10 ** -k, bits + 200
+                else:
+                    n_k, bits_k = x, bits
+                assert fmt_fixed(n_k, bits_k, digits) == \
+                    fmt_reference(from_fixed(n_k, bits_k), digits)

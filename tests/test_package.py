@@ -1,7 +1,7 @@
 """Package-level guards: the public exports exist, no library module
-hands a string to ``eval`` or ``exec``, only ``intervals.fmt`` calls
-``nstr``, none sets the global mpmath precision (reports must not
-depend on the ambient context), the
+hands a string to ``eval`` or ``exec`` or calls ``nstr``, no default run
+converts an mpf to decimal through mpmath, none sets the global mpmath
+precision (reports must not depend on the ambient context), the
 ``lab`` runtime loads neither numpy nor ``dataclasses`` and ``inspect``,
 an experiment loads only the modules it uses, no module nears the
 parser's token cliff, and the bench tracer still finds the library names
@@ -12,9 +12,14 @@ import os
 import subprocess
 import sys
 import tokenize
+import warnings
 from pathlib import Path
 
+import pytest
+
 import billiardlab
+from billiardlab.experiments import (EXPERIMENTS, ExperimentConfig,
+                                     run_experiment, write_report)
 
 
 def _library_nodes():
@@ -40,20 +45,36 @@ def test_exports_resolve_and_no_eval_or_exec():
     assert not offenders
 
 
-def test_only_fmt_calls_nstr():
-    # intervals.fmt is the one decimal rendering of a number
-    offenders = []
-    for path in sorted(Path(billiardlab.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = {id(node) for fmt in ast.walk(tree)
-                   if path.name == "intervals.py"
-                   and isinstance(fmt, ast.FunctionDef) and fmt.name == "fmt"
-                   for node in ast.walk(fmt)}
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and id(node) not in allowed
-                    and _called_name(node) == "nstr"):
-                offenders.append(f"{path.name}:{node.lineno}")
+def test_no_library_module_calls_nstr():
+    # intervals.fmt_fixed writes every decimal from integers
+    offenders = [f"{fname}:{node.lineno}" for fname, node in _library_nodes()
+                 if isinstance(node, ast.Call) and _called_name(node) == "nstr"]
     assert not offenders
+
+
+def test_no_default_run_formats_through_mpmath(tmp_path, monkeypatch):
+    # mp.nstr, str(mpf) and repr(mpf) all end in libmpf.to_str; refuse it
+    # under every name a loaded module binds it to, then run and write the
+    # seven default configs.
+    import mpmath
+    from mpmath.libmp import libmpf
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an mpmath decimal conversion was called")
+
+    to_str = libmpf.to_str
+    monkeypatch.setattr(mpmath.mp, "nstr", refuse)
+    for module in list(sys.modules.values()):
+        if vars(module).get("to_str") is to_str:
+            monkeypatch.setattr(module, "to_str", refuse)
+    with pytest.raises(AssertionError):
+        str(mpmath.mpf("0.5"))
+    monkeypatch.chdir(tmp_path)
+    for name in sorted(EXPERIMENTS):
+        cfg = ExperimentConfig.from_json_obj({}, name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert write_report(run_experiment(cfg), cfg.out_dir)
 
 
 def test_no_module_assigns_global_precision():

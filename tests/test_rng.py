@@ -62,20 +62,55 @@ def test_interleaved_draws_match_numpy(seed, calls):
     assert [_draw(ours, c) for c in calls] == [_draw(theirs, c) for c in calls]
 
 
+def _words_drawn(gen, seed):
+    """The 32-bit words ``gen`` has taken since ``Generator(seed)``: two per
+    64-bit step, found by stepping a fresh generator to its state, less
+    the buffered upper half it has not yet used."""
+    fresh, steps = Generator(seed), 0
+    while fresh._state != gen._state:
+        fresh._next64()
+        steps += 1
+    return 2 * steps - (gen._half is not None)
+
+
 def test_lemire_rejection_fires_and_still_matches():
     ours, theirs = Generator(3), np.random.default_rng(3)
-    words = 0
-    next32 = ours._next32
-
-    def counted():
-        nonlocal words
-        words += 1
-        return next32()
-
-    ours._next32 = counted
     span = 2**31 + 1  # rejects a 32-bit word with probability about 1/2
     assert ours.integers(0, span, size=64) == theirs.integers(0, span, size=64).tolist()
-    assert words > 64
+    assert _words_drawn(ours, 3) > 64
+
+
+@given(SEEDS, SPANS, st.integers(0, 40), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+@example(seed=3, span=2**31 + 1, size=64, lead=1)
+def test_batched_draws_equal_single_draws_and_numpy(seed, span, size, lead):
+    # ``lead`` single draws first leave an odd or an even number of 32-bit
+    # words taken, so the batch starts with and without a buffered half.
+    batched, single = Generator(seed), Generator(seed)
+    theirs = np.random.default_rng(seed)
+    for _ in range(lead):
+        assert batched.integers(0, 1000) == single.integers(0, 1000) \
+            == int(theirs.integers(0, 1000))
+    out = batched.integers(-5, span - 5, size=size)
+    assert out == [single.integers(-5, span - 5) for _ in range(size)]
+    assert out == theirs.integers(-5, span - 5, size=size).tolist()
+    assert (batched._state, batched._half) == (single._state, single._half)
+    # the stream continues alike, whichever half-word is buffered
+    assert batched.integers(0, span, size=3) == theirs.integers(0, span, size=3).tolist()
+    assert batched.random() == theirs.random()
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_state_after_a_batch_continues_the_stream(odd):
+    # After an odd number of 32-bit words the upper half of the last 64-bit
+    # draw stays buffered; after an even number none is.
+    gen, theirs = Generator(11), np.random.default_rng(11)
+    size = 7 if odd else 8  # span 2**16 divides 2**32: no word is rejected
+    assert gen.integers(0, 2**16, size=size) == theirs.integers(0, 2**16, size=size).tolist()
+    assert (gen._half is not None) == odd
+    assert _words_drawn(gen, 11) == size
+    assert [gen.integers(0, 2**16) for _ in range(5)] == \
+        theirs.integers(0, 2**16, size=5).tolist()
 
 
 def test_single_value_range_draws_nothing():
