@@ -15,10 +15,11 @@ its source interval.  Vertex shadows and reflection offsets are computed
 once per direction, in a cached frame, and each (direction, source side)
 cuts its cached transit table from that frame.  The vertices, cos and sin
 alpha and the direction's cos and sin lie on exact dyadic grids, so each
-frame integer is the exact floor of an integer product.  The tracer's
-mpf work is the direction and its cos and sin, and each launch table's
-section width ``width_exact``, a span of mpf vertex projections at
-P + 64 bits that no step reads.  Reflecting
+frame integer is the exact floor of an integer product.  The direction's
+cos and sin are those of mpf_cos_sin, which a fixed-point rotation
+(``fixedpoint.Rotation``) reads off bit for bit wherever it can decide
+them; each launch table's section width ``width_exact`` is a span of mpf
+vertex projections at P + 64 bits that no step reads.  Reflecting
 in a side's line, of unit direction u and height h = v.rot90(u) for its
 vertices v, sends the offset c of a ray of direction d to delta - c with
 delta = 2*(d.u)*h, wherever the ray hits; so delta = 0 exactly on a side
@@ -64,12 +65,12 @@ from math import prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_cos_sin
+from mpmath.libmp import mpf_add, mpf_cos_sin, mpf_mod, mpf_mul_int, mpf_neg
 
 from .circle import CirclePoint, detect_rational_angle, eval_number
 from .errors import (DegenerateDirection, NotGeneralizedParallelogram,
                      RationalAngle)
-from .fixedpoint import on_grid
+from .fixedpoint import Rotation, on_grid
 from .intervals import DEFAULT_PRECISION, IntervalUnion, fmt
 from .records import Frozen, same_fields
 
@@ -399,6 +400,8 @@ class _Tracer:
         # the frames of their directions under (odd, n)
         self.tables: Dict[tuple, object] = {}
         self.frames: Dict[Tuple[int, int], tuple] = {}
+        self.rotation = Rotation(self.theta._mpf_, self.alpha._mpf_,
+                                 self.two_pi._mpf_, self.P + 64)
         # work done: frames, transit and pair tables built, cache
         # evictions, and trace_states' steps (no report shows it)
         self.counts = dict.fromkeys(("frames", "transit", "pairs", "evictions",
@@ -406,11 +409,16 @@ class _Tracer:
 
     # -- directions ---------------------------------------------------
 
-    def _phi(self, odd: int, n: int) -> mpf:
-        """Direction after a reflection count of parity ``odd``."""
-        with mp.workprec(self.P + 64):
-            theta = -self.theta if odd else self.theta
-            return (theta + 2 * n * self.alpha) % self.two_pi
+    def _phi(self, odd: int, n: int) -> tuple:
+        """Direction after a reflection count of parity ``odd``, as an mpf
+        tuple: (+-theta + 2*n*alpha) % two_pi, by the libmp calls that the
+        mpf operators make at P + 64 bits."""
+        prec, theta = self.P + 64, self.theta._mpf_
+        if odd:
+            theta = mpf_neg(theta, prec, "n")
+        turn = mpf_mul_int(self.alpha._mpf_, 2 * n, prec, "n")
+        return mpf_mod(mpf_add(theta, turn, prec, "n"), self.two_pi._mpf_,
+                       prec, "n")
 
     def _table(self, odd: int, n: int, side: int) -> _Table:
         if self.b_mod is not None:
@@ -423,10 +431,11 @@ class _Tracer:
 
     def _store(self, key, table):
         """Cache a transit or pair table; both kinds share one bound, and
-        the eviction drops the frames too."""
+        the eviction drops the frames and the rotation's bases too."""
         if len(self.tables) > _TABLE_CACHE_LIMIT:
             self.tables.clear()
             self.frames.clear()
+            self.rotation.bases.clear()
             self.counts["evictions"] += 1
         self.tables[key] = table
         return table
@@ -440,13 +449,15 @@ class _Tracer:
         side's reflection offset delta.  A degenerate direction is not
         kept, so it raises again on every build.
 
-        phi and its cos and sin, rounded to nearest at P + 64 bits, are
-        the frame's only mpf work; the tracer's other is a launch table's
-        ``width_exact``, which _build_table takes in mpf at P + 64 bits.
-        The cos and sin, the vertices, cos and sin alpha and the side
-        heights all lie on exact dyadic grids, so each integer here is the
-        exact floor of an exact product of those inputs, taken by an
-        arithmetic shift; it can differ from the floor of the product
+        phi is rounded at P + 64 bits by _phi, and its cos and sin are
+        mpf_cos_sin(phi, P + 64, "n"): the tracer's ``rotation`` reads
+        them off a fixed-point rotation where that decides them, and calls
+        mpf_cos_sin where it does not.  The tracer's other mpf work is a
+        launch table's ``width_exact``, which _build_table takes in mpf at
+        P + 64 bits.  The cos and sin, the vertices, cos and sin alpha and
+        the side heights all lie on exact dyadic grids, so each integer
+        here is the exact floor of an exact product of those inputs, taken
+        by an arithmetic shift; it can differ from the floor of the product
         rounded at P + 64 bits only when the product lies within about
         2^-64 ulp of a grid point."""
         frame = self.frames.get((odd, n))
@@ -454,7 +465,10 @@ class _Tracer:
             return frame
         P = self.P
         phi = self._phi(odd, n)
-        dxy = [mp.make_mpf(v) for v in mpf_cos_sin(phi._mpf_, P + 64, "n")]
+        dxy = [mp.make_mpf(v) for v in (
+            self.rotation.cos_sin(phi, -1 if odd else 1, n)
+            or mpf_cos_sin(phi, P + 64, "n"))]
+        phi = mp.make_mpf(phi)
         ed, (dx, dy) = on_grid(dxy, P + 1)
         ca, sa = self.cos_sin
         # d.u along each side class, on the grid 2^-(ed + ea)

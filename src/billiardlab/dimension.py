@@ -149,12 +149,18 @@ def hs_sum(count: int, piece_length: mpf, uncertain: IntervalUnion,
            s: float) -> mpf:
     """The H^s covering sum count * piece_length^s, plus every unresolved
     (vertex-uncertain) source interval at its own length, keeping the
-    result an honest upper bound for what was resolved."""
+    result an honest upper bound for what was resolved.  Each distinct
+    length is raised to s once, and the terms are added in interval
+    order."""
     if not (0 < s <= 1):
         raise ValueError("s must lie in (0, 1]")
     bits = uncertain.precision_bits
     with mp.workprec(bits + 16):
+        s_m = mpf(s)
+        powers = {}
         unc = mpf(0)
         for lo, hi in uncertain:
-            unc += from_fixed(hi - lo, bits) ** mpf(s)
-        return count * piece_length ** mpf(s) + unc
+            if hi - lo not in powers:
+                powers[hi - lo] = from_fixed(hi - lo, bits) ** s_m
+            unc += powers[hi - lo]
+        return count * piece_length ** s_m + unc

@@ -21,7 +21,7 @@ from mpmath import mp, mpf
 from .circle import CirclePoint, detect_rational_angle
 from .errors import OrbitPoint, RationalRotation
 from .fixedpoint import (arc_hits, from_fixed, index_range, mpf_to_fraction,
-                         on_grid, power_floor, to_fixed)
+                         on_grid, power_bounds, to_fixed)
 from .intervals import IntervalUnion, circle_pairs
 from .records import Frozen
 
@@ -55,10 +55,13 @@ def _hits(T: int, W: int, E: int, sign: int, m: int, residue: int,
     |p| = residue (mod m) whose grid distance d, that of
     (T + sign*|p|*W) mod 2^E from 0, is at most allow(|p|).
 
-    allow never increases with |p|, so the allowance of a block's first
-    index covers the whole block of one bit length: the block's orbit hits
-    within it are walked with first_hit, and each is kept if its own
-    allowance holds.
+    The allowance of a block's first index is walked for the whole block
+    of one bit length: the block's orbit hits within it are found with
+    first_hit, and each is kept if its own allowance holds.  So the caller
+    must keep no distance above the block's allowance anywhere in the
+    block: for minkowski_solutions allow never increases with |p|, and for
+    approx_solutions the first index's allowance bounds |p|^-mu * 2^E from
+    above over the whole block.
     """
     scale = 1 << E
     w = sign * W % scale
@@ -88,9 +91,18 @@ def approx_solutions(t: CirclePoint, omega: CirclePoint, mu: float, m: int,
     soundness holds for any mu > 0, so the range can be widened as a
     declared input change.
 
-    The scan and its power_floor thresholds work at the grid's E bits (see
-    _grid), so a t or omega far below 2^-precision_bits, such as a tiny
-    target angle, costs more than its precision suggests.
+    Each index gets one enclosure [lo, hi] of |p|^-mu * 2^E, from a 96-bit
+    power (fixedpoint.power_bounds), memoized for the call; it also holds
+    the power rounded at bits + 32 bits that the final test compares with.
+    hi is the index's allowance in _hits, so every grid distance d that
+    the final test can accept is walked.  A d below lo is a solution, and
+    only a d in [lo, hi] pays for the bits + 32 power and its rounded
+    comparison d * 2^-E < |p|^-mu, which can misjudge only a d within
+    about |p|^-mu * 2^(E - bits - 28) of the threshold.
+
+    The scan works at the grid's E bits (see _grid), so a t or omega far
+    below 2^-precision_bits, such as a tiny target angle, costs more than
+    its precision suggests.
     """
     if not mu >= 2 ** -19:
         raise ValueError(f"mu must be >= 2^-19, got {mu}")
@@ -106,17 +118,21 @@ def approx_solutions(t: CirclePoint, omega: CirclePoint, mu: float, m: int,
     residue = l % m if sign > 0 else (-l) % m
     with mp.workprec(bits + 32):
         mu_m = mpf(mu)
+    bounds = {}
 
-    # power_floor may sit one below the exact floor, which a grid distance
-    # below |p|^-mu never exceeds
+    def allow(p_abs):
+        if p_abs not in bounds:
+            bounds[p_abs] = power_bounds(p_abs, mu_m._mpf_, E, bits + 32)
+        return bounds[p_abs][1]
+
     out: List[ApproxSolution] = []
-    for p_abs, d in _hits(T, W, E, sign, m, residue, p_max,
-                          lambda p: power_floor(p, mu_m, E) + 1):
+    for p_abs, d in _hits(T, W, E, sign, m, residue, p_max, allow):
         distance = from_fixed(d, E)
-        with mp.workprec(bits + 32):
-            hit = distance < mpf(p_abs) ** (-mu_m)
-        if hit:
-            out.append(ApproxSolution(sign * p_abs, distance))
+        if d >= bounds[p_abs][0]:
+            with mp.workprec(bits + 32):
+                if not distance < mpf(p_abs) ** (-mu_m):
+                    continue
+        out.append(ApproxSolution(sign * p_abs, distance))
     return out
 
 

@@ -5,6 +5,11 @@ integer floor(x * 2**bits).  All routines here are pure integer
 arithmetic, so results are exact for the represented values; callers are
 responsible for tracking the (one ulp) representation error of the
 original real inputs.
+
+Two helpers stand in for mpmath on hot paths by Ziv's rounding test:
+power_bounds encloses a power from 96 bits, and Rotation reads a
+direction's cos and sin off a fixed-point rotation with an error bound.
+Each returns what mpmath would round only where its enclosure decides it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import (MPZ, from_int, from_man_exp, mpf_cos_sin, mpf_exp,
+                          mpf_log, mpf_mul, mpf_neg, mpf_pi)
 
 
 def on_grid(values, least: int = 0) -> Tuple[int, List[int]]:
@@ -63,10 +69,184 @@ def power_floor(n: int, mu, bits: int) -> int:
     to bits + 64 bits.  As n^-mu <= 1, the rounding moves the scaled value
     by well under one ulp, so the result is within one of the exact floor,
     and differs from it only when n^-mu * 2**bits lies within that
-    rounding of an integer."""
+    rounding of an integer.  It serves values that are reported: the
+    Cantor half-widths and the Theorem 2 witnesses' thresholds.  The scan
+    of approx_solutions decides from power_bounds instead."""
     with mp.workprec(bits + 64):
         scaled = mp.power(n, -mpf(mu)) * (1 << bits)
         return int(mp.floor(scaled))
+
+
+def _shift(x: int, k: int) -> int:
+    """floor(x * 2**k) for any sign of k."""
+    return x << k if k >= 0 else x >> -k
+
+
+def _signed(x) -> Tuple[int, int]:
+    """(man, exp) with the value man * 2**exp of a finite mpf tuple."""
+    sign, man, exp, _ = x
+    return (-man if sign else man), exp
+
+
+def power_bounds(n: int, mu, bits: int, prec: int) -> Tuple[int, int]:
+    """(lo, hi), integers with lo <= n^-mu * 2**bits <= hi for an integer
+    n >= 1 and an mpf tuple mu > 0, that also enclose the power which
+    mpf(n) ** -mu rounds at prec bits, times 2**bits.
+
+    The power is exp(-mu*log n) at 96 bits.  mpmath's log, exp, square
+    roots and integer powers at p bits are taken to lie within 2^4 ulps of
+    their exact values.  mpf ** takes its log at prec + 10 bits, so with
+    y = mu*log n and B = min(96, prec), both the 96-bit power and the
+    prec-bit one lie within (y + 16) * 2^-(B - 6) of n^-mu, relative; the
+    enclosure is four times that wide around the 96-bit power."""
+    y = mpf_mul(mu, mpf_log(from_int(n), 96), 96)
+    _, man, exp, bc = mpf_exp(mpf_neg(y), 96)
+    man, exp = man << 100 - bc, exp - 100 + bc
+    y_mag = y[2] + y[3]  # y < 2**y_mag
+    margin = ((1 << max(y_mag, 0)) + 16) * man >> min(96, prec) - 8
+    return (_shift(man - margin - 1, exp + bits),
+            -_shift(-man - margin - 1, exp + bits))
+
+
+# mpf_cos_sin(x, prec) rounds to prec bits a fixed-point cos and sin that
+# it computes with wp >= prec + 10 fractional bits, and wp >= prec + 30
+# when x >= 1.  Their error is taken to be below 2^12 units of 2^-wp, 145
+# times the largest seen: 28.1 units, over 3,229 arguments in (0, 6) at
+# 128 to 4,160 bits (mpmath 1.3.0).
+_COS_SIN_ERROR_BITS = 12
+
+
+def _cmul(a, b, W: int):
+    """The product of two fixed-point complex numbers (re, im, err) near
+    the unit circle, at W fractional bits.  err bounds the distance to the
+    exact unit value in units of 2^-W; the product's bound adds the two
+    and 3 for its floors and the second-order term (err_a*err_b << 2^W)."""
+    (ar, ai, ea), (br, bi, eb) = a, b
+    return (ar * br - ai * bi) >> W, (ar * bi + ai * br) >> W, ea + eb + 3
+
+
+class Rotation:
+    """cos and sin of the directions phi = sign*theta + 2*n*alpha, reduced
+    modulo two_pi, from fixed-point rotations, with mpf_cos_sin's answer
+    where a rotation cannot decide it.
+
+    theta, alpha and two_pi (an mpf near 2*pi) are mpf tuples, and phi is
+    the rounding at prec bits of sign*theta + 2*n*alpha reduced modulo
+    two_pi.  With k the nearest integer to (sign*theta + 2*n*alpha - phi)
+    / two_pi, delta = phi - sign*theta - 2*n*alpha + 2*pi*k is an exact
+    dyadic plus k*(2*pi - two_pi), both tiny, and
+
+        e^(i*phi) = e^(i*sign*theta) * (e^(2i*alpha))^n * e^(i*delta).
+
+    The product is formed at W = prec + guard fractional bits, the guard
+    growing with log2|n| as the powers' error does.  Cached per W are
+    e^(i*theta) and e^(2i*alpha*2^j), each from mpf_cos_sin at W + 16
+    bits, 2*pi - two_pi, and the turns e^(i*(sign*theta + 2*n*alpha)) made
+    so far; a turn is its neighbour's at n -+ 1 times e^(+-2i*alpha), or
+    else a product of powers.  Each value carries a bound on its error.
+    cos_sin returns the rounding at prec bits only when it is the same
+    at both ends of the product's enclosure, widened by mpf_cos_sin's own
+    error bound: mpf_cos_sin(phi, prec, "n") rounds a value within that
+    interval, so it returns the same pair (Ziv's rounding test).
+    Otherwise, and for phi < 1, where that error bound exceeds half an ulp
+    of sin phi, it returns None."""
+
+    __slots__ = ("theta", "two_alpha", "bits", "exact", "bases")
+
+    def __init__(self, theta, alpha, two_pi, prec: int):
+        sign, man, exp, bc = alpha
+        self.theta, self.two_alpha = theta, (sign, man, exp + 1, bc)
+        self.bits = prec
+        self.exact = tuple(map(_signed, (theta, alpha, two_pi)))
+        self.bases: dict = {}
+
+    def _bases(self, W: int):
+        """(e^(i*theta), [e^(2i*alpha*2^j)...], 2*pi - two_pi on the grid
+        2^-(W + 64) within 4 units, {(sign, n): turn}) at W bits."""
+        bases = self.bases.get(W)
+        if bases is None:
+            def unit(x):
+                # within 1 + 2^-13 units per part, so 2 in all
+                c, s = (_shift(man, exp + W) for man, exp
+                        in map(_signed, mpf_cos_sin(x, W + 16, "n")))
+                return c, s, 2
+            pi, pe = _signed(mpf_pi(W + 64, "n"))
+            tp, te = self.exact[2]
+            gap = _shift(pi, pe + W + 65) - _shift(tp, te + W + 64)
+            bases = self.bases[W] = (unit(self.theta), [unit(self.two_alpha)],
+                                     gap, {})
+        return bases
+
+    def cos_sin(self, phi, sign: int, n: int):
+        """mpf_cos_sin(phi, prec, "n") for phi as in the class docstring,
+        or None when the rotation cannot decide it."""
+        prec = self.bits
+        man, exp = _signed(phi)
+        if man <= 0 or man.bit_length() + exp <= 0 or abs(n) >> 55:
+            return None
+        W = prec + 32 * ((abs(n).bit_length() + 55) // 32)
+        theta, pows, gap, turns = self._bases(W)
+        # N = sign*theta + 2*n*alpha - phi and two_pi, exactly on a grid 2^e
+        (tm, te), (am, ae), (qm, qe) = self.exact
+        e = min(te, ae, exp, qe)
+        tp = qm << qe - e
+        N = (sign * tm << te - e) + (n * am << ae + 1 - e) - (man << exp - e)
+        k = (2 * N + tp) // (2 * tp)
+        # delta at W bits: within 1 unit for the floor, and as |k| <= |n| + 2,
+        # 4|k| < 2^58 units of 2^-(W + 64) for gap, so 2 in all
+        d = _shift(k * tp - N, e + W + 64) + k * gap >> 64
+        if abs(d) >> W - 16:  # the series below needs |delta| < 2^-16
+            return None
+        turn = turns.get((sign, n))
+        if turn is None:
+            step = pows[0]
+            if (sign, n - 1) in turns:
+                turn = _cmul(turns[sign, n - 1], step, W)
+            elif (sign, n + 1) in turns:
+                turn = _cmul(turns[sign, n + 1], (step[0], -step[1], step[2]),
+                             W)
+            else:
+                turn = theta[0], sign * theta[1], theta[2]
+                nn, i = abs(n), 0
+                while nn:
+                    if i == len(pows):
+                        pr, pi_, pe = pows[-1]
+                        pows.append(((pr * pr - pi_ * pi_) >> W,
+                                     (pr * pi_) >> W - 1, 2 * pe + 3))
+                    if nn & 1:
+                        pr, pi_, pe = pows[i]
+                        turn = _cmul(turn, (pr, pi_ if n > 0 else -pi_, pe), W)
+                    nn, i = nn >> 1, i + 1
+            turns[sign, n] = turn
+        # e^(i*delta) by its series: delta's 2 units, under 2 per term j
+        # and under 2 for the tail, per part; 4j + 8 bounds them in all
+        c, s, a, j = 1 << W, d, d, 1
+        while a:
+            j += 1
+            a = (a * d >> W) // j
+            if j & 1:
+                s += a if j & 2 == 0 else -a
+            else:
+                c += a if j & 2 == 0 else -a
+        c, s, err = _cmul(turn, (c, s, 4 * j + 8), W)
+        # each part rounds alike over [|v| - r, |v| + r], a tie excluded;
+        # the rounding is then normalized as from_man_exp does
+        r = err + (1 << W - prec - 30 + _COS_SIN_ERROR_BITS) + 1
+        out = []
+        for v in (c, s):
+            lo, hi = abs(v) - r, abs(v) + r
+            shift = hi.bit_length() - prec
+            if lo <= 0 or shift < 1 or lo.bit_length() != hi.bit_length():
+                return None
+            half = 1 << shift - 1
+            top = (lo + half) >> shift
+            if top != (hi + half) >> shift or not (lo + half) & (2 * half - 1):
+                return None
+            zeros = (top & -top).bit_length() - 1
+            top >>= zeros
+            out.append((int(v < 0), MPZ(top), shift - W + zeros,
+                        top.bit_length()))
+        return tuple(out)
 
 
 def index_range(lo: int, hi: int, m: int, res: int) -> Tuple[int, int]:

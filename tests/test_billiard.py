@@ -6,6 +6,7 @@ match plain geometry for dozens of reflections.  Everything else is
 checked against exact conservation laws and closed-form projections.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -511,7 +512,7 @@ def test_nonconvex_targets_match_float_geometry(steps):
     for theta in ("0.3", "1.3", "2.2", "4.0"):
         tracer = _Tracer(q, theta)
         for odd, n in itertools.product((0, 1), range(-2, 3)):
-            phi = float(tracer._phi(odd, n))
+            phi = float(mp.make_mpf(tracer._phi(odd, n)))
             d = (math.cos(phi), math.sin(phi))
             nrm = (-d[1], d[0])
 
@@ -616,7 +617,7 @@ def mpf_frame(tracer, odd, n):
                  for i in range(len(q.vertices))]
         heights = [vy * cos_a - vx * sin_a if cls is SideClass.SLANT else vy
                    for cls, (vx, vy) in zip(q.side_classes, lower)]
-        dx, dy = map(mp.make_mpf, mpf_cos_sin(phi._mpf_, P + 64, "n"))
+        dx, dy = map(mp.make_mpf, mpf_cos_sin(phi, P + 64, "n"))
         along = {SideClass.BASE: dx, SideClass.SLANT: dx * cos_a + dy * sin_a}
         gtol = mpf(2) ** (-(P // 2))
         if abs(dy) < gtol or abs(dy * cos_a - dx * sin_a) < gtol:
@@ -685,6 +686,59 @@ def test_integer_frames_match_mpf_frames_on_special_directions():
             for poly in FRAME_POLYGONS for bits in (64, 256, 512, 1024)
             for theta in SPECIAL_THETAS for odd in (0, 1)}
     assert kept == {True, False}
+
+
+def check_cos_sin(tracer, odd, n, seen):
+    """The rotation's cos and sin of a direction, where it answers, and the
+    frame's, are mpf_cos_sin's at P + 64 bits, bit for bit; ``seen``
+    counts the rotation's answers and its fallbacks."""
+    phi = tracer._phi(odd, n)
+    want = mpf_cos_sin(phi, tracer.P + 64, "n")
+    got = tracer.rotation.cos_sin(phi, -1 if odd else 1, n)
+    seen["fallback" if got is None else "rotation"] += 1
+    assert got is None or got == want
+    try:
+        dxy = tracer._frame(odd, n)[3]
+    except DegenerateDirection:
+        return
+    assert tuple(v._mpf_ for v in dxy) == want
+
+
+def test_frame_cos_sin_equal_mpf_cos_sin():
+    # Random and special directions at any level thm2_deep reaches (4.03e14)
+    # and beyond, each on a fresh tracer, so its turn is a product of powers.
+    seen = collections.Counter()
+
+    @given(poly=st.sampled_from(sorted(FRAME_POLYGONS)),
+           bits=st.sampled_from([64, 256, 512, 1024, 4096]),
+           theta=st.one_of(st.floats(0, 6.3).map(repr),
+                           st.sampled_from(SPECIAL_THETAS)),
+           odd=st.integers(0, 1),
+           n=st.one_of(st.integers(-300, 300),
+                       st.integers(-10 ** 15, 10 ** 15)))
+    @settings(max_examples=250, deadline=None)
+    def check(poly, bits, theta, odd, n):
+        theta = theta.format(alpha=FRAME_POLYGONS[poly][1], half=bits // 2)
+        check_cos_sin(_Tracer(frame_polygon(poly, bits), theta), odd, n, seen)
+        check_frame(poly, bits, theta, odd, n)
+
+    check()
+    assert seen["rotation"] and seen["fallback"]
+
+
+@pytest.mark.parametrize("bits", [64, 1024, 4096])
+def test_frame_cos_sin_equal_mpf_cos_sin_along_level_sweeps(bits):
+    # Levels built in sequence, as beams reach them: each turn after the
+    # first is its neighbour's times one step, so the error bounds add up.
+    seen = collections.Counter()
+    tracer = _Tracer(frame_polygon("golden_rhombus", bits), "2.5")
+    for start in (0, -403_000_000_000_000):
+        for n in range(start, start + 60):
+            for odd in (0, 1):
+                check_cos_sin(tracer, odd, n, seen)
+        for n in range(start - 1, start - 30, -1):
+            check_cos_sin(tracer, 1, n, seen)
+    assert seen["rotation"] > 3 * seen["fallback"] > 0
 
 
 def _reflection_by_reflection(tracer, states, n_cap, reflection_cap):

@@ -267,6 +267,35 @@ def test_escape_cover_hs_sum_adds_uncertain_lengths():
     assert hs_sum(3, mpf("0.25"), grid_union([]), 0.5) == mpf("1.5")
 
 
+def parent_hs_sum(count, piece_length, uncertain, s):
+    """hs_sum before it raised each distinct length to s once."""
+    bits = uncertain.precision_bits
+    with mp.workprec(bits + 16):
+        unc = mpf(0)
+        for lo, hi in uncertain:
+            unc += from_fixed(hi - lo, bits) ** mpf(s)
+        return count * piece_length ** mpf(s) + unc
+
+
+@given(widths=st.lists(st.sampled_from([1, 3, 2 ** 40 + 7, 2 ** 200 + 1]),
+                       max_size=12),
+       gaps=st.lists(st.integers(1, 2 ** 100), min_size=12, max_size=12),
+       s=st.sampled_from([1.0, 0.5, 0.7211, 1 / 3, 2 ** -10]),
+       bits=st.sampled_from([64, 256, 512]))
+@settings(max_examples=150, deadline=None)
+def test_hs_sum_equals_the_parent_loop_bit_for_bit(widths, gaps, s, bits):
+    # unions whose intervals repeat a few lengths, in any order
+    pairs, pos = [], 0
+    for width, gap in zip(widths, gaps):
+        width, gap = width % (1 << bits - 8), gap % (1 << bits - 8) + 1
+        pairs.append((pos + gap, pos + gap + width))
+        pos += gap + width
+    unc = IntervalUnion.make(pairs, bits)
+    piece = from_fixed(3, 7)
+    assert (hs_sum(5, piece, unc, s)._mpf_
+            == parent_hs_sum(5, piece, unc, s)._mpf_)
+
+
 @pytest.mark.parametrize("s", [0.0, -0.5, 1.5, 2.0])
 def test_escape_cover_hs_sum_rejects_exponent_outside_unit_interval(s):
     with pytest.raises(ValueError):

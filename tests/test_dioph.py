@@ -5,11 +5,14 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from billiardlab import dioph
 from billiardlab.circle import CirclePoint
 from billiardlab.dioph import (
+    ApproxSolution,
     _grid,
     _hits,
     approx_solutions,
@@ -18,8 +21,8 @@ from billiardlab.dioph import (
     ubiquity_rho,
 )
 from billiardlab.errors import OrbitPoint, RationalRotation
-from billiardlab.fixedpoint import (from_fixed, mpf_to_fraction, power_floor,
-                                    to_fixed)
+from billiardlab.fixedpoint import (from_fixed, mpf_to_fraction, power_bounds,
+                                    power_floor, to_fixed)
 from billiardlab.intervals import circle_pairs
 from billiardlab.rng import Generator
 
@@ -151,27 +154,102 @@ def test_candidates_are_exactly_the_fixed_point_allowance_hits(
     assert 0 < len(expected) < len(indices)
 
 
-@pytest.mark.parametrize("bits", [64, 256])
-@pytest.mark.parametrize("mu", [0.9, 2.0, 1 / 3])
-def test_power_allowance_bounds_full_precision_threshold(mu, bits):
-    # The scan's threshold, power_floor, must sit at most one ulp below the
-    # threshold as a much finer power rounds it (approx_solutions' allowance
-    # power_floor + 1 absorbs that ulp), never above it, and never grow
-    # with |p|.
+def allowance_indices():
+    """Indices from 1 to 10^9: every one below 3000, those around powers of
+    two and three, and runs of three spread over the range."""
     ps = set(range(1, 3000))
     for k in range(12, 30):
         ps.update((2 ** k - 1, 2 ** k, 2 ** k + 1, 3 ** (k * 2 // 3) + k))
     for j in range(1, 10 ** 9, 7_654_321):
         ps.update(range(j, j + 3))
     ps.add(10 ** 9)
+    return sorted(ps)
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("mu", [0.9, 2.0, 1 / 3])
+def test_power_allowance_bounds_full_precision_threshold(mu, bits):
+    # power_floor, which the Cantor half-widths and the Theorem 2 witnesses
+    # report, must sit at most one ulp below the floor of a much finer
+    # power, never above it, and never grow with |p|.
     prev = None
-    for p_abs in sorted(ps):
+    for p_abs in allowance_indices():
         with mp.workprec(bits + 256):
             ref = to_fixed(mpf(p_abs) ** (-mpf(mu)), bits)
         new = power_floor(p_abs, mpf(mu), bits)
         assert ref - 1 <= new <= ref, p_abs
         assert prev is None or new <= prev, p_abs
         prev = new
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("a,k", [(1, 0), (2, 0), (1, 1), (3, 1), (1, 2)])
+def test_power_bounds_enclose_exact_floor_and_rounded_power(a, k, bits):
+    # For mu = a/2^k the floor of |p|^-mu * 2^bits is exact (an integer
+    # root), and the scan's enclosure [lo, hi] must hold it, with hi above
+    # the real value, and the power the final test rounds at bits + 32.
+    from test_fixedpoint import exact_power_floor
+
+    mu = mpf(a) / 2 ** k
+    for p_abs in allowance_indices():
+        lo, hi = power_bounds(p_abs, mu._mpf_, bits, bits + 32)
+        exact = exact_power_floor(p_abs, a, k, bits)
+        integral = exact ** (1 << k) * p_abs ** a == 1 << (bits << k)
+        assert lo <= exact <= hi - (not integral), p_abs
+        with mp.workprec(bits + 32):
+            rounded = mpf_to_fraction(mpf(p_abs) ** (-mu)) * (1 << bits)
+        assert lo <= rounded <= hi, p_abs
+
+
+def parent_approx_solutions(t, omega, mu, m, l, p_max, sign):
+    """approx_solutions before power_bounds: power_floor + 1 as each index's
+    allowance, and the bits + 32 power compared for every hit."""
+    bits = min(t.precision_bits, omega.precision_bits)
+    T, W, E = _grid(t, omega)
+    residue = l % m if sign > 0 else (-l) % m
+    with mp.workprec(bits + 32):
+        mu_m = mpf(mu)
+    out = []
+    for p_abs, d in _hits(T, W, E, sign, m, residue, p_max,
+                          lambda p: power_floor(p, mu_m, E) + 1):
+        distance = from_fixed(d, E)
+        with mp.workprec(bits + 32):
+            hit = distance < mpf(p_abs) ** (-mu_m)
+        if hit:
+            out.append(ApproxSolution(sign * p_abs, distance))
+    return out
+
+
+@given(bits=st.sampled_from([64, 256]), t_bits=st.integers(1, 256),
+       t_num=st.integers(0, 2 ** 256), w_num=st.integers(1, 2 ** 256),
+       mu=st.sampled_from([2 ** -19, 1 / 3, 0.9, 1.0, 2.0, 3.7]),
+       m=st.integers(1, 3), sign=st.sampled_from([1, -1]))
+@example(bits=256, t_bits=256, t_num=1, w_num=2 ** 255 + 1, mu=2 ** -19,
+         m=3, sign=-1)
+@example(bits=64, t_bits=64, t_num=3, w_num=2 ** 200, mu=3.7, m=2, sign=1)
+@example(bits=64, t_bits=64, t_num=0, w_num=2 ** 62, mu=1.0, m=1, sign=1)
+@settings(max_examples=30, deadline=None)
+def test_approx_solutions_match_the_parent_scan(bits, t_bits, t_num, w_num,
+                                                mu, m, sign):
+    # Random t and omega on the 2^-bits grid, t down to 2^-bits, every
+    # residue: the enclosure decides what the rounded power decided.
+    t_bits = min(t_bits, bits)
+    t = CirclePoint(from_fixed(t_num % (1 << t_bits), t_bits), bits)
+    omega = CirclePoint(from_fixed(w_num % (1 << bits) or 1, bits), bits)
+    p_max = 200 if mu < 0.5 else 2000
+    for l in range(m):
+        got, want = (
+            [(s.p, s.distance) for s in scan(t, omega, mu, m, l, p_max, sign)]
+            for scan in (approx_solutions, parent_approx_solutions))
+        assert got == want
+
+
+def test_approx_distance_equal_to_its_threshold_is_refused():
+    # omega = 1/4: ||2*omega|| = 1/2 equals 2^-1, so its grid distance lies
+    # in the enclosure of index 2, where the rounded comparison refuses it.
+    t0, quarter = CirclePoint.make(0), CirclePoint.make("1/4")
+    sols = approx_solutions(t0, quarter, 1.0, 1, 0, 8, 1)
+    assert [s.p for s in sols] == [1, 3, 4, 8]
 
 
 def test_approx_exact_hit_on_orbit():

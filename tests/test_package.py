@@ -4,10 +4,12 @@ converts an mpf to decimal through mpmath, none sets the global mpmath
 precision (reports must not depend on the ambient context), the
 ``lab`` runtime loads neither numpy nor ``dataclasses`` and ``inspect``,
 an experiment loads only the modules it uses, no module nears the
-parser's token cliff, and the bench tracer still finds the library names
-it wraps."""
+parser's token cliff, the escape runs make a pinned number of elementary
+mpmath calls, and the bench tracer still finds the library names it
+wraps."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -75,6 +77,62 @@ def test_no_default_run_formats_through_mpmath(tmp_path, monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert write_report(run_experiment(cfg), cfg.out_dir)
+
+
+_ELEMENTARY_PROBE = """
+import collections, json, sys, warnings
+from mpmath.libmp import libelefun
+from billiardlab.experiments import ExperimentConfig, run_experiment
+from billiardlab.fixedpoint import Rotation
+
+names = ("mpf_cos_sin", "mpf_log", "mpf_exp")
+codes = {getattr(libelefun, name).__code__: name for name in names}
+rotate = Rotation.cos_sin
+out = {}
+for experiment in ("thm1_cover", "thm2_cover"):
+    calls = collections.Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[f"{codes[frame.f_code]}@{frame.f_locals['prec']}"] += 1
+
+    def cos_sin(self, *args):
+        answer = rotate(self, *args)
+        calls["fallback frames" if answer is None else "rotated frames"] += 1
+        return answer
+
+    Rotation.cos_sin = cos_sin
+    cfg = ExperimentConfig.from_json_obj({}, experiment)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sys.setprofile(count)
+        try:
+            run_experiment(cfg)
+        finally:
+            sys.setprofile(None)
+    out[experiment] = dict(sorted(calls.items()))
+print(json.dumps(out))
+"""
+
+
+def test_escape_runs_pin_their_elementary_mpmath_calls():
+    # libelefun's mpf_cos_sin, mpf_log and mpf_exp calls by precision, under
+    # any name (a profile hook sees each call), in a fresh process.
+    # - Frames call mpf_cos_sin at P + 64 bits (320, 576) only where the
+    #   rotation falls back, beside 14 and 8 calls outside the frames, and
+    #   at W + 16 bits (368, 624) for each tracer's two bases.
+    # - approx_solutions' enclosures take log and exp at 96 bits, and no
+    #   grid distance falls inside its band, so no power above 96 bits.
+    # - hs_sum raises each distinct length to s once, at bits + 16 bits.
+    assert json.loads(_run_probe(_ELEMENTARY_PROBE)) == {
+        "thm1_cover": {"fallback frames": 20, "rotated frames": 108,
+                       "mpf_cos_sin@320": 20 + 14, "mpf_cos_sin@368": 3 * 2,
+                       "mpf_exp@96": 88, "mpf_log@96": 88,
+                       "mpf_exp@272": 22, "mpf_log@282": 22},
+        "thm2_cover": {"fallback frames": 9, "rotated frames": 44,
+                       "mpf_cos_sin@576": 9 + 8, "mpf_cos_sin@624": 2 * 2,
+                       "mpf_exp@96": 25, "mpf_log@96": 25,
+                       "mpf_exp@528": 18, "mpf_log@538": 18}}
 
 
 def test_no_module_assigns_global_precision():

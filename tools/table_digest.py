@@ -6,8 +6,9 @@ Imports ``billiardlab`` from ``DIR`` (by default this checkout's ``src/``)
 and runs each of the seven experiments in process at its default config,
 without writing reports.  Wrappers on ``_Tracer._frame``,
 ``_Tracer._build_table`` and ``_Tracer._build_pair`` feed, in build order,
-every frame built (its direction phi as an exact rational, ``proj_i``,
-``spans`` and ``deltas``, fields 0, 1, 2 and 4 of the frame tuple), every
+every frame built (all five fields of the frame tuple: the direction phi
+and its cos and sin as exact rationals, ``proj_i``, ``spans`` and
+``deltas``), every
 transit table (the fields that ``tests/golden.json`` pins) and every pair
 table as first built (cells and single-step records) into one SHA-256 per
 experiment; a build that raises feeds its exception instead.  It prints
@@ -77,7 +78,7 @@ def digest_defaults() -> dict:
         if (odd, n) in self.frames:
             return orig_frame(self, odd, n)
         f = feed("frame", [odd, n], orig_frame, self, odd, n)
-        record("frame", [odd, n], [f[0], f[1], f[2], f[4]])
+        record("frame", [odd, n], list(f))
         return f
 
     def build_table(self, odd, n, side):
